@@ -173,15 +173,9 @@ def boundary_term(f: WavePacketSum, w: RadialWeight, T: float,
 # ---------------------------------------------------------------------------
 
 _HYPOTHESIS_CAP = 1e3
-_HYPOTHESIS_LATTICE = None
-
-
-def _hypothesis_lattice():
-    # reaches far enough out that linear slope growth overtakes the cap
-    global _HYPOTHESIS_LATTICE
-    if _HYPOTHESIS_LATTICE is None:
-        _HYPOTHESIS_LATTICE = np.geomspace(0.01, 1e6, 200)
-    return _HYPOTHESIS_LATTICE
+# reaches far enough out that linear slope growth overtakes the cap
+_HYPOTHESIS_LATTICE = np.geomspace(0.01, 1e6, 200)
+_HYPOTHESIS_LATTICE.setflags(write=False)
 
 
 def check_remainder_hypotheses(w: RadialWeight, n: int) -> None:
@@ -190,7 +184,7 @@ def check_remainder_hypotheses(w: RadialWeight, n: int) -> None:
     Required: a bounded slope |psi'| <= C and cubic decay
     |Lap^2 psi| <= C/(1+r)^3, both probed on a log lattice.
     """
-    r = _hypothesis_lattice()
+    r = _HYPOTHESIS_LATTICE
     slope = np.abs(w.d1(r))
     _, bilap = radial_laplacians(w, r, n)
     decay = np.abs(bilap) * (1.0 + r) ** 3

@@ -15,27 +15,35 @@ Config format: one INI section per experiment, flat key-value pairs, e.g.
     output = gauss_identity.csv
 
 A packet key lists amplitude_re amplitude_im width center(n) momentum(n).
-The optional [lab] section holds the summary path.  Exit status: 0 all
-experiments pass, 1 any tolerance failure or runtime error (failing rows
-are named), 2 config errors (section and key are named).
+The optional [lab] section holds the summary path.  Each experiment kind
+is one ExperimentKind record in REGISTRY: its statement, schedule symbol,
+default tolerance, shortest schedule, own keys and driver.
+
+The whole config is checked when it loads: unknown keys, non-finite
+numbers, schedules shorter than the kind needs and two sections (or a
+section and the summary) writing one file all fail there.  Experiments then run one after another
+in config order; an exception in one is recorded in the summary and the
+others still run.  Exit status: 0 all experiments pass, 1 any tolerance
+failure or runtime error (failing rows are named), 2 config errors
+(section and key are named).
 
 CSV rows are deterministic: fixed column order, 17-significant-digit
-floats, one row per schedule point, newline-terminated lines.  The
-SMOOTHING_LAB_THREADS environment variable caps the experiment-level
-thread pool; experiments themselves are pure functions, so parallel and
-serial runs emit identical bytes.
+floats, one row per schedule point, newline-terminated lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
+import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import ConfigError, SmoothingLabError
 from .limits import (verify_asymptotics, verify_corollary, verify_flux,
@@ -52,42 +60,6 @@ CSV_COLUMNS = [
     "extrapolated_limit", "limit_error", "pass",
 ]
 
-# experiment kinds with the statement each one checks
-REGISTRY = {
-    "identity": (
-        "int_{-T}^{T} int [psi''|u_r|^2 + (psi'/r)|grad_tau u|^2"
-        " - (1/4)|u|^2 Lap^2 psi] dx dt = (flux(T) - flux(-T)) / 2"
-    ),
-    "theorem-limit": (
-        "lim_{T->inf} int_{-T}^{T} int [psi''|u_r|^2 + (psi'/r)|grad_tau u|^2"
-        " - (1/4)|u|^2 Lap^2 psi] dx dt = 2 pi psi'(inf) ||f||^2_{H^1/2}"
-    ),
-    "corollary-limit": (
-        "lim_{R->inf} (1/R) int_t int_{B_R} |u_r|^2 dx dt"
-        " = 2 pi ||f||^2_{H^1/2}"
-    ),
-    "flux-limit": (
-        "lim_{t->+-inf} Im int conj(u) psi'(r) u_r dx"
-        " = +-2 pi psi'(inf) ||f||^2_{H^1/2}"
-    ),
-    "sandwich": (
-        "(1/R) int_t int_{B_R} |u_r|^2 <= int_t int psi_{k,R}''|u_r|^2"
-        " <= ((k+1)/k) profile((k+1)R/k)"
-    ),
-    "remainder-decay": (
-        "lim_{R->inf} int_t int |u|^2 |Lap^2 psi_R| dx dt = 0,"
-        " same for int_t int (|grad_tau u|^2/r) |psi_R'|"
-    ),
-    "asymptotics": (
-        "u(t) = e^{-i sgn(t) n pi/4} e^{i|x|^2/(4t)} (4 pi |t|)^{-n/2}"
-        " fhat(x/(4 pi t)) + o_{L2}(1)"
-    ),
-    "smoothing-bound": (
-        "sup_R (1/R) int_t int_{B_R} |grad u|^2 dx dt"
-        " >= 2 pi ||f||^2_{H^1/2}"
-    ),
-}
-
 _PACKET_KEY = re.compile(r"^packet(\d+)$")
 
 _BASE_KEYS = {
@@ -95,29 +67,7 @@ _BASE_KEYS = {
     "schedule_kind", "schedule_start", "schedule_factor", "schedule_count",
     "rel_tol", "tau_space", "time_nodes", "time_panels", "aliasing_threshold",
 }
-_WEIGHT_KEYS = {"weight", "eps", "k", "value", "rescale_r"}
-_KIND_KEYS = {
-    "identity": _WEIGHT_KEYS,
-    "theorem-limit": _WEIGHT_KEYS,
-    "corollary-limit": set(),
-    "flux-limit": _WEIGHT_KEYS,
-    "sandwich": {"k", "identity_check"},
-    "remainder-decay": _WEIGHT_KEYS,
-    "asymptotics": {"final_ratio"},
-    "smoothing-bound": {"liminf_fraction"},
-}
-_NEEDS_WEIGHT = {"identity", "theorem-limit", "flux-limit", "remainder-decay"}
-_SCHEDULE_NAME = {
-    "identity": "T", "theorem-limit": "T",
-    "corollary-limit": "R", "sandwich": "R",
-    "remainder-decay": "R", "smoothing-bound": "R",
-    "flux-limit": "t", "asymptotics": "t",
-}
-_DEFAULT_TOLERANCE = {
-    "identity": 1e-6, "theorem-limit": 0.02, "corollary-limit": 0.02,
-    "flux-limit": 0.02, "sandwich": 1e-3, "remainder-decay": 0.25,
-    "asymptotics": 0.1, "smoothing-bound": 0.02,
-}
+_WEIGHT_KEYS = frozenset({"weight", "eps", "k", "value", "rescale_r"})
 
 
 @dataclass
@@ -127,14 +77,12 @@ class ExperimentSpec:
     section: str
     kind: str
     datum: WavePacketSum
+    datum_id: str
     schedule: list
     plan: QuadraturePlan
     tolerance: float
     output: str
-    weight: object = None
-    k: int = 0
-    identity_check: bool = False
-    extra_opts: dict = field(default_factory=dict)
+    options: dict = field(default_factory=dict)
 
 
 class _SectionReader:
@@ -159,9 +107,12 @@ class _SectionReader:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise self.error(key, f"expected a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise self.error(key, f"expected a finite number, got {raw!r}")
+        return value
 
     def intv(self, key: str, default=None, required: bool = False):
         raw = self.raw(key, required=required)
@@ -244,6 +195,104 @@ def _parse_weight(reader: _SectionReader):
     return w
 
 
+def _weight_options(reader: _SectionReader) -> dict:
+    return {"weight": _parse_weight(reader)}
+
+
+def _sandwich_options(reader: _SectionReader) -> dict:
+    k = reader.intv("k", required=True)
+    if k < 1:
+        raise reader.error("k", "plateau index must be >= 1")
+    return {"k": k, "identity_check": reader.boolv("identity_check", False)}
+
+
+def _smoothing_options(reader: _SectionReader) -> dict:
+    frac = reader.floatv("liminf_fraction", 0.9)
+    if not 0.0 < frac < 1.0:
+        raise reader.error("liminf_fraction", "must lie in (0, 1)")
+    return {"liminf_fraction": frac}
+
+
+@dataclass(frozen=True)
+class ExperimentKind:
+    """Everything the harness knows about one experiment kind.
+
+    parse reads the kind's own keys into ExperimentSpec.options; driver runs
+    a spec.  Drivers name their verify_* function in the lambda body, so the
+    function is looked up when the experiment runs.
+    """
+
+    statement: str
+    schedule: str  # the schedule parameter's symbol
+    tolerance: float  # the default tolerance
+    driver: Callable[[ExperimentSpec], VerificationReport]
+    min_points: int = 1  # the limit kinds extrapolate from 3 points or more
+    keys: frozenset = frozenset()
+    parse: Callable[[_SectionReader], dict] = lambda reader: {}
+
+
+REGISTRY = {
+    "identity": ExperimentKind(
+        "int_{-T}^{T} int [psi''|u_r|^2 + (psi'/r)|grad_tau u|^2"
+        " - (1/4)|u|^2 Lap^2 psi] dx dt = (flux(T) - flux(-T)) / 2",
+        "T", 1e-6, keys=_WEIGHT_KEYS, parse=_weight_options,
+        driver=lambda s: verify_identity(
+            s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance,
+            datum_id=s.datum_id)),
+    "theorem-limit": ExperimentKind(
+        "lim_{T->inf} int_{-T}^{T} int [psi''|u_r|^2 + (psi'/r)|grad_tau u|^2"
+        " - (1/4)|u|^2 Lap^2 psi] dx dt = 2 pi psi'(inf) ||f||^2_{H^1/2}",
+        "T", 0.02, min_points=3, keys=_WEIGHT_KEYS, parse=_weight_options,
+        driver=lambda s: verify_theorem_main(
+            s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance,
+            datum_id=s.datum_id)),
+    "corollary-limit": ExperimentKind(
+        "lim_{R->inf} (1/R) int_t int_{B_R} |u_r|^2 dx dt"
+        " = 2 pi ||f||^2_{H^1/2}",
+        "R", 0.02, min_points=3,
+        driver=lambda s: verify_corollary(
+            s.datum, s.schedule, s.plan, s.tolerance, datum_id=s.datum_id)),
+    "flux-limit": ExperimentKind(
+        "lim_{t->+-inf} Im int conj(u) psi'(r) u_r dx"
+        " = +-2 pi psi'(inf) ||f||^2_{H^1/2}",
+        "t", 0.02, min_points=3, keys=_WEIGHT_KEYS, parse=_weight_options,
+        driver=lambda s: verify_flux(
+            s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance,
+            datum_id=s.datum_id)),
+    "sandwich": ExperimentKind(
+        "(1/R) int_t int_{B_R} |u_r|^2 <= int_t int psi_{k,R}''|u_r|^2"
+        " <= ((k+1)/k) profile((k+1)R/k)",
+        "R", 1e-3, keys=frozenset({"k", "identity_check"}),
+        parse=_sandwich_options,
+        driver=lambda s: verify_sandwich(
+            s.datum, s.options["k"], s.schedule, s.plan, s.tolerance,
+            datum_id=s.datum_id, identity_check=s.options["identity_check"])),
+    "remainder-decay": ExperimentKind(
+        "lim_{R->inf} int_t int |u|^2 |Lap^2 psi_R| dx dt = 0,"
+        " same for int_t int (|grad_tau u|^2/r) |psi_R'|",
+        "R", 0.25, keys=_WEIGHT_KEYS, parse=_weight_options,
+        driver=lambda s: verify_remainder_decay(
+            s.datum, s.options["weight"], s.schedule, s.plan,
+            decay_ratio=s.tolerance, datum_id=s.datum_id)),
+    "asymptotics": ExperimentKind(
+        "u(t) = e^{-i sgn(t) n pi/4} e^{i|x|^2/(4t)} (4 pi |t|)^{-n/2}"
+        " fhat(x/(4 pi t)) + o_{L2}(1)",
+        "t", 0.1,
+        driver=lambda s: verify_asymptotics(
+            s.datum, s.schedule, s.plan, final_ratio=s.tolerance,
+            datum_id=s.datum_id)),
+    "smoothing-bound": ExperimentKind(
+        "sup_R (1/R) int_t int_{B_R} |grad u|^2 dx dt"
+        " >= 2 pi ||f||^2_{H^1/2}",
+        "R", 0.02, keys=frozenset({"liminf_fraction"}),
+        parse=_smoothing_options,
+        driver=lambda s: verify_smoothing_bound(
+            s.datum, s.schedule, s.plan, s.tolerance,
+            liminf_fraction=s.options["liminf_fraction"],
+            datum_id=s.datum_id)),
+}
+
+
 def _parse_plan(reader: _SectionReader) -> QuadraturePlan:
     kwargs = {}
     for key, cast in (("rel_tol", reader.floatv), ("tau_space", reader.floatv),
@@ -259,23 +308,32 @@ def _parse_plan(reader: _SectionReader) -> QuadraturePlan:
 
 
 def _parse_schedule(reader: _SectionReader, kind: str) -> list:
+    record = REGISTRY[kind]
     declared = reader.raw("schedule_kind")
-    expected = _SCHEDULE_NAME[kind]
-    if declared is not None and declared.strip() != expected:
+    if declared is not None and declared.strip() != record.schedule:
         raise reader.error(
             "schedule_kind",
-            f"{kind} experiments schedule {expected!r}, got {declared!r}",
+            f"{kind} experiments schedule {record.schedule!r}, got {declared!r}",
         )
     start = reader.floatv("schedule_start", required=True)
     count = reader.intv("schedule_count", required=True)
     factor = reader.floatv("schedule_factor", 2.0)
     if start <= 0:
         raise reader.error("schedule_start", "must be positive")
-    if count < 1:
-        raise reader.error("schedule_count", "must be >= 1")
+    if count < record.min_points:
+        raise reader.error("schedule_count",
+                           f"{kind} needs at least {record.min_points} "
+                           f"schedule points, got {count}")
     if factor <= 1.0 and count > 1:
         raise reader.error("schedule_factor", "must exceed 1 for multi-point schedules")
-    return [start * factor**j for j in range(count)]
+    try:
+        schedule = [start * factor**j for j in range(count)]
+        if not math.isfinite(schedule[-1]):
+            raise OverflowError
+    except OverflowError:
+        raise reader.error("schedule_factor",
+                           "schedule overflows to infinity") from None
+    return schedule
 
 
 def parse_experiment(section: str, items: dict) -> ExperimentSpec:
@@ -285,7 +343,8 @@ def parse_experiment(section: str, items: dict) -> ExperimentSpec:
         raise reader.error(
             "kind", f"unknown kind {kind!r}; see list-experiments"
         )
-    allowed = _BASE_KEYS | _KIND_KEYS[kind]
+    record = REGISTRY[kind]
+    allowed = _BASE_KEYS | record.keys
     for key in reader.items:
         if key not in allowed and not _PACKET_KEY.match(key):
             raise reader.error(key, f"unknown key for kind {kind!r}")
@@ -296,65 +355,20 @@ def parse_experiment(section: str, items: dict) -> ExperimentSpec:
     datum = _parse_packets(reader, n)
     plan = _parse_plan(reader)
     schedule = _parse_schedule(reader, kind)
-    tolerance = reader.floatv("tolerance", _DEFAULT_TOLERANCE[kind])
+    tolerance = reader.floatv("tolerance", record.tolerance)
     if tolerance <= 0:
         raise reader.error("tolerance", "must be positive")
-    output = reader.raw("output", f"{section}.csv")
-
-    spec = ExperimentSpec(
-        section=section, kind=kind, datum=datum, schedule=schedule,
-        plan=plan, tolerance=tolerance, output=output,
+    return ExperimentSpec(
+        section=section, kind=kind, datum=datum,
+        datum_id=reader.raw("datum_id", section), schedule=schedule,
+        plan=plan, tolerance=tolerance,
+        output=reader.raw("output", f"{section}.csv"),
+        options=record.parse(reader),
     )
-    spec.extra_opts["datum_id"] = reader.raw("datum_id", section)
-    if kind in _NEEDS_WEIGHT:
-        spec.weight = _parse_weight(reader)
-    if kind == "sandwich":
-        k = reader.intv("k", required=True)
-        if k < 1:
-            raise reader.error("k", "plateau index must be >= 1")
-        spec.k = k
-        spec.identity_check = reader.boolv("identity_check", False)
-    if kind == "asymptotics":
-        spec.extra_opts["final_ratio"] = tolerance
-    if kind == "smoothing-bound":
-        frac = reader.floatv("liminf_fraction", 0.9)
-        if not 0.0 < frac < 1.0:
-            raise reader.error("liminf_fraction", "must lie in (0, 1)")
-        spec.extra_opts["liminf_fraction"] = frac
-    return spec
 
 
 def run_experiment(spec: ExperimentSpec) -> VerificationReport:
-    did = spec.extra_opts["datum_id"]
-    if spec.kind == "identity":
-        return verify_identity(spec.datum, spec.weight, spec.schedule,
-                               spec.plan, spec.tolerance, datum_id=did)
-    if spec.kind == "theorem-limit":
-        return verify_theorem_main(spec.datum, spec.weight, spec.schedule,
-                                   spec.plan, spec.tolerance, datum_id=did)
-    if spec.kind == "corollary-limit":
-        return verify_corollary(spec.datum, spec.schedule, spec.plan,
-                                spec.tolerance, datum_id=did)
-    if spec.kind == "flux-limit":
-        return verify_flux(spec.datum, spec.weight, spec.schedule, spec.plan,
-                           spec.tolerance, datum_id=did)
-    if spec.kind == "sandwich":
-        return verify_sandwich(spec.datum, spec.k, spec.schedule, spec.plan,
-                               spec.tolerance, datum_id=did,
-                               identity_check=spec.identity_check)
-    if spec.kind == "remainder-decay":
-        return verify_remainder_decay(spec.datum, spec.weight, spec.schedule,
-                                      spec.plan, decay_ratio=spec.tolerance,
-                                      datum_id=did)
-    if spec.kind == "asymptotics":
-        return verify_asymptotics(spec.datum, spec.schedule, spec.plan,
-                                  final_ratio=spec.extra_opts["final_ratio"],
-                                  datum_id=did)
-    if spec.kind == "smoothing-bound":
-        return verify_smoothing_bound(
-            spec.datum, spec.schedule, spec.plan, spec.tolerance,
-            liminf_fraction=spec.extra_opts["liminf_fraction"], datum_id=did)
-    raise ConfigError(spec.section, "kind", f"unhandled kind {spec.kind!r}")
+    return REGISTRY[spec.kind].driver(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -397,21 +411,6 @@ def _empty_csv(path: str) -> None:
         csv.writer(fh, lineterminator="\n").writerow(CSV_COLUMNS)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SMOOTHING_LAB_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError("environment", "SMOOTHING_LAB_THREADS",
-                          f"expected an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError("environment", "SMOOTHING_LAB_THREADS",
-                          "must be >= 1")
-    return cap
-
-
 def load_config(path: str) -> tuple[list[ExperimentSpec], str]:
     """Parse and validate a config file; returns (specs, summary_path)."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -425,6 +424,7 @@ def load_config(path: str) -> tuple[list[ExperimentSpec], str]:
 
     summary_path = "summary.txt"
     specs = []
+    writers = {}  # output file -> the section that writes it
     for section in parser.sections():
         items = dict(parser.items(section))
         if section == "lab":
@@ -433,7 +433,17 @@ def load_config(path: str) -> tuple[list[ExperimentSpec], str]:
                     raise ConfigError("lab", key, "unknown key in [lab]")
             summary_path = items.get("summary", summary_path)
             continue
-        specs.append(parse_experiment(section, items))
+        spec = parse_experiment(section, items)
+        target = os.path.abspath(spec.output)
+        if target in writers:
+            raise ConfigError(section, "output",
+                              f"[{writers[target]}] already writes {spec.output!r}")
+        writers[target] = section
+        specs.append(spec)
+    target = os.path.abspath(summary_path)
+    if target in writers:
+        raise ConfigError("lab", "summary",
+                          f"[{writers[target]}] already writes {summary_path!r}")
     return specs, summary_path
 
 
@@ -441,61 +451,54 @@ def run(config_path: str) -> int:
     """Execute a config: one CSV per experiment, a summary file, exit code."""
     try:
         specs, summary_path = load_config(config_path)
-        threads = _thread_count()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    results: dict[str, object] = {}
-    if specs:
-        with ThreadPoolExecutor(max_workers=min(threads, len(specs))) as pool:
-            futures = {spec.section: pool.submit(run_experiment, spec)
-                       for spec in specs}
-        for spec in specs:
-            try:
-                results[spec.section] = futures[spec.section].result()
-            except SmoothingLabError as exc:
-                results[spec.section] = exc
-
     lines = []
-    all_ok = True
+    n_pass = 0
     for spec in specs:
-        outcome = results[spec.section]
-        if isinstance(outcome, VerificationReport):
-            write_report_csv(outcome, spec.output)
-            verdict = "PASS" if outcome.passed else "FAIL"
-            lines.append(
-                f"{verdict} [{spec.section}] kind={spec.kind} "
-                f"datum={outcome.datum_id} weight={outcome.weight_id} "
-                f"-> {spec.output}"
-                + (f" ({outcome.notes})" if outcome.notes else "")
-            )
-            if not outcome.passed:
-                all_ok = False
-                for i, p in enumerate(outcome.params):
-                    if not _row_passes(outcome, i):
-                        lines.append(
-                            f"    failing row: {spec.section} "
-                            f"param={_fmt(p)} lhs={_fmt(outcome.lhs[i])} "
-                            f"rhs={_fmt(outcome.rhs[i])} "
-                            f"rel_residual={_fmt(outcome.rel_residual[i])}"
-                        )
-        else:
-            _empty_csv(spec.output)
-            lines.append(f"ERROR [{spec.section}] kind={spec.kind}: {outcome}")
-            all_ok = False
+        try:
+            # looked up per spec: callers may wrap run_experiment
+            report = run_experiment(spec)
+            write_report_csv(report, spec.output)
+        except Exception as exc:
+            if not isinstance(exc, SmoothingLabError):
+                traceback.print_exc()  # a crash, not a numerical verdict
+            lines.append(f"ERROR [{spec.section}] kind={spec.kind}: "
+                         f"{type(exc).__name__}: {exc}")
+            with contextlib.suppress(OSError):
+                _empty_csv(spec.output)
+            continue
+        verdict = "PASS" if report.passed else "FAIL"
+        lines.append(
+            f"{verdict} [{spec.section}] kind={spec.kind} "
+            f"datum={report.datum_id} weight={report.weight_id} "
+            f"-> {spec.output}"
+            + (f" ({report.notes})" if report.notes else "")
+        )
+        if report.passed:
+            n_pass += 1
+            continue
+        for i, p in enumerate(report.params):
+            if not _row_passes(report, i):
+                lines.append(
+                    f"    failing row: {spec.section} "
+                    f"param={_fmt(p)} lhs={_fmt(report.lhs[i])} "
+                    f"rhs={_fmt(report.rhs[i])} "
+                    f"rel_residual={_fmt(report.rel_residual[i])}"
+                )
 
-    n_pass = sum(
-        1 for s in specs
-        if isinstance(results[s.section], VerificationReport)
-        and results[s.section].passed
-    )
     lines.append(f"{n_pass}/{len(specs)} experiments passed")
     summary = "\n".join(lines) + "\n"
-    with open(summary_path, "w") as fh:
-        fh.write(summary)
     print(summary, end="")
-    return 0 if all_ok else 1
+    try:
+        with open(summary_path, "w") as fh:
+            fh.write(summary)
+    except OSError as exc:
+        print(f"cannot write summary: {exc}", file=sys.stderr)
+        return 1
+    return 0 if n_pass == len(specs) else 1
 
 
 DEFAULT_CONFIG = """\
@@ -546,7 +549,8 @@ def emit_default_config(path: str) -> None:
 
 def list_experiments() -> str:
     width = max(len(k) for k in REGISTRY)
-    lines = [f"{kind.ljust(width)}  {formula}" for kind, formula in REGISTRY.items()]
+    lines = [f"{name.ljust(width)}  {kind.statement}"
+             for name, kind in REGISTRY.items()]
     return "\n".join(lines) + "\n"
 
 

@@ -361,9 +361,6 @@ class RadialWeight:
     label: str
     knots: tuple = ()
 
-    def derivative(self, order: int):
-        return (self.d0, self.d1, self.d2, self.d3, self.d4)[order]
-
     def stack(self, r):
         r = np.asarray(r, dtype=float)
         return np.stack([self.d0(r), self.d1(r), self.d2(r), self.d3(r), self.d4(r)])
@@ -378,38 +375,26 @@ class QuadraturePlan:
     """Knobs for every space-time integral.
 
     tau_space: relative tail mass allowed past the spatial truncation radius.
-    fixed_radius: optional hard truncation override (None = adaptive).
-    time_horizon: default finite horizon for experiments that take none.
     time_panels: initial panel count per time interval before adaptivity.
     time_nodes: Gauss-Legendre nodes per time panel.
     rel_tol: relative tolerance per functional evaluation.
-    decay_guess: initial tail exponent for limit extrapolation.
     aliasing_threshold: boundary-mass fraction tolerated on grids.
-    summation: 'compensated' (math.fsum) or 'ordered' plain reduction.
+    max_panels: radial panel budget of one shell integral.
     """
 
     tau_space: float = 1e-10
-    fixed_radius: float | None = None
-    time_horizon: float = 2.0
     time_panels: int = 2
     time_nodes: int = 16
     rel_tol: float = 1e-8
-    decay_guess: float = 1.0
     aliasing_threshold: float = 1e-8
-    summation: str = "compensated"
     max_panels: int = 4000
 
     def __post_init__(self):
-        for name in ("tau_space", "time_horizon", "rel_tol", "decay_guess",
-                     "aliasing_threshold"):
+        for name in ("tau_space", "rel_tol", "aliasing_threshold"):
             if not getattr(self, name) > 0:
                 raise InvalidParameterError(f"{name} must be strictly positive")
-        if self.fixed_radius is not None and not self.fixed_radius > 0:
-            raise InvalidParameterError("fixed_radius must be positive when set")
         if self.time_panels < 1 or self.time_nodes < 2:
             raise InvalidParameterError("need >= 1 time panel and >= 2 nodes")
-        if self.summation not in ("compensated", "ordered"):
-            raise InvalidParameterError(f"unknown summation mode {self.summation!r}")
         if self.max_panels < 8:
             raise InvalidParameterError("max_panels too small to be useful")
 

@@ -254,8 +254,6 @@ def shell_integral(state, coeffs: ShellCoefficients, plan: QuadraturePlan,
         return 0.0, {"abs_error": 0.0, "panels": 0}
 
     end = geom.support_radius(plan.tau_space)
-    if plan.fixed_radius is not None:
-        end = min(end, plan.fixed_radius)
     if r_max is not None:
         end = min(end, r_max)
     if end <= 0.0:
@@ -289,14 +287,9 @@ def shell_integral(state, coeffs: ShellCoefficients, plan: QuadraturePlan,
     heapq.heapify(heap)
 
     def totals():
-        ordered = sorted(heap, key=lambda item: item[2])
-        if plan.summation == "compensated":
-            val = math.fsum(item[4] for item in ordered)
-            err = math.fsum(item[5] for item in ordered)
-        else:
-            val = sum(item[4] for item in ordered)
-            err = sum(item[5] for item in ordered)
-        return val, err
+        # fsum is correctly rounded, so the heap order does not matter
+        return (math.fsum(item[4] for item in heap),
+                math.fsum(item[5] for item in heap))
 
     value, err = totals()
     floor = abs(scale) if scale else abs(value)

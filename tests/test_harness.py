@@ -124,6 +124,31 @@ output = diverging.csv
     assert len((workdir / "quick_identity.csv").read_text().splitlines()) == 2
 
 
+def test_unwritable_output_keeps_siblings_and_summary(workdir, capsys):
+    broken = (QUICK_IDENTITY.replace("[quick-identity]", "[broken-output]")
+              .replace("output = quick_identity.csv",
+                       "output = missing/broken.csv"))
+    cfg = write_config(workdir, "[lab]\nsummary = verdicts.txt\n"
+                       + broken + "\n" + QUICK_IDENTITY)
+    assert main(["run", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "ERROR [broken-output] kind=identity: FileNotFoundError:" in out
+    assert "PASS [quick-identity]" in out
+    assert len((workdir / "quick_identity.csv").read_text().splitlines()) == 2
+    assert (workdir / "verdicts.txt").read_text() == out
+    assert out.endswith("1/2 experiments passed\n")
+
+
+def test_unwritable_summary_still_prints(workdir, capsys):
+    cfg = write_config(workdir, "[lab]\nsummary = missing/verdicts.txt\n"
+                       + QUICK_IDENTITY)
+    assert main(["run", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith("1/1 experiments passed\n")
+    assert "cannot write summary" in captured.err
+    assert len((workdir / "quick_identity.csv").read_text().splitlines()) == 2
+
+
 # ---------------------------------------------------------------------------
 # config validation: exit 2, section and key named
 # ---------------------------------------------------------------------------
@@ -194,8 +219,53 @@ def test_parse_experiment_reports_section_and_key():
     assert exc.value.key == "packet1"
 
 
+def test_non_finite_numbers_rejected(workdir, capsys):
+    run_expecting_config_error(
+        workdir, capsys,
+        QUICK_IDENTITY.replace("tolerance = 1e-6", "tolerance = nan"),
+        "[quick-identity]", "tolerance", "finite")
+    run_expecting_config_error(
+        workdir, capsys,
+        QUICK_IDENTITY.replace("schedule_start = 0.5", "schedule_start = inf"),
+        "[quick-identity]", "schedule_start", "finite")
+    run_expecting_config_error(
+        workdir, capsys,
+        QUICK_IDENTITY.replace("schedule_count = 1",
+                               "schedule_count = 3\nschedule_factor = 1e300"),
+        "[quick-identity]", "schedule_factor", "infinity")
+
+
+def test_short_limit_schedule_rejected(workdir, capsys):
+    # the horizon limit is extrapolated from at least 3 points
+    run_expecting_config_error(
+        workdir, capsys,
+        QUICK_IDENTITY.replace("kind = identity", "kind = theorem-limit")
+                      .replace("schedule_count = 1", "schedule_count = 2"),
+        "[quick-identity]", "schedule_count", "at least 3")
+
+
+def test_duplicate_output_rejected(workdir, capsys):
+    twin = QUICK_IDENTITY.replace("[quick-identity]", "[twin-identity]")
+    run_expecting_config_error(
+        workdir, capsys, QUICK_IDENTITY + "\n" + twin,
+        "[twin-identity]", "output", "quick_identity.csv")
+    run_expecting_config_error(
+        workdir, capsys, "[lab]\nsummary = quick_identity.csv\n" + QUICK_IDENTITY,
+        "[lab]", "summary", "[quick-identity]")
+
+
+def test_ignored_final_ratio_key_rejected(workdir, capsys):
+    # the asymptotics ratio bound is the section's tolerance
+    run_expecting_config_error(
+        workdir, capsys,
+        QUICK_IDENTITY.replace("kind = identity", "kind = asymptotics")
+                      .replace("weight = eps\neps = 1.0\n", "")
+        + "final_ratio = 0.5\n",
+        "[quick-identity]", "final_ratio", "unknown key")
+
+
 # ---------------------------------------------------------------------------
-# auxiliary commands and environment
+# auxiliary commands
 # ---------------------------------------------------------------------------
 
 def test_list_experiments_command(capsys):
@@ -217,15 +287,3 @@ def test_emit_default_config_is_loadable(workdir, capsys):
     assert [s.kind for s in specs] == ["identity", "corollary-limit",
                                        "flux-limit"]
     assert summary == "summary.txt"
-
-
-def test_thread_cap_env(workdir, monkeypatch, capsys):
-    cfg = write_config(workdir, QUICK_IDENTITY)
-    monkeypatch.setenv("SMOOTHING_LAB_THREADS", "1")
-    assert main(["run", cfg]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("SMOOTHING_LAB_THREADS", "zero")
-    assert main(["run", cfg]) == 2
-    assert "SMOOTHING_LAB_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("SMOOTHING_LAB_THREADS", "0")
-    assert main(["run", cfg]) == 2

@@ -15,6 +15,7 @@ from smoothing_lab.limits import (
     verify_asymptotics,
     verify_flux,
     verify_identity,
+    verify_remainder_decay,
     verify_sandwich,
     verify_smoothing_bound,
 )
@@ -114,3 +115,13 @@ def test_zero_datum_smoothing_bound_passes():
     assert report.passed
     assert np.all(report.lhs == 0.0)
     assert report.floor == 0.0
+
+
+def test_remainder_decay_ignores_roundoff_tangential_series():
+    # a radially symmetric datum has no tangential gradient: its tangential
+    # series is roundoff and must count as absent, not as failing to decay
+    centred = packet_sum([packet(1.0, 1.0, [0.0, 0.0])])
+    report = verify_remainder_decay(centred, make_psi_eps(1.0), [4.0, 16.0])
+    assert np.all(report.lhs < 1e-12)
+    assert report.rhs[1] <= 0.25 * report.rhs[0]
+    assert report.passed

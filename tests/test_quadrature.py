@@ -148,16 +148,6 @@ def test_shell_integral_reports_nonconvergence():
     assert np.isfinite(exc.value.estimate)
 
 
-def test_summation_modes_agree():
-    f = packet_sum([WavePacket(1.0, 1.0, [0.3], [0.4]),
-                    WavePacket(-0.8, 1.2, [-0.2], [-0.5])])
-    st = evolve_analytic(f, 1.0)
-    coeffs = ShellCoefficients(w_mass=np.ones_like)
-    a, _ = shell_integral(st, coeffs, QuadraturePlan(summation="compensated"))
-    b, _ = shell_integral(st, coeffs, QuadraturePlan(summation="ordered"))
-    assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_needs_gradient_flag():
     assert not ShellCoefficients(w_mass=np.ones_like).needs_gradient()
     assert ShellCoefficients(w_rr=np.ones_like).needs_gradient()
