@@ -84,29 +84,29 @@ def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients,
 # profiles over balls
 # ---------------------------------------------------------------------------
 
-def smoothing_profile(f: WavePacketSum, R: float,
-                      plan: QuadraturePlan | None = None) -> float:
-    """(1/R) int_t int_{B_R} |grad u|^2 dx dt over the whole time line."""
+def _ball_profile(f: WavePacketSum, R: float, plan: QuadraturePlan | None,
+                  tangential: bool) -> float:
     plan = plan or QuadraturePlan()
     R = float(R)
     if len(f) == 0:
         return 0.0
     one = lambda r: np.ones_like(r)
-    coeffs = ShellCoefficients(w_rr=one, w_tau=one if f.n > 1 else None)
+    coeffs = ShellCoefficients(w_rr=one,
+                               w_tau=one if tangential and f.n > 1 else None)
     scale = l2_norm_sq(f) * R
     return _time_integrated(f, coeffs, plan, None, scale, r_max=R) / R
+
+
+def smoothing_profile(f: WavePacketSum, R: float,
+                      plan: QuadraturePlan | None = None) -> float:
+    """(1/R) int_t int_{B_R} |grad u|^2 dx dt over the whole time line."""
+    return _ball_profile(f, R, plan, tangential=True)
 
 
 def radial_profile(f: WavePacketSum, R: float,
                    plan: QuadraturePlan | None = None) -> float:
     """(1/R) int_t int_{B_R} |du/dr|^2 dx dt over the whole time line."""
-    plan = plan or QuadraturePlan()
-    R = float(R)
-    if len(f) == 0:
-        return 0.0
-    coeffs = ShellCoefficients(w_rr=lambda r: np.ones_like(r))
-    scale = l2_norm_sq(f) * R
-    return _time_integrated(f, coeffs, plan, None, scale, r_max=R) / R
+    return _ball_profile(f, R, plan, tangential=False)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +199,31 @@ def check_remainder_hypotheses(w: RadialWeight, n: int) -> None:
         )
 
 
+def _remainder_pair(f: WavePacketSum, w: RadialWeight, plan: QuadraturePlan,
+                    signed: bool):
+    """(tangential, bilaplacian) whole-line integrals with coefficients
+    psi'(r)/r and Lap^2 psi(r), or their absolute values unless signed."""
+    scale = l2_norm_sq(f) * _weight_scale(w)
+
+    def w_mass(r):
+        _, bilap = radial_laplacians(w, r, f.n)
+        return bilap if signed else np.abs(bilap)
+
+    bilaplacian = _time_integrated(
+        f, ShellCoefficients(w_mass=w_mass, knots=w.knots), plan, None, scale
+    )
+    if f.n == 1:
+        return 0.0, bilaplacian
+
+    def w_tau(r):
+        return (w.d1(r) if signed else np.abs(w.d1(r))) / r
+
+    tangential = _time_integrated(
+        f, ShellCoefficients(w_tau=w_tau, knots=w.knots), plan, None, scale
+    )
+    return tangential, bilaplacian
+
+
 def remainder_terms(f: WavePacketSum, w_base: RadialWeight, R: float,
                     plan: QuadraturePlan | None = None):
     """Absolute-value remainders of the identity under the rescaled weight.
@@ -218,28 +243,12 @@ def remainder_terms(f: WavePacketSum, w_base: RadialWeight, R: float,
     there; in n >= 2 the dispersive decay is strong enough for any datum.
     """
     plan = plan or QuadraturePlan()
-    R = float(R)
     check_remainder_hypotheses(w_base, f.n)
     if len(f) == 0:
         return 0.0, 0.0
-    w_R = rescale(w_base, R)
-    scale = l2_norm_sq(f) * _weight_scale(w_base)
-
-    def w_mass(r):
-        _, bilap = radial_laplacians(w_R, r, f.n)
-        return np.abs(bilap)
-
-    bil_coeffs = ShellCoefficients(w_mass=w_mass, knots=w_R.knots)
-    bilaplacian = _time_integrated(f, bil_coeffs, plan, None, scale)
-
-    if f.n == 1:
-        tangential = 0.0
-    else:
-        def w_tau(r):
-            return np.abs(w_R.d1(r)) / r
-
-        tan_coeffs = ShellCoefficients(w_tau=w_tau, knots=w_R.knots)
-        tangential = _time_integrated(f, tan_coeffs, plan, None, scale)
+    # rescaling keeps slope_inf, so the magnitude floor is the base weight's
+    tangential, bilaplacian = _remainder_pair(
+        f, rescale(w_base, float(R)), plan, signed=False)
     return max(tangential, 0.0), max(bilaplacian, 0.0)
 
 
@@ -259,24 +268,7 @@ def morawetz_remainder_split(f: WavePacketSum, w: RadialWeight,
     plan = plan or QuadraturePlan()
     if len(f) == 0:
         return 0.0, 0.0
-    scale = l2_norm_sq(f) * _weight_scale(w)
-
-    def w_mass(r):
-        _, bilap = radial_laplacians(w, r, f.n)
-        return bilap
-
-    bil = _time_integrated(
-        f, ShellCoefficients(w_mass=w_mass, knots=w.knots), plan, None, scale
-    )
-    if f.n == 1:
-        tan = 0.0
-    else:
-        tan = _time_integrated(
-            f,
-            ShellCoefficients(w_tau=lambda r: w.d1(r) / r, knots=w.knots),
-            plan, None, scale,
-        )
-    return tan, bil
+    return _remainder_pair(f, w, plan, signed=True)
 
 
 def weighted_radial_energy(f: WavePacketSum, w: RadialWeight,

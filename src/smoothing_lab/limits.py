@@ -14,10 +14,11 @@ VerificationReport; they are the layer the harness schedules.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import InvalidParameterError
 from .functionals import (boundary_term, dispersive_l2_error, flux,
@@ -94,21 +95,29 @@ def estimate_limit(values, model: str = "constant-plus-power") -> LimitEstimate:
     L0 = vals[-1] - c0 * params[-1] ** (-alpha0)
 
     try:
-        popt, pcov = curve_fit(
-            _power_model, p_t, v_t,
-            p0=[L0, c0, alpha0],
-            bounds=([-np.inf, -np.inf, 0.05], [np.inf, np.inf, 20.0]),
-            maxfev=20000,
-        )
+        with warnings.catch_warnings():
+            # a 3-point fit has no degrees of freedom: pcov comes back inf
+            warnings.simplefilter("ignore", OptimizeWarning)
+            popt, pcov = curve_fit(
+                _power_model, p_t, v_t,
+                p0=[L0, c0, alpha0],
+                bounds=([-np.inf, -np.inf, 0.05], [np.inf, np.inf, 20.0]),
+                maxfev=20000,
+            )
     except (RuntimeError, ValueError) as exc:
         return LimitEstimate(
             vals[-1], float(np.abs(incs[-1])), False, f"fit failure: {exc}"
         )
     resid = _power_model(p_t, *popt) - v_t
     rms = float(np.sqrt(np.mean(resid**2)))
-    perr = float(np.sqrt(pcov[0, 0])) if np.isfinite(pcov[0, 0]) else rms
-    return LimitEstimate(float(popt[0]), max(rms, perr), True,
-                         f"power fit alpha={popt[2]:.3g}")
+    note = f"power fit alpha={popt[2]:.3g}"
+    if np.isfinite(pcov[0, 0]):
+        perr = float(np.sqrt(pcov[0, 0]))
+    else:
+        # an exact fit's rms says nothing about the limit's error
+        perr = float(np.abs(incs[-1]))
+        note += ", covariance not estimated"
+    return LimitEstimate(float(popt[0]), max(rms, perr), True, note)
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,18 @@ Two families ship:
 
 The transition profile is q(s) = B(1-s)/(B(s)+B(1-s)) with B(s)=exp(-1/s)
 for s > 0 and 0 otherwise: all derivatives vanish at both band endpoints,
-making h_k genuinely smooth.  Antiderivatives of q over the band are
-precomputed on a 2048-node composite Gauss-Legendre rule and cached.
+making h_k genuinely smooth.  The antiderivatives of q over the band are
+precomputed data: q is interpolated by a Chebyshev series on each of 32
+panels of [0, 1], and each series is integrated twice exactly, once at
+import (Trefethen, Approximation Theory and Approximation Practice).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial import chebyshev
 
 from .errors import InvalidParameterError, OriginError
 from .model import RadialWeight
@@ -30,173 +32,115 @@ from .model import RadialWeight
 # the transition bump q and its derivatives
 # ---------------------------------------------------------------------------
 
-def _B(s):
-    """exp(-1/s) for s > 0, else 0; the one-sided flat mollifier."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        out[pos] = np.exp(-1.0 / s[pos])
-    return out
+def bump_transition(s, order: int = 0):
+    """q(s) = B(1-s)/(B(s)+B(1-s)) for order 0, q'(s) for 1, q''(s) for 2.
 
+    q is 1 for s <= 0 and 0 for s >= 1, so q' and q'' vanish there.  With
+    D = B(s)+B(1-s), P = B'(1-s)B(s) + B(1-s)B'(s) and D' = B'(s) - B'(1-s):
 
-def _B1(s):
-    """B'(s) = B(s)/s^2 on s > 0."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        out[pos] = np.exp(-1.0 / s[pos]) / s[pos] ** 2
-    return out
+        q'  = -P/D^2,
+        q'' = (B''(1-s)B(s) - B(1-s)B''(s))/D^2 + 2 P D'/D^3,
 
-
-def _B2(s):
-    """B''(s) = B(s)(1 - 2s)/s^4 on s > 0."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        out[pos] = np.exp(-1.0 / s[pos]) * (1.0 - 2.0 * s[pos]) / s[pos] ** 4
-    return out
-
-
-def bump_transition(s):
-    """q(s) = B(1-s)/(B(s)+B(1-s)): 1 for s <= 0, 0 for s >= 1, smooth."""
-    s = np.asarray(s, dtype=float)
-    sv = np.atleast_1d(s)
-    q = np.empty_like(sv)
-    q[sv <= 0.0] = 1.0
-    q[sv >= 1.0] = 0.0
-    mid = (sv > 0.0) & (sv < 1.0)
-    sm = sv[mid]
-    Bs, Bu = _B(sm), _B(1.0 - sm)
-    q[mid] = Bu / (Bs + Bu)  # denominator >= 2 e^{-2} on (0, 1)
-    return q.reshape(s.shape)
-
-
-def bump_transition_d1(s):
-    """q'(s) = -(B'(1-s)B(s) + B(1-s)B'(s)) / (B(s)+B(1-s))^2."""
+    where B' = B/s^2 and B'' = B(1-2s)/s^4 on s > 0.  Where B underflows
+    to 0, so do B' and B'', even when the power of s underflows too.
+    """
     s = np.asarray(s, dtype=float)
     sv = np.atleast_1d(s)
     out = np.zeros_like(sv)
+    if order == 0:
+        out[sv <= 0.0] = 1.0
     mid = (sv > 0.0) & (sv < 1.0)
-    sm = sv[mid]
-    Bs, Bu = _B(sm), _B(1.0 - sm)
-    B1s, B1u = _B1(sm), _B1(1.0 - sm)
-    D = Bs + Bu
-    out[mid] = -(B1u * Bs + Bu * B1s) / D**2
-    return out.reshape(s.shape)
+    x, u = sv[mid], 1.0 - sv[mid]
 
+    def scaled(B, t, num, power):
+        return np.divide(B * num, t**power, out=np.zeros_like(t), where=B > 0.0)
 
-def bump_transition_d2(s):
-    """q''(s) = (B''(1-s)B(s) - B(1-s)B''(s))/D^2 + 2 P D'/D^3,
-
-    with P = B'(1-s)B(s) + B(1-s)B'(s) and D' = B'(s) - B'(1-s)."""
-    s = np.asarray(s, dtype=float)
-    sv = np.atleast_1d(s)
-    out = np.zeros_like(sv)
-    mid = (sv > 0.0) & (sv < 1.0)
-    sm = sv[mid]
-    Bs, Bu = _B(sm), _B(1.0 - sm)
-    B1s, B1u = _B1(sm), _B1(1.0 - sm)
-    B2s, B2u = _B2(sm), _B2(1.0 - sm)
-    D = Bs + Bu
-    P = B1u * Bs + Bu * B1s
-    Dp = B1s - B1u
-    out[mid] = (B2u * Bs - Bu * B2s) / D**2 + 2.0 * P * Dp / D**3
+    with np.errstate(over="ignore", under="ignore"):
+        Bs, Bu = np.exp(-1.0 / x), np.exp(-1.0 / u)
+        D = Bs + Bu  # >= 2 e^{-2} on (0, 1)
+        if order == 0:
+            out[mid] = Bu / D
+        else:
+            B1s, B1u = scaled(Bs, x, 1.0, 2), scaled(Bu, u, 1.0, 2)
+            P = B1u * Bs + Bu * B1s
+            if order == 1:
+                out[mid] = -P / D**2
+            else:
+                B2s = scaled(Bs, x, 1.0 - 2.0 * x, 4)
+                B2u = scaled(Bu, u, 1.0 - 2.0 * u, 4)
+                out[mid] = (B2u * Bs - Bu * B2s) / D**2 + 2.0 * P * (B1s - B1u) / D**3
     return out.reshape(s.shape)
 
 
 # ---------------------------------------------------------------------------
-# cached antiderivatives of q over [0, 1]
+# antiderivatives of q over [0, 1], tabulated at import
 # ---------------------------------------------------------------------------
 
 _PANELS = 32
-_NODES = 64  # 32 * 64 = 2048 nodes across the band
+_DEGREE = 40
 
 
 @dataclass(frozen=True, eq=False)
 class BumpAntiderivatives:
-    """Q(s) = int_0^s q and Q2(s) = int_0^s Q on the composite rule.
+    """Q(s) = int_0^s q and Q2(s) = int_0^s Q as piecewise Chebyshev series.
 
-    Both extend naturally outside [0, 1]: q = 1 to the left and 0 to the
-    right, so Q(s) = s for s <= 0, Q(s) = Q(1) for s >= 1, and Q2 follows.
-    With that extension the band formulas for the weight are valid on all
-    of [0, inf) and match the exact core/tail closed forms.
+    Column p of Q_coef and Q2_coef holds the series on panel
+    [p, p+1]/_PANELS in the local variable x = 2(_PANELS s - p) - 1.  Both
+    extend naturally outside [0, 1]: q = 1 to the left and 0 to the right,
+    so Q(s) = s for s <= 0, Q(s) = Q(1) for s >= 1, and Q2 follows.  With
+    that extension the band formulas for the weight are valid on all of
+    [0, inf) and match the exact core/tail closed forms.
     """
 
-    edges: np.ndarray = field(default=None)
-    cum_q: np.ndarray = field(default=None)
-    cum_Q: np.ndarray = field(default=None)
-    q_total: float = 0.0
-    sq_total: float = 0.0
+    Q_coef: np.ndarray
+    Q2_coef: np.ndarray
+    q_total: float  # Q(1)
+    Q2_total: float  # Q2(1)
 
     @staticmethod
     def build() -> "BumpAntiderivatives":
-        x, w = roots_legendre(_NODES)
-        edges = np.linspace(0.0, 1.0, _PANELS + 1)
         half = 0.5 / _PANELS
-        panel_q = np.empty(_PANELS)
-        panel_sq = np.empty(_PANELS)
-        for p in range(_PANELS):
-            mid = 0.5 * (edges[p] + edges[p + 1])
-            s = mid + half * x
-            qs = bump_transition(s)
-            panel_q[p] = half * (w * qs).sum()
-            panel_sq[p] = half * (w * s * qs).sum()
-        cum_q = np.concatenate([[0.0], np.cumsum(panel_q)])
-        obj = BumpAntiderivatives(edges, cum_q, None, float(cum_q[-1]),
-                                  float(panel_sq.sum()))
-        # second pass: cumulative of Q needs Q itself
-        panel_Q = np.empty(_PANELS)
-        for p in range(_PANELS):
-            mid = 0.5 * (edges[p] + edges[p + 1])
-            s = mid + half * x
-            panel_Q[p] = half * (w * obj.Q(s)).sum()
-        cum_Q = np.concatenate([[0.0], np.cumsum(panel_Q)])
-        object.__setattr__(obj, "cum_Q", cum_Q)
-        return obj
+        mids = (np.arange(_PANELS) + 0.5) / _PANELS
+        coef = np.stack([
+            chebyshev.chebinterpolate(lambda x, m=m: bump_transition(m + half * x),
+                                      _DEGREE)
+            for m in mids
+        ], axis=1)
 
-    def _partial(self, flat, integrand, cum):
-        """cum[p] + int_{edges[p]}^{s} integrand for flat s clipped to [0, 1]."""
-        inside = np.clip(flat, 0.0, 1.0)
-        idx = np.minimum((inside * _PANELS).astype(int), _PANELS - 1)
-        lo = self.edges[idx]
-        x, w = roots_legendre(_NODES)
-        half = 0.5 * (inside - lo)
-        nodes = (lo + half)[:, None] + half[:, None] * x[None, :]
-        vals = integrand(nodes)
-        return cum[idx] + (half[:, None] * w[None, :] * vals).sum(axis=1)
+        def integrate(c):
+            # each panel's exact integral from its left edge, plus the
+            # integral over all panels to its left
+            c = chebyshev.chebint(c, lbnd=-1.0, scl=half)
+            ends = np.cumsum(chebyshev.chebval(1.0, c))
+            c[0] += np.concatenate([[0.0], ends[:-1]])
+            c.setflags(write=False)
+            return c, float(ends[-1])
+
+        Q_coef, q_total = integrate(coef)
+        Q2_coef, Q2_total = integrate(Q_coef)
+        return BumpAntiderivatives(Q_coef, Q2_coef, q_total, Q2_total)
+
+    @staticmethod
+    def _eval(coef, s):
+        t = np.clip(s, 0.0, 1.0) * _PANELS
+        p = np.minimum(t.astype(int), _PANELS - 1)
+        return chebyshev.chebval(2.0 * (t - p) - 1.0, coef[:, p], tensor=False)
 
     def Q(self, s):
         """int_0^s q with the natural extension outside [0, 1]."""
         s = np.asarray(s, dtype=float)
-        flat = np.atleast_1d(s).reshape(-1).astype(float)
-        out = self._partial(flat, bump_transition, self.cum_q)
-        out[flat <= 0.0] = flat[flat <= 0.0]
-        out[flat >= 1.0] = self.q_total
-        return out.reshape(s.shape)
+        return np.where(s <= 0.0, s, np.where(s >= 1.0, self.q_total,
+                                              self._eval(self.Q_coef, s)))
 
     def Q2(self, s):
         """int_0^s Q with the natural extension outside [0, 1]."""
         s = np.asarray(s, dtype=float)
-        flat = np.atleast_1d(s).reshape(-1).astype(float)
-        out = self._partial(flat, self.Q, self.cum_Q)
-        neg = flat <= 0.0
-        out[neg] = 0.5 * flat[neg] ** 2
-        high = flat >= 1.0
-        out[high] = self.cum_Q[-1] + self.q_total * (flat[high] - 1.0)
-        return out.reshape(s.shape)
+        return np.where(s <= 0.0, 0.5 * s**2,
+                        np.where(s >= 1.0, self.Q2_total + self.q_total * (s - 1.0),
+                                 self._eval(self.Q2_coef, s)))
 
 
-_ANTIDERIVATIVES: BumpAntiderivatives | None = None
-
-
-def _bump_tables() -> BumpAntiderivatives:
-    global _ANTIDERIVATIVES
-    if _ANTIDERIVATIVES is None:
-        _ANTIDERIVATIVES = BumpAntiderivatives.build()
-    return _ANTIDERIVATIVES
+_BUMP_TABLES = BumpAntiderivatives.build()
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +170,11 @@ class BumpProfile:
 
     def d1(self, r):
         r = np.asarray(r, dtype=float)
-        return self.k * bump_transition_d1(self.k * (np.abs(r) - 1.0)) * np.sign(r)
+        return self.k * bump_transition(self.k * (np.abs(r) - 1.0), 1) * np.sign(r)
 
     def d2(self, r):
         r = np.asarray(r, dtype=float)
-        return self.k**2 * bump_transition_d2(self.k * (np.abs(r) - 1.0))
+        return self.k**2 * bump_transition(self.k * (np.abs(r) - 1.0), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +215,13 @@ def make_psi_eps(eps: float) -> RadialWeight:
 def make_psi_k(k: int) -> RadialWeight:
     """Second antiderivative of the bump h_k, quadratic core, affine tail."""
     bump = BumpProfile(k)
-    tab = _bump_tables()
+    tab = _BUMP_TABLES
     kk = float(bump.k)
     outer = bump.outer_edge
     slope = 1.0 + tab.q_total / kk
-    # psi(r >= outer) = slope*r - offset; offset from r*H(r) - int_0^r s h(s) ds
-    offset = 0.5 + tab.q_total / kk + tab.sq_total / kk**2
+    # psi(r >= outer) = slope*r - offset: the band formula with
+    # Q2(s) = Q2(1) + Q(1)(s - 1)
+    offset = 0.5 + tab.q_total / kk + (tab.q_total - tab.Q2_total) / kk**2
 
     def d0(r):
         r = np.asarray(r, dtype=float)

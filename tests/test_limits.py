@@ -5,6 +5,8 @@ exactly; the drivers get one cheap real run each plus their argument
 guards.  The heavy multi-datum sweeps live in the acceptance suite.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,20 @@ def test_power_law_limit_recovered():
     assert est.converged
     assert est.value == pytest.approx(3.7, abs=1e-6)
     assert "alpha" in est.note
+
+
+def test_three_point_fit_reports_raw_last_error_bar():
+    # three points fix the three model parameters exactly, so curve_fit
+    # cannot estimate a covariance; the error bar must still cover the
+    # 1e-9 ripple's effect on the limit
+    ps = np.array([4.0, 8.0, 16.0])
+    vals = 1.0 + 2.0 * ps**-1.3 + 1e-9 * np.array([1.0, -1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_limit(zip(ps, vals))
+    assert est.converged
+    assert "covariance not estimated" in est.note
+    assert est.error >= abs(est.value - 1.0)
 
 
 def test_power_law_with_negative_amplitude():

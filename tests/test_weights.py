@@ -1,5 +1,7 @@
 """Weight families: closed forms, derivative stacks, hypothesis gates."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,9 +9,9 @@ from scipy.integrate import quad
 from smoothing_lab.errors import InvalidWeightError, OriginError
 from smoothing_lab.functionals import check_remainder_hypotheses
 from smoothing_lab.model import RadialWeight
-from smoothing_lab.weights import (constant_weight, derivative_stack_check,
-                                   make_psi_eps, make_psi_k,
-                                   radial_laplacians, rescale)
+from smoothing_lab.weights import (bump_transition, constant_weight,
+                                   derivative_stack_check, make_psi_eps,
+                                   make_psi_k, radial_laplacians, rescale)
 
 R_GRID = np.geomspace(0.05, 30.0, 40)
 
@@ -50,6 +52,33 @@ def test_psi_k_slope_matches_transition_integral():
         w = make_psi_k(k)
         gain, _ = quad(w.d2, 1.0, (k + 1) / k, limit=200)
         assert w.slope_inf == pytest.approx(1.0 + gain, rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_psi_k_tables_match_quad_oracle(k):
+    # psi' = 1 + int_1^r psi'' and psi = 1/2 + int_1^r psi' across the band,
+    # by adaptive quadrature that never sees the Chebyshev tables of psi''
+    w = make_psi_k(k)
+    outer = (k + 1) / k
+    for r in np.linspace(1.0, outer, 25):
+        d1_ref = 1.0 + quad(w.d2, 1.0, r, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        d0_ref = 0.5 + quad(w.d1, 1.0, r, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        assert abs(float(w.d1(r)) - d1_ref) <= 1e-13
+        assert abs(float(w.d0(r)) - d0_ref) <= 1e-13
+    # q(s) + q(1 - s) = 1 makes int_0^1 q = 1/2 exactly
+    assert abs(w.slope_inf - (1.0 + 0.5 / k)) <= 1e-15
+    assert abs(float(w.d1(np.nextafter(outer, 0.0))) - float(w.d1(outer))) <= 1e-15
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-160, 1e-80])
+def test_bump_transition_derivatives_vanish_where_exp_underflows(s):
+    # exp(-1/s) and the power of s in q' = ...B/s^2 and q'' = ...B/s^4 both
+    # underflow here; the quotient is 0, not 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bump_transition(s) == 1.0
+        assert bump_transition(s, 1) == 0.0
+        assert bump_transition(s, 2) == 0.0
 
 
 @pytest.mark.parametrize("w", [
