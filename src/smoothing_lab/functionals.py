@@ -11,7 +11,7 @@ rel_tol * max(|integral|, mass floor).  Each spatial evaluation then gets
 an absolute floor proportional to that target divided by the time-domain
 width, so that per-node spatial noise summed over any sub-segment stays a
 fixed fraction of the segment's share of the budget.  Without the division
-the noise would swamp the bisection estimates on long windows.
+the noise would swamp the panel error estimates on long windows.
 """
 
 from __future__ import annotations
@@ -68,16 +68,11 @@ def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients,
                                 scale=local_floor(t), rel_tol=space_tol)
         return val
 
-    if horizon is not None:
-        total, _ = adaptive_time_integral(
-            fn, -horizon, horizon, plan.rel_tol, scale,
-            m=plan.time_nodes, panels=plan.time_panels, noise=noise,
-        )
-    else:
-        total, _ = real_line_time_integral(
-            fn, plan.rel_tol, scale, m=plan.time_nodes, noise=noise,
-        )
-    return total
+    if horizon is None:
+        return real_line_time_integral(fn, plan.rel_tol, scale,
+                                       max_panels=plan.max_panels, noise=noise)[0]
+    return adaptive_time_integral(fn, -horizon, horizon, plan.rel_tol, scale,
+                                  max_panels=plan.max_panels, noise=noise)[0]
 
 
 # ---------------------------------------------------------------------------

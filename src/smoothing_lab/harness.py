@@ -20,9 +20,9 @@ is one ExperimentKind record in REGISTRY: its statement, schedule symbol,
 default tolerance, shortest schedule, own keys and driver.
 
 The whole config is checked when it loads: unknown keys, non-finite
-numbers, schedules shorter than the kind needs and two sections (or a
-section and the summary) writing one file all fail there.  Experiments then run one after another
-in config order; an exception in one is recorded in the summary and the
+numbers, short schedules, a file written twice or under a missing
+directory all fail there.  Experiments then run one after another in
+config order; an exception in one is recorded in the summary and the
 others still run.  Exit status: 0 all experiments pass, 1 any tolerance
 failure or runtime error (failing rows are named), 2 config errors
 (section and key are named).
@@ -65,7 +65,7 @@ _PACKET_KEY = re.compile(r"^packet(\d+)$")
 _BASE_KEYS = {
     "kind", "n", "datum_id", "tolerance", "output",
     "schedule_kind", "schedule_start", "schedule_factor", "schedule_count",
-    "rel_tol", "tau_space", "time_nodes", "time_panels", "aliasing_threshold",
+    "rel_tol", "tau_space",
 }
 _WEIGHT_KEYS = frozenset({"weight", "eps", "k", "value", "rescale_r"})
 
@@ -294,13 +294,8 @@ REGISTRY = {
 
 
 def _parse_plan(reader: _SectionReader) -> QuadraturePlan:
-    kwargs = {}
-    for key, cast in (("rel_tol", reader.floatv), ("tau_space", reader.floatv),
-                      ("aliasing_threshold", reader.floatv),
-                      ("time_nodes", reader.intv), ("time_panels", reader.intv)):
-        val = cast(key)
-        if val is not None:
-            kwargs[key] = val
+    kwargs = {key: reader.floatv(key) for key in ("rel_tol", "tau_space")
+              if key in reader.items}
     try:
         return QuadraturePlan(**kwargs)
     except SmoothingLabError as exc:
@@ -411,6 +406,16 @@ def _empty_csv(path: str) -> None:
         csv.writer(fh, lineterminator="\n").writerow(CSV_COLUMNS)
 
 
+def _claim(writers: dict, section: str, key: str, path: str) -> None:
+    """Record that [section] writes path: no file twice, no missing folder."""
+    target = os.path.abspath(path)
+    if target in writers:
+        raise ConfigError(section, key, f"[{writers[target]}] already writes {path!r}")
+    if not os.path.isdir(os.path.dirname(target)):
+        raise ConfigError(section, key, f"the directory of {path!r} does not exist")
+    writers[target] = section
+
+
 def load_config(path: str) -> tuple[list[ExperimentSpec], str]:
     """Parse and validate a config file; returns (specs, summary_path)."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -434,16 +439,9 @@ def load_config(path: str) -> tuple[list[ExperimentSpec], str]:
             summary_path = items.get("summary", summary_path)
             continue
         spec = parse_experiment(section, items)
-        target = os.path.abspath(spec.output)
-        if target in writers:
-            raise ConfigError(section, "output",
-                              f"[{writers[target]}] already writes {spec.output!r}")
-        writers[target] = section
+        _claim(writers, section, "output", spec.output)
         specs.append(spec)
-    target = os.path.abspath(summary_path)
-    if target in writers:
-        raise ConfigError("lab", "summary",
-                          f"[{writers[target]}] already writes {summary_path!r}")
+    _claim(writers, "lab", "summary", summary_path)
     return specs, summary_path
 
 

@@ -375,26 +375,18 @@ class QuadraturePlan:
     """Knobs for every space-time integral.
 
     tau_space: relative tail mass allowed past the spatial truncation radius.
-    time_panels: initial panel count per time interval before adaptivity.
-    time_nodes: Gauss-Legendre nodes per time panel.
     rel_tol: relative tolerance per functional evaluation.
-    aliasing_threshold: boundary-mass fraction tolerated on grids.
-    max_panels: radial panel budget of one shell integral.
+    max_panels: panel budget of one radial or one time integral.
     """
 
     tau_space: float = 1e-10
-    time_panels: int = 2
-    time_nodes: int = 16
     rel_tol: float = 1e-8
-    aliasing_threshold: float = 1e-8
     max_panels: int = 4000
 
     def __post_init__(self):
-        for name in ("tau_space", "rel_tol", "aliasing_threshold"):
+        for name in ("tau_space", "rel_tol"):
             if not getattr(self, name) > 0:
                 raise InvalidParameterError(f"{name} must be strictly positive")
-        if self.time_panels < 1 or self.time_nodes < 2:
-            raise InvalidParameterError("need >= 1 time panel and >= 2 nodes")
         if self.max_panels < 8:
             raise InvalidParameterError("max_panels too small to be useful")
 

@@ -16,10 +16,13 @@ trapezoid (n=2) or product Gauss-Legendre x trapezoid (n=3) rule sizes
 itself from the largest active pair bandwidth; as t grows, 2 alpha c
 collapses onto -2 pi i v and same-momentum pairs become angularly cheap.
 
-Radial panels are refined adaptively, worst first, with the error of a
-panel estimated by comparing its m-node and 2m-node Gauss-Legendre values.
-Time integrals reuse the same bisection idea; infinite horizons run
-through the substitution t = s/(1 - s^2).
+One refinement loop serves both layers: it splits the panel with the
+largest error estimate until the summed estimate meets the target.  A
+radial panel's estimate is the difference of its 16- and 32-node
+Gauss-Legendre values; a time panel's is the difference of its 21-point
+Gauss-Kronrod value and the embedded 10-point Gauss value (Kronrod 1965;
+QUADPACK qk21).  Infinite horizons run through the substitution
+t = s/(1 - s^2).
 """
 
 from __future__ import annotations
@@ -223,18 +226,57 @@ def _shell_values(geom: _StateGeometry, r: np.ndarray, omega: np.ndarray,
     return out
 
 
-def _panel_value(geom, a, b, m, coeffs, n):
-    """(value_2m, |value_2m - value_m|) on the radial panel [a, b]."""
+def _panel_value(geom, a, b, coeffs, n):
+    """(value_32, |value_32 - value_16|) on the radial panel [a, b]."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     results = []
-    for mm in (m, 2 * m):
-        x, w = _gl(mm)
+    for m in (16, 32):
+        x, w = _gl(m)
         r = mid + half * x
         band = _bucket_band(geom.bandwidth(r))
         omega, wts = _sphere_rule(n, band)
         shell = _shell_values(geom, r, omega, wts, coeffs)
         results.append(half * float((shell * r ** (n - 1) * w).sum()))
     return results[1], abs(results[1] - results[0])
+
+
+def _adaptive(panel, edges, rel_tol, floor, max_panels, noise=0.0):
+    """Worst-first refinement of panel(a, b) -> (value, error) over edges.
+
+    Splits the worst panel until the summed error meets rel_tol *
+    max(|value|, floor), floor being |floor| or else the first total, or
+    noise * length, below which the integrand's own noise rules.  Returns
+    (value, error, panels); raises ToleranceNotMetError when max_panels
+    run out or a panel under 2^-40 of the interval would have to split.
+    """
+    heap = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        v, e = panel(a, b)
+        heap.append((-e, len(heap), a, b, v, e))
+    heapq.heapify(heap)
+    counter = len(heap)
+    length = edges[-1] - edges[0]
+
+    def totals():
+        # fsum is correctly rounded, so the heap order does not matter
+        return (math.fsum(item[4] for item in heap),
+                math.fsum(item[5] for item in heap))
+
+    value, err = totals()
+    floor = abs(floor) if floor else abs(value)
+    while err > (target := max(rel_tol * max(abs(value), floor),
+                               noise * length, 1e-300)):
+        _, _, a, b, _, _ = heap[0]
+        if len(heap) >= max_panels or b - a < 2.0**-40 * length:
+            raise ToleranceNotMetError(value, err, target)
+        heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        for aa, bb in ((a, mid), (mid, b)):
+            v, e = panel(aa, bb)
+            heapq.heappush(heap, (-e, counter, aa, bb, v, e))
+            counter += 1
+        value, err = totals()
+    return value, err, len(heap)
 
 
 def shell_integral(state, coeffs: ShellCoefficients, plan: QuadraturePlan,
@@ -259,14 +301,8 @@ def shell_integral(state, coeffs: ShellCoefficients, plan: QuadraturePlan,
     if end <= 0.0:
         return 0.0, {"abs_error": 0.0, "panels": 0}
 
-    knots = {0.0, end}
-    for kn in coeffs.knots:
-        if 0.0 < kn < end:
-            knots.add(float(kn))
-    for rho in geom.rho:
-        if 0.0 < rho < end:
-            knots.add(float(rho))
-    edges = sorted(knots)
+    inner = {float(x) for x in (*coeffs.knots, *geom.rho) if 0.0 < x < end}
+    edges = sorted({0.0, end} | inner)
 
     # cap initial panel width by the sharpest packet scale
     cap = max(2.0 * geom.min_sigma(), end / 64.0)
@@ -277,107 +313,84 @@ def shell_integral(state, coeffs: ShellCoefficients, plan: QuadraturePlan,
         refined.extend(a + i * step for i in range(pieces))
     refined.append(end)
 
-    m = 16
-    heap = []
-    counter = 0
-    for a, b in zip(refined[:-1], refined[1:]):
-        v, e = _panel_value(geom, a, b, m, coeffs, n)
-        heap.append((-e, counter, a, b, v, e))
-        counter += 1
-    heapq.heapify(heap)
-
-    def totals():
-        # fsum is correctly rounded, so the heap order does not matter
-        return (math.fsum(item[4] for item in heap),
-                math.fsum(item[5] for item in heap))
-
-    value, err = totals()
-    floor = abs(scale) if scale else abs(value)
-    while err > rel_tol * max(abs(value), floor) and err > 1e-300:
-        if len(heap) >= plan.max_panels:
-            raise ToleranceNotMetError(value, err, rel_tol * max(abs(value), floor))
-        _, _, a, b, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        for aa, bb in ((a, mid), (mid, b)):
-            v, e = _panel_value(geom, aa, bb, m, coeffs, n)
-            heapq.heappush(heap, (-e, counter, aa, bb, v, e))
-            counter += 1
-        value, err = totals()
-    return value, {"abs_error": err, "panels": len(heap)}
+    value, err, panels = _adaptive(
+        lambda a, b: _panel_value(geom, a, b, coeffs, n),
+        refined, rel_tol, scale, plan.max_panels)
+    return value, {"abs_error": err, "panels": panels}
 
 
 # ---------------------------------------------------------------------------
 # adaptive time integration
 # ---------------------------------------------------------------------------
 
-def _gl_interval(fn, a, b, m):
-    x, w = _gl(m)
+# QUADPACK qk21 (Kronrod 1965) by increasing |x|: the abscissae the Kronrod
+# extension adds to the 10-point Gauss rule, their weights, and the 21-point
+# weights at the Gauss abscissae.
+_KRONROD_X = (0.0, 0.2943928627014602, 0.5627571346686047, 0.7808177265864169,
+              0.9301574913557082, 0.9956571630258081)
+_KRONROD_W = (0.1494455540029169, 0.14277593857706009, 0.12349197626206584,
+              0.0931254545836976, 0.054755896574351995, 0.011694638867371874)
+_KRONROD_W_GAUSS = (0.14773910490133849, 0.13470921731147334, 0.10938715880229764,
+                    0.07503967481091996, 0.032558162307964725)
+
+
+def _gauss_kronrod_21():
+    """(nodes, Kronrod weights, Gauss weights); the Gauss nodes come first."""
+    xg, wg = _gl(10)  # ascending, so |x| falls, then rises
+    xk, wk, wkg = map(np.array, (_KRONROD_X, _KRONROD_W, _KRONROD_W_GAUSS))
+    return (np.concatenate([xg, -xk[:0:-1], xk]),
+            np.concatenate([wkg[::-1], wkg, wk[:0:-1], wk]), wg)
+
+
+_GK21 = _gauss_kronrod_21()
+
+
+def _kronrod_panel(fn, a, b):
+    """(K21 value, |K21 - G10|) of fn on [a, b], fn called once per node."""
+    nodes, wk, wg = _GK21
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * math.fsum(wi * fn(mid + half * xi) for xi, wi in zip(x, w))
-
-
-def _bisect(fn, a, b, parent, tol, m, depth, noise):
-    mid = 0.5 * (a + b)
-    left = _gl_interval(fn, a, mid, m)
-    right = _gl_interval(fn, mid, b, m)
-    err = abs(parent - left - right)
-    # refining below the evaluation noise of this stretch is meaningless
-    floor = max(tol, noise * (b - a))
-    if err <= floor or depth <= 0:
-        if err > floor:
-            raise ToleranceNotMetError(left + right, err, floor)
-        return left + right, err
-    lv, le = _bisect(fn, a, mid, left, 0.5 * tol, m, depth - 1, noise)
-    rv, re_ = _bisect(fn, mid, b, right, 0.5 * tol, m, depth - 1, noise)
-    return lv + rv, le + re_
+    vals = np.array([fn(mid + half * x) for x in nodes], dtype=float)
+    kronrod = half * math.fsum(wk * vals)
+    gauss = half * math.fsum(wg * vals[:10])
+    return kronrod, abs(kronrod - gauss)
 
 
 def adaptive_time_integral(fn, a: float, b: float, rel_tol: float,
-                           scale: float, m: int = 12, panels: int = 2,
-                           max_depth: int = 40, noise: float = 0.0):
-    """int_a^b fn(t) dt with bisection refinement, fn evaluated pointwise.
+                           scale: float, panels: int = 2,
+                           max_panels: int = QuadraturePlan.max_panels,
+                           noise: float = 0.0):
+    """(int_a^b fn(t) dt, error estimate) by Gauss-Kronrod panels.
 
-    The absolute target is rel_tol * max(first sweep, scale): the scale
+    The absolute target is rel_tol * max(|total|, |scale|): the scale
     floor keeps near-cancelling integrals from demanding impossible
     relative accuracy.  `noise` bounds fn's own absolute error per unit
-    length; a stretch is accepted once the bisection difference drops
-    under noise * length, so evaluation noise never triggers runaway
-    refinement.  Noise acceptance adds at most noise * (b - a) overall.
+    length, so no target falls below noise * (b - a).
     """
-    edges = np.linspace(a, b, panels + 1)
-    first = [_gl_interval(fn, lo, hi, m)
-             for lo, hi in zip(edges[:-1], edges[1:])]
-    rough = math.fsum(first)
-    tol_abs = rel_tol * max(abs(rough), abs(scale))
-    if tol_abs == 0.0:
-        tol_abs = rel_tol
-    total, err = 0.0, 0.0
-    for (lo, hi), v in zip(zip(edges[:-1], edges[1:]), first):
-        tv, te = _bisect(fn, lo, hi, v, tol_abs / panels, m, max_depth, noise)
-        total += tv
-        err += te
-    return total, err
+    edges = np.linspace(a, b, panels + 1).tolist()
+    value, err, _ = _adaptive(lambda lo, hi: _kronrod_panel(fn, lo, hi),
+                              edges, rel_tol, scale, max_panels, noise)
+    return value, err
 
 
-def real_line_time_integral(fn, rel_tol: float, scale: float, m: int = 12,
-                            max_depth: int = 48, noise: float = 0.0):
+def real_line_time_integral(fn, rel_tol: float, scale: float,
+                            max_panels: int = QuadraturePlan.max_panels,
+                            noise: float = 0.0):
     """int_{-inf}^{inf} fn(t) dt via t = s/(1 - s^2), s in (-1, 1).
 
     The substitution maps polynomial dispersive decay to a bounded smooth
-    integrand; Gauss-Legendre nodes are interior so the endpoints are
+    integrand; Gauss-Kronrod nodes are interior so the endpoints are
     never evaluated.
     """
 
     def g(s):
         om = (1.0 - s) * (1.0 + s)
         if om <= 0.0:
-            # deep bisection can round s to exactly +-1; the continuous
-            # extension vanishes there for every integrable fn, and a
-            # divergent fn still blows up on the interior nodes
+            # a node may round to exactly +-1; the continuous extension
+            # vanishes there for every integrable fn
             return 0.0
         t = s / om
         jac = (1.0 + s * s) / om**2
         return fn(t) * jac
 
-    return adaptive_time_integral(g, -1.0, 1.0, rel_tol, scale, m=m,
-                                  panels=4, max_depth=max_depth, noise=noise)
+    return adaptive_time_integral(g, -1.0, 1.0, rel_tol, scale, panels=4,
+                                  max_panels=max_panels, noise=noise)

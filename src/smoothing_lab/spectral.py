@@ -13,7 +13,7 @@ level: sum |fhat|^2 dxi^n = sum |f|^2 dx^n.
 The free evolution multiplies the spectrum by exp(-4 pi^2 i |xi|^2 t).
 Periodic wrap-around is the one failure mode of the grid path, so every
 operation that can push mass to the box edge checks the boundary-mass
-fraction against the plan's aliasing threshold and fails loudly.
+fraction against a fixed aliasing threshold and fails loudly.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .model import (GridField, QuadraturePlan, WavePacketSum,
                     boundary_mass_fraction, grid_axis)
 from .propagator import GaussianState, evolve_analytic, fourier_state
 from .quadrature import ShellCoefficients, shell_integral
+
+_ALIASING_THRESHOLD = 1e-8  # boundary-mass fraction tolerated on grids
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +76,11 @@ def _apply_axis_phase(F: np.ndarray, sign: np.ndarray, n: int) -> np.ndarray:
     return F
 
 
-def forward_transform(g: GridField, plan: QuadraturePlan | None = None) -> SpectrumField:
+def forward_transform(g: GridField) -> SpectrumField:
     """Riemann-sum transform of a grid snapshot in the global convention."""
-    plan = plan or QuadraturePlan()
     frac = boundary_mass_fraction(g)
-    if frac > plan.aliasing_threshold:
-        raise AliasingError(frac, plan.aliasing_threshold)
+    if frac > _ALIASING_THRESHOLD:
+        raise AliasingError(frac, _ALIASING_THRESHOLD)
     F = np.fft.fftshift(np.fft.fftn(g.samples))
     F = _apply_axis_phase(F, _alternating_sign(g.N), g.n)
     F = F * g.dx**g.n
@@ -93,17 +94,15 @@ def inverse_transform(sf: SpectrumField) -> GridField:
     return GridField(sf.n, sf.L, sf.N, samples, t=sf.t)
 
 
-def evolve_spectral(g: GridField, t: float,
-                    plan: QuadraturePlan | None = None) -> GridField:
+def evolve_spectral(g: GridField, t: float) -> GridField:
     """Advance a grid snapshot by time t under the free flow.
 
     The spectrum is multiplied by exp(-4 pi^2 i |xi|^2 t) axis by axis and
     inverted; the timestamp advances by t.  The multiplier is unimodular,
     so the discrete mass is conserved exactly.  If the evolved field has
-    spread to within L/2 of the box edge beyond the plan's aliasing
-    threshold, the result is rejected.
+    spread to within L/2 of the box edge beyond the aliasing threshold,
+    the result is rejected.
     """
-    plan = plan or QuadraturePlan()
     t = float(t)
     F = np.fft.fftn(g.samples)
     xi = np.fft.fftfreq(g.N, d=g.dx)
@@ -111,8 +110,8 @@ def evolve_spectral(g: GridField, t: float,
     F = _apply_axis_phase(F, symbol, g.n)
     out = GridField(g.n, g.L, g.N, np.fft.ifftn(F), t=g.t + t)
     frac = boundary_mass_fraction(out)
-    if frac > plan.aliasing_threshold:
-        raise AliasingError(frac, plan.aliasing_threshold)
+    if frac > _ALIASING_THRESHOLD:
+        raise AliasingError(frac, _ALIASING_THRESHOLD)
     return out
 
 

@@ -42,11 +42,12 @@ def bump_transition(s, order: int = 0):
         q'' = (B''(1-s)B(s) - B(1-s)B''(s))/D^2 + 2 P D'/D^3,
 
     where B' = B/s^2 and B'' = B(1-2s)/s^4 on s > 0.  Where B underflows
-    to 0, so do B' and B'', even when the power of s underflows too.
+    to 0, so do B' and B'', even when the power of s underflows too.  A NaN
+    argument gives NaN.
     """
     s = np.asarray(s, dtype=float)
     sv = np.atleast_1d(s)
-    out = np.zeros_like(sv)
+    out = np.where(np.isnan(sv), np.nan, 0.0)
     if order == 0:
         out[sv <= 0.0] = 1.0
     mid = (sv > 0.0) & (sv < 1.0)
@@ -123,7 +124,8 @@ class BumpAntiderivatives:
     @staticmethod
     def _eval(coef, s):
         t = np.clip(s, 0.0, 1.0) * _PANELS
-        p = np.minimum(t.astype(int), _PANELS - 1)
+        # a NaN s reads panel 0 and stays NaN
+        p = np.minimum(np.nan_to_num(t).astype(int), _PANELS - 1)
         return chebyshev.chebval(2.0 * (t - p) - 1.0, coef[:, p], tensor=False)
 
     def Q(self, s):

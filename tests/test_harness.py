@@ -125,14 +125,16 @@ output = diverging.csv
 
 
 def test_unwritable_output_keeps_siblings_and_summary(workdir, capsys):
+    # the output path names an existing directory, so opening it for
+    # writing fails only after the experiment has run
+    (workdir / "taken").mkdir()
     broken = (QUICK_IDENTITY.replace("[quick-identity]", "[broken-output]")
-              .replace("output = quick_identity.csv",
-                       "output = missing/broken.csv"))
+              .replace("output = quick_identity.csv", "output = taken"))
     cfg = write_config(workdir, "[lab]\nsummary = verdicts.txt\n"
                        + broken + "\n" + QUICK_IDENTITY)
     assert main(["run", cfg]) == 1
     out = capsys.readouterr().out
-    assert "ERROR [broken-output] kind=identity: FileNotFoundError:" in out
+    assert "ERROR [broken-output] kind=identity: IsADirectoryError:" in out
     assert "PASS [quick-identity]" in out
     assert len((workdir / "quick_identity.csv").read_text().splitlines()) == 2
     assert (workdir / "verdicts.txt").read_text() == out
@@ -140,8 +142,8 @@ def test_unwritable_output_keeps_siblings_and_summary(workdir, capsys):
 
 
 def test_unwritable_summary_still_prints(workdir, capsys):
-    cfg = write_config(workdir, "[lab]\nsummary = missing/verdicts.txt\n"
-                       + QUICK_IDENTITY)
+    (workdir / "taken").mkdir()
+    cfg = write_config(workdir, "[lab]\nsummary = taken\n" + QUICK_IDENTITY)
     assert main(["run", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.out.endswith("1/1 experiments passed\n")
@@ -252,6 +254,29 @@ def test_duplicate_output_rejected(workdir, capsys):
     run_expecting_config_error(
         workdir, capsys, "[lab]\nsummary = quick_identity.csv\n" + QUICK_IDENTITY,
         "[lab]", "summary", "[quick-identity]")
+
+
+def test_output_under_missing_directory_rejected(workdir, capsys):
+    run_expecting_config_error(
+        workdir, capsys,
+        QUICK_IDENTITY.replace("output = quick_identity.csv",
+                               "output = missing/broken.csv"),
+        "[quick-identity]", "output", "does not exist")
+    assert not (workdir / "missing").exists()
+
+
+def test_summary_under_missing_directory_rejected(workdir, capsys):
+    run_expecting_config_error(
+        workdir, capsys, "[lab]\nsummary = missing/verdicts.txt\n" + QUICK_IDENTITY,
+        "[lab]", "summary", "does not exist")
+    assert not (workdir / "quick_identity.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["time_nodes", "time_panels", "aliasing_threshold"])
+def test_removed_plan_keys_rejected(workdir, capsys, key):
+    run_expecting_config_error(
+        workdir, capsys, QUICK_IDENTITY + f"{key} = 16\n",
+        "[quick-identity]", key, "unknown key")
 
 
 def test_ignored_final_ratio_key_rejected(workdir, capsys):

@@ -1,18 +1,22 @@
 """Shell and time quadrature against closed forms and special functions."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.special import ive
+from scipy.special import erf, ive
 
 from smoothing_lab.errors import (InvalidParameterError,
                                   ToleranceNotMetError)
 from smoothing_lab.model import QuadraturePlan, WavePacket, l2_norm_sq, packet_sum
-from smoothing_lab.propagator import evolve_analytic, state_from_datum
-from smoothing_lab.quadrature import (ShellCoefficients, _bucket_band,
+from smoothing_lab.propagator import (evolve_analytic, fourier_state,
+                                     state_from_datum)
+from smoothing_lab.quadrature import (_GK21, ShellCoefficients, _bucket_band,
                                       _sphere_rule, adaptive_time_integral,
                                       real_line_time_integral, shell_integral)
 
 PLAN = QuadraturePlan()
+EPS = np.finfo(float).eps
 
 
 def single(n, A=1.0, a=1.0, c=None, v=None):
@@ -90,7 +94,6 @@ def test_two_packet_interference_mass():
 
 
 def test_ball_truncated_mass_matches_erf():
-    from scipy.special import erf
     a, R = 0.9, 1.7
     st = state_from_datum(single(1, a=a))
     val, _ = shell_integral(st, ShellCoefficients(w_mass=np.ones_like),
@@ -126,7 +129,6 @@ def test_flux_odd_symmetry_cancels():
 def test_shell_weight_knots_are_honored():
     # integrating the indicator-like jump 1_{r<=1.7} exactly needs the seam
     a = 0.8
-    from scipy.special import erf
     st = state_from_datum(single(1, a=a))
 
     def w(r):
@@ -191,7 +193,81 @@ def test_noise_floor_stops_runaway_refinement():
     val, err = adaptive_time_integral(fn, -6.0, 6.0, rel_tol=1e-13, scale=1.0,
                                       noise=1e-8)
     assert val == pytest.approx(np.sqrt(np.pi), abs=1e-7)
-    # without the floor the halving tolerance chases the jitter instead
+    # without the floor the refinement chases the jitter instead
     with pytest.raises(ToleranceNotMetError):
-        adaptive_time_integral(fn, -6.0, 6.0, rel_tol=1e-13, scale=1.0,
-                               max_depth=12)
+        adaptive_time_integral(fn, -6.0, 6.0, rel_tol=1e-13, scale=1.0)
+
+
+def test_divergent_real_line_integral_is_reported():
+    # the endpoint panels of a log-divergent integrand never converge; the
+    # depth cap stops them before their nodes round to s = +-1, where the
+    # integrand is set to 0 and the sum would settle on a finite number
+    with pytest.raises(ToleranceNotMetError):
+        real_line_time_integral(lambda t: 1.0 / (1.0 + abs(t)),
+                                rel_tol=1e-8, scale=1.0)
+
+
+def test_gauss_kronrod_table_is_exact_to_degree_31():
+    nodes, wk, wg = _GK21
+    assert len(set(nodes.tolist())) == 21
+    for k in range(32):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(wk @ nodes**k - exact) <= 4 * EPS
+        if k < 20:  # the embedded 10-point Gauss rule
+            assert abs(wg @ nodes[:10] ** k - exact) <= 16 * EPS
+
+
+# ---------------------------------------------------------------------------
+# calibration: reported error bars bound the true error on closed forms
+# ---------------------------------------------------------------------------
+
+def assert_bounded(value, error, exact):
+    # the roundoff term covers sums whose estimate differences cancel below
+    # the rounding of the panel values themselves
+    assert abs(value - exact) <= error + 64 * EPS * abs(exact)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.0, 2.0])
+def test_mass_error_bar_bounds_gram_sum(n, t):
+    f = single(n, A=1.3 - 0.4j, a=0.8, c=0.3 * np.ones(n), v=0.25 * np.ones(n))
+    val, info = shell_integral(evolve_analytic(f, t),
+                               ShellCoefficients(w_mass=np.ones_like), PLAN)
+    assert_bounded(val, info["abs_error"], l2_norm_sq(f))
+
+
+def test_ball_mass_error_bar_bounds_erf():
+    a, R = 0.9, 1.7
+    val, info = shell_integral(state_from_datum(single(1, a=a)),
+                               ShellCoefficients(w_mass=np.ones_like), PLAN,
+                               r_max=R)
+    assert_bounded(val, info["abs_error"],
+                   np.sqrt(np.pi / (2 * a)) * erf(np.sqrt(2 * a) * R))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
+def test_half_derivative_error_bar_bounds_closed_form(a):
+    # int |xi| |fhat|^2 = 1/(2 pi) for exp(-a x^2) at every width a
+    ghat = fourier_state(single(1, a=a))
+    val, info = shell_integral(ghat, ShellCoefficients(w_mass=lambda r: r), PLAN)
+    assert_bounded(val, info["abs_error"], 1.0 / (2.0 * np.pi))
+
+
+@pytest.mark.parametrize("rel_tol", [1e-4, 1e-8])
+@pytest.mark.parametrize("fn,a,b,exact", [
+    (lambda t: math.exp(-t * t), -6.0, 6.0, math.sqrt(math.pi) * math.erf(6.0)),
+    (lambda t: 1.0 / (1.0 + 25.0 * t * t), -1.0, 1.0, 0.4 * math.atan(5.0)),
+])
+def test_time_error_bar_bounds_closed_form(rel_tol, fn, a, b, exact):
+    val, err = adaptive_time_integral(fn, a, b, rel_tol=rel_tol, scale=1.0)
+    assert_bounded(val, err, exact)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-4, 1e-8])
+@pytest.mark.parametrize("fn,exact", [
+    (lambda t: 1.0 / (1.0 + t * t), math.pi),
+    (lambda t: 1.0 / (1.0 + t * t) ** 2, 0.5 * math.pi),
+])
+def test_real_line_error_bar_bounds_closed_form(rel_tol, fn, exact):
+    val, err = real_line_time_integral(fn, rel_tol=rel_tol, scale=1.0)
+    assert_bounded(val, err, exact)

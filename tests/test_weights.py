@@ -81,6 +81,23 @@ def test_bump_transition_derivatives_vanish_where_exp_underflows(s):
         assert bump_transition(s, 2) == 0.0
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_psi_k_nan_radius_gives_nan(k):
+    # a NaN radius fails the core and tail tests, so it reaches the band
+    # tables, which must carry it through instead of indexing a panel by it
+    w = make_psi_k(k)
+    r = np.array([0.5, 1.0 + 0.5 / k, 3.0, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in range(5):
+            vals = getattr(w, f"d{order}")(r)
+            assert np.all(np.isfinite(vals[:-1])), order
+            assert np.isnan(vals[-1]), order
+        for order in range(3):
+            assert np.isnan(bump_transition(np.nan, order))
+            assert np.isnan(bump_transition(r - 1.0, order)[-1])
+
+
 @pytest.mark.parametrize("w", [
     make_psi_eps(0.5), make_psi_eps(1.0), make_psi_eps(2.0),
     make_psi_k(1), make_psi_k(2), make_psi_k(4),
