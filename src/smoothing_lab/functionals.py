@@ -7,11 +7,12 @@ finite window [-T, T] or over the whole line through the compactifying
 substitution t = s/(1 - s^2).
 
 Error budget: the time integrator works toward an absolute target
-rel_tol * max(|integral|, mass floor).  Each spatial evaluation then gets
-an absolute floor proportional to that target divided by the time-domain
-width, so that per-node spatial noise summed over any sub-segment stays a
-fixed fraction of the segment's share of the budget.  Without the division
-the noise would swamp the panel error estimates on long windows.
+rel_tol * max(|integral|, mass floor).  Each spatial evaluation works to a
+quarter of rel_tol, with an absolute floor of the mass floor divided by the
+time-domain width: summed over the window, the floors allow at most a
+quarter of the time layer's least target, rel_tol * mass floor.  Without
+the division the spatial error would swamp the panel error estimates on
+long windows.
 """
 
 from __future__ import annotations
@@ -45,14 +46,10 @@ def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients,
     width = 2.0 * horizon if horizon is not None else 2.0
     space_tol = _SPACE_FACTOR * plan.rel_tol
     space_scale = scale / max(width, 1.0)
-    # per-unit-length noise in the outer integrand: the shell layer is
-    # allowed absolute error space_tol * (local floor), and the time layer
-    # must not refine below what its evaluations can support.  On the
-    # compactified line the shell floor shrinks by 1/jac so that the
-    # jacobian-multiplied evaluations carry uniform noise per unit s;
-    # either way the accepted total stays <= space_tol * scale.
-    noise = space_tol * space_scale
 
+    # On the compactified line the shell floor shrinks by 1/jac so that the
+    # jacobian-multiplied evaluations carry uniform error per unit s; either
+    # way the accepted spatial error stays <= space_tol * scale in total.
     def local_floor(t):
         if horizon is not None:
             return space_scale
@@ -70,9 +67,9 @@ def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients,
 
     if horizon is None:
         return real_line_time_integral(fn, plan.rel_tol, scale,
-                                       max_panels=plan.max_panels, noise=noise)[0]
+                                       max_panels=plan.max_panels)[0]
     return adaptive_time_integral(fn, -horizon, horizon, plan.rel_tol, scale,
-                                  max_panels=plan.max_panels, noise=noise)[0]
+                                  max_panels=plan.max_panels)[0]
 
 
 # ---------------------------------------------------------------------------

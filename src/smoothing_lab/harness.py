@@ -17,9 +17,10 @@ Config format: one INI section per experiment, flat key-value pairs, e.g.
 A packet key lists amplitude_re amplitude_im width center(n) momentum(n).
 The optional [lab] section holds the summary path.  Each experiment kind
 is one ExperimentKind record in REGISTRY: its statement, schedule symbol,
-default tolerance, shortest schedule, own keys and driver.
+default tolerance, shortest schedule, the parser of its own keys and its
+driver.  A key is known to a section because some parser reads it.
 
-The whole config is checked when it loads: unknown keys, non-finite
+The whole config is checked when it loads: keys nothing reads, non-finite
 numbers, short schedules, a file written twice or under a missing
 directory all fail there.  Experiments then run one after another in
 config order; an exception in one is recorded in the summary and the
@@ -42,7 +43,7 @@ import os
 import re
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .errors import ConfigError, SmoothingLabError
@@ -62,13 +63,6 @@ CSV_COLUMNS = [
 
 _PACKET_KEY = re.compile(r"^packet(\d+)$")
 
-_BASE_KEYS = {
-    "kind", "n", "datum_id", "tolerance", "output",
-    "schedule_kind", "schedule_start", "schedule_factor", "schedule_count",
-    "rel_tol", "tau_space",
-}
-_WEIGHT_KEYS = frozenset({"weight", "eps", "k", "value", "rescale_r"})
-
 
 @dataclass
 class ExperimentSpec:
@@ -86,16 +80,22 @@ class ExperimentSpec:
 
 
 class _SectionReader:
-    """Typed access to one config section with key-level diagnostics."""
+    """Typed access to one config section with key-level diagnostics.
+
+    Every key asked for lands in `read`, present or not; a key of the
+    section that no parser asked for is unknown.
+    """
 
     def __init__(self, section: str, items: dict):
         self.section = section
         self.items = dict(items)
+        self.read = set()
 
     def error(self, key: str, message: str) -> ConfigError:
         return ConfigError(self.section, key, message)
 
     def raw(self, key: str, default=None, required: bool = False):
+        self.read.add(key)
         if key in self.items:
             return self.items[key]
         if required:
@@ -123,17 +123,6 @@ class _SectionReader:
         except ValueError:
             raise self.error(key, f"expected an integer, got {raw!r}") from None
 
-    def boolv(self, key: str, default: bool = False) -> bool:
-        raw = self.raw(key)
-        if raw is None:
-            return default
-        low = str(raw).strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise self.error(key, f"expected a boolean, got {raw!r}")
-
 
 def _parse_packets(reader: _SectionReader, n: int) -> WavePacketSum:
     entries = []
@@ -141,6 +130,7 @@ def _parse_packets(reader: _SectionReader, n: int) -> WavePacketSum:
         m = _PACKET_KEY.match(key)
         if not m:
             continue
+        reader.read.add(key)
         try:
             nums = [float(tok) for tok in raw.split()]
         except ValueError:
@@ -203,7 +193,7 @@ def _sandwich_options(reader: _SectionReader) -> dict:
     k = reader.intv("k", required=True)
     if k < 1:
         raise reader.error("k", "plateau index must be >= 1")
-    return {"k": k, "identity_check": reader.boolv("identity_check", False)}
+    return {"k": k}
 
 
 def _smoothing_options(reader: _SectionReader) -> dict:
@@ -217,7 +207,8 @@ def _smoothing_options(reader: _SectionReader) -> dict:
 class ExperimentKind:
     """Everything the harness knows about one experiment kind.
 
-    parse reads the kind's own keys into ExperimentSpec.options; driver runs
+    parse reads the kind's own keys into ExperimentSpec.options, and any
+    key that neither it nor the common parsers read is rejected; driver runs
     a spec.  Drivers name their verify_* function in the lambda body, so the
     function is looked up when the experiment runs.
     """
@@ -227,7 +218,6 @@ class ExperimentKind:
     tolerance: float  # the default tolerance
     driver: Callable[[ExperimentSpec], VerificationReport]
     min_points: int = 1  # the limit kinds extrapolate from 3 points or more
-    keys: frozenset = frozenset()
     parse: Callable[[_SectionReader], dict] = lambda reader: {}
 
 
@@ -235,14 +225,14 @@ REGISTRY = {
     "identity": ExperimentKind(
         "int_{-T}^{T} int [psi''|u_r|^2 + (psi'/r)|grad_tau u|^2"
         " - (1/4)|u|^2 Lap^2 psi] dx dt = (flux(T) - flux(-T)) / 2",
-        "T", 1e-6, keys=_WEIGHT_KEYS, parse=_weight_options,
+        "T", 1e-6, parse=_weight_options,
         driver=lambda s: verify_identity(
             s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance,
             datum_id=s.datum_id)),
     "theorem-limit": ExperimentKind(
         "lim_{T->inf} int_{-T}^{T} int [psi''|u_r|^2 + (psi'/r)|grad_tau u|^2"
         " - (1/4)|u|^2 Lap^2 psi] dx dt = 2 pi psi'(inf) ||f||^2_{H^1/2}",
-        "T", 0.02, min_points=3, keys=_WEIGHT_KEYS, parse=_weight_options,
+        "T", 0.02, min_points=3, parse=_weight_options,
         driver=lambda s: verify_theorem_main(
             s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance,
             datum_id=s.datum_id)),
@@ -255,22 +245,21 @@ REGISTRY = {
     "flux-limit": ExperimentKind(
         "lim_{t->+-inf} Im int conj(u) psi'(r) u_r dx"
         " = +-2 pi psi'(inf) ||f||^2_{H^1/2}",
-        "t", 0.02, min_points=3, keys=_WEIGHT_KEYS, parse=_weight_options,
+        "t", 0.02, min_points=3, parse=_weight_options,
         driver=lambda s: verify_flux(
             s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance,
             datum_id=s.datum_id)),
     "sandwich": ExperimentKind(
         "(1/R) int_t int_{B_R} |u_r|^2 <= int_t int psi_{k,R}''|u_r|^2"
         " <= ((k+1)/k) profile((k+1)R/k)",
-        "R", 1e-3, keys=frozenset({"k", "identity_check"}),
-        parse=_sandwich_options,
+        "R", 1e-3, parse=_sandwich_options,
         driver=lambda s: verify_sandwich(
             s.datum, s.options["k"], s.schedule, s.plan, s.tolerance,
-            datum_id=s.datum_id, identity_check=s.options["identity_check"])),
+            datum_id=s.datum_id)),
     "remainder-decay": ExperimentKind(
         "lim_{R->inf} int_t int |u|^2 |Lap^2 psi_R| dx dt = 0,"
         " same for int_t int (|grad_tau u|^2/r) |psi_R'|",
-        "R", 0.25, keys=_WEIGHT_KEYS, parse=_weight_options,
+        "R", 0.25, parse=_weight_options,
         driver=lambda s: verify_remainder_decay(
             s.datum, s.options["weight"], s.schedule, s.plan,
             decay_ratio=s.tolerance, datum_id=s.datum_id)),
@@ -284,8 +273,7 @@ REGISTRY = {
     "smoothing-bound": ExperimentKind(
         "sup_R (1/R) int_t int_{B_R} |grad u|^2 dx dt"
         " >= 2 pi ||f||^2_{H^1/2}",
-        "R", 0.02, keys=frozenset({"liminf_fraction"}),
-        parse=_smoothing_options,
+        "R", 0.02, parse=_smoothing_options,
         driver=lambda s: verify_smoothing_bound(
             s.datum, s.schedule, s.plan, s.tolerance,
             liminf_fraction=s.options["liminf_fraction"],
@@ -294,12 +282,15 @@ REGISTRY = {
 
 
 def _parse_plan(reader: _SectionReader) -> QuadraturePlan:
-    kwargs = {key: reader.floatv(key) for key in ("rel_tol", "tau_space")
-              if key in reader.items}
-    try:
-        return QuadraturePlan(**kwargs)
-    except SmoothingLabError as exc:
-        raise reader.error(", ".join(kwargs) or "plan", str(exc)) from None
+    plan = QuadraturePlan()
+    for key in ("rel_tol", "tau_space"):
+        value = reader.floatv(key)
+        if value is not None:
+            try:  # one field at a time, so an error names its own key
+                plan = replace(plan, **{key: value})
+            except SmoothingLabError as exc:
+                raise reader.error(key, str(exc)) from None
+    return plan
 
 
 def _parse_schedule(reader: _SectionReader, kind: str) -> list:
@@ -339,11 +330,6 @@ def parse_experiment(section: str, items: dict) -> ExperimentSpec:
             "kind", f"unknown kind {kind!r}; see list-experiments"
         )
     record = REGISTRY[kind]
-    allowed = _BASE_KEYS | record.keys
-    for key in reader.items:
-        if key not in allowed and not _PACKET_KEY.match(key):
-            raise reader.error(key, f"unknown key for kind {kind!r}")
-
     n = reader.intv("n", required=True)
     if n not in (1, 2, 3):
         raise reader.error("n", f"dimension must be 1, 2 or 3, got {n}")
@@ -353,13 +339,17 @@ def parse_experiment(section: str, items: dict) -> ExperimentSpec:
     tolerance = reader.floatv("tolerance", record.tolerance)
     if tolerance <= 0:
         raise reader.error("tolerance", "must be positive")
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         section=section, kind=kind, datum=datum,
         datum_id=reader.raw("datum_id", section), schedule=schedule,
         plan=plan, tolerance=tolerance,
         output=reader.raw("output", f"{section}.csv"),
         options=record.parse(reader),
     )
+    for key in reader.items:  # section order, so the first stray key is named
+        if key not in reader.read:
+            raise reader.error(key, f"unknown key for kind {kind!r}")
+    return spec
 
 
 def run_experiment(spec: ExperimentSpec) -> VerificationReport:

@@ -3,10 +3,9 @@
 Convergence rates in the horizon T and the radius R are not known a
 priori, so the extrapolator fits a constant-plus-power model
 v(p) = L + c p^(-alpha) with the exponent a free parameter, seeded from
-the increment ratio of the last three points.  A raw-last mode (final
-value, last increment as error) stays available as a fit-free fallback,
-and any non-monotone tail is flagged as non-convergent rather than
-extrapolated.
+the increment ratio of the last three points.  A non-monotone tail is
+flagged as non-convergent rather than extrapolated, and reported by its
+final value with the last increment as the error bar.
 
 The verify_* drivers run one experiment each and return a
 VerificationReport; they are the layer the harness schedules.
@@ -22,9 +21,8 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import InvalidParameterError
 from .functionals import (boundary_term, dispersive_l2_error, flux,
-                          morawetz_lhs, morawetz_remainder_split,
-                          radial_profile, remainder_terms, smoothing_profile,
-                          weighted_radial_energy)
+                          morawetz_lhs, radial_profile, remainder_terms,
+                          smoothing_profile, weighted_radial_energy)
 from .model import (QuadraturePlan, RadialWeight, VerificationReport,
                     WavePacketSum, relative_residual)
 from .spectral import hs_norm_sq
@@ -45,14 +43,13 @@ def _power_model(p, L, c, alpha):
     return L + c * np.power(p, -alpha)
 
 
-def estimate_limit(values, model: str = "constant-plus-power") -> LimitEstimate:
+def estimate_limit(values) -> LimitEstimate:
     """Extrapolate an ordered (parameter, value) schedule to its limit.
 
-    model 'constant-plus-power' fits v = L + c p^(-alpha) over the tail
-    (up to the last 5 points); 'raw-last' returns the final value with the
-    last increment as the error bar.  A tail whose increments alternate in
-    sign above the noise floor is reported as non-convergent with the
-    raw-last value, never as a fitted limit.
+    Fits v = L + c p^(-alpha) over the tail (up to the last 5 points).  A
+    tail whose increments alternate in sign above the noise floor is
+    reported as non-convergent with the final value and the last increment
+    as the error bar, never as a fitted limit.
     """
     pts = [(float(p), float(v)) for p, v in values]
     if len(pts) < 3:
@@ -61,11 +58,6 @@ def estimate_limit(values, model: str = "constant-plus-power") -> LimitEstimate:
     vals = np.array([v for _, v in pts])
     if np.any(np.diff(params) <= 0):
         raise InvalidParameterError("schedule parameters must strictly increase")
-    if model not in ("constant-plus-power", "raw-last"):
-        raise InvalidParameterError(f"unknown extrapolation model {model!r}")
-
-    if model == "raw-last":
-        return LimitEstimate(vals[-1], abs(vals[-1] - vals[-2]), True, "raw-last")
 
     scale = float(np.max(np.abs(vals)))
     noise = max(1e-9 * scale, 1e-300)
@@ -254,16 +246,13 @@ def verify_flux(f: WavePacketSum, w: RadialWeight, t_schedule,
 def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
                     plan: QuadraturePlan | None = None,
                     tolerance: float = 1e-3,
-                    datum_id: str = "datum",
-                    identity_check: bool = False) -> VerificationReport:
+                    datum_id: str = "datum") -> VerificationReport:
     """Three-term squeeze around the ball profile for the plateau weight.
 
     At every R:  profile(R) <= int int psi_k,R''|du/dr|^2
                             <= (k+1)/k * profile((k+1)R/k),
     and the spread of the profile tail must stay within the factor
-    (k+1)/k + tolerance.  With identity_check, the signed tangential and
-    bilaplacian parts are added to the middle term and compared against
-    2 pi psi'(inf) ||f||^2 at each R (recorded, not gated).
+    (k+1)/k + tolerance.
     """
     plan = plan or QuadraturePlan()
     k = int(k)
@@ -297,21 +286,6 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
     est = estimate_limit(zip(Rs, low)) if len(Rs) >= 3 else \
         LimitEstimate(low[-1] if len(Rs) else 0.0, np.nan, False, "short schedule")
 
-    extra = {
-        "mid": mid.tolist(),
-        "ratio": ratio,
-        "ratio_bound": outer + tolerance,
-        "bracket_ok": bracket_ok,
-    }
-    if identity_check:
-        target = TWO_PI * w.slope_inf * floor
-        gaps = []
-        for R, m_val in zip(Rs, mid):
-            tan, bil = morawetz_remainder_split(f, rescale(w, R), plan)
-            gaps.append(abs(m_val + tan - 0.25 * bil - target))
-        extra["identity_target"] = target
-        extra["identity_gap"] = gaps
-
     return VerificationReport(
         experiment="sandwich", n=f.n, datum_id=datum_id, weight_id=w.label,
         params=np.array(Rs), lhs=low, rhs=high,
@@ -319,7 +293,12 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
         extrapolated_limit=est.value, limit_error=est.error,
         passed=bool(bracket_ok and ratio_ok),
         notes=f"tail spread ratio {ratio:.6f} vs bound {outer + tolerance:.6f}",
-        extra=extra,
+        extra={
+            "mid": mid.tolist(),
+            "ratio": ratio,
+            "ratio_bound": outer + tolerance,
+            "bracket_ok": bracket_ok,
+        },
     )
 
 

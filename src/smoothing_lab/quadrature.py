@@ -240,14 +240,14 @@ def _panel_value(geom, a, b, coeffs, n):
     return results[1], abs(results[1] - results[0])
 
 
-def _adaptive(panel, edges, rel_tol, floor, max_panels, noise=0.0):
+def _adaptive(panel, edges, rel_tol, floor, max_panels):
     """Worst-first refinement of panel(a, b) -> (value, error) over edges.
 
     Splits the worst panel until the summed error meets rel_tol *
-    max(|value|, floor), floor being |floor| or else the first total, or
-    noise * length, below which the integrand's own noise rules.  Returns
-    (value, error, panels); raises ToleranceNotMetError when max_panels
-    run out or a panel under 2^-40 of the interval would have to split.
+    max(|value|, floor), floor being |floor| or else the first total.
+    Returns (value, error, panels); raises ToleranceNotMetError when
+    max_panels run out or a panel under 2^-40 of the interval would have
+    to split.
     """
     heap = []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -264,8 +264,7 @@ def _adaptive(panel, edges, rel_tol, floor, max_panels, noise=0.0):
 
     value, err = totals()
     floor = abs(floor) if floor else abs(value)
-    while err > (target := max(rel_tol * max(abs(value), floor),
-                               noise * length, 1e-300)):
+    while err > (target := max(rel_tol * max(abs(value), floor), 1e-300)):
         _, _, a, b, _, _ = heap[0]
         if len(heap) >= max_panels or b - a < 2.0**-40 * length:
             raise ToleranceNotMetError(value, err, target)
@@ -357,24 +356,21 @@ def _kronrod_panel(fn, a, b):
 
 def adaptive_time_integral(fn, a: float, b: float, rel_tol: float,
                            scale: float, panels: int = 2,
-                           max_panels: int = QuadraturePlan.max_panels,
-                           noise: float = 0.0):
+                           max_panels: int = QuadraturePlan.max_panels):
     """(int_a^b fn(t) dt, error estimate) by Gauss-Kronrod panels.
 
     The absolute target is rel_tol * max(|total|, |scale|): the scale
     floor keeps near-cancelling integrals from demanding impossible
-    relative accuracy.  `noise` bounds fn's own absolute error per unit
-    length, so no target falls below noise * (b - a).
+    relative accuracy.
     """
     edges = np.linspace(a, b, panels + 1).tolist()
     value, err, _ = _adaptive(lambda lo, hi: _kronrod_panel(fn, lo, hi),
-                              edges, rel_tol, scale, max_panels, noise)
+                              edges, rel_tol, scale, max_panels)
     return value, err
 
 
 def real_line_time_integral(fn, rel_tol: float, scale: float,
-                            max_panels: int = QuadraturePlan.max_panels,
-                            noise: float = 0.0):
+                            max_panels: int = QuadraturePlan.max_panels):
     """int_{-inf}^{inf} fn(t) dt via t = s/(1 - s^2), s in (-1, 1).
 
     The substitution maps polynomial dispersive decay to a bounded smooth
@@ -393,4 +389,4 @@ def real_line_time_integral(fn, rel_tol: float, scale: float,
         return fn(t) * jac
 
     return adaptive_time_integral(g, -1.0, 1.0, rel_tol, scale, panels=4,
-                                  max_panels=max_panels, noise=noise)
+                                  max_panels=max_panels)

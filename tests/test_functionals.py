@@ -185,3 +185,58 @@ def test_empty_datum_short_circuits():
     assert morawetz_remainder_split(empty, w) == (0.0, 0.0)
     assert weighted_radial_energy(empty, w) == 0.0
     assert dispersive_l2_error(empty, 1.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# 30-digit oracle: mpmath tanh-sinh quadrature of the explicit integrands
+# ---------------------------------------------------------------------------
+
+# (amplitude, width, centre, momentum) of a two-packet datum in n = 1
+MP_PACKETS = [(1.0, 1.0, 0.3, 0.25), (0.5 - 0.7j, 0.7, -0.4, -0.1)]
+MP_DATUM = packet_sum([packet(A, a, [x0], [v]) for A, a, x0, v in MP_PACKETS])
+
+
+def test_flux_matches_mpmath_oracle():
+    mp = pytest.importorskip("mpmath").mp
+    t, eps = mp.mpf("0.8"), 1
+    with mp.workdps(30):
+        def u_and_ux(x):
+            # A (1 + 4iat)^(-1/2) e^{-4 pi^2 i v^2 t} e^{-alpha (x - c)^2 + 2 pi i v x}
+            # with alpha = a/(1 + 4iat), c = x0 + 4 pi v t, and its x-derivative
+            u = ux = 0
+            for A, a, x0, v in MP_PACKETS:
+                A, a, x0, v = mp.mpc(A), mp.mpf(a), mp.mpf(x0), mp.mpf(v)
+                g = 1 + 4j * a * t
+                alpha, c = a / g, x0 + 4 * mp.pi * v * t
+                term = (A / mp.sqrt(g) * mp.exp(-4j * mp.pi**2 * v**2 * t)
+                        * mp.exp(-alpha * (x - c)**2 + 2j * mp.pi * v * x))
+                u += term
+                ux += term * (-2 * alpha * (x - c) + 2j * mp.pi * v)
+            return u, ux
+
+        def density(x):
+            # psi'(|x|) du/dr = x / sqrt(eps^2 + x^2) du/dx on the line
+            u, ux = u_and_ux(x)
+            return mp.im(mp.conj(u) * ux) * x / mp.sqrt(eps**2 + x**2)
+
+        exact = mp.quad(density, [-mp.inf, -8, 0, 8, mp.inf])
+    got = flux(MP_DATUM, make_psi_eps(1.0), 0.8)
+    assert abs(got - float(exact)) <= 1e-12 * abs(float(exact))
+
+
+def test_half_norm_matches_mpmath_oracle():
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(30):
+        def density(xi):
+            # |xi| |fhat(xi)|^2, fhat of each packet being
+            # A sqrt(pi/a) e^{-pi^2 (xi - v)^2 / a} e^{-2 pi i x0 (xi - v)}
+            fhat = 0
+            for A, a, x0, v in MP_PACKETS:
+                A, a, x0, v = mp.mpc(A), mp.mpf(a), mp.mpf(x0), mp.mpf(v)
+                fhat += (A * mp.sqrt(mp.pi / a) * mp.exp(-mp.pi**2 * (xi - v)**2 / a)
+                         * mp.exp(-2j * mp.pi * x0 * (xi - v)))
+            return abs(xi) * abs(fhat)**2
+
+        exact = mp.quad(density, [-mp.inf, -1, 0, 1, mp.inf])
+    got = hs_norm_sq(MP_DATUM, 0.5)
+    assert abs(got - float(exact)) <= 1e-12 * abs(float(exact))

@@ -162,6 +162,7 @@ def run_expecting_config_error(workdir, capsys, text, *needles):
     assert "config error" in err
     for needle in needles:
         assert needle in err
+    return err
 
 
 def test_negative_eps_rejected(workdir, capsys):
@@ -287,6 +288,51 @@ def test_ignored_final_ratio_key_rejected(workdir, capsys):
                       .replace("weight = eps\neps = 1.0\n", "")
         + "final_ratio = 0.5\n",
         "[quick-identity]", "final_ratio", "unknown key")
+
+
+SANDWICH = """\
+[quick-sandwich]
+kind = sandwich
+n = 1
+packet1 = 1.0 0.0 1.0 0.1 0.3
+k = 2
+schedule_start = 4
+schedule_count = 2
+"""
+
+
+@pytest.mark.parametrize("text,needle", [
+    # the sandwich kind computes no identity check, so the key is unread
+    (SANDWICH + "identity_check = true\n", "[quick-sandwich] identity_check"),
+    # a weight kind reads its own parameter only
+    (QUICK_IDENTITY + "k = 7\n", "[quick-identity] k"),
+    (QUICK_IDENTITY.replace("weight = eps\neps = 1.0", "weight = bump\nk = 2")
+     + "value = 3\n", "[quick-identity] value"),
+    (QUICK_IDENTITY.replace("weight = eps", "weight = constant"),
+     "[quick-identity] eps"),
+], ids=["sandwich-identity_check", "eps-k", "bump-value", "constant-eps"])
+def test_key_the_kind_does_not_read_rejected(workdir, capsys, text, needle):
+    run_expecting_config_error(workdir, capsys, text, f"{needle}: unknown key")
+
+
+def test_first_unknown_key_is_named(workdir, capsys):
+    err = run_expecting_config_error(
+        workdir, capsys, QUICK_IDENTITY + "zeta = 1\nalpha = 2\n",
+        "[quick-identity] zeta: unknown key")
+    assert "alpha" not in err
+
+
+@pytest.mark.parametrize("plan,key", [
+    ({"rel_tol": "0", "tau_space": "1e-10"}, "rel_tol"),
+    ({"rel_tol": "1e-8", "tau_space": "-1"}, "tau_space"),
+], ids=["rel_tol", "tau_space"])
+def test_bad_plan_key_names_only_itself(plan, key):
+    items = {"kind": "identity", "n": "1", "packet1": "1 0 1 0 0",
+             "weight": "eps", "eps": "1", "schedule_start": "1",
+             "schedule_count": "1", **plan}
+    with pytest.raises(ConfigError) as exc:
+        parse_experiment("plan", items)
+    assert exc.value.key == key
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 
 from smoothing_lab.errors import InvalidParameterError
 from smoothing_lab.limits import (
-    LimitEstimate,
     estimate_limit,
     verify_asymptotics,
     verify_flux,
@@ -62,11 +61,6 @@ def test_power_law_with_negative_amplitude():
     assert est.value == pytest.approx(-0.8, abs=1e-5)
 
 
-def test_raw_last_model():
-    est = estimate_limit([(1, 2.0), (2, 2.5), (4, 2.75)], model="raw-last")
-    assert est == LimitEstimate(2.75, 0.25, True, "raw-last")
-
-
 def test_constant_sequence_short_circuits():
     est = estimate_limit([(1, 4.2), (2, 4.2), (4, 4.2)])
     assert est.converged
@@ -89,8 +83,6 @@ def test_schedule_guards():
         estimate_limit([(1, 1.0), (2, 1.1)])
     with pytest.raises(InvalidParameterError):
         estimate_limit([(2, 1.0), (1, 1.1), (4, 1.2)])
-    with pytest.raises(InvalidParameterError):
-        estimate_limit([(1, 1.0), (2, 1.1), (4, 1.2)], model="pade")
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +99,16 @@ def test_identity_report_fields():
     assert report.passed
     assert np.all(report.rel_residual <= report.tolerance)
     assert report.abs_residual.shape == (1,)
+
+
+def test_identity_holds_off_centre_in_3d():
+    # the acceptance matrix covers n = 1 and 2; here a moving packet away
+    # from the origin gives the n = 3 angular rule a non-trivial band
+    f = packet_sum([packet(1.0, 1.0, [0.3, -0.2, 0.1], [0.2, 0.0, -0.1])])
+    report = verify_identity(f, make_psi_eps(1.0), [0.25])
+    assert report.n == 3
+    assert report.rel_residual[0] <= 1e-6
+    assert report.passed
 
 
 def test_asymptotics_smoke():
