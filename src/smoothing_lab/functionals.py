@@ -7,8 +7,10 @@ finite window [-T, T] or over the whole line through the compactifying
 substitution t = s/(1 - s^2).
 
 Error budget: the time integrator works toward an absolute target
-rel_tol * max(|integral|, mass floor).  Each spatial evaluation works to a
-quarter of rel_tol, with an absolute floor of the mass floor divided by the
+rel_tol * max(|integral|, mass floor).  A time panel evolves the datum to
+its 21 Gauss-Kronrod nodes and integrates all 21 states over one shared
+radial panel set; each node's spatial integral works to a quarter of
+rel_tol, with an absolute floor of the mass floor divided by the
 time-domain width: summed over the window, the floors allow at most a
 quarter of the time layer's least target, rel_tol * mass floor.  Without
 the division the spatial error would swamp the panel error estimates on
@@ -25,7 +27,8 @@ from .errors import InvalidWeightError
 from .model import QuadraturePlan, RadialWeight, WavePacketSum, l2_norm_sq
 from .propagator import difference_state, dispersive_approx, evolve_analytic
 from .quadrature import (ShellCoefficients, adaptive_time_integral,
-                         real_line_time_integral, shell_integral)
+                         real_line_time_integral, shell_integral,
+                         shell_integrals)
 from .weights import radial_laplacians, rescale
 
 _SPACE_FACTOR = 0.25  # spatial tolerance tightening inside time integrals
@@ -59,11 +62,13 @@ def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients,
         s = (math.sqrt(1.0 + 4.0 * at * at) - 1.0) / (2.0 * at)
         return space_scale * (1.0 - s * s) ** 2 / (1.0 + s * s)
 
-    def fn(t):
-        state = evolve_analytic(f, t)
-        val, _ = shell_integral(state, coeffs, plan, r_max=r_max,
-                                scale=local_floor(t), rel_tol=space_tol)
-        return val
+    def fn(ts):
+        # one radial panel set for every node, each node to its own floor
+        states = [evolve_analytic(f, t) for t in ts]
+        values, _ = shell_integrals(states, coeffs, plan, r_max=r_max,
+                                    scales=[local_floor(t) for t in ts],
+                                    rel_tol=space_tol)
+        return values
 
     if horizon is None:
         return real_line_time_integral(fn, plan.rel_tol, scale,

@@ -21,7 +21,7 @@ default tolerance, shortest schedule, the parser of its own keys and its
 driver.  A key is known to a section because some parser reads it.
 
 The whole config is checked when it loads: keys nothing reads, non-finite
-numbers, short schedules, a file written twice or under a missing
+numbers, short or overlong schedules, a file written twice or under a missing
 directory all fail there.  Experiments then run one after another in
 config order; an exception in one is recorded in the summary and the
 others still run.  Exit status: 0 all experiments pass, 1 any tolerance
@@ -62,6 +62,9 @@ CSV_COLUMNS = [
 ]
 
 _PACKET_KEY = re.compile(r"^packet(\d+)$")
+# each schedule point is one full space-time computation; a longer
+# schedule is a typo, not a plan that would finish
+_MAX_SCHEDULE = 64
 
 
 @dataclass
@@ -310,6 +313,9 @@ def _parse_schedule(reader: _SectionReader, kind: str) -> list:
         raise reader.error("schedule_count",
                            f"{kind} needs at least {record.min_points} "
                            f"schedule points, got {count}")
+    if count > _MAX_SCHEDULE:
+        raise reader.error("schedule_count",
+                           f"at most {_MAX_SCHEDULE} schedule points, got {count}")
     if factor <= 1.0 and count > 1:
         raise reader.error("schedule_factor", "must exceed 1 for multi-point schedules")
     try:

@@ -9,20 +9,30 @@ times radial coefficient functions.  Shells make ball truncations exact
 (panel edges sit on the ball boundary) and keep weight seams aligned with
 panel edges.
 
+One radial integral can serve a batch of states with the same packets,
+such as the 21 Gauss-Kronrod nodes of a time panel: states whose
+truncation radii agree within _SHARE_RATIO share one radial panel set,
+each coefficient function is evaluated once per radius of that set, and
+every state is one component of the result with its own error target.
+
 The angular factor of one packet pair at radius r is exp(z.w) with
 z = r (conj(G_i) + G_j), G_i = 2 alpha_i c_i + 2 pi i v_i.  Its angular
 modes decay like Bessel coefficients once the order exceeds |z|, so the
 trapezoid (n=2) or product Gauss-Legendre x trapezoid (n=3) rule sizes
-itself from the largest active pair bandwidth; as t grows, 2 alpha c
-collapses onto -2 pi i v and same-momentum pairs become angularly cheap.
+itself from the largest active pair bandwidth of the batch; as t grows,
+2 alpha c collapses onto -2 pi i v and same-momentum pairs become
+angularly cheap.
 
-One refinement loop serves both layers: it splits the panel with the
-largest error estimate until the summed estimate meets the target.  A
-radial panel's estimate is the difference of its 16- and 32-node
-Gauss-Legendre values; a time panel's is the difference of its 21-point
-Gauss-Kronrod value and the embedded 10-point Gauss value (Kronrod 1965;
-QUADPACK qk21).  Infinite horizons run through the substitution
-t = s/(1 - s^2).
+One refinement loop serves both layers: it works on vector panels and
+splits the panel with the largest relative error estimate until every
+component meets its target.  A radial panel's estimate is the difference
+of its 16- and 32-node Gauss-Legendre values; a time panel's is the
+difference of its 21-point Gauss-Kronrod value and the embedded 10-point
+Gauss value (Kronrod 1965; QUADPACK qk21).  The time integrals take a
+vectorised integrand, which maps an array of times to an array of values
+and is called once per time panel with all 21 nodes, as
+scipy.integrate.fixed_quad calls its function.  Infinite horizons run
+through the substitution t = s/(1 - s^2).
 """
 
 from __future__ import annotations
@@ -42,6 +52,14 @@ from .model import QuadraturePlan
 _SAFETY_LOG = 16.0  # extra e-foldings kept beyond the tail-mass radius
 _ANGULAR_PAD = 18.0
 _PRUNE = 1e-26  # pair envelope products below this never steer bandwidth
+# complex elements (states x radii x angles x packets) of one kernel block:
+# the kernel walks a batch of states in blocks of this size, which bounds
+# its working set when the n = 3 angular rule is large
+_KERNEL_BLOCK = 2**15
+# states share one radial panel set when their truncation radii agree
+# within this factor; a wider batch would put every state on the union of
+# the panels its narrowest and its widest member need
+_SHARE_RATIO = 1.5
 
 
 @dataclass(frozen=True)
@@ -126,108 +144,118 @@ def _bucket_band(band: float) -> int:
 # ---------------------------------------------------------------------------
 
 class _StateGeometry:
-    """Envelope and bandwidth data extracted once per state."""
+    """Envelope and bandwidth data of a batch of T states with m packets each.
 
-    def __init__(self, state):
-        self.state = state
-        self.m = len(state)
-        self.A = state.alpha.real  # > 0
-        self.rho = np.sqrt((state.c**2).sum(axis=1))
-        self.peak = np.abs(state.B)
+    The packet parameters are stacked into arrays of shape (T, m, ...), one
+    row per state.  The support radius is per state; the angular band is
+    the maximum over the batch.
+    """
+
+    def __init__(self, states):
+        self.n = states[0].n
+        self.m = len(states[0])
+        self.B = np.stack([s.B for s in states])  # (T, m)
+        self.alpha = np.stack([s.alpha for s in states])  # (T, m)
+        self.c = np.stack([s.c for s in states])  # (T, m, n)
+        self.v = np.stack([s.v for s in states])  # (T, m, n)
+        self.A = self.alpha.real  # > 0
+        self.rho = np.sqrt((self.c**2).sum(axis=-1))  # (T, m)
+        self.peak = np.abs(self.B)
         # angular growth vector per packet
-        self.G = 2.0 * state.alpha[:, None] * state.c + 2j * np.pi * state.v
-        Gc = np.conj(self.G)
-        pair = Gc[:, None, :] + self.G[None, :, :]
-        self.Z = np.sqrt((np.abs(pair) ** 2).sum(axis=-1))  # (m, m)
-        self.peak_pair = np.outer(self.peak, self.peak)
-        self.peak_max = self.peak_pair.max() if self.m else 0.0
+        self.G = 2.0 * self.alpha[..., None] * self.c + 2j * np.pi * self.v
+        pair = np.conj(self.G)[:, :, None, :] + self.G[:, None, :, :]
+        self.Z = np.sqrt((np.abs(pair) ** 2).sum(axis=-1))  # (T, m, m)
+        self.peak_max = (self.peak**2).max(axis=1, initial=0.0)  # (T,)
+        # the state at the median time places the packet-centre knots
+        times = [s.t for s in states]
+        self.middle = int(np.argsort(times, kind="stable")[len(states) // 2])
 
     def envelope(self, r):
         """Per-packet radial envelope bound |B_i| e^{-A_i (r - rho_i)^2}."""
-        d = r[None, :] - self.rho[:, None]
-        return self.peak[:, None] * np.exp(-self.A[:, None] * d * d)
+        d = r - self.rho[..., None]  # (T, m, Q)
+        return self.peak[..., None] * np.exp(-self.A[..., None] * d * d)
 
     def bandwidth(self, r) -> float:
         """Largest |z| = r |conj(G_i)+G_j| over envelope-active pairs."""
-        if self.m == 0:
+        env = self.envelope(r)
+        prod = env[:, :, None, :] * env[:, None, :, :]  # (T, m, m, Q)
+        active = prod > _PRUNE * self.peak_max[:, None, None, None]
+        if not np.any(active):
             return 0.0
-        env = self.envelope(r)  # (m, Q)
-        prod = env[:, None, :] * env[None, :, :]  # (m, m, Q)
-        active = prod > _PRUNE * self.peak_max
-        zmax = 0.0
-        if np.any(active):
-            z = self.Z[:, :, None] * r[None, None, :]
-            zmax = float(np.where(active, z, 0.0).max())
-        return zmax
+        return float(np.where(active, self.Z[..., None] * r, 0.0).max())
 
-    def support_radius(self, tau: float) -> float:
-        """Radius past which the relative tail of every term is below tau."""
-        if self.m == 0:
-            return 0.0
-        ref = self.peak.max()
+    def support_radii(self, tau: float) -> np.ndarray:
+        """Per state, the radius past which the relative tail of every term
+        is below tau."""
+        ref = self.peak.max(axis=1, keepdims=True)
         logs = np.log(np.maximum(self.peak**2, 1e-300) / (tau * ref**2))
         d = np.sqrt(np.maximum(logs + _SAFETY_LOG, 1.0) / (2.0 * self.A))
-        return float((self.rho + d).max())
+        return (self.rho + d).max(axis=1)
 
     def min_sigma(self) -> float:
-        return float((1.0 / np.sqrt(2.0 * self.A)).min()) if self.m else 1.0
+        return float((1.0 / np.sqrt(2.0 * self.A)).min())
 
 
 def _shell_values(geom: _StateGeometry, r: np.ndarray, omega: np.ndarray,
                   wts: np.ndarray, coeffs: ShellCoefficients) -> np.ndarray:
-    """Angularly reduced integrand at radii r (no r^{n-1} factor yet)."""
-    state = geom.state
-    n = state.n
-    # points x = r * omega, evaluated packet by packet without forming x
-    oc = omega @ state.c.T  # (A, m)
-    ov = omega @ state.v.T  # (A, m)
-    rsq = r * r
-    # exponent: -alpha (r^2 - 2 r oc + |c|^2) + 2 pi i r ov
-    csq = (state.c**2).sum(axis=1)
-    expo = (
-        -state.alpha[None, None, :] * (
-            rsq[:, None, None]
-            - 2.0 * r[:, None, None] * oc[None, :, :]
-            + csq[None, None, :]
-        )
-        + 2j * np.pi * r[:, None, None] * ov[None, :, :]
-    )
-    vals = state.B * np.exp(expo)  # (Q, A, m)
-    u = vals.sum(axis=-1)
-    out = np.zeros(r.shape, dtype=float)
+    """Angularly reduced integrand at radii r, one row per state: (T, Q).
 
-    pieces = np.zeros(u.shape, dtype=float)
-    if coeffs.w_mass is not None:
-        pieces += coeffs.w_mass(r)[:, None] * (u.real**2 + u.imag**2)
-    if coeffs.needs_gradient():
-        # du/dr = sum_i vals_i (-2 alpha_i (r - oc_i) + 2 pi i ov_i)
-        lin = (
-            -2.0 * state.alpha[None, None, :]
-            * (r[:, None, None] - oc[None, :, :])
-            + 2j * np.pi * ov[None, :, :]
-        )
-        ur = (vals * lin).sum(axis=-1)
-        if coeffs.w_rr is not None:
-            pieces += coeffs.w_rr(r)[:, None] * (ur.real**2 + ur.imag**2)
-        if coeffs.w_flux is not None:
-            pieces += coeffs.w_flux(r)[:, None] * (np.conj(u) * ur).imag
-        if coeffs.w_tau is not None and n > 1:
-            # grad u = -2 (sum_i alpha_i vals_i) x + 2 sum_i vals_i alpha_i c_i
-            #          + 2 pi i sum_i vals_i v_i
-            s0 = (vals * state.alpha).sum(axis=-1)  # (Q, A)
-            s1 = vals @ (state.alpha[:, None] * state.c)  # (Q, A, n)
-            s2 = vals @ state.v.astype(complex)  # (Q, A, n)
-            x = r[:, None, None] * omega[None, :, :]
-            grad = -2.0 * s0[..., None] * x + 2.0 * s1 + 2j * np.pi * s2
-            gsq = (grad.real**2 + grad.imag**2).sum(axis=-1)
-            tau_sq = np.maximum(gsq - (ur.real**2 + ur.imag**2), 0.0)
-            pieces += coeffs.w_tau(r)[:, None] * tau_sq
-    out = pieces @ wts
+    Each coefficient function is evaluated once on r and shared by every
+    state; the states are walked in blocks of at most _KERNEL_BLOCK complex
+    elements.  No r^{n-1} factor yet.
+    """
+    n = geom.n
+    w_mass = None if coeffs.w_mass is None else coeffs.w_mass(r)[:, None]
+    w_rr = None if coeffs.w_rr is None else coeffs.w_rr(r)[:, None]
+    w_flux = None if coeffs.w_flux is None else coeffs.w_flux(r)[:, None]
+    w_tau = None if coeffs.w_tau is None or n == 1 else coeffs.w_tau(r)[:, None]
+    R = r[:, None, None]  # radius axis of the (Q, A, m) field arrays
+    rsq = r * r
+    # sums over packets as matrix products, faster than sum(axis=-1) over
+    # the short packet axis
+    ones = np.ones(geom.m)
+    count = len(geom.B)
+    out = np.empty((count, r.size))
+    step = max(1, _KERNEL_BLOCK // (r.size * len(wts) * geom.m))
+    for lo in range(0, count, step):
+        rows = slice(lo, lo + step)
+        B, alpha, c, v = geom.B[rows], geom.alpha[rows], geom.c[rows], geom.v[rows]
+        # points x = r * omega, evaluated packet by packet without forming x
+        oc = (omega @ c.transpose(0, 2, 1))[:, None]  # (t, 1, A, m)
+        ov = (omega @ v.transpose(0, 2, 1))[:, None]
+        al = alpha[:, None, None, :]
+        # exponent: -alpha (r^2 - 2 r oc + |c|^2) + 2 pi i r ov
+        csq = (c**2).sum(axis=-1)[:, None, None, :]
+        expo = -al * (rsq[:, None, None] - 2.0 * R * oc + csq) + 2j * np.pi * R * ov
+        vals = B[:, None, None, :] * np.exp(expo)  # (t, Q, A, m)
+        u = vals @ ones
+        pieces = np.zeros(u.shape, dtype=float)
+        if w_mass is not None:
+            pieces += w_mass * (u.real**2 + u.imag**2)
+        if coeffs.needs_gradient():
+            # du/dr = sum_i vals_i (-2 alpha_i (r - oc_i) + 2 pi i ov_i)
+            ur = (vals * (-2.0 * al * (R - oc) + 2j * np.pi * ov)) @ ones
+            ursq = ur.real**2 + ur.imag**2
+            if w_rr is not None:
+                pieces += w_rr * ursq
+            if w_flux is not None:
+                pieces += w_flux * (np.conj(u) * ur).imag
+            if w_tau is not None:
+                # grad u = -2 (sum_i alpha_i vals_i) x + sum_i vals_i G_i,
+                # built one axis at a time
+                s0 = (vals @ alpha[:, None, :, None])[..., 0]  # (t, Q, A)
+                gsq = np.zeros(u.shape, dtype=float)
+                for k in range(n):
+                    Gk = geom.G[rows, None, :, k, None]  # (t, 1, m, 1)
+                    g = -2.0 * s0 * (r[:, None] * omega[:, k]) + (vals @ Gk)[..., 0]
+                    gsq += g.real**2 + g.imag**2
+                pieces += w_tau * np.maximum(gsq - ursq, 0.0)
+        out[rows] = pieces @ wts
     return out
 
 
 def _panel_value(geom, a, b, coeffs, n):
-    """(value_32, |value_32 - value_16|) on the radial panel [a, b]."""
+    """(value_32, |value_32 - value_16|) per state on the radial panel [a, b]."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     results = []
     for m in (16, 32):
@@ -236,71 +264,88 @@ def _panel_value(geom, a, b, coeffs, n):
         band = _bucket_band(geom.bandwidth(r))
         omega, wts = _sphere_rule(n, band)
         shell = _shell_values(geom, r, omega, wts, coeffs)
-        results.append(half * float((shell * r ** (n - 1) * w).sum()))
-    return results[1], abs(results[1] - results[0])
+        results.append(half * (shell * r ** (n - 1) * w).sum(axis=-1))
+    return results[1], np.abs(results[1] - results[0])
+
+
+def _column_fsums(rows):
+    """Correctly rounded sum of each column, so row order does not matter."""
+    return np.array([math.fsum(col) for col in np.array(rows).T])
 
 
 def _adaptive(panel, edges, rel_tol, floor, max_panels):
-    """Worst-first refinement of panel(a, b) -> (value, error) over edges.
+    """Worst-first refinement of a vector integral over edges.
 
-    Splits the worst panel until the summed error meets rel_tol *
-    max(|value|, floor), floor being |floor| or else the first total.
-    Returns (value, error, panels); raises ToleranceNotMetError when
-    max_panels run out or a panel under 2^-40 of the interval would have
-    to split.
+    panel(a, b) -> (values, errors) with one entry per component (a scalar
+    integral is the one-component case).  Component c meets its target when
+    its summed error is at most rel_tol * max(|value_c|, floor_c), floor_c
+    being |floor_c| if given and nonzero, else the component's first total.
+    The loop splits the panel with the largest max_c err_c/floor_c until
+    every component meets its target.  It decides on running totals and
+    confirms with one fsum per component, which also gives the returned
+    value and error.  Returns (values, errors, panels); raises
+    ToleranceNotMetError for the worst component when max_panels run out
+    or a panel under 2^-40 of the interval would have to split.
     """
-    heap = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, e = panel(a, b)
-        heap.append((-e, len(heap), a, b, v, e))
+    first = [(a, b, *map(np.atleast_1d, panel(a, b)))
+             for a, b in zip(edges[:-1], edges[1:])]
+    value, err = (_column_fsums([item[2] for item in first]),
+                  _column_fsums([item[3] for item in first]))
+    floor = np.abs(value if floor is None else np.where(floor, floor, value))
+    weight = np.divide(1.0, floor, out=np.ones_like(floor), where=floor > 0.0)
+    heap = [(-float((e * weight).max()), i, a, b, v, e)
+            for i, (a, b, v, e) in enumerate(first)]
     heapq.heapify(heap)
     counter = len(heap)
     length = edges[-1] - edges[0]
 
     def totals():
-        # fsum is correctly rounded, so the heap order does not matter
-        return (math.fsum(item[4] for item in heap),
-                math.fsum(item[5] for item in heap))
+        return (_column_fsums([item[4] for item in heap]),
+                _column_fsums([item[5] for item in heap]))
 
-    value, err = totals()
-    floor = abs(floor) if floor else abs(value)
-    while err > (target := max(rel_tol * max(abs(value), floor), 1e-300)):
-        _, _, a, b, _, _ = heap[0]
+    def target(value):
+        return np.maximum(rel_tol * np.maximum(np.abs(value), floor), 1e-300)
+
+    run_value, run_err = value, err
+    while True:
+        if np.all(run_err <= target(run_value)):
+            value, err = totals()
+            if np.all(err <= target(value)):
+                return value, err, len(heap)
+            run_value, run_err = value, err  # the running totals drifted
+        _, _, a, b, v, e = heap[0]
         if len(heap) >= max_panels or b - a < 2.0**-40 * length:
-            raise ToleranceNotMetError(value, err, target)
+            value, err = totals()
+            worst = int(np.argmax(err / target(value)))
+            raise ToleranceNotMetError(float(value[worst]), float(err[worst]),
+                                       float(target(value)[worst]))
         heapq.heappop(heap)
+        run_value, run_err = run_value - v, run_err - e
         mid = 0.5 * (a + b)
         for aa, bb in ((a, mid), (mid, b)):
-            v, e = panel(aa, bb)
-            heapq.heappush(heap, (-e, counter, aa, bb, v, e))
+            vv, ee = map(np.atleast_1d, panel(aa, bb))
+            heapq.heappush(heap, (-float((ee * weight).max()), counter, aa, bb, vv, ee))
             counter += 1
-        value, err = totals()
-    return value, err, len(heap)
+            run_value, run_err = run_value + vv, run_err + ee
 
 
-def shell_integral(state, coeffs: ShellCoefficients, plan: QuadraturePlan,
-                   r_max: float | None = None, scale: float | None = None,
-                   rel_tol: float | None = None):
-    """Integrate the shell integrand over r in [0, r_max] (or the envelope).
+def _share_groups(reach):
+    """Index arrays of states that share one radial panel set: sorted by
+    truncation radius, a group closes before the first state that reaches
+    more than _SHARE_RATIO times as far as the group's first."""
+    order = np.argsort(reach, kind="stable")
+    groups, start = [], 0
+    for i in range(1, len(order) + 1):
+        if i == len(order) or reach[order[i]] > _SHARE_RATIO * reach[order[start]]:
+            groups.append(order[start:i])
+            start = i
+    return groups
 
-    Returns (value, info) where info carries the error estimate and panel
-    count.  Raises ToleranceNotMetError when the panel budget runs out.
-    """
-    n = state.n
-    if n > 3:
-        raise InvalidParameterError("shell quadrature supports n <= 3")
-    rel_tol = plan.rel_tol if rel_tol is None else rel_tol
-    geom = _StateGeometry(state)
-    if geom.m == 0 or geom.peak_max == 0.0:
-        return 0.0, {"abs_error": 0.0, "panels": 0}
 
-    end = geom.support_radius(plan.tau_space)
-    if r_max is not None:
-        end = min(end, r_max)
-    if end <= 0.0:
-        return 0.0, {"abs_error": 0.0, "panels": 0}
-
-    inner = {float(x) for x in (*coeffs.knots, *geom.rho) if 0.0 < x < end}
+def _batch_integral(geom, coeffs, end, rel_tol, floor, max_panels):
+    """(values, errors, panels) of a batch on one radial panel set over [0, end]."""
+    centres = geom.rho[geom.middle]
+    inner = {float(x) for x in (*coeffs.knots, *centres) if 0.0 < x < end}
     edges = sorted({0.0, end} | inner)
 
     # cap initial panel width by the sharpest packet scale
@@ -312,10 +357,62 @@ def shell_integral(state, coeffs: ShellCoefficients, plan: QuadraturePlan,
         refined.extend(a + i * step for i in range(pieces))
     refined.append(end)
 
-    value, err, panels = _adaptive(
-        lambda a, b: _panel_value(geom, a, b, coeffs, n),
-        refined, rel_tol, scale, plan.max_panels)
-    return value, {"abs_error": err, "panels": panels}
+    return _adaptive(lambda a, b: _panel_value(geom, a, b, coeffs, geom.n),
+                     refined, rel_tol, floor, max_panels)
+
+
+def shell_integrals(states, coeffs: ShellCoefficients, plan: QuadraturePlan,
+                    r_max: float | None = None, scales=None,
+                    rel_tol: float | None = None):
+    """Integrate the shell integrand of each of a batch of states.
+
+    states share their packet count and dimension.  Each state's integral
+    runs over r in [0, r_max] or its own envelope, whichever is shorter,
+    and is refined until it meets its own target
+    rel_tol * max(|value|, scale).  States whose truncation radii agree
+    within a factor _SHARE_RATIO share one radial panel set, starting from
+    the weight knots and the packet centres of their state at the median
+    time.  Returns (values, info), one value per state, where info carries
+    the error estimates and the panel count.  Raises ToleranceNotMetError
+    when the panel budget of one panel set runs out.
+    """
+    count = len(states)
+    if states[0].n > 3:
+        raise InvalidParameterError("shell quadrature supports n <= 3")
+    rel_tol = plan.rel_tol if rel_tol is None else rel_tol
+    values, errors, panels = np.zeros(count), np.zeros(count), 0
+    geom = _StateGeometry(states)
+    if geom.m and geom.peak_max.any():
+        reach = geom.support_radii(plan.tau_space)
+        if r_max is not None:
+            reach = np.minimum(reach, r_max)
+        floor = None if scales is None else np.asarray(scales, dtype=float)
+        for rows in _share_groups(reach):
+            end = float(reach[rows].max())
+            if end <= 0.0:
+                continue
+            part = _StateGeometry([states[i] for i in rows])
+            values[rows], errors[rows], used = _batch_integral(
+                part, coeffs, end, rel_tol,
+                None if floor is None else floor[rows], plan.max_panels)
+            panels += used
+    return values, {"abs_error": errors, "panels": panels}
+
+
+def shell_integral(state, coeffs: ShellCoefficients, plan: QuadraturePlan,
+                   r_max: float | None = None, scale: float | None = None,
+                   rel_tol: float | None = None):
+    """Integrate the shell integrand over r in [0, r_max] (or the envelope).
+
+    The one-state case of shell_integrals.  Returns (value, info) where
+    info carries the error estimate and panel count.  Raises
+    ToleranceNotMetError when the panel budget runs out.
+    """
+    values, info = shell_integrals([state], coeffs, plan, r_max=r_max,
+                                   scales=None if scale is None else [scale],
+                                   rel_tol=rel_tol)
+    return float(values[0]), {"abs_error": float(info["abs_error"][0]),
+                              "panels": info["panels"]}
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +442,10 @@ _GK21 = _gauss_kronrod_21()
 
 
 def _kronrod_panel(fn, a, b):
-    """(K21 value, |K21 - G10|) of fn on [a, b], fn called once per node."""
+    """(K21 value, |K21 - G10|) of fn on [a, b], fn called once on all nodes."""
     nodes, wk, wg = _GK21
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = np.array([fn(mid + half * x) for x in nodes], dtype=float)
+    vals = np.asarray(fn(mid + half * nodes), dtype=float)
     kronrod = half * math.fsum(wk * vals)
     gauss = half * math.fsum(wg * vals[:10])
     return kronrod, abs(kronrod - gauss)
@@ -359,34 +456,45 @@ def adaptive_time_integral(fn, a: float, b: float, rel_tol: float,
                            max_panels: int = QuadraturePlan.max_panels):
     """(int_a^b fn(t) dt, error estimate) by Gauss-Kronrod panels.
 
-    The absolute target is rel_tol * max(|total|, |scale|): the scale
-    floor keeps near-cancelling integrals from demanding impossible
-    relative accuracy.
+    fn is vectorised: it maps an array of times to the array of values at
+    those times, and is called once per panel with its 21 nodes.  The
+    absolute target is rel_tol * max(|total|, |scale|): the scale floor
+    keeps near-cancelling integrals from demanding impossible relative
+    accuracy.
     """
     edges = np.linspace(a, b, panels + 1).tolist()
     value, err, _ = _adaptive(lambda lo, hi: _kronrod_panel(fn, lo, hi),
                               edges, rel_tol, scale, max_panels)
-    return value, err
+    return float(value[0]), float(err[0])
+
+
+def _on_compact_line(fn):
+    """The integrand g(s) = fn(s/(1 - s^2)) (1 + s^2)/(1 - s^2)^2 of the
+    whole-line substitution, vectorised like fn.
+
+    A node may round to exactly +-1; the continuous extension vanishes
+    there for every integrable fn, so g is 0 at such nodes element by
+    element and fn sees only the others.
+    """
+
+    def g(s):
+        om = (1.0 - s) * (1.0 + s)
+        inside = om > 0.0
+        si, omi = s[inside], om[inside]
+        out = np.zeros_like(s)
+        out[inside] = fn(si / omi) * ((1.0 + si * si) / omi**2)
+        return out
+
+    return g
 
 
 def real_line_time_integral(fn, rel_tol: float, scale: float,
                             max_panels: int = QuadraturePlan.max_panels):
     """int_{-inf}^{inf} fn(t) dt via t = s/(1 - s^2), s in (-1, 1).
 
-    The substitution maps polynomial dispersive decay to a bounded smooth
-    integrand; Gauss-Kronrod nodes are interior so the endpoints are
-    never evaluated.
+    fn is vectorised as for adaptive_time_integral.  The substitution maps
+    polynomial dispersive decay to a bounded smooth integrand;
+    Gauss-Kronrod nodes are interior so the endpoints are never evaluated.
     """
-
-    def g(s):
-        om = (1.0 - s) * (1.0 + s)
-        if om <= 0.0:
-            # a node may round to exactly +-1; the continuous extension
-            # vanishes there for every integrable fn
-            return 0.0
-        t = s / om
-        jac = (1.0 + s * s) / om**2
-        return fn(t) * jac
-
-    return adaptive_time_integral(g, -1.0, 1.0, rel_tol, scale, panels=4,
-                                  max_panels=max_panels)
+    return adaptive_time_integral(_on_compact_line(fn), -1.0, 1.0, rel_tol,
+                                  scale, panels=4, max_panels=max_panels)

@@ -121,6 +121,29 @@ def test_finite_window_identity_single_point():
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
+# psi = r^2/2 has psi'' = 1, psi'/r = 1 and Lap^2 psi = 0, so the Morawetz
+# integrand is |grad u|^2, whose integral is conserved; slope_inf only sets
+# the magnitude floor here
+QUADRATIC = RadialWeight(
+    d0=lambda r: r**2 / 2, d1=lambda r: np.asarray(r, dtype=float),
+    d2=lambda r: np.ones_like(r), d3=lambda r: np.zeros_like(r),
+    d4=lambda r: np.zeros_like(r), slope_inf=1.0, label="quadratic",
+)
+
+
+@pytest.mark.parametrize("n,T", [(1, 1.0), (2, 0.5), (3, 0.25)])
+def test_quadratic_weight_lhs_closed_form(n, T):
+    # int_{-T}^{T} ||grad u||^2 dt = 2T |A|^2 (pi/2a)^{n/2} (a n + 4 pi^2 |v|^2)
+    # for one packet, wherever it sits and however fast it moves
+    A, a = 0.9 + 0.2j, 1.1
+    c = np.array([0.3, -0.2, 0.1])[:n]
+    v = np.array([0.2, 0.15, -0.1])[:n]
+    f = packet_sum([packet(A, a, c, v)])
+    exact = 2.0 * T * abs(A) ** 2 * (np.pi / (2.0 * a)) ** (n / 2) * (
+        a * n + 4.0 * np.pi**2 * float(v @ v))
+    assert morawetz_lhs(f, QUADRATIC, T) == pytest.approx(exact, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # whole-line identity: radial + tangential - bilaplacian/4 = 2 pi psi'(inf) |f|^2
 # ---------------------------------------------------------------------------

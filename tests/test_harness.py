@@ -247,6 +247,19 @@ def test_short_limit_schedule_rejected(workdir, capsys):
         "[quick-identity]", "schedule_count", "at least 3")
 
 
+def test_overlong_schedule_rejected(workdir, capsys):
+    # a million-point schedule would load and then run for days; the load
+    # alone is checked first, so a parser without the cap fails here quickly
+    text = QUICK_IDENTITY.replace(
+        "schedule_count = 1", "schedule_count = 1000000\nschedule_factor = 1.000001")
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_config(workdir, text))
+    assert (exc.value.section, exc.value.key) == ("quick-identity", "schedule_count")
+    assert "at most 64" in str(exc.value)
+    run_expecting_config_error(workdir, capsys, text, "[quick-identity]",
+                               "schedule_count", "at most 64")
+
+
 def test_duplicate_output_rejected(workdir, capsys):
     twin = QUICK_IDENTITY.replace("[quick-identity]", "[twin-identity]")
     run_expecting_config_error(

@@ -11,9 +11,14 @@ from smoothing_lab.errors import (InvalidParameterError,
 from smoothing_lab.model import QuadraturePlan, WavePacket, l2_norm_sq, packet_sum
 from smoothing_lab.propagator import (evolve_analytic, fourier_state,
                                      state_from_datum)
-from smoothing_lab.quadrature import (_GK21, ShellCoefficients, _bucket_band,
-                                      _sphere_rule, adaptive_time_integral,
-                                      real_line_time_integral, shell_integral)
+from smoothing_lab import quadrature
+from smoothing_lab.quadrature import (_GK21, ShellCoefficients, _adaptive,
+                                      _bucket_band, _on_compact_line,
+                                      _share_groups, _shell_values,
+                                      _sphere_rule, _StateGeometry,
+                                      adaptive_time_integral,
+                                      real_line_time_integral, shell_integral,
+                                      shell_integrals)
 
 PLAN = QuadraturePlan()
 EPS = np.finfo(float).eps
@@ -157,6 +162,96 @@ def test_needs_gradient_flag():
 
 
 # ---------------------------------------------------------------------------
+# batches of states on one radial panel set
+# ---------------------------------------------------------------------------
+
+ALL_TERMS = ShellCoefficients(
+    w_rr=lambda r: 1.0 / (1.0 + r * r), w_tau=lambda r: r / (1.0 + r),
+    w_mass=lambda r: np.exp(-r), w_flux=np.cos)
+
+
+def moving_pair(n):
+    return packet_sum([
+        WavePacket(1.0 - 0.3j, 0.9, 0.4 * np.ones(n), 0.2 * np.ones(n)),
+        WavePacket(0.5j, 1.3, -0.3 * np.ones(n), -0.25 * np.ones(n))])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("blocked", [False, True])
+def test_batched_kernel_rows_match_single_states(n, blocked, monkeypatch):
+    states = [evolve_analytic(moving_pair(n), t) for t in (-0.4, 0.0, 0.3, 1.1)]
+    geom = _StateGeometry(states)
+    r = np.linspace(0.05, 3.0, 16)
+    omega, wts = _sphere_rule(n, _bucket_band(geom.bandwidth(r)))
+    if blocked:  # blocks of 3 states: one boundary inside the batch
+        monkeypatch.setattr(quadrature, "_KERNEL_BLOCK",
+                            3 * r.size * len(wts) * geom.m)
+    batch = _shell_values(geom, r, omega, wts, ALL_TERMS)
+    assert batch.shape == (len(states), r.size)
+    for row, state in zip(batch, states):
+        single = _shell_values(_StateGeometry([state]), r, omega, wts, ALL_TERMS)[0]
+        scale = np.abs(single).max()
+        assert scale > 0.0
+        np.testing.assert_allclose(row, single, rtol=1e-14, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_batched_integral_matches_single_state_calls(n):
+    # two of the three states share a panel set, in an order the grouping
+    # has to sort; each value meets its own floor and agrees with its
+    # one-state integral within the two targets
+    coeffs = ShellCoefficients(w_mass=lambda r: np.exp(-r))
+    states = [evolve_analytic(moving_pair(n), t) for t in (0.9, 0.1, -0.1)]
+    reach = _StateGeometry(states).support_radii(PLAN.tau_space)
+    assert sorted(map(len, _share_groups(reach))) == [1, 2]
+    scales = [1.0, 1e-3, 1e-6]
+    values, info = shell_integrals(states, coeffs, PLAN, scales=scales, rel_tol=1e-9)
+    for state, value, error, scale in zip(states, values, info["abs_error"], scales):
+        target = 1e-9 * max(abs(value), scale)
+        assert error <= target
+        single, _ = shell_integral(state, coeffs, PLAN, scale=scale, rel_tol=1e-9)
+        assert abs(value - single) <= 2.0 * target
+
+
+def test_vector_refinement_meets_every_component_target():
+    # a smooth and an oscillatory component on one panel set: refinement
+    # goes on until the harder one meets its own target too
+    x5, w5 = np.polynomial.legendre.leggauss(5)
+    x10, w10 = np.polynomial.legendre.leggauss(10)
+    fns = (np.exp, lambda x: np.cos(40.0 * x))
+
+    def panel(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        coarse = np.array([half * w5 @ f(mid + half * x5) for f in fns])
+        fine = np.array([half * w10 @ f(mid + half * x10) for f in fns])
+        return fine, np.abs(fine - coarse)
+
+    floors = np.array([1.0, 1e-3])
+    values, errors, _ = _adaptive(panel, [0.0, 1.0], 1e-10, floors, 4000)
+    assert np.all(errors <= 1e-10 * np.maximum(np.abs(values), floors))
+    for value, error, exact in zip(values, errors, (np.e - 1.0, np.sin(40.0) / 40.0)):
+        assert_bounded(value, error, exact)
+
+
+def test_compact_line_wrapper_zeroes_rounded_endpoints():
+    seen = []
+
+    def fn(t):
+        seen.append(t.copy())
+        return 1.0 / (1.0 + t * t)
+
+    s = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    out = _on_compact_line(fn)(s)
+    assert out[0] == 0.0 and out[-1] == 0.0
+    inner = s[1:-1]
+    t = inner / (1.0 - inner**2)
+    jac = (1.0 + inner**2) / (1.0 - inner**2) ** 2
+    np.testing.assert_array_equal(out[1:-1], jac / (1.0 + t * t))
+    assert len(seen) == 1 and np.all(np.isfinite(seen[0]))
+    np.testing.assert_array_equal(seen[0], t)
+
+
+# ---------------------------------------------------------------------------
 # time integration
 # ---------------------------------------------------------------------------
 
@@ -252,7 +347,7 @@ def test_half_derivative_error_bar_bounds_closed_form(a):
 
 @pytest.mark.parametrize("rel_tol", [1e-4, 1e-8])
 @pytest.mark.parametrize("fn,a,b,exact", [
-    (lambda t: math.exp(-t * t), -6.0, 6.0, math.sqrt(math.pi) * math.erf(6.0)),
+    (lambda t: np.exp(-t * t), -6.0, 6.0, math.sqrt(math.pi) * math.erf(6.0)),
     (lambda t: 1.0 / (1.0 + 25.0 * t * t), -1.0, 1.0, 0.4 * math.atan(5.0)),
 ])
 def test_time_error_bar_bounds_closed_form(rel_tol, fn, a, b, exact):
