@@ -15,13 +15,18 @@ truncation radii agree within _SHARE_RATIO share one radial panel set,
 each coefficient function is evaluated once per radius of that set, and
 every state is one component of the result with its own error target.
 
-The angular factor of one packet pair at radius r is exp(z.w) with
-z = r (conj(G_i) + G_j), G_i = 2 alpha_i c_i + 2 pi i v_i.  Its angular
-modes decay like Bessel coefficients once the order exceeds |z|, so the
-trapezoid (n=2) or product Gauss-Legendre x trapezoid (n=3) rule sizes
-itself from the largest active pair bandwidth of the batch; as t grows,
-2 alpha c collapses onto -2 pi i v and same-momentum pairs become
-angularly cheap.
+On the shell of radius r a packet is
+b_i = B_i exp(-alpha_i (r^2 + |c_i|^2)) exp(r w.G_i) with
+G_i = 2 alpha_i c_i + 2 pi i v_i, so each term of the integrand is a
+Hermitian sum over packet pairs of exp(z.w), z = r (conj(G_i) + G_j),
+times a polynomial of degree at most two in w.  In n = 2 and 3 their
+angular integrals have closed forms in zeta = z.z (Funk-Hecke; Watson
+section 11.41; DLMF 10.25 and 16.2): 2 pi I_0(sqrt(zeta)) and
+4 pi sinh(sqrt(zeta))/sqrt(zeta) and their derivatives in zeta.  The
+kernel's cost per radius therefore follows the number of packet pairs,
+whatever the angular band |z|.  n = 1 sums its two directions {+1, -1}.
+The product rules of _sphere_rule, sized from |z| by _bucket_band, are
+the reference the tests hold the closed forms against.
 
 One refinement loop serves both layers: it works on vector panels and
 splits the panel with the largest relative error estimate until every
@@ -40,22 +45,27 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import i0e, i1e, ive, roots_legendre
 
 from .errors import InvalidParameterError, ToleranceNotMetError
 from .model import QuadraturePlan
 
 _SAFETY_LOG = 16.0  # extra e-foldings kept beyond the tail-mass radius
 _ANGULAR_PAD = 18.0
-_PRUNE = 1e-26  # pair envelope products below this never steer bandwidth
-# complex elements (states x radii x angles x packets) of one kernel block:
-# the kernel walks a batch of states in blocks of this size, which bounds
-# its working set when the n = 3 angular rule is large
+# complex elements (states x radii x angles x packets, or states x radii x
+# packet pairs) of one kernel block: the kernels walk a batch of states in
+# blocks of this size, which bounds their working set
 _KERNEL_BLOCK = 2**15
+# the angular moments come from the 0F1 series below this |z.z|, where the
+# closed forms cancel; 12 terms reach 1e-16 there
+_SERIES_BELOW = 4.0
+_SERIES_TERMS = 12
+# |sqrt(z.z)| past which scipy's complex Bessel functions return NaN
+_BESSEL_RANGE = 1e9
 # states share one radial panel set when their truncation radii agree
 # within this factor; a wider batch would put every state on the union of
 # the panels its narrowest and its widest member need
@@ -94,7 +104,9 @@ def _gl(m: int):
 def _sphere_rule(n: int, band: int):
     """Angular nodes and weights integrating modes up to `band` exactly.
 
-    n=1: the two-point set {+1, -1} with unit weights (counting measure).
+    n=1: the two-point set {+1, -1} with unit weights (counting measure),
+         which is S^0 itself: the n = 1 kernel sums over it.
+    n=2, 3 are the reference rules of the exact angular moments:
     n=2: band+1 equispaced angles (trapezoid is exact through mode band).
     n=3: Gauss-Legendre in cos(theta) x trapezoid in phi, exact for
          spherical harmonics through degree band.
@@ -144,11 +156,10 @@ def _bucket_band(band: float) -> int:
 # ---------------------------------------------------------------------------
 
 class _StateGeometry:
-    """Envelope and bandwidth data of a batch of T states with m packets each.
+    """Envelope and packet-pair data of a batch of T states with m packets each.
 
     The packet parameters are stacked into arrays of shape (T, m, ...), one
-    row per state.  The support radius is per state; the angular band is
-    the maximum over the batch.
+    row per state.  The support radius is per state.
     """
 
     def __init__(self, states):
@@ -163,26 +174,35 @@ class _StateGeometry:
         self.peak = np.abs(self.B)
         # angular growth vector per packet
         self.G = 2.0 * self.alpha[..., None] * self.c + 2j * np.pi * self.v
-        pair = np.conj(self.G)[:, :, None, :] + self.G[:, None, :, :]
-        self.Z = np.sqrt((np.abs(pair) ** 2).sum(axis=-1))  # (T, m, m)
         self.peak_max = (self.peak**2).max(axis=1, initial=0.0)  # (T,)
         # the state at the median time places the packet-centre knots
         times = [s.t for s in states]
         self.middle = int(np.argsort(times, kind="stable")[len(states) // 2])
 
-    def envelope(self, r):
-        """Per-packet radial envelope bound |B_i| e^{-A_i (r - rho_i)^2}."""
-        d = r - self.rho[..., None]  # (T, m, Q)
-        return self.peak[..., None] * np.exp(-self.A[..., None] * d * d)
+    @cached_property
+    def pairs(self):
+        """Per state and packet pair i <= j, the (T, P) factors of the pair sum.
 
-    def bandwidth(self, r) -> float:
-        """Largest |z| = r |conj(G_i)+G_j| over envelope-active pairs."""
-        env = self.envelope(r)
-        prod = env[:, :, None, :] * env[:, None, :, :]  # (T, m, m, Q)
-        active = prod > _PRUNE * self.peak_max[:, None, None, None]
-        if not np.any(active):
-            return 0.0
-        return float(np.where(active, self.Z[..., None] * r, 0.0).max())
+        On the shell of radius r, conj(b_i) b_j is
+        conj(B_i) B_j exp(log0 - a r^2) exp(z.w) with z = r S and
+        S = conj(G_i) + G_j.  weight is conj(B_i) B_j, doubled off the
+        diagonal to count the pair (j, i) too.  The bilinear products
+        ss = S.S, si = S.conj(G_i), sj = S.G_j and gg = conj(G_i).G_j give
+        z.z, z.conj(G_i) and z.G_j by powers of r; ai and aj are
+        conj(alpha_i) and alpha_j.
+        """
+        i, j = np.triu_indices(self.m)
+        ai, aj = np.conj(self.alpha[:, i]), self.alpha[:, j]
+        gi, gj = np.conj(self.G[:, i]), self.G[:, j]
+        S = gi + gj
+        csq = (self.c**2).sum(axis=-1)
+        return {
+            "weight": np.where(i == j, 1.0, 2.0) * np.conj(self.B[:, i]) * self.B[:, j],
+            "log0": -ai * csq[:, i] - aj * csq[:, j],
+            "a": ai + aj, "ai": ai, "aj": aj,
+            "ss": (S * S).sum(axis=-1), "si": (S * gi).sum(axis=-1),
+            "sj": (S * gj).sum(axis=-1), "gg": (gi * gj).sum(axis=-1),
+        }
 
     def support_radii(self, tau: float) -> np.ndarray:
         """Per state, the radius past which the relative tail of every term
@@ -200,7 +220,8 @@ def _shell_values(geom: _StateGeometry, r: np.ndarray, omega: np.ndarray,
                   wts: np.ndarray, coeffs: ShellCoefficients) -> np.ndarray:
     """Angularly reduced integrand at radii r, one row per state: (T, Q).
 
-    Each coefficient function is evaluated once on r and shared by every
+    Sums the integrand over the directions omega with weights wts: S^0 in
+    n = 1, a reference rule in n = 2, 3.  Each coefficient function is evaluated once on r and shared by every
     state; the states are walked in blocks of at most _KERNEL_BLOCK complex
     elements.  No r^{n-1} factor yet.
     """
@@ -254,18 +275,138 @@ def _shell_values(geom: _StateGeometry, r: np.ndarray, omega: np.ndarray,
     return out
 
 
+def _angular_moments(n, zeta):
+    """(Re s, moments) at zeta = z.z for n = 2, 3, where s = sqrt(zeta)
+    with Re s >= 0 and moments stacks F, F', F'' scaled by exp(-Re s).
+
+    F(zeta) = |S^{n-1}| 0F1(; n/2; zeta/4) is the integral of exp(z.w)
+    over the unit sphere, and F', F'' are its derivatives in zeta: F is
+    2 pi I_0(s) in n = 2 and 4 pi sinh(s)/s in n = 3.  Below |zeta| =
+    _SERIES_BELOW the three come from one Horner pass of the series.
+    Raises InvalidParameterError past the range of the complex Bessel
+    functions, where they would return NaN.
+    """
+    root = np.sqrt(zeta)
+    grow = root.real
+    moments = np.empty((3,) + zeta.shape, dtype=complex)
+    small = np.abs(zeta) < _SERIES_BELOW
+    if small.any():
+        x, b = 0.25 * zeta[small], 0.5 * n
+        h0 = h1 = h2 = 1.0
+        for k in range(_SERIES_TERMS - 1, 0, -1):
+            h0 = 1.0 + h0 * x / (k * (b + k - 1))
+            h1 = 1.0 + h1 * x / (k * (b + k))
+            h2 = 1.0 + h2 * x / (k * (b + k + 1))
+        area = (2.0 * np.pi if n == 2 else 4.0 * np.pi) * np.exp(-grow[small])
+        moments[:, small] = (area * h0, area * h1 / (4.0 * b),
+                             area * h2 / (16.0 * b * (b + 1.0)))
+    big = ~small
+    if big.any():
+        z2, s = zeta[big], root[big]
+        if n == 2:
+            # i0e/i1e where zeta > 0, which every diagonal pair has
+            real = (z2.imag == 0.0) & (z2.real > 0.0)
+            e0, e1 = np.empty_like(s), np.empty_like(s)
+            e0[real], e1[real] = i0e(s[real].real), i1e(s[real].real)
+            sc = s[~real]
+            if sc.size and np.abs(sc).max() > _BESSEL_RANGE:
+                raise InvalidParameterError(
+                    f"angular frequency {np.abs(sc).max():.3g} is past the "
+                    f"range {_BESSEL_RANGE:.0e} of the complex Bessel functions")
+            e0[~real], e1[~real] = ive(0, sc), ive(1, sc)
+            # F' = pi I_1(s)/s, F'' = (pi/2) I_2(s)/s^2 = (pi/2)(I_0(s) - 2 I_1(s)/s)/s^2
+            ratio = e1 / s
+            moments[:, big] = (2.0 * np.pi * e0, np.pi * ratio,
+                               0.5 * np.pi * (e0 - 2.0 * ratio) / z2)
+        else:
+            # sinh(s) and cosh(s) times exp(-Re s)
+            p = np.exp(1j * s.imag)
+            q = np.exp(-2.0 * s.real - 1j * s.imag)
+            sh, ch = 0.5 * (p - q), 0.5 * (p + q)
+            moments[:, big] = (4.0 * np.pi * sh / s,
+                               2.0 * np.pi * (s * ch - sh) / (s * z2),
+                               np.pi * ((z2 + 3.0) * sh - 3.0 * s * ch) / (s * z2 * z2))
+    return grow, moments
+
+
+def _pair_sum(*terms):
+    """Sum over (coef, moment) terms of sum_p coef[t, p] moment[t, p, q]."""
+    return sum((coef[:, None, :] @ moment)[:, 0] for coef, moment in terms)
+
+
+def _moment_values(geom: _StateGeometry, r: np.ndarray,
+                   coeffs: ShellCoefficients) -> np.ndarray:
+    """Angularly integrated integrand at radii r in n = 2, 3: (T, Q).
+
+    The exact angular integral of what _shell_values sums on a rule.  With
+    z = r (conj(G_i) + G_j), every term is a Hermitian sum over packet
+    pairs i <= j of the moments of exp(z.w):
+    oint exp(z.w) = F, oint w exp(z.w) = 2 z F' and
+    oint w w^T exp(z.w) = 2 F' I + 4 z z^T F''.  Per pair:
+
+        |u|^2           F
+        |du/dr|^2       4 conj(alpha_i) alpha_j r^2 F + 2 (conj(G_i).G_j) F'
+                        - 4 F' (conj(alpha_i) z.G_j + alpha_j z.conj(G_i))
+                        + 4 F'' (z.conj(G_i)) (z.G_j)
+        |grad_tau u|^2  (conj(G_i).G_j) (F - 2 F') - 4 F'' (z.conj(G_i)) (z.G_j)
+        Im(conj(u) du/dr), the pairs (i, j) and (j, i) together:
+                        Im(r (conj(alpha_i) - alpha_j) F + F' z.(G_j - conj(G_i)))
+
+    each times conj(b_i) b_j without its angular factor exp(z.w).  The
+    growth exp(Re s) of the moments joins the exponent of that envelope,
+    which the Gaussians keep at most 0, so neither overflows alone.  The
+    cost per radius is that of the m(m+1)/2 pairs, whatever the angular
+    band.
+    """
+    w_mass = None if coeffs.w_mass is None else coeffs.w_mass(r)
+    w_rr = None if coeffs.w_rr is None else coeffs.w_rr(r)
+    w_flux = None if coeffs.w_flux is None else coeffs.w_flux(r)
+    w_tau = None if coeffs.w_tau is None else coeffs.w_tau(r)
+    rsq = r * r
+    count, size = geom.pairs["ss"].shape
+    out = np.zeros((count, r.size))
+    step = max(1, _KERNEL_BLOCK // (r.size * size))
+    for lo in range(0, count, step):
+        p = {key: val[lo:lo + step] for key, val in geom.pairs.items()}
+        grow, moments = _angular_moments(geom.n, p["ss"][..., None] * rsq)
+        env = p["weight"][..., None] * np.exp(
+            p["log0"][..., None] - p["a"][..., None] * rsq + grow)
+        f0, f1, f2 = env * moments  # (t, P, Q) each
+        rows = out[lo:lo + step]
+        if w_mass is not None:
+            rows += w_mass * f0.sum(axis=1).real
+        if w_rr is not None:
+            rows += w_rr * (rsq * _pair_sum(
+                (4.0 * p["ai"] * p["aj"], f0),
+                (-4.0 * (p["ai"] * p["sj"] + p["aj"] * p["si"]), f1),
+                (4.0 * p["si"] * p["sj"], f2)).real
+                + 2.0 * _pair_sum((p["gg"], f1)).real)
+        if w_tau is not None:
+            tau = _pair_sum((p["gg"], f0 - 2.0 * f1)).real \
+                - 4.0 * rsq * _pair_sum((p["si"] * p["sj"], f2)).real
+            rows += w_tau * np.maximum(tau, 0.0)
+        if w_flux is not None:
+            rows += w_flux * r * _pair_sum(
+                (p["ai"] - p["aj"], f0), (p["sj"] - p["si"], f1)).imag
+    return out
+
+
 def _panel_value(geom, a, b, coeffs, n):
-    """(value_32, |value_32 - value_16|) per state on the radial panel [a, b]."""
+    """(value_32, |value_32 - value_16|) per state on the radial panel [a, b].
+
+    Both rules' 48 radii go to one kernel call: the two-point rule of S^0
+    in n = 1, the pair sums of exact angular moments in n = 2, 3.
+    """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    results = []
-    for m in (16, 32):
-        x, w = _gl(m)
-        r = mid + half * x
-        band = _bucket_band(geom.bandwidth(r))
-        omega, wts = _sphere_rule(n, band)
-        shell = _shell_values(geom, r, omega, wts, coeffs)
-        results.append(half * (shell * r ** (n - 1) * w).sum(axis=-1))
-    return results[1], np.abs(results[1] - results[0])
+    (x16, w16), (x32, w32) = _gl(16), _gl(32)
+    r = mid + half * np.concatenate([x16, x32])
+    if n == 1:
+        shell = _shell_values(geom, r, *_sphere_rule(1, 0), coeffs)
+    else:
+        shell = _moment_values(geom, r, coeffs)
+    coarse, fine = (half * (shell[:, cut] * r[cut] ** (n - 1) * w).sum(axis=-1)
+                    for cut, w in ((slice(16), w16), (slice(16, None), w32)))
+    return fine, np.abs(fine - coarse)
 
 
 def _column_fsums(rows):

@@ -9,6 +9,8 @@ grid.  The whole-line identity ties the three signed pieces to
 once.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -142,6 +144,18 @@ def test_quadratic_weight_lhs_closed_form(n, T):
     exact = 2.0 * T * abs(A) ** 2 * (np.pi / (2.0 * a)) ** (n / 2) * (
         a * n + 4.0 * np.pi**2 * float(v @ v))
     assert morawetz_lhs(f, QUADRATIC, T) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_zero_amplitude_packet_changes_nothing(n):
+    # its pairs carry zero weight: no log(0), no warning, the same value
+    live = packet(0.8 - 0.3j, 1.1, np.full(n, 0.3), np.full(n, 0.2))
+    dead = packet(0.0, 0.9, np.full(n, -0.4), np.full(n, -0.1))
+    w = make_psi_eps(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        both = morawetz_lhs(packet_sum([dead, live]), w, 0.5)
+    assert both == pytest.approx(morawetz_lhs(packet_sum([live]), w, 0.5), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,17 @@ from scipy.special import erf, ive
 
 from smoothing_lab.errors import (InvalidParameterError,
                                   ToleranceNotMetError)
-from smoothing_lab.model import QuadraturePlan, WavePacket, l2_norm_sq, packet_sum
+from smoothing_lab.model import (QuadraturePlan, WavePacket, l2_norm_sq,
+                                 packet_sum, random_packet_suite)
 from smoothing_lab.propagator import (evolve_analytic, fourier_state,
                                      state_from_datum)
 from smoothing_lab import quadrature
-from smoothing_lab.quadrature import (_GK21, ShellCoefficients, _adaptive,
-                                      _bucket_band, _on_compact_line,
-                                      _share_groups, _shell_values,
-                                      _sphere_rule, _StateGeometry,
-                                      adaptive_time_integral,
+from smoothing_lab.quadrature import (_GK21, _SERIES_BELOW, ShellCoefficients,
+                                      _adaptive, _angular_moments,
+                                      _bucket_band, _moment_values,
+                                      _on_compact_line, _share_groups,
+                                      _shell_values, _sphere_rule,
+                                      _StateGeometry, adaptive_time_integral,
                                       real_line_time_integral, shell_integral,
                                       shell_integrals)
 
@@ -162,13 +164,132 @@ def test_needs_gradient_flag():
 
 
 # ---------------------------------------------------------------------------
-# batches of states on one radial panel set
+# exact angular moments against the reference rule
 # ---------------------------------------------------------------------------
 
+TERMS = {name: ShellCoefficients(**{name: np.ones_like})
+         for name in ("w_mass", "w_rr", "w_tau", "w_flux")}
 ALL_TERMS = ShellCoefficients(
     w_rr=lambda r: 1.0 / (1.0 + r * r), w_tau=lambda r: r / (1.0 + r),
     w_mass=lambda r: np.exp(-r), w_flux=np.cos)
 
+
+def reference_band(geom, r):
+    """r max |conj(G_i) + G_j| over every packet pair of every state."""
+    S = np.conj(geom.G)[:, :, None] + geom.G[:, None, :]
+    return float(r.max() * np.sqrt((np.abs(S) ** 2).sum(axis=-1)).max())
+
+
+def reference_values(geom, r, coeffs, chunk=2**14):
+    """_shell_values on the angular rule that resolves that band, summed a
+    chunk of nodes at a time so that large rules stay small in memory."""
+    omega, wts = _sphere_rule.__wrapped__(geom.n, _bucket_band(reference_band(geom, r)))
+    return sum(_shell_values(geom, r, omega[k:k + chunk], wts[k:k + chunk], coeffs)
+               for k in range(0, len(wts), chunk))
+
+
+def odd_pair(n):
+    # packets at +-c of one width: conj(G_1) + G_2 is purely imaginary at
+    # t = 0, so that pair's z.z is negative real
+    c = 0.5 * np.ones(n)
+    return packet_sum([WavePacket(1.0, 1.2, c, 0.3 * np.ones(n)),
+                       WavePacket(0.7j, 1.2, -c, -0.4 * np.ones(n))])
+
+
+MOMENT_CASES = {
+    "centred": lambda n: single(n),  # z.z = 0 exactly at every t
+    "odd pair": odd_pair,
+    "1 packet": lambda n: random_packet_suite(n, 1, 1, seed=21)[0],
+    "2 packets": lambda n: random_packet_suite(n, 1, 2, seed=22)[0],
+    "3 packets": lambda n: random_packet_suite(n, 1, 3, seed=23)[0],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_angular_moments_match_hypergeometric_series(n):
+    # F^(k)(zeta) = |S^{n-1}| 0F1(; n/2 + k; zeta/4) / (4^k (n/2)_k) at 30
+    # digits, on rings of |zeta| either side of the series switch and far
+    # out, at angles that include the positive and the negative real axis
+    mp = pytest.importorskip("mpmath").mp
+    moduli = [1e-8, 0.5, 0.99 * _SERIES_BELOW, 1.01 * _SERIES_BELOW, 30.0, 900.0]
+    units = np.array([1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+    zeta = np.outer(moduli, units / np.abs(units)).ravel()
+    grow, moments = _angular_moments(n, zeta)
+    with mp.workdps(30):
+        area, b = (2 if n == 2 else 4) * mp.pi, mp.mpf(n) / 2
+        for k in range(3):
+            norm = area / (4**k * mp.rf(b, k))
+            for z, g, got in zip(zeta, grow, moments[k]):
+                exact = norm * mp.hyp0f1(b + k, mp.mpc(z) / 4) * mp.exp(-g)
+                # |F^(k)(zeta)| <= F^(k)(|zeta|): the series has positive terms
+                bound = norm * mp.hyp0f1(b + k, abs(z) / 4) * mp.exp(-g)
+                assert abs(complex(exact) - got) <= 1e-14 * float(bound), (k, z)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("case", list(MOMENT_CASES))
+def test_moment_kernel_matches_reference_rule(n, case):
+    rng = np.random.default_rng(n)
+    f = MOMENT_CASES[case](n)
+    for t in (-2.0, 0.0, 0.7, 5.0):
+        geom = _StateGeometry([evolve_analytic(f, t)])
+        # random radii and radii on both sides of each pair's series switch
+        size = np.sqrt(np.abs(geom.pairs["ss"][0]))
+        switch = np.sqrt(_SERIES_BELOW) / size[size > 0.0]
+        r = np.sort(np.concatenate([rng.uniform(0.02, 4.0, 12),
+                                    np.outer(switch, [0.9, 1.1]).ravel()]))
+        zeta = geom.pairs["ss"][0][:, None] * r * r
+        if case == "odd pair" and t == 0.0:
+            assert zeta[1].real.max() < 0.0 and np.all(zeta[1].imag == 0.0)
+        if case != "centred":
+            assert np.any(np.abs(zeta) < _SERIES_BELOW)
+            assert np.any(np.abs(zeta) >= _SERIES_BELOW)
+        for name, coeffs in TERMS.items():
+            got = _moment_values(geom, r, coeffs)[0]
+            ref = reference_values(geom, r, coeffs)[0]
+            if case == "centred" and name == "w_tau":
+                # radially symmetric at every t; the rule leaves roundoff
+                assert np.all(got == 0.0)
+                continue
+            # a row that is 0 in exact arithmetic (the flux of a centred
+            # packet at t = 0) must come out exactly 0
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (t, name)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_far_off_centre_packet_stays_finite(n):
+    # 30 widths sigma = 1/sqrt(2a) off centre: at the packet, the moments'
+    # growth exp(Re sqrt(z.z)) overflows on its own and the envelope
+    # underflows on its own
+    a = 1.0
+    sigma = 1.0 / np.sqrt(2.0 * a)
+    rho = 30.0 * sigma
+    c = rho * np.eye(n)[0]
+    f = packet_sum([WavePacket(0.9 - 0.2j, a, c, 0.3 * np.eye(n)[-1])])
+    geom = _StateGeometry([state_from_datum(f)])
+    r = rho + sigma * np.array([-0.7, 0.0, 1.0])
+    grow = np.sqrt(geom.pairs["ss"][0, 0].real) * r
+    assert np.all(grow > np.log(np.finfo(float).max))
+    assert np.all(-2.0 * a * (r * r + rho * rho) < np.log(np.finfo(float).tiny))
+    got = _moment_values(geom, r, ALL_TERMS)[0]
+    assert np.all(np.isfinite(got))
+    ref = reference_values(geom, r, ALL_TERMS)[0]
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_moment_kernel_rejects_frequencies_past_bessel_range():
+    # a pair whose momenta differ by 3e8 has |z| near 2e9 at r = 1; the
+    # complex Bessel functions return NaN there, the kernel must not
+    f = packet_sum([WavePacket(1.0, 1.0, [0.3, 0.0], [0.0, 0.0]),
+                    WavePacket(1.0, 1.0, [0.0, 0.0], [3e8, 0.0])])
+    geom = _StateGeometry([state_from_datum(f)])
+    with pytest.raises(InvalidParameterError, match="Bessel"):
+        _moment_values(geom, np.array([1.0]), ShellCoefficients(w_mass=np.ones_like))
+
+
+# ---------------------------------------------------------------------------
+# batches of states on one radial panel set
+# ---------------------------------------------------------------------------
 
 def moving_pair(n):
     return packet_sum([
@@ -179,20 +300,26 @@ def moving_pair(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("blocked", [False, True])
 def test_batched_kernel_rows_match_single_states(n, blocked, monkeypatch):
+    # the rule kernel in n = 1, 2, 3 and the moment kernel in n = 2, 3
     states = [evolve_analytic(moving_pair(n), t) for t in (-0.4, 0.0, 0.3, 1.1)]
     geom = _StateGeometry(states)
     r = np.linspace(0.05, 3.0, 16)
-    omega, wts = _sphere_rule(n, _bucket_band(geom.bandwidth(r)))
-    if blocked:  # blocks of 3 states: one boundary inside the batch
-        monkeypatch.setattr(quadrature, "_KERNEL_BLOCK",
-                            3 * r.size * len(wts) * geom.m)
-    batch = _shell_values(geom, r, omega, wts, ALL_TERMS)
-    assert batch.shape == (len(states), r.size)
-    for row, state in zip(batch, states):
-        single = _shell_values(_StateGeometry([state]), r, omega, wts, ALL_TERMS)[0]
-        scale = np.abs(single).max()
-        assert scale > 0.0
-        np.testing.assert_allclose(row, single, rtol=1e-14, atol=1e-14 * scale)
+    omega, wts = _sphere_rule(n, _bucket_band(reference_band(geom, r)))
+    pairs = geom.m * (geom.m + 1) // 2
+    kernels = [(lambda g: _shell_values(g, r, omega, wts, ALL_TERMS),
+                r.size * len(wts) * geom.m)]
+    if n > 1:
+        kernels.append((lambda g: _moment_values(g, r, ALL_TERMS), r.size * pairs))
+    for kernel, per_state in kernels:
+        if blocked:  # blocks of 3 states: one boundary inside the batch
+            monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 3 * per_state)
+        batch = kernel(geom)
+        assert batch.shape == (len(states), r.size)
+        for row, state in zip(batch, states):
+            single = kernel(_StateGeometry([state]))[0]
+            scale = np.abs(single).max()
+            assert scale > 0.0
+            np.testing.assert_allclose(row, single, rtol=1e-14, atol=1e-14 * scale)
 
 
 @pytest.mark.parametrize("n", [1, 2])
