@@ -26,8 +26,7 @@ from .model import (GridField, QuadraturePlan, RadialWeight,
                     grid_axis, l2_norm_sq, packet, packet_sum,
                     random_packet_suite, relative_residual, translate)
 from .propagator import (GaussianState, difference_state, dispersive_approx,
-                         evolve_analytic, fourier_state, gradient_split,
-                         state_from_datum)
+                         evolve_analytic, fourier_state, state_from_datum)
 from .quadrature import (ShellCoefficients, adaptive_time_integral,
                          real_line_time_integral, shell_integral)
 from .spectral import (SpectrumField, evolve_spectral, forward_transform,
@@ -50,7 +49,7 @@ __all__ = [
     "derivative_stack_check", "difference_state", "dilate",
     "dispersive_approx", "dispersive_l2_error", "estimate_limit",
     "evolve_analytic", "evolve_spectral", "flux", "forward_transform",
-    "fourier_state", "gaussian_inner", "gradient_split", "grid_axis",
+    "fourier_state", "gaussian_inner", "grid_axis",
     "grid_l2_sq", "hs_norm_sq", "inverse_transform", "l2_norm_sq",
     "make_psi_eps", "make_psi_k", "morawetz_lhs",
     "morawetz_remainder_split", "packet", "packet_sum", "radial_laplacians",

@@ -324,19 +324,28 @@ def boundary_mass_fraction(g: GridField) -> float:
     """Fraction of |samples|^2 within L/2 of the box boundary.
 
     The aliasing sentinel: a large fraction means the field has spread to
-    where the periodic wrap-around is about to matter.
+    where the periodic wrap-around is about to matter.  A grid whose total
+    mass is not finite raises InvalidParameterError.
     """
-    x = np.abs(g.axis()) >= g.L / 2.0
-    mask = np.zeros((g.N,) * g.n, dtype=bool)
+    inside = np.flatnonzero(np.abs(g.axis()) < g.L / 2.0)
+    lo, hi = int(inside[0]), int(inside[-1]) + 1
+    dens = np.abs(g.samples)
+    dens *= dens
+    # the edge region is the two end slabs of the first axis, then those
+    # of the second axis within the first axis's core, and so on
+    edge = 0.0
+    core = dens
     for ax in range(g.n):
-        shape = [1] * g.n
-        shape[ax] = g.N
-        mask |= x.reshape(shape)
-    dens = np.abs(g.samples) ** 2
-    total = dens.sum()
+        head = (slice(None),) * ax
+        edge += core[head + (slice(None, lo),)].sum()
+        edge += core[head + (slice(hi, None),)].sum()
+        core = core[head + (slice(lo, hi),)]
+    total = edge + core.sum()
+    if not np.isfinite(total):
+        raise InvalidParameterError(f"grid mass {total} is not finite")
     if total == 0.0:
         return 0.0
-    return float(dens[mask].sum() / total)
+    return float(edge / total)
 
 
 # ---------------------------------------------------------------------------

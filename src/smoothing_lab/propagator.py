@@ -15,11 +15,12 @@ GaussianState.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, OriginError
+from .errors import InvalidParameterError
 from .model import WavePacketSum, gaussian_inner
 
 _QUARTER_TURN = np.pi / 4.0
@@ -30,7 +31,7 @@ class GaussianState:
     """Superposition sum_i B_i exp(-alpha_i|x-c_i|^2 + 2 pi i v_i.x).
 
     Complex widths alpha with Re alpha > 0; real centers and momenta.
-    Acts as the pointwise evaluator for u(t, .) and grad u(t, .).
+    Acts as the pointwise evaluator for u(t, .).
     """
 
     n: int
@@ -74,21 +75,6 @@ class GaussianState:
         terms = self.B * np.exp(self._exponents(x))
         return terms.sum(axis=-1)
 
-    def values_and_gradient(self, x):
-        """(u, grad u) at points x of shape (..., n)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.n:
-            raise InvalidParameterError(f"points must have trailing dimension {self.n}")
-        if len(self) == 0:
-            z = np.zeros(x.shape[:-1], dtype=complex)
-            return z, np.zeros(x.shape, dtype=complex)
-        terms = self.B * np.exp(self._exponents(x))  # (..., m)
-        diff = x[..., None, :] - self.c  # (..., m, n)
-        # grad of each term: term * (-2 alpha (x - c) + 2 pi i v)
-        per_packet = -2.0 * self.alpha[:, None] * diff + 2j * np.pi * self.v
-        grad = (terms[..., :, None] * per_packet).sum(axis=-2)
-        return terms.sum(axis=-1), grad
-
     def mass(self) -> float:
         """int |u|^2 dx by closed-form overlaps."""
         val = gaussian_inner(self.B, self.alpha, self.c, self.v,
@@ -124,8 +110,10 @@ def state_from_datum(f: WavePacketSum) -> GaussianState:
 
 def evolve_analytic(f: WavePacketSum, t: float) -> GaussianState:
     """Exact solution at time t of i u_t + Lap u = 0 with u(0) = f."""
-    B, a, c, v = f.parameter_arrays()
     t = float(t)
+    if not math.isfinite(t):
+        raise InvalidParameterError(f"evolution time t must be finite, got {t}")
+    B, a, c, v = f.parameter_arrays()
     g = 1.0 + 4j * a * t
     alpha = a / g
     vv = (v * v).sum(axis=-1) if len(f) else np.zeros(0)
@@ -177,19 +165,3 @@ def dispersive_approx(f: WavePacketSum, t: float) -> GaussianState:
         * np.exp(2j * np.pi * cv)
     )
     return GaussianState(f.n, Bt, alpha, mu * v, v - c / mu, t=t)
-
-
-def gradient_split(state: GaussianState, x):
-    """(du/dr, |grad_tau u|^2) at nonzero points x of shape (..., n).
-
-    du/dr = (x/|x|).grad u; the tangential square is the Pythagorean
-    complement |grad u|^2 - |du/dr|^2 (clipped at 0 against roundoff).
-    """
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt((x * x).sum(axis=-1))
-    if np.any(r == 0.0):
-        raise OriginError("radial split undefined at the origin")
-    _, grad = state.values_and_gradient(x)
-    ur = (grad * (x / r[..., None])).sum(axis=-1)
-    tau_sq = (np.abs(grad) ** 2).sum(axis=-1) - np.abs(ur) ** 2
-    return ur, np.maximum(tau_sq, 0.0)

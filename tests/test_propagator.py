@@ -14,12 +14,11 @@ the asserted tolerances (aliasing images sit 60+ units away).
 import numpy as np
 import pytest
 
-from smoothing_lab.errors import InvalidParameterError, OriginError
+from smoothing_lab.errors import InvalidParameterError
 from smoothing_lab.model import WavePacket, l2_norm_sq, packet_sum
 from smoothing_lab.propagator import (GaussianState, difference_state,
                                       dispersive_approx, evolve_analytic,
-                                      fourier_state, gradient_split,
-                                      state_from_datum)
+                                      fourier_state, state_from_datum)
 
 F_1D = packet_sum([WavePacket(1.0, 1.0, [0.2], [0.3]),
                    WavePacket(0.5j, 1.5, [-0.4], [-0.2])])
@@ -101,38 +100,6 @@ def test_time_reversal():
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
-def test_values_and_gradient_consistent():
-    st = evolve_analytic(F_1D, 0.6)
-    x = np.array([[0.5], [-1.2], [2.0]])
-    vals, grad = st.values_and_gradient(x)
-    np.testing.assert_allclose(vals, st.values(x), rtol=1e-14)
-    h = 1e-6
-    fd = (st.values(x + h) - st.values(x - h)) / (2 * h)
-    np.testing.assert_allclose(grad[:, 0], fd, rtol=3e-9, atol=1e-12)
-
-
-def test_gradient_split_reassembles_gradient():
-    f2 = packet_sum([WavePacket(1.0, 1.0, [0.3, -0.2], [0.2, 0.1]),
-                     WavePacket(0.7j, 1.4, [-0.4, 0.1], [-0.1, 0.3])])
-    st = evolve_analytic(f2, 0.5)
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(9, 2))
-    _, grad = st.values_and_gradient(x)
-    ur, tau_sq = gradient_split(st, x)
-    full = np.sum(np.abs(grad) ** 2, axis=-1)
-    np.testing.assert_allclose(np.abs(ur) ** 2 + tau_sq, full, rtol=1e-12)
-    # radial part is the projection of the gradient on x/|x|
-    rhat = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    proj = np.sum(grad * rhat, axis=-1)
-    np.testing.assert_allclose(ur, proj, rtol=1e-12)
-
-
-def test_gradient_split_origin_guard():
-    st = state_from_datum(F_1D)
-    with pytest.raises(OriginError):
-        gradient_split(st, np.zeros((1, 1)))
-
-
 @pytest.mark.parametrize("t", [0.7, 5.0, -3.0])
 def test_dispersive_approx_against_direct_formula(t):
     # stationary-phase form, assembled from the numerically transformed datum
@@ -152,6 +119,12 @@ def test_dispersive_approx_against_direct_formula(t):
 def test_dispersive_approx_rejects_t_zero():
     with pytest.raises(InvalidParameterError):
         dispersive_approx(F_1D, 0.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_evolve_analytic_rejects_non_finite_time(t):
+    with pytest.raises(InvalidParameterError, match="t must be finite"):
+        evolve_analytic(F_1D, t)
 
 
 def test_difference_state_mass_expansion():

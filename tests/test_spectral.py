@@ -17,6 +17,8 @@ from smoothing_lab import (
     InvalidParameterError,
     QuadraturePlan,
     SpectrumField,
+    boundary_mass_fraction,
+    dispersive_approx,
     evolve_analytic,
     evolve_spectral,
     forward_transform,
@@ -165,13 +167,103 @@ def test_spectrum_field_shape_guard():
         SpectrumField(2, 8.0, 64, np.zeros(64, dtype=complex))
 
 
-def test_sample_state_slab_path_matches_direct():
-    f = packet_sum([packet(1.0, 1.0, [0.3, -0.2], [0.25, 0.1])])
-    st = evolve_analytic(f, 0.2)
-    g = sample_state(st, L=10.0, N=64)
+def moving_packets(n, m):
+    """m off-centre moving packets in dimension n (m = 0 is the zero datum)."""
+    rng = np.random.default_rng(10 * n + m)
+    return packet_sum([
+        packet(complex(*rng.uniform(-1.0, 1.0, 2)), rng.uniform(0.6, 1.5),
+               rng.uniform(-1.0, 1.0, n), rng.uniform(-0.4, 0.4, n))
+        for _ in range(m)
+    ], n=n)
+
+
+STATES = {
+    "t0": lambda f: evolve_analytic(f, 0.0),
+    "t0.7": lambda f: evolve_analytic(f, 0.7),
+    "dispersive": lambda f: dispersive_approx(f, 0.7),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STATES))
+@pytest.mark.parametrize("m", [0, 1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sample_state_matches_pointwise_values(n, m, kind):
+    # the axis-by-axis product against the direct sum over packets
+    st = STATES[kind](moving_packets(n, m))
+    g = sample_state(st, L=8.0, N=(256, 64, 24)[n - 1])
     ax = g.axis()
-    pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
-    assert np.max(np.abs(g.samples - st.values(pts))) < 1e-14
+    pts = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1)
+    direct = st.values(pts)
+    assert np.max(np.abs(g.samples - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_operations_leave_inputs_untouched(n):
+    f = packet_sum([packet(1.0, 0.5, [0.2] * n, [0.1] * n),
+                    packet(0.5j, 0.7, [-0.3] * n, [-0.1] * n)])
+    g = sample_datum(f, L=12.0, N=64)
+    sf = forward_transform(sample_datum(f, L=12.0, N=64))
+    cases = [
+        (g.samples, lambda: forward_transform(g).values),
+        (sf.values, lambda: inverse_transform(sf).samples),
+        (g.samples, lambda: evolve_spectral(g, 0.3).samples),
+    ]
+    for source, run in cases:
+        before = source.tobytes()
+        out = run()
+        assert source.tobytes() == before
+        assert not out.flags.writeable
+        assert not np.shares_memory(out, source)
+
+
+def workload_3d_datum():
+    # one packet of the kind the grid benchmark draws in n = 3
+    return packet_sum([packet(0.9 - 0.4j, 0.8, [0.4, -0.3, 0.2], [0.15, -0.1, 0.2])])
+
+
+def test_roundtrip_and_parseval_3d():
+    g = sample_datum(workload_3d_datum(), L=18.0, N=128)
+    sf = forward_transform(g)
+    spec_mass = float((np.abs(sf.values) ** 2).sum() * sf.dxi**3)
+    assert spec_mass == pytest.approx(grid_l2_sq(g), rel=1e-12)
+    assert rel_l2_diff(inverse_transform(sf), g) < 1e-12
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5])
+def test_grid_evolution_cross_checks_analytic_3d(t):
+    f = workload_3d_datum()
+    moved = evolve_spectral(sample_datum(f, L=18.0, N=128), t)
+    exact = sample_datum(f, L=18.0, N=128, t=t)
+    assert rel_l2_diff(moved, exact) <= 1e-8
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_spectral_evolution_rejects_non_finite_time(t):
+    g = sample_datum(F_1D, L=16.0, N=512)
+    with pytest.raises(InvalidParameterError, match="t must be finite"):
+        evolve_spectral(g, t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_grid_fails_closed(bad):
+    samples = np.array(sample_datum(F_1D, L=16.0, N=512).samples)
+    samples[7] = bad
+    g = GridField(1, 16.0, 512, samples)
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        boundary_mass_fraction(g)
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        forward_transform(g)
+
+
+def test_boundary_mass_fraction_counts_every_edge_slab():
+    # unit mass on one point per region: the centre, an edge point of each
+    # axis, and a corner
+    samples = np.zeros((16, 16, 16), dtype=complex)
+    samples[8, 8, 8] = 1.0
+    samples[0, 8, 8] = samples[8, 15, 8] = samples[8, 8, 2] = 1.0
+    samples[1, 14, 3] = 1.0
+    g = GridField(3, 4.0, 16, samples)
+    assert boundary_mass_fraction(g) == pytest.approx(4.0 / 5.0, rel=1e-15)
 
 
 def test_rel_l2_diff_layout_guard():
