@@ -11,53 +11,52 @@ plateau weights in dimensions one to three.
 from .errors import (AliasingError, ConfigError, InvalidParameterError,
                      InvalidWeightError, OriginError, SmoothingLabError,
                      ToleranceNotMetError)
-from .functionals import (boundary_term, check_remainder_hypotheses,
-                          dispersive_l2_error, flux, morawetz_lhs,
-                          morawetz_remainder_split, radial_profile,
-                          remainder_terms, smoothing_profile,
+from .functionals import (boundary_term, dispersive_l2_error, flux,
+                          morawetz_lhs, morawetz_remainder_split,
+                          radial_profile, remainder_terms, smoothing_profile,
                           weighted_radial_energy)
 from .limits import (LimitEstimate, estimate_limit, verify_asymptotics,
                      verify_corollary, verify_flux, verify_identity,
                      verify_remainder_decay, verify_sandwich,
                      verify_smoothing_bound, verify_theorem_main)
 from .model import (GridField, QuadraturePlan, RadialWeight,
-                    VerificationReport, WavePacket, WavePacketSum, boost,
-                    boundary_mass_fraction, dilate, gaussian_inner,
-                    grid_axis, l2_norm_sq, packet, packet_sum,
-                    random_packet_suite, relative_residual, translate)
+                    VerificationReport, WavePacket, WavePacketSum, dilate,
+                    gaussian_inner, l2_norm_sq, packet, packet_sum,
+                    random_packet_suite, translate)
 from .propagator import (GaussianState, difference_state, dispersive_approx,
-                         evolve_analytic, fourier_state, state_from_datum)
+                         evolve_analytic, fourier_state)
 from .quadrature import (ShellCoefficients, adaptive_time_integral,
                          real_line_time_integral, shell_integral)
 from .spectral import (SpectrumField, evolve_spectral, forward_transform,
                        grid_l2_sq, hs_norm_sq, inverse_transform,
                        rel_l2_diff, sample_datum, sample_state)
-from .weights import (constant_weight, derivative_stack_check, make_psi_eps,
-                      make_psi_k, radial_laplacians, rescale)
+from .weights import (constant_weight, make_psi_eps, make_psi_k,
+                      radial_laplacians, rescale)
 
 __version__ = "0.1.0"
 
+# the README's API list, module by module
 __all__ = [
     "AliasingError", "ConfigError", "InvalidParameterError",
     "InvalidWeightError", "OriginError", "SmoothingLabError",
     "ToleranceNotMetError",
-    "GaussianState", "GridField", "LimitEstimate", "QuadraturePlan",
-    "RadialWeight", "ShellCoefficients", "SpectrumField",
-    "VerificationReport", "WavePacket", "WavePacketSum",
-    "adaptive_time_integral", "boost", "boundary_mass_fraction",
-    "boundary_term", "check_remainder_hypotheses", "constant_weight",
-    "derivative_stack_check", "difference_state", "dilate",
-    "dispersive_approx", "dispersive_l2_error", "estimate_limit",
-    "evolve_analytic", "evolve_spectral", "flux", "forward_transform",
-    "fourier_state", "gaussian_inner", "grid_axis",
-    "grid_l2_sq", "hs_norm_sq", "inverse_transform", "l2_norm_sq",
-    "make_psi_eps", "make_psi_k", "morawetz_lhs",
-    "morawetz_remainder_split", "packet", "packet_sum", "radial_laplacians",
-    "radial_profile", "random_packet_suite", "real_line_time_integral",
-    "rel_l2_diff", "relative_residual", "remainder_terms", "rescale",
-    "sample_datum", "sample_state", "shell_integral", "smoothing_profile",
-    "state_from_datum", "translate", "verify_asymptotics",
+    "GridField", "QuadraturePlan", "RadialWeight", "VerificationReport",
+    "WavePacket", "WavePacketSum", "dilate", "gaussian_inner", "l2_norm_sq",
+    "packet", "packet_sum", "random_packet_suite", "translate",
+    "constant_weight", "make_psi_eps", "make_psi_k", "radial_laplacians",
+    "rescale",
+    "ShellCoefficients", "adaptive_time_integral", "real_line_time_integral",
+    "shell_integral",
+    "GaussianState", "difference_state", "dispersive_approx",
+    "evolve_analytic", "fourier_state",
+    "SpectrumField", "evolve_spectral", "forward_transform", "grid_l2_sq",
+    "hs_norm_sq", "inverse_transform", "rel_l2_diff", "sample_datum",
+    "sample_state",
+    "boundary_term", "dispersive_l2_error", "flux", "morawetz_lhs",
+    "morawetz_remainder_split", "radial_profile", "remainder_terms",
+    "smoothing_profile", "weighted_radial_energy",
+    "LimitEstimate", "estimate_limit", "verify_asymptotics",
     "verify_corollary", "verify_flux", "verify_identity",
     "verify_remainder_decay", "verify_sandwich", "verify_smoothing_bound",
-    "verify_theorem_main", "weighted_radial_energy",
+    "verify_theorem_main",
 ]

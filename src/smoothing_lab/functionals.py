@@ -71,10 +71,8 @@ def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients,
         return values
 
     if horizon is None:
-        return real_line_time_integral(fn, plan.rel_tol, scale,
-                                       max_panels=plan.max_panels)[0]
-    return adaptive_time_integral(fn, -horizon, horizon, plan.rel_tol, scale,
-                                  max_panels=plan.max_panels)[0]
+        return real_line_time_integral(fn, plan.rel_tol, scale)[0]
+    return adaptive_time_integral(fn, -horizon, horizon, plan.rel_tol, scale)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +83,6 @@ def _ball_profile(f: WavePacketSum, R: float, plan: QuadraturePlan | None,
                   tangential: bool) -> float:
     plan = plan or QuadraturePlan()
     R = float(R)
-    if len(f) == 0:
-        return 0.0
     one = lambda r: np.ones_like(r)
     coeffs = ShellCoefficients(w_rr=one,
                                w_tau=one if tangential and f.n > 1 else None)
@@ -135,8 +131,6 @@ def morawetz_lhs(f: WavePacketSum, w: RadialWeight, T: float,
     is radial.
     """
     plan = plan or QuadraturePlan()
-    if len(f) == 0:
-        return 0.0
     scale = l2_norm_sq(f) * _weight_scale(w)
     return _time_integrated(f, _morawetz_coeffs(w, f.n), plan, float(T), scale)
 
@@ -145,8 +139,6 @@ def flux(f: WavePacketSum, w: RadialWeight, t: float,
          plan: QuadraturePlan | None = None) -> float:
     """Im int conj(u) psi'(r) du/dr dx at time t."""
     plan = plan or QuadraturePlan()
-    if len(f) == 0:
-        return 0.0
     state = evolve_analytic(f, float(t))
     coeffs = ShellCoefficients(w_flux=w.d1, knots=w.knots)
     scale = l2_norm_sq(f) * _weight_scale(w)
@@ -241,8 +233,6 @@ def remainder_terms(f: WavePacketSum, w_base: RadialWeight, R: float,
     """
     plan = plan or QuadraturePlan()
     check_remainder_hypotheses(w_base, f.n)
-    if len(f) == 0:
-        return 0.0, 0.0
     # rescaling keeps slope_inf, so the magnitude floor is the base weight's
     tangential, bilaplacian = _remainder_pair(
         f, rescale(w_base, float(R)), plan, signed=False)
@@ -263,8 +253,6 @@ def morawetz_remainder_split(f: WavePacketSum, w: RadialWeight,
     not.
     """
     plan = plan or QuadraturePlan()
-    if len(f) == 0:
-        return 0.0, 0.0
     return _remainder_pair(f, w, plan, signed=True)
 
 
@@ -272,8 +260,6 @@ def weighted_radial_energy(f: WavePacketSum, w: RadialWeight,
                            plan: QuadraturePlan | None = None) -> float:
     """Whole-line integral int_t int psi''(r) |du/dr|^2 dx dt."""
     plan = plan or QuadraturePlan()
-    if len(f) == 0:
-        return 0.0
     coeffs = ShellCoefficients(w_rr=w.d2, knots=w.knots)
     scale = l2_norm_sq(f) * _weight_scale(w)
     return _time_integrated(f, coeffs, plan, None, scale)
@@ -292,8 +278,6 @@ def dispersive_l2_error(f: WavePacketSum, t: float,
     square density; the closed-form Gram sum serves as the test oracle.
     """
     plan = plan or QuadraturePlan()
-    if len(f) == 0:
-        return 0.0
     diff = difference_state(evolve_analytic(f, t), dispersive_approx(f, t))
     coeffs = ShellCoefficients(w_mass=lambda r: np.ones_like(r))
     value, _ = shell_integral(diff, coeffs, plan)

@@ -16,9 +16,11 @@ Config format: one INI section per experiment, flat key-value pairs, e.g.
 
 A packet key lists amplitude_re amplitude_im width center(n) momentum(n).
 The optional [lab] section holds the summary path.  Each experiment kind
-is one ExperimentKind record in REGISTRY: its statement, schedule symbol,
-default tolerance, shortest schedule, the parser of its own keys and its
-driver.  A key is known to a section because some parser reads it.
+is one ExperimentKind record in REGISTRY: its statement, default
+tolerance, shortest schedule, the parser of its own keys and its driver.
+A key is known to a section because some parser reads it.
+run_experiment labels each report with the section's datum_id, which
+defaults to the section name.
 
 The whole config is checked when it loads: keys nothing reads, non-finite
 numbers, short or overlong schedules, a file written twice or under a missing
@@ -217,7 +219,6 @@ class ExperimentKind:
     """
 
     statement: str
-    schedule: str  # the schedule parameter's symbol
     tolerance: float  # the default tolerance
     driver: Callable[[ExperimentSpec], VerificationReport]
     min_points: int = 1  # the limit kinds extrapolate from 3 points or more
@@ -228,59 +229,53 @@ REGISTRY = {
     "identity": ExperimentKind(
         "int_{-T}^{T} int [psi''|u_r|^2 + (psi'/r)|grad_tau u|^2"
         " - (1/4)|u|^2 Lap^2 psi] dx dt = (flux(T) - flux(-T)) / 2",
-        "T", 1e-6, parse=_weight_options,
+        1e-6, parse=_weight_options,
         driver=lambda s: verify_identity(
-            s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance,
-            datum_id=s.datum_id)),
+            s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance)),
     "theorem-limit": ExperimentKind(
         "lim_{T->inf} int_{-T}^{T} int [psi''|u_r|^2 + (psi'/r)|grad_tau u|^2"
         " - (1/4)|u|^2 Lap^2 psi] dx dt = 2 pi psi'(inf) ||f||^2_{H^1/2}",
-        "T", 0.02, min_points=3, parse=_weight_options,
+        0.02, min_points=3, parse=_weight_options,
         driver=lambda s: verify_theorem_main(
-            s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance,
-            datum_id=s.datum_id)),
+            s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance)),
     "corollary-limit": ExperimentKind(
         "lim_{R->inf} (1/R) int_t int_{B_R} |u_r|^2 dx dt"
         " = 2 pi ||f||^2_{H^1/2}",
-        "R", 0.02, min_points=3,
+        0.02, min_points=3,
         driver=lambda s: verify_corollary(
-            s.datum, s.schedule, s.plan, s.tolerance, datum_id=s.datum_id)),
+            s.datum, s.schedule, s.plan, s.tolerance)),
     "flux-limit": ExperimentKind(
         "lim_{t->+-inf} Im int conj(u) psi'(r) u_r dx"
         " = +-2 pi psi'(inf) ||f||^2_{H^1/2}",
-        "t", 0.02, min_points=3, parse=_weight_options,
+        0.02, min_points=3, parse=_weight_options,
         driver=lambda s: verify_flux(
-            s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance,
-            datum_id=s.datum_id)),
+            s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance)),
     "sandwich": ExperimentKind(
         "(1/R) int_t int_{B_R} |u_r|^2 <= int_t int psi_{k,R}''|u_r|^2"
         " <= ((k+1)/k) profile((k+1)R/k)",
-        "R", 1e-3, parse=_sandwich_options,
+        1e-3, parse=_sandwich_options,
         driver=lambda s: verify_sandwich(
-            s.datum, s.options["k"], s.schedule, s.plan, s.tolerance,
-            datum_id=s.datum_id)),
+            s.datum, s.options["k"], s.schedule, s.plan, s.tolerance)),
     "remainder-decay": ExperimentKind(
         "lim_{R->inf} int_t int |u|^2 |Lap^2 psi_R| dx dt = 0,"
         " same for int_t int (|grad_tau u|^2/r) |psi_R'|",
-        "R", 0.25, parse=_weight_options,
+        0.25, parse=_weight_options,
         driver=lambda s: verify_remainder_decay(
             s.datum, s.options["weight"], s.schedule, s.plan,
-            decay_ratio=s.tolerance, datum_id=s.datum_id)),
+            decay_ratio=s.tolerance)),
     "asymptotics": ExperimentKind(
         "u(t) = e^{-i sgn(t) n pi/4} e^{i|x|^2/(4t)} (4 pi |t|)^{-n/2}"
         " fhat(x/(4 pi t)) + o_{L2}(1)",
-        "t", 0.1,
+        0.1,
         driver=lambda s: verify_asymptotics(
-            s.datum, s.schedule, s.plan, final_ratio=s.tolerance,
-            datum_id=s.datum_id)),
+            s.datum, s.schedule, s.plan, final_ratio=s.tolerance)),
     "smoothing-bound": ExperimentKind(
         "sup_R (1/R) int_t int_{B_R} |grad u|^2 dx dt"
         " >= 2 pi ||f||^2_{H^1/2}",
-        "R", 0.02, parse=_smoothing_options,
+        0.02, parse=_smoothing_options,
         driver=lambda s: verify_smoothing_bound(
             s.datum, s.schedule, s.plan, s.tolerance,
-            liminf_fraction=s.options["liminf_fraction"],
-            datum_id=s.datum_id)),
+            liminf_fraction=s.options["liminf_fraction"])),
 }
 
 
@@ -298,12 +293,6 @@ def _parse_plan(reader: _SectionReader) -> QuadraturePlan:
 
 def _parse_schedule(reader: _SectionReader, kind: str) -> list:
     record = REGISTRY[kind]
-    declared = reader.raw("schedule_kind")
-    if declared is not None and declared.strip() != record.schedule:
-        raise reader.error(
-            "schedule_kind",
-            f"{kind} experiments schedule {record.schedule!r}, got {declared!r}",
-        )
     start = reader.floatv("schedule_start", required=True)
     count = reader.intv("schedule_count", required=True)
     factor = reader.floatv("schedule_factor", 2.0)
@@ -359,7 +348,9 @@ def parse_experiment(section: str, items: dict) -> ExperimentSpec:
 
 
 def run_experiment(spec: ExperimentSpec) -> VerificationReport:
-    return REGISTRY[spec.kind].driver(spec)
+    report = REGISTRY[spec.kind].driver(spec)
+    report.datum_id = spec.datum_id
+    return report
 
 
 # ---------------------------------------------------------------------------

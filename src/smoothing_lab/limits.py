@@ -116,14 +116,9 @@ def estimate_limit(values) -> LimitEstimate:
 # experiment drivers
 # ---------------------------------------------------------------------------
 
-def _floor(f: WavePacketSum, plan: QuadraturePlan) -> float:
-    return hs_norm_sq(f, 0.5, plan)
-
-
 def verify_identity(f: WavePacketSum, w: RadialWeight, T_schedule,
                     plan: QuadraturePlan | None = None,
-                    tolerance: float = 1e-6,
-                    datum_id: str = "datum") -> VerificationReport:
+                    tolerance: float = 1e-6) -> VerificationReport:
     """Exact finite-horizon check: bulk integral vs endpoint flux difference.
 
     The two sides are computed by unrelated quadratures (space-time vs two
@@ -131,12 +126,12 @@ def verify_identity(f: WavePacketSum, w: RadialWeight, T_schedule,
     """
     plan = plan or QuadraturePlan()
     Ts = [float(T) for T in T_schedule]
-    floor = _floor(f, plan)
+    floor = hs_norm_sq(f, 0.5, plan)
     lhs = np.array([morawetz_lhs(f, w, T, plan) for T in Ts])
     rhs = np.array([boundary_term(f, w, T, plan) for T in Ts])
     rel = relative_residual(lhs, rhs, floor)
     report = VerificationReport(
-        experiment="identity", n=f.n, datum_id=datum_id, weight_id=w.label,
+        experiment="identity", n=f.n, weight_id=w.label,
         params=np.array(Ts), lhs=lhs, rhs=rhs,
         tolerance=tolerance, floor=floor,
         passed=bool(np.all(rel <= tolerance)),
@@ -147,12 +142,11 @@ def verify_identity(f: WavePacketSum, w: RadialWeight, T_schedule,
 
 def verify_theorem_main(f: WavePacketSum, w: RadialWeight, T_schedule,
                         plan: QuadraturePlan | None = None,
-                        tolerance: float = 0.02,
-                        datum_id: str = "datum") -> VerificationReport:
+                        tolerance: float = 0.02) -> VerificationReport:
     """Horizon limit of the weighted identity vs 2 pi psi'(inf) ||f||^2_{H^1/2}."""
     plan = plan or QuadraturePlan()
     Ts = [float(T) for T in T_schedule]
-    floor = _floor(f, plan)
+    floor = hs_norm_sq(f, 0.5, plan)
     target = TWO_PI * w.slope_inf * floor
     lhs = np.array([morawetz_lhs(f, w, T, plan) for T in Ts])
     rhs = np.array([boundary_term(f, w, T, plan) for T in Ts])
@@ -160,7 +154,7 @@ def verify_theorem_main(f: WavePacketSum, w: RadialWeight, T_schedule,
     limit_rel = relative_residual(est.value, target, floor)
     identity_rel = relative_residual(lhs, rhs, floor)
     return VerificationReport(
-        experiment="theorem-limit", n=f.n, datum_id=datum_id, weight_id=w.label,
+        experiment="theorem-limit", n=f.n, weight_id=w.label,
         params=np.array(Ts), lhs=lhs, rhs=np.full(len(Ts), target),
         tolerance=tolerance, floor=floor,
         extrapolated_limit=est.value, limit_error=est.error,
@@ -175,8 +169,7 @@ def verify_theorem_main(f: WavePacketSum, w: RadialWeight, T_schedule,
 
 def verify_corollary(f: WavePacketSum, R_schedule,
                      plan: QuadraturePlan | None = None,
-                     tolerance: float = 0.02,
-                     datum_id: str = "datum") -> VerificationReport:
+                     tolerance: float = 0.02) -> VerificationReport:
     """Radius limit of the ball profile vs 2 pi ||f||^2_{H^1/2}.
 
     Also checks the one-sided bound: the full-gradient profile must reach
@@ -184,7 +177,7 @@ def verify_corollary(f: WavePacketSum, R_schedule,
     """
     plan = plan or QuadraturePlan()
     Rs = [float(R) for R in R_schedule]
-    floor = _floor(f, plan)
+    floor = hs_norm_sq(f, 0.5, plan)
     target = TWO_PI * floor
     lhs = np.array([radial_profile(f, R, plan) for R in Rs])
     if f.n == 1:
@@ -196,7 +189,7 @@ def verify_corollary(f: WavePacketSum, R_schedule,
     sup_ok = bool(smoothing.size == 0 or
                   smoothing.max() >= (1.0 - tolerance) * target)
     return VerificationReport(
-        experiment="corollary-limit", n=f.n, datum_id=datum_id, weight_id="none",
+        experiment="corollary-limit", n=f.n, weight_id="none",
         params=np.array(Rs), lhs=lhs, rhs=np.full(len(Rs), target),
         tolerance=tolerance, floor=floor,
         extrapolated_limit=est.value, limit_error=est.error,
@@ -212,14 +205,13 @@ def verify_corollary(f: WavePacketSum, R_schedule,
 
 def verify_flux(f: WavePacketSum, w: RadialWeight, t_schedule,
                 plan: QuadraturePlan | None = None,
-                tolerance: float = 0.02,
-                datum_id: str = "datum") -> VerificationReport:
+                tolerance: float = 0.02) -> VerificationReport:
     """Radiation flux at +-t vs the signed limits +-2 pi psi'(inf) ||f||^2."""
     plan = plan or QuadraturePlan()
     ts = sorted(float(t) for t in t_schedule)
     if any(t <= 0 for t in ts):
         raise InvalidParameterError("flux schedule must list positive times")
-    floor = _floor(f, plan)
+    floor = hs_norm_sq(f, 0.5, plan)
     target = TWO_PI * w.slope_inf * floor
     plus = np.array([flux(f, w, t, plan) for t in ts])
     minus = np.array([flux(f, w, -t, plan) for t in ts])
@@ -231,7 +223,7 @@ def verify_flux(f: WavePacketSum, w: RadialWeight, t_schedule,
     lhs = np.concatenate([minus[::-1], plus])
     rhs = np.concatenate([np.full(len(ts), -target), np.full(len(ts), target)])
     return VerificationReport(
-        experiment="flux-limit", n=f.n, datum_id=datum_id, weight_id=w.label,
+        experiment="flux-limit", n=f.n, weight_id=w.label,
         params=params, lhs=lhs, rhs=rhs,
         tolerance=tolerance, floor=floor,
         extrapolated_limit=est_p.value, limit_error=est_p.error,
@@ -245,8 +237,7 @@ def verify_flux(f: WavePacketSum, w: RadialWeight, t_schedule,
 
 def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
                     plan: QuadraturePlan | None = None,
-                    tolerance: float = 1e-3,
-                    datum_id: str = "datum") -> VerificationReport:
+                    tolerance: float = 1e-3) -> VerificationReport:
     """Three-term squeeze around the ball profile for the plateau weight.
 
     At every R:  profile(R) <= int int psi_k,R''|du/dr|^2
@@ -261,7 +252,7 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
     Rs = [float(R) for R in R_schedule]
     w = make_psi_k(k)
     outer = (k + 1.0) / k
-    floor = _floor(f, plan)
+    floor = hs_norm_sq(f, 0.5, plan)
 
     profile_cache: dict = {}
 
@@ -280,14 +271,15 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
 
     tail = low[-max(2, len(low) // 2):]
     lim_sup, lim_inf = float(tail.max()), float(tail.min())
-    ratio = lim_sup / lim_inf if lim_inf > 0 else np.inf
+    # a zero profile (the zero datum) has no spread
+    ratio = 1.0 if lim_sup == 0.0 else lim_sup / lim_inf if lim_inf > 0 else np.inf
     ratio_ok = bool(ratio <= outer + tolerance)
 
     est = estimate_limit(zip(Rs, low)) if len(Rs) >= 3 else \
         LimitEstimate(low[-1] if len(Rs) else 0.0, np.nan, False, "short schedule")
 
     return VerificationReport(
-        experiment="sandwich", n=f.n, datum_id=datum_id, weight_id=w.label,
+        experiment="sandwich", n=f.n, weight_id=w.label,
         params=np.array(Rs), lhs=low, rhs=high,
         tolerance=tolerance, floor=floor,
         extrapolated_limit=est.value, limit_error=est.error,
@@ -304,25 +296,25 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
 
 def verify_asymptotics(f: WavePacketSum, t_schedule,
                        plan: QuadraturePlan | None = None,
-                       final_ratio: float = 0.1,
-                       datum_id: str = "datum") -> VerificationReport:
+                       final_ratio: float = 0.1) -> VerificationReport:
     """Far-field approximant error along a growing time schedule.
 
     Passes when the L2 error strictly decreases at every step and the last
-    value is at most final_ratio of the first.  No rate is asserted.
+    value is at most final_ratio of the first.  No rate is asserted.  A
+    series that starts at 0 (the zero datum) is absent, not a failure to
+    decay.
     """
     plan = plan or QuadraturePlan()
     ts = [float(t) for t in t_schedule]
-    floor = _floor(f, plan)
+    floor = hs_norm_sq(f, 0.5, plan)
     errs = np.array([dispersive_l2_error(f, t, plan) for t in ts])
-    decreasing = bool(np.all(np.diff(errs) < 0)) if len(ts) > 1 else True
-    ratio_ok = bool(len(ts) < 2 or errs[0] == 0.0
-                    or errs[-1] <= final_ratio * errs[0])
+    passed = bool(len(ts) < 2 or errs[0] == 0.0
+                  or (np.all(np.diff(errs) < 0) and errs[-1] <= final_ratio * errs[0]))
     return VerificationReport(
-        experiment="asymptotics", n=f.n, datum_id=datum_id, weight_id="none",
+        experiment="asymptotics", n=f.n, weight_id="none",
         params=np.array(ts), lhs=errs, rhs=np.zeros(len(ts)),
         tolerance=final_ratio, floor=floor,
-        passed=decreasing and ratio_ok,
+        passed=passed,
         notes=f"error fell by {errs[-1] / errs[0]:.3e}" if len(ts) > 1
               and errs[0] > 0 else "",
     )
@@ -331,8 +323,7 @@ def verify_asymptotics(f: WavePacketSum, t_schedule,
 def verify_smoothing_bound(f: WavePacketSum, R_schedule,
                            plan: QuadraturePlan | None = None,
                            tolerance: float = 0.02,
-                           liminf_fraction: float = 0.9,
-                           datum_id: str = "datum") -> VerificationReport:
+                           liminf_fraction: float = 0.9) -> VerificationReport:
     """Boundedness and non-degeneracy of the gradient profile.
 
     Records the observed sup of profile/||f||^2_{H^1/2}; requires the
@@ -342,7 +333,7 @@ def verify_smoothing_bound(f: WavePacketSum, R_schedule,
     """
     plan = plan or QuadraturePlan()
     Rs = [float(R) for R in R_schedule]
-    floor = _floor(f, plan)
+    floor = hs_norm_sq(f, 0.5, plan)
     target = TWO_PI * floor
     vals = np.array([smoothing_profile(f, R, plan) for R in Rs])
     sup_ok = bool(len(Rs) and vals.max() >= (1.0 - tolerance) * target)
@@ -352,14 +343,11 @@ def verify_smoothing_bound(f: WavePacketSum, R_schedule,
             threshold_R = Rs[i]
             break
     observed = float(vals.max() / floor) if floor > 0 else 0.0
-    if len(f) == 0:
-        sup_ok = True
-        threshold_R = Rs[0] if Rs else float("nan")
     return VerificationReport(
-        experiment="smoothing-bound", n=f.n, datum_id=datum_id, weight_id="none",
+        experiment="smoothing-bound", n=f.n, weight_id="none",
         params=np.array(Rs), lhs=vals, rhs=np.full(len(Rs), target),
         tolerance=tolerance, floor=floor,
-        passed=bool(sup_ok and np.isfinite(threshold_R)) if len(f) else True,
+        passed=bool(sup_ok and np.isfinite(threshold_R)),
         notes=f"observed sup/norm ratio {observed:.6f}",
         extra={"target": target, "threshold_radius": threshold_R,
                "observed_constant": observed},
@@ -368,8 +356,7 @@ def verify_smoothing_bound(f: WavePacketSum, R_schedule,
 
 def verify_remainder_decay(f: WavePacketSum, w_base: RadialWeight, R_schedule,
                            plan: QuadraturePlan | None = None,
-                           decay_ratio: float = 0.25,
-                           datum_id: str = "datum") -> VerificationReport:
+                           decay_ratio: float = 0.25) -> VerificationReport:
     """Both remainder terms must shrink to decay_ratio of their first value.
 
     lhs carries the tangential series, rhs the bilaplacian series; the gate
@@ -377,22 +364,21 @@ def verify_remainder_decay(f: WavePacketSum, w_base: RadialWeight, R_schedule,
     """
     plan = plan or QuadraturePlan()
     Rs = [float(R) for R in R_schedule]
-    floor = _floor(f, plan)
+    floor = hs_norm_sq(f, 0.5, plan)
     pairs = [remainder_terms(f, w_base, R, plan) for R in Rs]
     tans = np.array([p[0] for p in pairs])
     bils = np.array([p[1] for p in pairs])
     # a series that starts at roundoff level (the tangential term of a
     # radially symmetric datum) is absent, not a failure to decay
     absent = plan.rel_tol * floor
-    if len(Rs) < 2 or len(f) == 0:
+    if len(Rs) < 2:
         ok = True
     else:
         tan_ok = tans[0] <= absent or tans[-1] <= decay_ratio * tans[0]
         bil_ok = bils[0] <= absent or bils[-1] <= decay_ratio * bils[0]
         ok = bool(tan_ok and bil_ok)
     return VerificationReport(
-        experiment="remainder-decay", n=f.n, datum_id=datum_id,
-        weight_id=w_base.label,
+        experiment="remainder-decay", n=f.n, weight_id=w_base.label,
         params=np.array(Rs), lhs=tans, rhs=bils,
         tolerance=decay_ratio, floor=floor,
         passed=ok,

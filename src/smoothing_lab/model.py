@@ -149,18 +149,6 @@ def translate(f: WavePacketSum, shift) -> WavePacketSum:
     )
 
 
-def boost(f: WavePacketSum, velocity) -> WavePacketSum:
-    """The datum x -> exp(2 pi i velocity.x) f(x)."""
-    V = _as_vector(velocity, n_hint=f.n)
-    return WavePacketSum(
-        f.n,
-        tuple(
-            WavePacket(p.amplitude, p.width, p.center, p.momentum + V)
-            for p in f.packets
-        ),
-    )
-
-
 def dilate(f: WavePacketSum, lam: float) -> WavePacketSum:
     """The datum x -> f(lam * x)."""
     lam = float(lam)
@@ -250,22 +238,23 @@ def random_packet_suite(
     count: int = 5,
     packets_per_datum: int = 2,
     seed: int = 0,
-    width_range=(0.6, 1.8),
     center_scale: float = 1.0,
-    momentum_scale: float = 0.5,
-    amplitude_range=(0.5, 1.2),
 ) -> list[WavePacketSum]:
-    """Deterministic suite of packet sums for randomized experiments."""
+    """Deterministic suite of packet sums for randomized experiments.
+
+    Moduli lie in [0.5, 1.2], widths in [0.6, 1.8], centres in the cube of
+    half-side center_scale and momenta in the cube of half-side 0.5.
+    """
     rng = np.random.default_rng(seed)
     suite = []
     for _ in range(count):
         pk = []
         for _ in range(packets_per_datum):
-            mod = rng.uniform(*amplitude_range)
+            mod = rng.uniform(0.5, 1.2)
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            a = rng.uniform(*width_range)
+            a = rng.uniform(0.6, 1.8)
             x0 = rng.uniform(-center_scale, center_scale, size=n)
-            v = rng.uniform(-momentum_scale, momentum_scale, size=n)
+            v = rng.uniform(-0.5, 0.5, size=n)
             pk.append(WavePacket(mod * np.exp(1j * phase), a, x0, v))
         suite.append(WavePacketSum(n, tuple(pk)))
     return suite
@@ -278,6 +267,24 @@ def random_packet_suite(
 def grid_axis(L: float, N: int) -> np.ndarray:
     """Sample points -L + j*(2L/N), j = 0..N-1, over the box [-L, L)."""
     return -L + (2.0 * L / N) * np.arange(N)
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only complex array of values that no other reference can write.
+
+    values is copied unless it and every array it views are read-only
+    already, so a field never freezes its caller's array nor changes when
+    the caller writes through a view's base.  The grid functions freeze the
+    arrays they allocate, and those pass through without a copy.
+    """
+    a = np.asarray(values, dtype=complex)
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:  # a writeable array or a foreign buffer holds the data
+        a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,12 +307,11 @@ class GridField:
             raise InvalidParameterError(f"half-width must be positive, got {L}")
         if N <= 0 or N % 2:
             raise InvalidParameterError(f"points per axis must be positive even, got {N}")
-        samples = np.asarray(self.samples, dtype=complex)
+        samples = _frozen(self.samples)
         if samples.shape != (N,) * n:
             raise InvalidParameterError(
                 f"sample shape {samples.shape} does not match {(N,) * n}"
             )
-        samples.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "L", L)
@@ -370,10 +376,6 @@ class RadialWeight:
     label: str
     knots: tuple = ()
 
-    def stack(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.stack([self.d0(r), self.d1(r), self.d2(r), self.d3(r), self.d4(r)])
-
 
 # ---------------------------------------------------------------------------
 # quadrature plan
@@ -385,19 +387,18 @@ class QuadraturePlan:
 
     tau_space: relative tail mass allowed past the spatial truncation radius.
     rel_tol: relative tolerance per functional evaluation.
-    max_panels: panel budget of one radial or one time integral.
+
+    The panel budget of one radial or one time integral is the constant
+    quadrature._MAX_PANELS.
     """
 
     tau_space: float = 1e-10
     rel_tol: float = 1e-8
-    max_panels: int = 4000
 
     def __post_init__(self):
         for name in ("tau_space", "rel_tol"):
             if not getattr(self, name) > 0:
                 raise InvalidParameterError(f"{name} must be strictly positive")
-        if self.max_panels < 8:
-            raise InvalidParameterError("max_panels too small to be useful")
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +407,20 @@ class QuadraturePlan:
 
 @dataclass(eq=False)
 class VerificationReport:
-    """Per-experiment record: schedule, two sides, residuals, limit, verdict."""
+    """Per-experiment record: schedule, two sides, residuals, limit, verdict.
+
+    The harness sets datum_id to the datum's label from the config.
+    """
 
     experiment: str
     n: int
-    datum_id: str
     weight_id: str
     params: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
     tolerance: float
     floor: float
+    datum_id: str = "datum"
     extrapolated_limit: float = float("nan")
     limit_error: float = float("nan")
     passed: bool = False

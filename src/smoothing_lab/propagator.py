@@ -81,13 +81,6 @@ class GaussianState:
                              self.B, self.alpha, self.c, self.v)
         return max(val.real, 0.0)
 
-    def inner(self, other: "GaussianState") -> complex:
-        """int conj(self) other dx."""
-        if other.n != self.n:
-            raise InvalidParameterError("states live in different dimensions")
-        return gaussian_inner(self.B, self.alpha, self.c, self.v,
-                              other.B, other.alpha, other.c, other.v)
-
 
 def difference_state(a: GaussianState, b: GaussianState) -> GaussianState:
     """The state a - b as one packet family (for L2 error integrands)."""
@@ -103,11 +96,6 @@ def difference_state(a: GaussianState, b: GaussianState) -> GaussianState:
     )
 
 
-def state_from_datum(f: WavePacketSum) -> GaussianState:
-    B, a, c, v = f.parameter_arrays()
-    return GaussianState(f.n, B, a.astype(complex), c, v, t=0.0)
-
-
 def evolve_analytic(f: WavePacketSum, t: float) -> GaussianState:
     """Exact solution at time t of i u_t + Lap u = 0 with u(0) = f."""
     t = float(t)
@@ -116,7 +104,7 @@ def evolve_analytic(f: WavePacketSum, t: float) -> GaussianState:
     B, a, c, v = f.parameter_arrays()
     g = 1.0 + 4j * a * t
     alpha = a / g
-    vv = (v * v).sum(axis=-1) if len(f) else np.zeros(0)
+    vv = (v * v).sum(axis=-1)
     # principal branch of g^(-n/2); Re g = 1 > 0 keeps it off the cut
     Bt = B * np.exp(-0.5 * f.n * np.log(g)) * np.exp(-4j * np.pi**2 * vv * t)
     ct = c + 4.0 * np.pi * v * t
@@ -130,7 +118,7 @@ def fourier_state(f: WavePacketSum) -> GaussianState:
     width pi^2/a, center v and momentum -x0.
     """
     B, a, c, v = f.parameter_arrays()
-    cv = (c * v).sum(axis=-1) if len(f) else np.zeros(0)
+    cv = (c * v).sum(axis=-1)
     Bhat = B * (np.pi / a) ** (0.5 * f.n) * np.exp(2j * np.pi * cv)
     return GaussianState(f.n, Bhat, (np.pi**2 / a).astype(complex), v, -c, t=0.0)
 
@@ -149,13 +137,15 @@ def dispersive_approx(f: WavePacketSum, t: float) -> GaussianState:
                   * exp(2 pi i x0.v).
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise InvalidParameterError(f"approximant time t must be finite, got {t}")
     if t == 0.0:
         raise InvalidParameterError("asymptotic approximant undefined at t = 0")
     B, a, c, v = f.parameter_arrays()
     mu = 4.0 * np.pi * t
     alpha = np.pi**2 / (a * mu**2) - 0.25j / t
-    vv = (v * v).sum(axis=-1) if len(f) else np.zeros(0)
-    cv = (c * v).sum(axis=-1) if len(f) else np.zeros(0)
+    vv = (v * v).sum(axis=-1)
+    cv = (c * v).sum(axis=-1)
     Bt = (
         B
         * (np.pi / a) ** (0.5 * f.n)

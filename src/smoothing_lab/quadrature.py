@@ -70,6 +70,9 @@ _BESSEL_RANGE = 1e9
 # within this factor; a wider batch would put every state on the union of
 # the panels its narrowest and its widest member need
 _SHARE_RATIO = 1.5
+# panel budget of one radial panel set or one time integral; read when a
+# refinement runs
+_MAX_PANELS = 4000
 
 
 @dataclass(frozen=True)
@@ -414,7 +417,7 @@ def _column_fsums(rows):
     return np.array([math.fsum(col) for col in np.array(rows).T])
 
 
-def _adaptive(panel, edges, rel_tol, floor, max_panels):
+def _adaptive(panel, edges, rel_tol, floor):
     """Worst-first refinement of a vector integral over edges.
 
     panel(a, b) -> (values, errors) with one entry per component (a scalar
@@ -425,8 +428,9 @@ def _adaptive(panel, edges, rel_tol, floor, max_panels):
     every component meets its target.  It decides on running totals and
     confirms with one fsum per component, which also gives the returned
     value and error.  Returns (values, errors, panels); raises
-    ToleranceNotMetError for the worst component when max_panels run out
-    or a panel under 2^-40 of the interval would have to split.
+    ToleranceNotMetError for the worst component when the budget of
+    _MAX_PANELS panels runs out or a panel under 2^-40 of the interval
+    would have to split.
     """
     first = [(a, b, *map(np.atleast_1d, panel(a, b)))
              for a, b in zip(edges[:-1], edges[1:])]
@@ -455,7 +459,7 @@ def _adaptive(panel, edges, rel_tol, floor, max_panels):
                 return value, err, len(heap)
             run_value, run_err = value, err  # the running totals drifted
         _, _, a, b, v, e = heap[0]
-        if len(heap) >= max_panels or b - a < 2.0**-40 * length:
+        if len(heap) >= _MAX_PANELS or b - a < 2.0**-40 * length:
             value, err = totals()
             worst = int(np.argmax(err / target(value)))
             raise ToleranceNotMetError(float(value[worst]), float(err[worst]),
@@ -483,7 +487,7 @@ def _share_groups(reach):
     return groups
 
 
-def _batch_integral(geom, coeffs, end, rel_tol, floor, max_panels):
+def _batch_integral(geom, coeffs, end, rel_tol, floor):
     """(values, errors, panels) of a batch on one radial panel set over [0, end]."""
     centres = geom.rho[geom.middle]
     inner = {float(x) for x in (*coeffs.knots, *centres) if 0.0 < x < end}
@@ -499,7 +503,7 @@ def _batch_integral(geom, coeffs, end, rel_tol, floor, max_panels):
     refined.append(end)
 
     return _adaptive(lambda a, b: _panel_value(geom, a, b, coeffs, geom.n),
-                     refined, rel_tol, floor, max_panels)
+                     refined, rel_tol, floor)
 
 
 def shell_integrals(states, coeffs: ShellCoefficients, plan: QuadraturePlan,
@@ -515,7 +519,7 @@ def shell_integrals(states, coeffs: ShellCoefficients, plan: QuadraturePlan,
     the weight knots and the packet centres of their state at the median
     time.  Returns (values, info), one value per state, where info carries
     the error estimates and the panel count.  Raises ToleranceNotMetError
-    when the panel budget of one panel set runs out.
+    when one panel set runs out of its _MAX_PANELS budget.
     """
     count = len(states)
     if states[0].n > 3:
@@ -535,7 +539,7 @@ def shell_integrals(states, coeffs: ShellCoefficients, plan: QuadraturePlan,
             part = _StateGeometry([states[i] for i in rows])
             values[rows], errors[rows], used = _batch_integral(
                 part, coeffs, end, rel_tol,
-                None if floor is None else floor[rows], plan.max_panels)
+                None if floor is None else floor[rows])
             panels += used
     return values, {"abs_error": errors, "panels": panels}
 
@@ -593,19 +597,19 @@ def _kronrod_panel(fn, a, b):
 
 
 def adaptive_time_integral(fn, a: float, b: float, rel_tol: float,
-                           scale: float, panels: int = 2,
-                           max_panels: int = QuadraturePlan.max_panels):
+                           scale: float, panels: int = 2):
     """(int_a^b fn(t) dt, error estimate) by Gauss-Kronrod panels.
 
     fn is vectorised: it maps an array of times to the array of values at
     those times, and is called once per panel with its 21 nodes.  The
     absolute target is rel_tol * max(|total|, |scale|): the scale floor
     keeps near-cancelling integrals from demanding impossible relative
-    accuracy.
+    accuracy.  Raises ToleranceNotMetError when the _MAX_PANELS budget
+    runs out.
     """
     edges = np.linspace(a, b, panels + 1).tolist()
     value, err, _ = _adaptive(lambda lo, hi: _kronrod_panel(fn, lo, hi),
-                              edges, rel_tol, scale, max_panels)
+                              edges, rel_tol, scale)
     return float(value[0]), float(err[0])
 
 
@@ -629,13 +633,13 @@ def _on_compact_line(fn):
     return g
 
 
-def real_line_time_integral(fn, rel_tol: float, scale: float,
-                            max_panels: int = QuadraturePlan.max_panels):
+def real_line_time_integral(fn, rel_tol: float, scale: float):
     """int_{-inf}^{inf} fn(t) dt via t = s/(1 - s^2), s in (-1, 1).
 
     fn is vectorised as for adaptive_time_integral.  The substitution maps
     polynomial dispersive decay to a bounded smooth integrand;
     Gauss-Kronrod nodes are interior so the endpoints are never evaluated.
+    The panel budget is _MAX_PANELS, as for adaptive_time_integral.
     """
     return adaptive_time_integral(_on_compact_line(fn), -1.0, 1.0, rel_tol,
-                                  scale, panels=4, max_panels=max_panels)
+                                  scale, panels=4)

@@ -18,6 +18,7 @@ broadcast multiply in place on an array the path allocated itself.
 scipy.fft runs at its default of one worker and may overwrite (overwrite_x)
 only a temporary the path made itself; the caller's read-only arrays are
 only read.  Packet states are sampled the same way, one factor per axis.
+Each result array is frozen in place, so its field wraps it uncopied.
 
 Periodic wrap-around is the one failure mode of the grid path, so every
 operation that can push mass to the box edge checks the boundary-mass
@@ -33,7 +34,7 @@ import numpy as np
 from scipy import fft
 
 from .errors import AliasingError, InvalidParameterError
-from .model import (GridField, QuadraturePlan, WavePacketSum,
+from .model import (GridField, QuadraturePlan, WavePacketSum, _frozen,
                     boundary_mass_fraction, grid_axis)
 from .propagator import GaussianState, evolve_analytic, fourier_state
 from .quadrature import ShellCoefficients, shell_integral
@@ -52,12 +53,11 @@ class SpectrumField:
     t: float = 0.0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = _frozen(self.values)
         if values.shape != (self.N,) * self.n:
             raise InvalidParameterError(
                 f"value shape {values.shape} does not match {(self.N,) * self.n}"
             )
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "t", float(self.t))
 
@@ -71,6 +71,19 @@ class SpectrumField:
 
     def axis(self) -> np.ndarray:
         return (np.arange(self.N) - self.N // 2) * self.dxi
+
+
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """a after making it and every array it views read-only.
+
+    For arrays the grid path allocated itself (scipy.fft returns a view of
+    an input it overwrote), so that a field wraps them without a copy.
+    """
+    b = a
+    while isinstance(b, np.ndarray):
+        b.setflags(write=False)
+        b = b.base
+    return a
 
 
 def _times_axis_factors(x: np.ndarray, factors, out=None) -> np.ndarray:
@@ -108,7 +121,7 @@ def forward_transform(g: GridField) -> SpectrumField:
     pre, post = _centring_phases(g.N, g.n, g.dx**g.n)
     F = fft.fftn(_times_axis_factors(g.samples, pre), overwrite_x=True)
     _times_axis_factors(F, post, out=F)
-    return SpectrumField(g.n, g.L, g.N, F, t=g.t)
+    return SpectrumField(g.n, g.L, g.N, _sealed(F), t=g.t)
 
 
 def inverse_transform(sf: SpectrumField) -> GridField:
@@ -116,7 +129,7 @@ def inverse_transform(sf: SpectrumField) -> GridField:
     pre, post = _centring_phases(sf.N, sf.n, sf.dx**-sf.n)
     samples = fft.ifftn(_times_axis_factors(sf.values, post), overwrite_x=True)
     _times_axis_factors(samples, pre, out=samples)
-    return GridField(sf.n, sf.L, sf.N, samples, t=sf.t)
+    return GridField(sf.n, sf.L, sf.N, _sealed(samples), t=sf.t)
 
 
 def evolve_spectral(g: GridField, t: float) -> GridField:
@@ -135,7 +148,8 @@ def evolve_spectral(g: GridField, t: float) -> GridField:
     symbol = np.exp(-4j * np.pi**2 * xi**2 * t)
     F = fft.fftn(g.samples)
     _times_axis_factors(F, [symbol] * g.n, out=F)
-    out = GridField(g.n, g.L, g.N, fft.ifftn(F, overwrite_x=True), t=g.t + t)
+    out = GridField(g.n, g.L, g.N, _sealed(fft.ifftn(F, overwrite_x=True)),
+                    t=g.t + t)
     frac = boundary_mass_fraction(out)
     if frac > _ALIASING_THRESHOLD:
         raise AliasingError(frac, _ALIASING_THRESHOLD)
@@ -157,11 +171,8 @@ def hs_norm_sq(f, s: float, plan: QuadraturePlan | None = None) -> float:
                 f"s = {s} is not integrable against packet spectra in dimension {f.n}"
             )
         plan = plan or QuadraturePlan()
-        ghat = fourier_state(f)
-        if len(ghat) == 0:
-            return 0.0
         coeffs = ShellCoefficients(w_mass=lambda r: r ** (2.0 * s))
-        value, _ = shell_integral(ghat, coeffs, plan)
+        value, _ = shell_integral(fourier_state(f), coeffs, plan)
         return max(value, 0.0)
     if isinstance(f, SpectrumField):
         if 2.0 * s <= -f.n:
@@ -210,7 +221,7 @@ def sample_state(state: GaussianState, L: float, N: int) -> GridField:
     for d in range(1, n):
         rest = (rest[:, :, None] * factors[:, d, None, :]).reshape(m, N**d)
     out = (lead @ rest).reshape((N,) * n)
-    return GridField(n, L, N, out, t=state.t)
+    return GridField(n, L, N, _sealed(out), t=state.t)
 
 
 def sample_datum(f: WavePacketSum, L: float, N: int, t: float = 0.0) -> GridField:

@@ -316,17 +316,17 @@ def radial_laplacians(w: RadialWeight, r, n: int):
     return lap, bilap
 
 
-def derivative_stack_check(w: RadialWeight, radii=None, h: float = 1e-4) -> dict:
+def derivative_stack_check(w: RadialWeight) -> dict:
     """Scale-relative central-difference error of d^j vs d^(j-1), j = 1..4.
 
-    Error for order j is max_r |fd - d^j(r)| / max_r |d^j(r)|: relative to
-    the lattice-wide scale of that derivative order, since pointwise
-    relative error is ill-posed where d^j vanishes identically (weight
-    tails) or underflows at flat transition endpoints.
+    The differences use step h = 1e-4 at 200 log-spaced radii in
+    [0.01, 50].  Error for order j is max_r |fd - d^j(r)| / max_r |d^j(r)|:
+    relative to the lattice-wide scale of that derivative order, since
+    pointwise relative error is ill-posed where d^j vanishes identically
+    (weight tails) or underflows at flat transition endpoints.
     """
-    if radii is None:
-        radii = np.geomspace(0.01, 50.0, 200)
-    radii = np.asarray(radii, dtype=float)
+    radii = np.geomspace(0.01, 50.0, 200)
+    h = 1e-4
     errs = {}
     stack = [w.d0, w.d1, w.d2, w.d3, w.d4]
     for j in range(1, 5):

@@ -18,9 +18,11 @@ from smoothing_lab.harness import REGISTRY, parse_experiment  # noqa: E402
 
 KEYS = [
     "kind", "n", "packet1", "packet2", "datum_id", "tolerance", "output",
-    "schedule_kind", "schedule_start", "schedule_factor", "schedule_count",
+    "schedule_start", "schedule_factor", "schedule_count",
     "rel_tol", "tau_space", "weight", "eps", "k", "value", "rescale_r",
-    "liminf_fraction", "identity_check", "final_ratio", "time_nodes",
+    "liminf_fraction",
+    # keys no parser reads
+    "schedule_kind", "identity_check", "final_ratio", "time_nodes",
 ]
 
 WORDS = ["", "0", "1", "-1", "0.5", "1e-300", "1e300", "nan", "inf", "-inf",

@@ -31,7 +31,7 @@ from smoothing_lab.functionals import (
 from smoothing_lab.model import (RadialWeight, gaussian_inner, packet,
                                  packet_sum)
 from smoothing_lab.propagator import (difference_state, dispersive_approx,
-                                      evolve_analytic, state_from_datum)
+                                      evolve_analytic)
 from smoothing_lab.spectral import hs_norm_sq
 from smoothing_lab.weights import make_psi_eps, make_psi_k
 
@@ -92,7 +92,7 @@ _XI = np.arange(-12.0, 12.0, _HX)
 
 
 def flux_oracle(f, w, t):
-    datum = state_from_datum(f).values(_X[:, None])
+    datum = evolve_analytic(f, 0.0).values(_X[:, None])
     fhat = np.exp(-2j * np.pi * np.outer(_XI, _X)) @ datum * _HX
     mover = fhat * np.exp(-4j * np.pi**2 * _XI**2 * t)
     kernel = np.exp(2j * np.pi * np.outer(_X, _XI))

@@ -323,9 +323,40 @@ schedule_count = 2
      + "value = 3\n", "[quick-identity] value"),
     (QUICK_IDENTITY.replace("weight = eps", "weight = constant"),
      "[quick-identity] eps"),
-], ids=["sandwich-identity_check", "eps-k", "bump-value", "constant-eps"])
+    # the schedule's symbol follows from the kind; no key sets it
+    (QUICK_IDENTITY + "schedule_kind = T\n", "[quick-identity] schedule_kind"),
+], ids=["sandwich-identity_check", "eps-k", "bump-value", "constant-eps",
+        "identity-schedule_kind"])
 def test_key_the_kind_does_not_read_rejected(workdir, capsys, text, needle):
     run_expecting_config_error(workdir, capsys, text, f"{needle}: unknown key")
+
+
+# the keys each kind needs beyond the datum and the schedule
+KIND_KEYS = {
+    "identity": "weight = eps\neps = 1.0\n",
+    "theorem-limit": "weight = eps\neps = 1.0\n",
+    "corollary-limit": "",
+    "flux-limit": "weight = eps\neps = 1.0\n",
+    "sandwich": "k = 2\n",
+    "remainder-decay": "weight = eps\neps = 1.0\n",
+    "asymptotics": "",
+    "smoothing-bound": "",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REGISTRY))
+def test_zero_datum_passes_every_kind(workdir, capsys, kind):
+    # a zero-amplitude packet loads, and every identity holds as 0 = 0
+    cfg = write_config(workdir, f"""\
+[zero]
+kind = {kind}
+n = 1
+packet1 = 0 0 1 0 0
+schedule_start = 2
+schedule_count = 3
+""" + KIND_KEYS[kind])
+    assert main(["run", cfg]) == 0
+    assert "PASS [zero]" in capsys.readouterr().out
 
 
 def test_first_unknown_key_is_named(workdir, capsys):

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from smoothing_lab.errors import InvalidParameterError
 from smoothing_lab.model import (QuadraturePlan, WavePacket, WavePacketSum,
-                                 boost, dilate, gaussian_inner, grid_axis,
+                                 dilate, gaussian_inner, grid_axis,
                                  l2_norm_sq, packet, packet_sum,
                                  random_packet_suite, relative_residual,
                                  translate)
@@ -118,14 +118,6 @@ def test_translate_preserves_norm_and_matches_shift():
     gv = sum(packet_values_1d(p.amplitude, p.width, p.center[0], p.momentum[0], x)
              for p in g.packets)
     np.testing.assert_allclose(gv, fv, rtol=0, atol=1e-13)
-
-
-def test_boost_preserves_norm_and_shifts_momenta():
-    f = packet_sum([WavePacket(1.0, 1.0, [0.2], [0.3]),
-                    WavePacket(0.5j, 1.5, [-0.4], [-0.2])])
-    g = boost(f, [1.5])
-    assert l2_norm_sq(g) == pytest.approx(l2_norm_sq(f), rel=1e-13)
-    assert [p.momentum[0] for p in g.packets] == pytest.approx([1.8, 1.3])
 
 
 def test_dilate_norm_scaling():

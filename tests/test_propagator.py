@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from smoothing_lab.errors import InvalidParameterError
-from smoothing_lab.model import WavePacket, l2_norm_sq, packet_sum
+from smoothing_lab.model import (WavePacket, gaussian_inner, l2_norm_sq,
+                                 packet_sum)
 from smoothing_lab.propagator import (GaussianState, difference_state,
                                       dispersive_approx, evolve_analytic,
-                                      fourier_state, state_from_datum)
+                                      fourier_state)
 
 F_1D = packet_sum([WavePacket(1.0, 1.0, [0.2], [0.3]),
                    WavePacket(0.5j, 1.5, [-0.4], [-0.2])])
@@ -51,8 +52,8 @@ def oracle_evolution(f, t, x):
     return np.sum(fhat * phase) * _HXI
 
 
-def test_state_from_datum_matches_definition():
-    st = state_from_datum(F_1D)
+def test_time_zero_state_matches_definition():
+    st = evolve_analytic(F_1D, 0.0)
     x = np.linspace(-3.0, 3.0, 17)[:, None]
     np.testing.assert_allclose(st.values(x), datum_values(F_1D, x[:, 0]),
                                rtol=0, atol=1e-14)
@@ -127,11 +128,19 @@ def test_evolve_analytic_rejects_non_finite_time(t):
         evolve_analytic(F_1D, t)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_dispersive_approx_rejects_non_finite_time(t):
+    # rejected before any arithmetic, so no RuntimeWarning comes first
+    with pytest.raises(InvalidParameterError, match="t must be finite"):
+        dispersive_approx(F_1D, t)
+
+
 def test_difference_state_mass_expansion():
     a = evolve_analytic(F_1D, 1.3)
     b = dispersive_approx(F_1D, 1.3)
     d = difference_state(a, b)
-    expect = a.mass() + b.mass() - 2 * a.inner(b).real
+    ab = gaussian_inner(a.B, a.alpha, a.c, a.v, b.B, b.alpha, b.c, b.v)
+    expect = a.mass() + b.mass() - 2 * ab.real
     assert d.mass().real == pytest.approx(expect.real, rel=1e-12)
 
 

@@ -17,7 +17,6 @@ from smoothing_lab import (
     InvalidParameterError,
     QuadraturePlan,
     SpectrumField,
-    boundary_mass_fraction,
     dispersive_approx,
     evolve_analytic,
     evolve_spectral,
@@ -33,6 +32,7 @@ from smoothing_lab import (
     sample_datum,
     sample_state,
 )
+from smoothing_lab.spectral import boundary_mass_fraction
 
 F_1D = packet_sum([
     packet(1.0, 1.0, [0.3], [0.25]),
@@ -214,6 +214,34 @@ def test_grid_operations_leave_inputs_untouched(n):
         assert source.tobytes() == before
         assert not out.flags.writeable
         assert not np.shares_memory(out, source)
+
+
+@pytest.mark.parametrize("make,attr", [(GridField, "samples"),
+                                       (SpectrumField, "values")],
+                         ids=["grid", "spectrum"])
+def test_field_neither_freezes_nor_aliases_the_callers_array(make, attr):
+    base = np.zeros(8, dtype=complex)
+    view = base[:]
+    view.setflags(write=False)  # read-only itself, but its base is not
+    direct = make(1, 4.0, 8, base)
+    viewed = make(1, 4.0, 8, view)
+    assert base.flags.writeable
+    base[3] = 5.0
+    for field in (direct, viewed):
+        assert getattr(field, attr)[3] == 0.0
+        assert not getattr(field, attr).flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_results_enter_fields_uncopied(n):
+    # the grid functions freeze what they allocate, so wrapping a result
+    # again keeps the very same array
+    f = packet_sum([packet(1.0, 0.5, [0.2] * n, [0.1] * n)])
+    g = sample_datum(f, L=12.0, N=64)
+    sf = forward_transform(g)
+    for out in (g, inverse_transform(sf), evolve_spectral(g, 0.3)):
+        assert GridField(n, 12.0, 64, out.samples).samples is out.samples
+    assert SpectrumField(n, 12.0, 64, sf.values).values is sf.values
 
 
 def workload_3d_datum():
