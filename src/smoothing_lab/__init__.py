@@ -19,10 +19,9 @@ from .limits import (LimitEstimate, estimate_limit, verify_asymptotics,
                      verify_corollary, verify_flux, verify_identity,
                      verify_remainder_decay, verify_sandwich,
                      verify_smoothing_bound, verify_theorem_main)
-from .model import (GridField, QuadraturePlan, RadialWeight,
-                    VerificationReport, WavePacket, WavePacketSum, dilate,
-                    gaussian_inner, l2_norm_sq, packet, packet_sum,
-                    random_packet_suite, translate)
+from .model import (GridField, RadialWeight, VerificationReport, WavePacket,
+                    WavePacketSum, dilate, gaussian_inner, l2_norm_sq,
+                    packet, packet_sum, random_packet_suite, translate)
 from .propagator import (GaussianState, difference_state, dispersive_approx,
                          evolve_analytic, fourier_state)
 from .quadrature import (ShellCoefficients, adaptive_time_integral,
@@ -40,7 +39,7 @@ __all__ = [
     "AliasingError", "ConfigError", "InvalidParameterError",
     "InvalidWeightError", "OriginError", "SmoothingLabError",
     "ToleranceNotMetError",
-    "GridField", "QuadraturePlan", "RadialWeight", "VerificationReport",
+    "GridField", "RadialWeight", "VerificationReport",
     "WavePacket", "WavePacketSum", "dilate", "gaussian_inner", "l2_norm_sq",
     "packet", "packet_sum", "random_packet_suite", "translate",
     "constant_weight", "make_psi_eps", "make_psi_k", "radial_laplacians",

@@ -6,15 +6,16 @@ drawn from a weight's derivative stack, integrated in time either over a
 finite window [-T, T] or over the whole line through the compactifying
 substitution t = s/(1 - s^2).
 
-Error budget: the time integrator works toward an absolute target
-rel_tol * max(|integral|, mass floor).  A time panel evolves the datum to
-its 21 Gauss-Kronrod nodes and integrates all 21 states over one shared
-radial panel set; each node's spatial integral works to a quarter of
-rel_tol, with an absolute floor of the mass floor divided by the
-time-domain width: summed over the window, the floors allow at most a
-quarter of the time layer's least target, rel_tol * mass floor.  Without
-the division the spatial error would swamp the panel error estimates on
-long windows.
+Error budget: every functional works to the fixed relative tolerance
+REL_TOL of the quadrature module.  The time integrator works toward an
+absolute target REL_TOL * max(|integral|, mass floor).  A time panel
+evolves the datum to its 21 Gauss-Kronrod nodes and integrates all 21
+states over one shared radial panel set; each node's spatial integral
+works to a quarter of REL_TOL, with an absolute floor of the mass floor
+divided by the time-domain width: summed over the window, the floors
+allow at most a quarter of the time layer's least target,
+REL_TOL * mass floor.  Without the division the spatial error would swamp
+the panel error estimates on long windows.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import math
 import numpy as np
 
 from .errors import InvalidWeightError
-from .model import QuadraturePlan, RadialWeight, WavePacketSum, l2_norm_sq
+from .model import RadialWeight, WavePacketSum, l2_norm_sq
 from .propagator import difference_state, dispersive_approx, evolve_analytic
-from .quadrature import (ShellCoefficients, adaptive_time_integral,
+from .quadrature import (REL_TOL, ShellCoefficients, adaptive_time_integral,
                          real_line_time_integral, shell_integral,
                          shell_integrals)
 from .weights import radial_laplacians, rescale
@@ -39,15 +40,15 @@ def _weight_scale(w: RadialWeight) -> float:
 
 
 def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients,
-                     plan: QuadraturePlan, horizon: float | None,
-                     scale: float, r_max: float | None = None) -> float:
+                     horizon: float | None, scale: float,
+                     r_max: float | None = None) -> float:
     """Integrate a shell functional of u(t) over time.
 
     horizon = T integrates [-T, T]; None integrates the whole line through
     the s-substitution.  scale is the magnitude floor for both layers.
     """
     width = 2.0 * horizon if horizon is not None else 2.0
-    space_tol = _SPACE_FACTOR * plan.rel_tol
+    space_tol = _SPACE_FACTOR * REL_TOL
     space_scale = scale / max(width, 1.0)
 
     # On the compactified line the shell floor shrinks by 1/jac so that the
@@ -65,41 +66,37 @@ def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients,
     def fn(ts):
         # one radial panel set for every node, each node to its own floor
         states = [evolve_analytic(f, t) for t in ts]
-        values, _ = shell_integrals(states, coeffs, plan, r_max=r_max,
+        values, _ = shell_integrals(states, coeffs, r_max=r_max,
                                     scales=[local_floor(t) for t in ts],
                                     rel_tol=space_tol)
         return values
 
     if horizon is None:
-        return real_line_time_integral(fn, plan.rel_tol, scale)[0]
-    return adaptive_time_integral(fn, -horizon, horizon, plan.rel_tol, scale)[0]
+        return real_line_time_integral(fn, REL_TOL, scale)[0]
+    return adaptive_time_integral(fn, -horizon, horizon, REL_TOL, scale)[0]
 
 
 # ---------------------------------------------------------------------------
 # profiles over balls
 # ---------------------------------------------------------------------------
 
-def _ball_profile(f: WavePacketSum, R: float, plan: QuadraturePlan | None,
-                  tangential: bool) -> float:
-    plan = plan or QuadraturePlan()
+def _ball_profile(f: WavePacketSum, R: float, tangential: bool) -> float:
     R = float(R)
     one = lambda r: np.ones_like(r)
     coeffs = ShellCoefficients(w_rr=one,
                                w_tau=one if tangential and f.n > 1 else None)
     scale = l2_norm_sq(f) * R
-    return _time_integrated(f, coeffs, plan, None, scale, r_max=R) / R
+    return _time_integrated(f, coeffs, None, scale, r_max=R) / R
 
 
-def smoothing_profile(f: WavePacketSum, R: float,
-                      plan: QuadraturePlan | None = None) -> float:
+def smoothing_profile(f: WavePacketSum, R: float) -> float:
     """(1/R) int_t int_{B_R} |grad u|^2 dx dt over the whole time line."""
-    return _ball_profile(f, R, plan, tangential=True)
+    return _ball_profile(f, R, tangential=True)
 
 
-def radial_profile(f: WavePacketSum, R: float,
-                   plan: QuadraturePlan | None = None) -> float:
+def radial_profile(f: WavePacketSum, R: float) -> float:
     """(1/R) int_t int_{B_R} |du/dr|^2 dx dt over the whole time line."""
-    return _ball_profile(f, R, plan, tangential=False)
+    return _ball_profile(f, R, tangential=False)
 
 
 # ---------------------------------------------------------------------------
@@ -122,39 +119,34 @@ def _morawetz_coeffs(w: RadialWeight, n: int) -> ShellCoefficients:
     )
 
 
-def morawetz_lhs(f: WavePacketSum, w: RadialWeight, T: float,
-                 plan: QuadraturePlan | None = None) -> float:
+def morawetz_lhs(f: WavePacketSum, w: RadialWeight, T: float) -> float:
     """int_{-T}^{T} int [psi''|du/dr|^2 + (psi'/r)|grad_tau u|^2
     - (1/4)|u|^2 Lap^2 psi] dx dt.
 
     The Hessian form contracts to the radial/tangential split because psi
     is radial.
     """
-    plan = plan or QuadraturePlan()
     scale = l2_norm_sq(f) * _weight_scale(w)
-    return _time_integrated(f, _morawetz_coeffs(w, f.n), plan, float(T), scale)
+    return _time_integrated(f, _morawetz_coeffs(w, f.n), float(T), scale)
 
 
-def flux(f: WavePacketSum, w: RadialWeight, t: float,
-         plan: QuadraturePlan | None = None) -> float:
+def flux(f: WavePacketSum, w: RadialWeight, t: float) -> float:
     """Im int conj(u) psi'(r) du/dr dx at time t."""
-    plan = plan or QuadraturePlan()
     state = evolve_analytic(f, float(t))
     coeffs = ShellCoefficients(w_flux=w.d1, knots=w.knots)
     scale = l2_norm_sq(f) * _weight_scale(w)
-    value, _ = shell_integral(state, coeffs, plan, scale=scale)
+    value, _ = shell_integral(state, coeffs, scale=scale)
     return value
 
 
-def boundary_term(f: WavePacketSum, w: RadialWeight, T: float,
-                  plan: QuadraturePlan | None = None) -> float:
+def boundary_term(f: WavePacketSum, w: RadialWeight, T: float) -> float:
     """Difference of radiation fluxes at the two endpoints of [-T, T].
 
     Equals (flux(T) - flux(-T))/2, the time-boundary contribution that the
     weighted space-time identity produces after integrating by parts.
     """
     T = float(T)
-    return 0.5 * (flux(f, w, T, plan) - flux(f, w, -T, plan))
+    return 0.5 * (flux(f, w, T) - flux(f, w, -T))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +180,7 @@ def check_remainder_hypotheses(w: RadialWeight, n: int) -> None:
         )
 
 
-def _remainder_pair(f: WavePacketSum, w: RadialWeight, plan: QuadraturePlan,
-                    signed: bool):
+def _remainder_pair(f: WavePacketSum, w: RadialWeight, signed: bool):
     """(tangential, bilaplacian) whole-line integrals with coefficients
     psi'(r)/r and Lap^2 psi(r), or their absolute values unless signed."""
     scale = l2_norm_sq(f) * _weight_scale(w)
@@ -199,7 +190,7 @@ def _remainder_pair(f: WavePacketSum, w: RadialWeight, plan: QuadraturePlan,
         return bilap if signed else np.abs(bilap)
 
     bilaplacian = _time_integrated(
-        f, ShellCoefficients(w_mass=w_mass, knots=w.knots), plan, None, scale
+        f, ShellCoefficients(w_mass=w_mass, knots=w.knots), None, scale
     )
     if f.n == 1:
         return 0.0, bilaplacian
@@ -208,13 +199,12 @@ def _remainder_pair(f: WavePacketSum, w: RadialWeight, plan: QuadraturePlan,
         return (w.d1(r) if signed else np.abs(w.d1(r))) / r
 
     tangential = _time_integrated(
-        f, ShellCoefficients(w_tau=w_tau, knots=w.knots), plan, None, scale
+        f, ShellCoefficients(w_tau=w_tau, knots=w.knots), None, scale
     )
     return tangential, bilaplacian
 
 
-def remainder_terms(f: WavePacketSum, w_base: RadialWeight, R: float,
-                    plan: QuadraturePlan | None = None):
+def remainder_terms(f: WavePacketSum, w_base: RadialWeight, R: float):
     """Absolute-value remainders of the identity under the rescaled weight.
 
     Returns (tangential, bilaplacian):
@@ -231,16 +221,14 @@ def remainder_terms(f: WavePacketSum, w_base: RadialWeight, R: float,
     non-convergence.  Use data with fhat(0) = 0 (odd packet combinations)
     there; in n >= 2 the dispersive decay is strong enough for any datum.
     """
-    plan = plan or QuadraturePlan()
     check_remainder_hypotheses(w_base, f.n)
     # rescaling keeps slope_inf, so the magnitude floor is the base weight's
     tangential, bilaplacian = _remainder_pair(
-        f, rescale(w_base, float(R)), plan, signed=False)
+        f, rescale(w_base, float(R)), signed=False)
     return max(tangential, 0.0), max(bilaplacian, 0.0)
 
 
-def morawetz_remainder_split(f: WavePacketSum, w: RadialWeight,
-                             plan: QuadraturePlan | None = None):
+def morawetz_remainder_split(f: WavePacketSum, w: RadialWeight):
     """Signed tangential and bilaplacian parts of the whole-line identity.
 
     Returns (tangential, bilaplacian) where the identity reads
@@ -252,33 +240,28 @@ def morawetz_remainder_split(f: WavePacketSum, w: RadialWeight,
     time makes it converge in n = 1 even when the absolute version does
     not.
     """
-    plan = plan or QuadraturePlan()
-    return _remainder_pair(f, w, plan, signed=True)
+    return _remainder_pair(f, w, signed=True)
 
 
-def weighted_radial_energy(f: WavePacketSum, w: RadialWeight,
-                           plan: QuadraturePlan | None = None) -> float:
+def weighted_radial_energy(f: WavePacketSum, w: RadialWeight) -> float:
     """Whole-line integral int_t int psi''(r) |du/dr|^2 dx dt."""
-    plan = plan or QuadraturePlan()
     coeffs = ShellCoefficients(w_rr=w.d2, knots=w.knots)
     scale = l2_norm_sq(f) * _weight_scale(w)
-    return _time_integrated(f, coeffs, plan, None, scale)
+    return _time_integrated(f, coeffs, None, scale)
 
 
 # ---------------------------------------------------------------------------
 # dispersive approximation error
 # ---------------------------------------------------------------------------
 
-def dispersive_l2_error(f: WavePacketSum, t: float,
-                        plan: QuadraturePlan | None = None) -> float:
+def dispersive_l2_error(f: WavePacketSum, t: float) -> float:
     """||u(t) - approximant(t)||_L2 by shell quadrature of the difference.
 
     The difference of the exact state and the far-field approximant is
     itself a Gaussian family, so the same spatial engine integrates its
     square density; the closed-form Gram sum serves as the test oracle.
     """
-    plan = plan or QuadraturePlan()
     diff = difference_state(evolve_analytic(f, t), dispersive_approx(f, t))
     coeffs = ShellCoefficients(w_mass=lambda r: np.ones_like(r))
-    value, _ = shell_integral(diff, coeffs, plan)
+    value, _ = shell_integral(diff, coeffs)
     return math.sqrt(max(value, 0.0))

@@ -45,7 +45,7 @@ import os
 import re
 import sys
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ConfigError, SmoothingLabError
@@ -53,8 +53,7 @@ from .limits import (verify_asymptotics, verify_corollary, verify_flux,
                      verify_identity, verify_remainder_decay,
                      verify_sandwich, verify_smoothing_bound,
                      verify_theorem_main)
-from .model import (QuadraturePlan, VerificationReport, WavePacket,
-                    WavePacketSum)
+from .model import VerificationReport, WavePacket, WavePacketSum
 from .weights import constant_weight, make_psi_eps, make_psi_k, rescale
 
 CSV_COLUMNS = [
@@ -65,7 +64,7 @@ CSV_COLUMNS = [
 
 _PACKET_KEY = re.compile(r"^packet(\d+)$")
 # each schedule point is one full space-time computation; a longer
-# schedule is a typo, not a plan that would finish
+# schedule is a typo, not a run that would finish
 _MAX_SCHEDULE = 64
 
 
@@ -78,7 +77,6 @@ class ExperimentSpec:
     datum: WavePacketSum
     datum_id: str
     schedule: list
-    plan: QuadraturePlan
     tolerance: float
     output: str
     options: dict = field(default_factory=dict)
@@ -221,7 +219,9 @@ class ExperimentKind:
     statement: str
     tolerance: float  # the default tolerance
     driver: Callable[[ExperimentSpec], VerificationReport]
-    min_points: int = 1  # the limit kinds extrapolate from 3 points or more
+    # the limit kinds extrapolate from 3 points or more, and asymptotics
+    # and remainder-decay compare the last point with the first
+    min_points: int = 1
     parse: Callable[[_SectionReader], dict] = lambda reader: {}
 
 
@@ -231,64 +231,51 @@ REGISTRY = {
         " - (1/4)|u|^2 Lap^2 psi] dx dt = (flux(T) - flux(-T)) / 2",
         1e-6, parse=_weight_options,
         driver=lambda s: verify_identity(
-            s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance)),
+            s.datum, s.options["weight"], s.schedule, s.tolerance)),
     "theorem-limit": ExperimentKind(
         "lim_{T->inf} int_{-T}^{T} int [psi''|u_r|^2 + (psi'/r)|grad_tau u|^2"
         " - (1/4)|u|^2 Lap^2 psi] dx dt = 2 pi psi'(inf) ||f||^2_{H^1/2}",
         0.02, min_points=3, parse=_weight_options,
         driver=lambda s: verify_theorem_main(
-            s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance)),
+            s.datum, s.options["weight"], s.schedule, s.tolerance)),
     "corollary-limit": ExperimentKind(
         "lim_{R->inf} (1/R) int_t int_{B_R} |u_r|^2 dx dt"
         " = 2 pi ||f||^2_{H^1/2}",
         0.02, min_points=3,
         driver=lambda s: verify_corollary(
-            s.datum, s.schedule, s.plan, s.tolerance)),
+            s.datum, s.schedule, s.tolerance)),
     "flux-limit": ExperimentKind(
         "lim_{t->+-inf} Im int conj(u) psi'(r) u_r dx"
         " = +-2 pi psi'(inf) ||f||^2_{H^1/2}",
         0.02, min_points=3, parse=_weight_options,
         driver=lambda s: verify_flux(
-            s.datum, s.options["weight"], s.schedule, s.plan, s.tolerance)),
+            s.datum, s.options["weight"], s.schedule, s.tolerance)),
     "sandwich": ExperimentKind(
         "(1/R) int_t int_{B_R} |u_r|^2 <= int_t int psi_{k,R}''|u_r|^2"
         " <= ((k+1)/k) profile((k+1)R/k)",
         1e-3, parse=_sandwich_options,
         driver=lambda s: verify_sandwich(
-            s.datum, s.options["k"], s.schedule, s.plan, s.tolerance)),
+            s.datum, s.options["k"], s.schedule, s.tolerance)),
     "remainder-decay": ExperimentKind(
         "lim_{R->inf} int_t int |u|^2 |Lap^2 psi_R| dx dt = 0,"
         " same for int_t int (|grad_tau u|^2/r) |psi_R'|",
-        0.25, parse=_weight_options,
+        0.25, min_points=2, parse=_weight_options,
         driver=lambda s: verify_remainder_decay(
-            s.datum, s.options["weight"], s.schedule, s.plan,
-            decay_ratio=s.tolerance)),
+            s.datum, s.options["weight"], s.schedule, decay_ratio=s.tolerance)),
     "asymptotics": ExperimentKind(
         "u(t) = e^{-i sgn(t) n pi/4} e^{i|x|^2/(4t)} (4 pi |t|)^{-n/2}"
         " fhat(x/(4 pi t)) + o_{L2}(1)",
-        0.1,
+        0.1, min_points=2,
         driver=lambda s: verify_asymptotics(
-            s.datum, s.schedule, s.plan, final_ratio=s.tolerance)),
+            s.datum, s.schedule, final_ratio=s.tolerance)),
     "smoothing-bound": ExperimentKind(
         "sup_R (1/R) int_t int_{B_R} |grad u|^2 dx dt"
         " >= 2 pi ||f||^2_{H^1/2}",
         0.02, parse=_smoothing_options,
         driver=lambda s: verify_smoothing_bound(
-            s.datum, s.schedule, s.plan, s.tolerance,
+            s.datum, s.schedule, s.tolerance,
             liminf_fraction=s.options["liminf_fraction"])),
 }
-
-
-def _parse_plan(reader: _SectionReader) -> QuadraturePlan:
-    plan = QuadraturePlan()
-    for key in ("rel_tol", "tau_space"):
-        value = reader.floatv(key)
-        if value is not None:
-            try:  # one field at a time, so an error names its own key
-                plan = replace(plan, **{key: value})
-            except SmoothingLabError as exc:
-                raise reader.error(key, str(exc)) from None
-    return plan
 
 
 def _parse_schedule(reader: _SectionReader, kind: str) -> list:
@@ -329,7 +316,6 @@ def parse_experiment(section: str, items: dict) -> ExperimentSpec:
     if n not in (1, 2, 3):
         raise reader.error("n", f"dimension must be 1, 2 or 3, got {n}")
     datum = _parse_packets(reader, n)
-    plan = _parse_plan(reader)
     schedule = _parse_schedule(reader, kind)
     tolerance = reader.floatv("tolerance", record.tolerance)
     if tolerance <= 0:
@@ -337,7 +323,7 @@ def parse_experiment(section: str, items: dict) -> ExperimentSpec:
     spec = ExperimentSpec(
         section=section, kind=kind, datum=datum,
         datum_id=reader.raw("datum_id", section), schedule=schedule,
-        plan=plan, tolerance=tolerance,
+        tolerance=tolerance,
         output=reader.raw("output", f"{section}.csv"),
         options=record.parse(reader),
     )

@@ -23,8 +23,9 @@ from .errors import InvalidParameterError
 from .functionals import (boundary_term, dispersive_l2_error, flux,
                           morawetz_lhs, radial_profile, remainder_terms,
                           smoothing_profile, weighted_radial_energy)
-from .model import (QuadraturePlan, RadialWeight, VerificationReport,
-                    WavePacketSum, relative_residual)
+from .model import (RadialWeight, VerificationReport, WavePacketSum,
+                    relative_residual)
+from .quadrature import REL_TOL
 from .spectral import hs_norm_sq
 from .weights import make_psi_k, rescale
 
@@ -117,18 +118,16 @@ def estimate_limit(values) -> LimitEstimate:
 # ---------------------------------------------------------------------------
 
 def verify_identity(f: WavePacketSum, w: RadialWeight, T_schedule,
-                    plan: QuadraturePlan | None = None,
                     tolerance: float = 1e-6) -> VerificationReport:
     """Exact finite-horizon check: bulk integral vs endpoint flux difference.
 
     The two sides are computed by unrelated quadratures (space-time vs two
     time slices), so agreement at tolerance is a real statement about both.
     """
-    plan = plan or QuadraturePlan()
     Ts = [float(T) for T in T_schedule]
-    floor = hs_norm_sq(f, 0.5, plan)
-    lhs = np.array([morawetz_lhs(f, w, T, plan) for T in Ts])
-    rhs = np.array([boundary_term(f, w, T, plan) for T in Ts])
+    floor = hs_norm_sq(f, 0.5)
+    lhs = np.array([morawetz_lhs(f, w, T) for T in Ts])
+    rhs = np.array([boundary_term(f, w, T) for T in Ts])
     rel = relative_residual(lhs, rhs, floor)
     report = VerificationReport(
         experiment="identity", n=f.n, weight_id=w.label,
@@ -141,18 +140,14 @@ def verify_identity(f: WavePacketSum, w: RadialWeight, T_schedule,
 
 
 def verify_theorem_main(f: WavePacketSum, w: RadialWeight, T_schedule,
-                        plan: QuadraturePlan | None = None,
                         tolerance: float = 0.02) -> VerificationReport:
     """Horizon limit of the weighted identity vs 2 pi psi'(inf) ||f||^2_{H^1/2}."""
-    plan = plan or QuadraturePlan()
     Ts = [float(T) for T in T_schedule]
-    floor = hs_norm_sq(f, 0.5, plan)
+    floor = hs_norm_sq(f, 0.5)
     target = TWO_PI * w.slope_inf * floor
-    lhs = np.array([morawetz_lhs(f, w, T, plan) for T in Ts])
-    rhs = np.array([boundary_term(f, w, T, plan) for T in Ts])
+    lhs = np.array([morawetz_lhs(f, w, T) for T in Ts])
     est = estimate_limit(zip(Ts, lhs))
     limit_rel = relative_residual(est.value, target, floor)
-    identity_rel = relative_residual(lhs, rhs, floor)
     return VerificationReport(
         experiment="theorem-limit", n=f.n, weight_id=w.label,
         params=np.array(Ts), lhs=lhs, rhs=np.full(len(Ts), target),
@@ -160,30 +155,25 @@ def verify_theorem_main(f: WavePacketSum, w: RadialWeight, T_schedule,
         extrapolated_limit=est.value, limit_error=est.error,
         passed=bool(est.converged and limit_rel <= tolerance),
         notes=est.note,
-        extra={
-            "target": target,
-            "identity_rel_residual": identity_rel.tolist(),
-        },
+        extra={"target": target},
     )
 
 
 def verify_corollary(f: WavePacketSum, R_schedule,
-                     plan: QuadraturePlan | None = None,
                      tolerance: float = 0.02) -> VerificationReport:
     """Radius limit of the ball profile vs 2 pi ||f||^2_{H^1/2}.
 
     Also checks the one-sided bound: the full-gradient profile must reach
     (1 - tolerance) of the target somewhere on the schedule.
     """
-    plan = plan or QuadraturePlan()
     Rs = [float(R) for R in R_schedule]
-    floor = hs_norm_sq(f, 0.5, plan)
+    floor = hs_norm_sq(f, 0.5)
     target = TWO_PI * floor
-    lhs = np.array([radial_profile(f, R, plan) for R in Rs])
+    lhs = np.array([radial_profile(f, R) for R in Rs])
     if f.n == 1:
         smoothing = lhs.copy()  # no tangential directions on the line
     else:
-        smoothing = np.array([smoothing_profile(f, R, plan) for R in Rs])
+        smoothing = np.array([smoothing_profile(f, R) for R in Rs])
     est = estimate_limit(zip(Rs, lhs))
     limit_rel = relative_residual(est.value, target, floor)
     sup_ok = bool(smoothing.size == 0 or
@@ -204,17 +194,15 @@ def verify_corollary(f: WavePacketSum, R_schedule,
 
 
 def verify_flux(f: WavePacketSum, w: RadialWeight, t_schedule,
-                plan: QuadraturePlan | None = None,
                 tolerance: float = 0.02) -> VerificationReport:
     """Radiation flux at +-t vs the signed limits +-2 pi psi'(inf) ||f||^2."""
-    plan = plan or QuadraturePlan()
     ts = sorted(float(t) for t in t_schedule)
     if any(t <= 0 for t in ts):
         raise InvalidParameterError("flux schedule must list positive times")
-    floor = hs_norm_sq(f, 0.5, plan)
+    floor = hs_norm_sq(f, 0.5)
     target = TWO_PI * w.slope_inf * floor
-    plus = np.array([flux(f, w, t, plan) for t in ts])
-    minus = np.array([flux(f, w, -t, plan) for t in ts])
+    plus = np.array([flux(f, w, t) for t in ts])
+    minus = np.array([flux(f, w, -t) for t in ts])
     est_p = estimate_limit(zip(ts, plus))
     est_m = estimate_limit(zip(ts, minus))
     rel_p = relative_residual(est_p.value, target, floor)
@@ -236,7 +224,6 @@ def verify_flux(f: WavePacketSum, w: RadialWeight, t_schedule,
 
 
 def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
-                    plan: QuadraturePlan | None = None,
                     tolerance: float = 1e-3) -> VerificationReport:
     """Three-term squeeze around the ball profile for the plateau weight.
 
@@ -245,28 +232,27 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
     and the spread of the profile tail must stay within the factor
     (k+1)/k + tolerance.
     """
-    plan = plan or QuadraturePlan()
     k = int(k)
     if k < 1:
         raise InvalidParameterError(f"plateau index must be >= 1, got {k}")
     Rs = [float(R) for R in R_schedule]
     w = make_psi_k(k)
     outer = (k + 1.0) / k
-    floor = hs_norm_sq(f, 0.5, plan)
+    floor = hs_norm_sq(f, 0.5)
 
     profile_cache: dict = {}
 
     def prof(R: float) -> float:
         if R not in profile_cache:
-            profile_cache[R] = radial_profile(f, R, plan)
+            profile_cache[R] = radial_profile(f, R)
         return profile_cache[R]
 
     low = np.array([prof(R) for R in Rs])
-    mid = np.array([weighted_radial_energy(f, rescale(w, R), plan) for R in Rs])
+    mid = np.array([weighted_radial_energy(f, rescale(w, R)) for R in Rs])
     high = np.array([outer * prof(outer * R) for R in Rs])
 
     mag = max(float(np.max(np.abs(high))) if len(Rs) else 0.0, floor)
-    slack = 10.0 * plan.rel_tol * mag
+    slack = 10.0 * REL_TOL * mag
     bracket_ok = bool(np.all(low <= mid + slack) and np.all(high >= mid - slack))
 
     tail = low[-max(2, len(low) // 2):]
@@ -295,33 +281,31 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
 
 
 def verify_asymptotics(f: WavePacketSum, t_schedule,
-                       plan: QuadraturePlan | None = None,
                        final_ratio: float = 0.1) -> VerificationReport:
     """Far-field approximant error along a growing time schedule.
 
     Passes when the L2 error strictly decreases at every step and the last
     value is at most final_ratio of the first.  No rate is asserted.  A
     series that starts at 0 (the zero datum) is absent, not a failure to
-    decay.
+    decay.  Fewer than 2 times raise InvalidParameterError.
     """
-    plan = plan or QuadraturePlan()
     ts = [float(t) for t in t_schedule]
-    floor = hs_norm_sq(f, 0.5, plan)
-    errs = np.array([dispersive_l2_error(f, t, plan) for t in ts])
-    passed = bool(len(ts) < 2 or errs[0] == 0.0
+    if len(ts) < 2:
+        raise InvalidParameterError("asymptotics needs at least 2 times")
+    floor = hs_norm_sq(f, 0.5)
+    errs = np.array([dispersive_l2_error(f, t) for t in ts])
+    passed = bool(errs[0] == 0.0
                   or (np.all(np.diff(errs) < 0) and errs[-1] <= final_ratio * errs[0]))
     return VerificationReport(
         experiment="asymptotics", n=f.n, weight_id="none",
         params=np.array(ts), lhs=errs, rhs=np.zeros(len(ts)),
         tolerance=final_ratio, floor=floor,
         passed=passed,
-        notes=f"error fell by {errs[-1] / errs[0]:.3e}" if len(ts) > 1
-              and errs[0] > 0 else "",
+        notes=f"error fell by {errs[-1] / errs[0]:.3e}" if errs[0] > 0 else "",
     )
 
 
 def verify_smoothing_bound(f: WavePacketSum, R_schedule,
-                           plan: QuadraturePlan | None = None,
                            tolerance: float = 0.02,
                            liminf_fraction: float = 0.9) -> VerificationReport:
     """Boundedness and non-degeneracy of the gradient profile.
@@ -331,11 +315,10 @@ def verify_smoothing_bound(f: WavePacketSum, R_schedule,
     above liminf_fraction of that level from some schedule radius onward
     (the contrapositive of 'profile vanishing forces f = 0').
     """
-    plan = plan or QuadraturePlan()
     Rs = [float(R) for R in R_schedule]
-    floor = hs_norm_sq(f, 0.5, plan)
+    floor = hs_norm_sq(f, 0.5)
     target = TWO_PI * floor
-    vals = np.array([smoothing_profile(f, R, plan) for R in Rs])
+    vals = np.array([smoothing_profile(f, R) for R in Rs])
     sup_ok = bool(len(Rs) and vals.max() >= (1.0 - tolerance) * target)
     threshold_R = float("nan")
     for i in range(len(Rs)):
@@ -355,32 +338,29 @@ def verify_smoothing_bound(f: WavePacketSum, R_schedule,
 
 
 def verify_remainder_decay(f: WavePacketSum, w_base: RadialWeight, R_schedule,
-                           plan: QuadraturePlan | None = None,
                            decay_ratio: float = 0.25) -> VerificationReport:
     """Both remainder terms must shrink to decay_ratio of their first value.
 
     lhs carries the tangential series, rhs the bilaplacian series; the gate
-    compares last against first for each.  n = 1 has no tangential term.
+    compares last against first for each, so fewer than 2 radii raise
+    InvalidParameterError.  n = 1 has no tangential term.
     """
-    plan = plan or QuadraturePlan()
     Rs = [float(R) for R in R_schedule]
-    floor = hs_norm_sq(f, 0.5, plan)
-    pairs = [remainder_terms(f, w_base, R, plan) for R in Rs]
+    if len(Rs) < 2:
+        raise InvalidParameterError("remainder decay needs at least 2 radii")
+    floor = hs_norm_sq(f, 0.5)
+    pairs = [remainder_terms(f, w_base, R) for R in Rs]
     tans = np.array([p[0] for p in pairs])
     bils = np.array([p[1] for p in pairs])
     # a series that starts at roundoff level (the tangential term of a
     # radially symmetric datum) is absent, not a failure to decay
-    absent = plan.rel_tol * floor
-    if len(Rs) < 2:
-        ok = True
-    else:
-        tan_ok = tans[0] <= absent or tans[-1] <= decay_ratio * tans[0]
-        bil_ok = bils[0] <= absent or bils[-1] <= decay_ratio * bils[0]
-        ok = bool(tan_ok and bil_ok)
+    absent = REL_TOL * floor
+    tan_ok = tans[0] <= absent or tans[-1] <= decay_ratio * tans[0]
+    bil_ok = bils[0] <= absent or bils[-1] <= decay_ratio * bils[0]
     return VerificationReport(
         experiment="remainder-decay", n=f.n, weight_id=w_base.label,
         params=np.array(Rs), lhs=tans, rhs=bils,
         tolerance=decay_ratio, floor=floor,
-        passed=ok,
+        passed=bool(tan_ok and bil_ok),
         notes="series are (tangential, bilaplacian), not two identity sides",
     )

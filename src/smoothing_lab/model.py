@@ -11,8 +11,8 @@ Momenta are stored so that the Fourier transform of a packet (kernel
 exp(-2 pi i x.xi)) is centered exactly at v -- no stray 2 pi factors.
 
 The other residents: grid snapshots for the spectral propagator, radial
-multiplier weights as analytic derivative stacks, quadrature plans, and the
-per-experiment verification report.
+multiplier weights as analytic derivative stacks, and the per-experiment
+verification report.
 """
 
 from __future__ import annotations
@@ -326,34 +326,6 @@ class GridField:
         return grid_axis(self.L, self.N)
 
 
-def boundary_mass_fraction(g: GridField) -> float:
-    """Fraction of |samples|^2 within L/2 of the box boundary.
-
-    The aliasing sentinel: a large fraction means the field has spread to
-    where the periodic wrap-around is about to matter.  A grid whose total
-    mass is not finite raises InvalidParameterError.
-    """
-    inside = np.flatnonzero(np.abs(g.axis()) < g.L / 2.0)
-    lo, hi = int(inside[0]), int(inside[-1]) + 1
-    dens = np.abs(g.samples)
-    dens *= dens
-    # the edge region is the two end slabs of the first axis, then those
-    # of the second axis within the first axis's core, and so on
-    edge = 0.0
-    core = dens
-    for ax in range(g.n):
-        head = (slice(None),) * ax
-        edge += core[head + (slice(None, lo),)].sum()
-        edge += core[head + (slice(hi, None),)].sum()
-        core = core[head + (slice(lo, hi),)]
-    total = edge + core.sum()
-    if not np.isfinite(total):
-        raise InvalidParameterError(f"grid mass {total} is not finite")
-    if total == 0.0:
-        return 0.0
-    return float(edge / total)
-
-
 # ---------------------------------------------------------------------------
 # radial weights
 # ---------------------------------------------------------------------------
@@ -375,30 +347,6 @@ class RadialWeight:
     slope_inf: float
     label: str
     knots: tuple = ()
-
-
-# ---------------------------------------------------------------------------
-# quadrature plan
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadraturePlan:
-    """Knobs for every space-time integral.
-
-    tau_space: relative tail mass allowed past the spatial truncation radius.
-    rel_tol: relative tolerance per functional evaluation.
-
-    The panel budget of one radial or one time integral is the constant
-    quadrature._MAX_PANELS.
-    """
-
-    tau_space: float = 1e-10
-    rel_tol: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("tau_space", "rel_tol"):
-            if not getattr(self, name) > 0:
-                raise InvalidParameterError(f"{name} must be strictly positive")
 
 
 # ---------------------------------------------------------------------------

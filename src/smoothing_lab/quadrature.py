@@ -52,7 +52,6 @@ import numpy as np
 from scipy.special import i0e, i1e, ive, roots_legendre
 
 from .errors import InvalidParameterError, ToleranceNotMetError
-from .model import QuadraturePlan
 
 _SAFETY_LOG = 16.0  # extra e-foldings kept beyond the tail-mass radius
 _ANGULAR_PAD = 18.0
@@ -73,6 +72,11 @@ _SHARE_RATIO = 1.5
 # panel budget of one radial panel set or one time integral; read when a
 # refinement runs
 _MAX_PANELS = 4000
+# the lab's fixed accuracy: every functional works to the relative
+# tolerance REL_TOL, and a spatial integral stops where the relative tail
+# mass of every term falls below _TAU_SPACE
+REL_TOL = 1e-8
+_TAU_SPACE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -506,29 +510,30 @@ def _batch_integral(geom, coeffs, end, rel_tol, floor):
                      refined, rel_tol, floor)
 
 
-def shell_integrals(states, coeffs: ShellCoefficients, plan: QuadraturePlan,
+def shell_integrals(states, coeffs: ShellCoefficients,
                     r_max: float | None = None, scales=None,
-                    rel_tol: float | None = None):
+                    rel_tol: float = REL_TOL):
     """Integrate the shell integrand of each of a batch of states.
 
     states share their packet count and dimension.  Each state's integral
-    runs over r in [0, r_max] or its own envelope, whichever is shorter,
-    and is refined until it meets its own target
-    rel_tol * max(|value|, scale).  States whose truncation radii agree
-    within a factor _SHARE_RATIO share one radial panel set, starting from
-    the weight knots and the packet centres of their state at the median
-    time.  Returns (values, info), one value per state, where info carries
-    the error estimates and the panel count.  Raises ToleranceNotMetError
-    when one panel set runs out of its _MAX_PANELS budget.
+    runs over r in [0, r_max] or its own envelope, the radius past which
+    the relative tail mass is below _TAU_SPACE, whichever is shorter, and
+    is refined until it meets its own target rel_tol * max(|value|, scale);
+    a missing scale is the state's first total.  States whose truncation
+    radii agree within a factor _SHARE_RATIO share one radial panel set,
+    starting from the weight knots and the packet centres of their state
+    at the median time.  Returns (values, info), one value per state,
+    where info carries the error estimates and the panel count.  Raises
+    ToleranceNotMetError when one panel set runs out of its _MAX_PANELS
+    budget.
     """
     count = len(states)
     if states[0].n > 3:
         raise InvalidParameterError("shell quadrature supports n <= 3")
-    rel_tol = plan.rel_tol if rel_tol is None else rel_tol
     values, errors, panels = np.zeros(count), np.zeros(count), 0
     geom = _StateGeometry(states)
     if geom.m and geom.peak_max.any():
-        reach = geom.support_radii(plan.tau_space)
+        reach = geom.support_radii(_TAU_SPACE)
         if r_max is not None:
             reach = np.minimum(reach, r_max)
         floor = None if scales is None else np.asarray(scales, dtype=float)
@@ -544,18 +549,17 @@ def shell_integrals(states, coeffs: ShellCoefficients, plan: QuadraturePlan,
     return values, {"abs_error": errors, "panels": panels}
 
 
-def shell_integral(state, coeffs: ShellCoefficients, plan: QuadraturePlan,
-                   r_max: float | None = None, scale: float | None = None,
-                   rel_tol: float | None = None):
-    """Integrate the shell integrand over r in [0, r_max] (or the envelope).
+def shell_integral(state, coeffs: ShellCoefficients,
+                   scale: float | None = None):
+    """Integrate the shell integrand of one state over its envelope.
 
-    The one-state case of shell_integrals.  Returns (value, info) where
+    The one-state case of shell_integrals at rel_tol REL_TOL, with scale
+    as the magnitude floor of the target.  Returns (value, info) where
     info carries the error estimate and panel count.  Raises
     ToleranceNotMetError when the panel budget runs out.
     """
-    values, info = shell_integrals([state], coeffs, plan, r_max=r_max,
-                                   scales=None if scale is None else [scale],
-                                   rel_tol=rel_tol)
+    values, info = shell_integrals([state], coeffs,
+                                   scales=None if scale is None else [scale])
     return float(values[0]), {"abs_error": float(info["abs_error"][0]),
                               "panels": info["panels"]}
 

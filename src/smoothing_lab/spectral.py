@@ -34,8 +34,7 @@ import numpy as np
 from scipy import fft
 
 from .errors import AliasingError, InvalidParameterError
-from .model import (GridField, QuadraturePlan, WavePacketSum, _frozen,
-                    boundary_mass_fraction, grid_axis)
+from .model import GridField, WavePacketSum, _frozen, grid_axis
 from .propagator import GaussianState, evolve_analytic, fourier_state
 from .quadrature import ShellCoefficients, shell_integral
 
@@ -71,6 +70,34 @@ class SpectrumField:
 
     def axis(self) -> np.ndarray:
         return (np.arange(self.N) - self.N // 2) * self.dxi
+
+
+def boundary_mass_fraction(g: GridField) -> float:
+    """Fraction of |samples|^2 within L/2 of the box boundary.
+
+    The aliasing sentinel: a large fraction means the field has spread to
+    where the periodic wrap-around is about to matter.  A grid whose total
+    mass is not finite raises InvalidParameterError.
+    """
+    inside = np.flatnonzero(np.abs(g.axis()) < g.L / 2.0)
+    lo, hi = int(inside[0]), int(inside[-1]) + 1
+    dens = np.abs(g.samples)
+    dens *= dens
+    # the edge region is the two end slabs of the first axis, then those
+    # of the second axis within the first axis's core, and so on
+    edge = 0.0
+    core = dens
+    for ax in range(g.n):
+        head = (slice(None),) * ax
+        edge += core[head + (slice(None, lo),)].sum()
+        edge += core[head + (slice(hi, None),)].sum()
+        core = core[head + (slice(lo, hi),)]
+    total = edge + core.sum()
+    if not np.isfinite(total):
+        raise InvalidParameterError(f"grid mass {total} is not finite")
+    if total == 0.0:
+        return 0.0
+    return float(edge / total)
 
 
 def _sealed(a: np.ndarray) -> np.ndarray:
@@ -156,11 +183,11 @@ def evolve_spectral(g: GridField, t: float) -> GridField:
     return out
 
 
-def hs_norm_sq(f, s: float, plan: QuadraturePlan | None = None) -> float:
+def hs_norm_sq(f, s: float) -> float:
     """Homogeneous Sobolev square norm int |xi|^(2s) |fhat(xi)|^2 dxi.
 
     Packet sums go through their closed-form transform and the adaptive
-    shell quadrature; spectrum fields through the weighted discrete sum
+    shell quadrature, at the lab's fixed accuracy; spectrum fields through the weighted discrete sum
     with the xi = 0 bin contributing zero (the origin carries no measure
     in the continuous integral).
     """
@@ -170,9 +197,8 @@ def hs_norm_sq(f, s: float, plan: QuadraturePlan | None = None) -> float:
             raise InvalidParameterError(
                 f"s = {s} is not integrable against packet spectra in dimension {f.n}"
             )
-        plan = plan or QuadraturePlan()
         coeffs = ShellCoefficients(w_mass=lambda r: r ** (2.0 * s))
-        value, _ = shell_integral(fourier_state(f), coeffs, plan)
+        value, _ = shell_integral(fourier_state(f), coeffs)
         return max(value, 0.0)
     if isinstance(f, SpectrumField):
         if 2.0 * s <= -f.n:

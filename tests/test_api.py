@@ -1,11 +1,14 @@
-"""The package's exports are the README's API list, and every name imports."""
+"""The package's exports are the README's API list, every name imports,
+and no module imports a name it never uses."""
 
+import ast
 import re
 from pathlib import Path
 
 import smoothing_lab
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def readme_api_names():
@@ -28,3 +31,31 @@ def test_every_listed_name_imports():
     exec("from smoothing_lab import *", namespace)
     for name in readme_api_names():
         assert namespace[name] is getattr(smoothing_lab, name)
+
+
+def unused_imports(path):
+    """Names an import of the module at path binds and nothing reads.
+
+    A name listed in the module's __all__ counts as read; __future__
+    imports bind nothing.
+    """
+    tree = ast.parse(path.read_text())
+    bound, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in sorted(bound.items()) if name not in read]
+
+
+def test_no_unused_imports():
+    paths = sorted((ROOT / "src" / "smoothing_lab").glob("*.py")) \
+        + sorted((ROOT / "tests").glob("*.py"))
+    assert [hit for path in paths for hit in unused_imports(path)] == []

@@ -19,10 +19,10 @@ from smoothing_lab.harness import REGISTRY, parse_experiment  # noqa: E402
 KEYS = [
     "kind", "n", "packet1", "packet2", "datum_id", "tolerance", "output",
     "schedule_start", "schedule_factor", "schedule_count",
-    "rel_tol", "tau_space", "weight", "eps", "k", "value", "rescale_r",
-    "liminf_fraction",
+    "weight", "eps", "k", "value", "rescale_r", "liminf_fraction",
     # keys no parser reads
     "schedule_kind", "identity_check", "final_ratio", "time_nodes",
+    "rel_tol", "tau_space",
 ]
 
 WORDS = ["", "0", "1", "-1", "0.5", "1e-300", "1e300", "nan", "inf", "-inf",
@@ -43,7 +43,7 @@ VALUES = st.one_of(
        items=st.dictionaries(st.sampled_from(KEYS), VALUES))
 def test_parser_raises_only_config_error(kind, n, items):
     # a valid core that the drawn items override key by key, so the draws
-    # reach the weight, plan and schedule parsers and not only the first check
+    # reach the weight and schedule parsers and not only the first check
     section = {"kind": kind, "n": str(n), "packet1": "1 0 1" + " 0" * (2 * n),
                "weight": "eps", "eps": "1", "k": "2", "schedule_start": "1",
                "schedule_count": "3", **items}

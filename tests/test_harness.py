@@ -112,7 +112,7 @@ packet1 = 1.0 0.0 1.0 0.0 0.0
 weight = eps
 eps = 1.0
 schedule_start = 4
-schedule_count = 1
+schedule_count = 2
 output = diverging.csv
 """)
     assert main(["run", cfg]) == 1
@@ -239,12 +239,18 @@ def test_non_finite_numbers_rejected(workdir, capsys):
 
 
 def test_short_limit_schedule_rejected(workdir, capsys):
-    # the horizon limit is extrapolated from at least 3 points
-    run_expecting_config_error(
-        workdir, capsys,
-        QUICK_IDENTITY.replace("kind = identity", "kind = theorem-limit")
-                      .replace("schedule_count = 1", "schedule_count = 2"),
-        "[quick-identity]", "schedule_count", "at least 3")
+    for kind, count, least in (
+            # the horizon limit is extrapolated from at least 3 points
+            ("theorem-limit", 2, 3),
+            # the decay verdicts compare the last point with the first
+            ("asymptotics", 1, 2),
+            ("remainder-decay", 1, 2)):
+        text = QUICK_IDENTITY.replace("kind = identity", f"kind = {kind}") \
+                             .replace("schedule_count = 1", f"schedule_count = {count}")
+        if kind == "asymptotics":
+            text = text.replace("weight = eps\neps = 1.0\n", "")
+        run_expecting_config_error(workdir, capsys, text, "[quick-identity]",
+                                   "schedule_count", f"at least {least}")
 
 
 def test_overlong_schedule_rejected(workdir, capsys):
@@ -286,7 +292,8 @@ def test_summary_under_missing_directory_rejected(workdir, capsys):
     assert not (workdir / "quick_identity.csv").exists()
 
 
-@pytest.mark.parametrize("key", ["time_nodes", "time_panels", "aliasing_threshold"])
+@pytest.mark.parametrize("key", ["time_nodes", "time_panels", "aliasing_threshold",
+                                 "rel_tol", "tau_space"])
 def test_removed_plan_keys_rejected(workdir, capsys, key):
     run_expecting_config_error(
         workdir, capsys, QUICK_IDENTITY + f"{key} = 16\n",
@@ -299,6 +306,7 @@ def test_ignored_final_ratio_key_rejected(workdir, capsys):
         workdir, capsys,
         QUICK_IDENTITY.replace("kind = identity", "kind = asymptotics")
                       .replace("weight = eps\neps = 1.0\n", "")
+                      .replace("schedule_count = 1", "schedule_count = 2")
         + "final_ratio = 0.5\n",
         "[quick-identity]", "final_ratio", "unknown key")
 
@@ -364,19 +372,6 @@ def test_first_unknown_key_is_named(workdir, capsys):
         workdir, capsys, QUICK_IDENTITY + "zeta = 1\nalpha = 2\n",
         "[quick-identity] zeta: unknown key")
     assert "alpha" not in err
-
-
-@pytest.mark.parametrize("plan,key", [
-    ({"rel_tol": "0", "tau_space": "1e-10"}, "rel_tol"),
-    ({"rel_tol": "1e-8", "tau_space": "-1"}, "tau_space"),
-], ids=["rel_tol", "tau_space"])
-def test_bad_plan_key_names_only_itself(plan, key):
-    items = {"kind": "identity", "n": "1", "packet1": "1 0 1 0 0",
-             "weight": "eps", "eps": "1", "schedule_start": "1",
-             "schedule_count": "1", **plan}
-    with pytest.raises(ConfigError) as exc:
-        parse_experiment("plan", items)
-    assert exc.value.key == key
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,11 @@ import numpy as np
 import pytest
 
 from smoothing_lab.limits import verify_identity
-from smoothing_lab.model import (QuadraturePlan, l2_norm_sq,
-                                 random_packet_suite, translate)
+from smoothing_lab.model import l2_norm_sq, random_packet_suite, translate
 from smoothing_lab.propagator import evolve_analytic
 from smoothing_lab.quadrature import ShellCoefficients, shell_integral
 from smoothing_lab.spectral import hs_norm_sq
 from smoothing_lab.weights import make_psi_eps, make_psi_k
-
-PLAN = QuadraturePlan()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -36,7 +33,7 @@ def test_translation_leaves_mass_norm_and_identity_unchanged(n):
     g = translate(f, np.linspace(1.3, -0.8, n))
     mass = ShellCoefficients(w_mass=np.ones_like)
     for datum in (f, g):
-        value, _ = shell_integral(evolve_analytic(datum, 0.7), mass, PLAN)
+        value, _ = shell_integral(evolve_analytic(datum, 0.7), mass)
         assert value == pytest.approx(l2_norm_sq(f), rel=1e-10)
     assert hs_norm_sq(g, 0.5) == pytest.approx(hs_norm_sq(f, 0.5), rel=1e-10)
     for datum in (f, g):

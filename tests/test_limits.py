@@ -117,6 +117,14 @@ def test_asymptotics_smoke():
     assert report.lhs[1] < report.lhs[0]
 
 
+def test_decay_drivers_reject_one_point_schedules():
+    # each verdict compares the last point with the first
+    with pytest.raises(InvalidParameterError):
+        verify_asymptotics(F_1D, [1.0])
+    with pytest.raises(InvalidParameterError):
+        verify_remainder_decay(F_1D, make_psi_eps(1.0), [4.0])
+
+
 def test_flux_rejects_nonpositive_times():
     with pytest.raises(InvalidParameterError):
         verify_flux(F_1D, make_psi_eps(1.0), [-1.0, 1.0])

@@ -5,11 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from smoothing_lab.errors import InvalidParameterError
-from smoothing_lab.model import (QuadraturePlan, WavePacket, WavePacketSum,
-                                 dilate, gaussian_inner, grid_axis,
-                                 l2_norm_sq, packet, packet_sum,
-                                 random_packet_suite, relative_residual,
-                                 translate)
+from smoothing_lab.model import (WavePacket, WavePacketSum, dilate,
+                                 gaussian_inner, grid_axis, l2_norm_sq,
+                                 packet_sum, random_packet_suite,
+                                 relative_residual, translate)
 
 
 def packet_values_1d(B, a, c, v, x):
@@ -176,10 +175,3 @@ def test_grid_axis_symmetric():
     assert x[0] == -4.0
     assert x[len(x) // 2] == 0.0
     assert np.allclose(np.diff(x), 1.0)
-
-
-def test_quadrature_plan_validation():
-    plan = QuadraturePlan()
-    assert plan.rel_tol == 1e-8
-    with pytest.raises(InvalidParameterError):
-        QuadraturePlan(rel_tol=-1.0)

@@ -8,20 +8,20 @@ from scipy.special import erf, ive
 
 from smoothing_lab.errors import (InvalidParameterError,
                                   ToleranceNotMetError)
-from smoothing_lab.model import (QuadraturePlan, WavePacket, l2_norm_sq,
-                                 packet_sum, random_packet_suite)
+from smoothing_lab.model import (WavePacket, l2_norm_sq, packet_sum,
+                                 random_packet_suite)
 from smoothing_lab.propagator import evolve_analytic, fourier_state
 from smoothing_lab import quadrature
-from smoothing_lab.quadrature import (_GK21, _SERIES_BELOW, ShellCoefficients,
-                                      _adaptive, _angular_moments,
-                                      _bucket_band, _moment_values,
-                                      _on_compact_line, _share_groups,
-                                      _shell_values, _sphere_rule,
-                                      _StateGeometry, adaptive_time_integral,
+from smoothing_lab.quadrature import (_GK21, _SERIES_BELOW, _TAU_SPACE,
+                                      ShellCoefficients, _adaptive,
+                                      _angular_moments, _bucket_band,
+                                      _moment_values, _on_compact_line,
+                                      _share_groups, _shell_values,
+                                      _sphere_rule, _StateGeometry,
+                                      adaptive_time_integral,
                                       real_line_time_integral, shell_integral,
                                       shell_integrals)
 
-PLAN = QuadraturePlan()
 EPS = np.finfo(float).eps
 
 
@@ -86,7 +86,7 @@ def test_bucket_band_covers_requirement():
 def test_mass_conserved_any_dimension(n, t):
     f = single(n, A=1.3 - 0.4j, a=0.8, c=0.3 * np.ones(n), v=0.25 * np.ones(n))
     st = evolve_analytic(f, t)
-    val, info = shell_integral(st, ShellCoefficients(w_mass=np.ones_like), PLAN)
+    val, info = shell_integral(st, ShellCoefficients(w_mass=np.ones_like))
     assert val == pytest.approx(l2_norm_sq(f), rel=1e-10)
     assert info["abs_error"] <= 1e-8 * val
 
@@ -95,17 +95,17 @@ def test_two_packet_interference_mass():
     f = packet_sum([WavePacket(1.0, 1.0, [0.3], [0.4]),
                     WavePacket(0.6j, 1.4, [-0.5], [-0.2])])
     st = evolve_analytic(f, 0.7)
-    val, _ = shell_integral(st, ShellCoefficients(w_mass=np.ones_like), PLAN)
+    val, _ = shell_integral(st, ShellCoefficients(w_mass=np.ones_like))
     assert val == pytest.approx(l2_norm_sq(f), rel=1e-10)
 
 
 def test_ball_truncated_mass_matches_erf():
     a, R = 0.9, 1.7
     st = evolve_analytic(single(1, a=a), 0.0)
-    val, _ = shell_integral(st, ShellCoefficients(w_mass=np.ones_like),
-                            PLAN, r_max=R)
+    vals, _ = shell_integrals([st], ShellCoefficients(w_mass=np.ones_like),
+                              r_max=R)
     expect = np.sqrt(np.pi / (2 * a)) * erf(np.sqrt(2 * a) * R)
-    assert val == pytest.approx(expect, rel=1e-10)
+    assert vals[0] == pytest.approx(expect, rel=1e-10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -120,7 +120,7 @@ def test_gradient_energy_closed_form(n):
     coeffs = ShellCoefficients(w_rr=one, w_tau=one if n > 1 else None)
     for t in (0.0, 1.5):
         st = evolve_analytic(f, t)
-        val, _ = shell_integral(st, coeffs, PLAN)
+        val, _ = shell_integral(st, coeffs)
         assert val == pytest.approx(expect, rel=1e-9)
 
 
@@ -128,7 +128,7 @@ def test_flux_odd_symmetry_cancels():
     # centered packet: radial momentum flux through opposite rays cancels
     st = evolve_analytic(single(1, v=np.array([0.7])), 0.0)
     val, _ = shell_integral(
-        st, ShellCoefficients(w_flux=np.ones_like), PLAN, scale=1.0)
+        st, ShellCoefficients(w_flux=np.ones_like), scale=1.0)
     assert abs(val) <= 1e-10
 
 
@@ -140,18 +140,18 @@ def test_shell_weight_knots_are_honored():
     def w(r):
         return np.where(r <= 1.7, 1.0, 0.0)
 
-    val, _ = shell_integral(st, ShellCoefficients(w_mass=w, knots=(1.7,)), PLAN)
+    val, _ = shell_integral(st, ShellCoefficients(w_mass=w, knots=(1.7,)))
     expect = np.sqrt(np.pi / (2 * a)) * erf(np.sqrt(2 * a) * 1.7)
     assert val == pytest.approx(expect, rel=1e-10)
 
 
 def test_shell_integral_reports_nonconvergence():
     # demands accuracy below machine precision so refinement must give up
-    plan = QuadraturePlan(rel_tol=1e-18)
     f = single(2, a=1.0, v=np.array([0.4, -0.3]))
     st = evolve_analytic(f, 2.0)
     with pytest.raises(ToleranceNotMetError) as exc:
-        shell_integral(st, ShellCoefficients(w_mass=np.ones_like), plan)
+        shell_integrals([st], ShellCoefficients(w_mass=np.ones_like),
+                        rel_tol=1e-18)
     assert exc.value.achieved > exc.value.requested
     assert np.isfinite(exc.value.estimate)
 
@@ -328,15 +328,15 @@ def test_batched_integral_matches_single_state_calls(n):
     # one-state integral within the two targets
     coeffs = ShellCoefficients(w_mass=lambda r: np.exp(-r))
     states = [evolve_analytic(moving_pair(n), t) for t in (0.9, 0.1, -0.1)]
-    reach = _StateGeometry(states).support_radii(PLAN.tau_space)
+    reach = _StateGeometry(states).support_radii(_TAU_SPACE)
     assert sorted(map(len, _share_groups(reach))) == [1, 2]
     scales = [1.0, 1e-3, 1e-6]
-    values, info = shell_integrals(states, coeffs, PLAN, scales=scales, rel_tol=1e-9)
+    values, info = shell_integrals(states, coeffs, scales=scales, rel_tol=1e-9)
     for state, value, error, scale in zip(states, values, info["abs_error"], scales):
         target = 1e-9 * max(abs(value), scale)
         assert error <= target
-        single, _ = shell_integral(state, coeffs, PLAN, scale=scale, rel_tol=1e-9)
-        assert abs(value - single) <= 2.0 * target
+        single, _ = shell_integrals([state], coeffs, scales=[scale], rel_tol=1e-9)
+        assert abs(value - single[0]) <= 2.0 * target
 
 
 def test_vector_refinement_meets_every_component_target():
@@ -450,16 +450,15 @@ def assert_bounded(value, error, exact):
 def test_mass_error_bar_bounds_gram_sum(n, t):
     f = single(n, A=1.3 - 0.4j, a=0.8, c=0.3 * np.ones(n), v=0.25 * np.ones(n))
     val, info = shell_integral(evolve_analytic(f, t),
-                               ShellCoefficients(w_mass=np.ones_like), PLAN)
+                               ShellCoefficients(w_mass=np.ones_like))
     assert_bounded(val, info["abs_error"], l2_norm_sq(f))
 
 
 def test_ball_mass_error_bar_bounds_erf():
     a, R = 0.9, 1.7
-    val, info = shell_integral(evolve_analytic(single(1, a=a), 0.0),
-                               ShellCoefficients(w_mass=np.ones_like), PLAN,
-                               r_max=R)
-    assert_bounded(val, info["abs_error"],
+    vals, info = shell_integrals([evolve_analytic(single(1, a=a), 0.0)],
+                                 ShellCoefficients(w_mass=np.ones_like), r_max=R)
+    assert_bounded(vals[0], info["abs_error"][0],
                    np.sqrt(np.pi / (2 * a)) * erf(np.sqrt(2 * a) * R))
 
 
@@ -467,7 +466,7 @@ def test_ball_mass_error_bar_bounds_erf():
 def test_half_derivative_error_bar_bounds_closed_form(a):
     # int |xi| |fhat|^2 = 1/(2 pi) for exp(-a x^2) at every width a
     ghat = fourier_state(single(1, a=a))
-    val, info = shell_integral(ghat, ShellCoefficients(w_mass=lambda r: r), PLAN)
+    val, info = shell_integral(ghat, ShellCoefficients(w_mass=lambda r: r))
     assert_bounded(val, info["abs_error"], 1.0 / (2.0 * np.pi))
 
 

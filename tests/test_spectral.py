@@ -15,7 +15,6 @@ from smoothing_lab import (
     AliasingError,
     GridField,
     InvalidParameterError,
-    QuadraturePlan,
     SpectrumField,
     dispersive_approx,
     evolve_analytic,
