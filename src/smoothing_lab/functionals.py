@@ -27,9 +27,9 @@ import numpy as np
 from .errors import InvalidWeightError
 from .model import RadialWeight, WavePacketSum, l2_norm_sq
 from .propagator import difference_state, dispersive_approx, evolve_analytic
-from .quadrature import (REL_TOL, ShellCoefficients, adaptive_time_integral,
-                         real_line_time_integral, shell_integral,
-                         shell_integrals)
+from .quadrature import (REL_TOL, ShellCoefficients, _compact_line_rate,
+                         adaptive_time_integral, real_line_time_integral,
+                         shell_integral, shell_integrals)
 from .weights import radial_laplacians, rescale
 
 _SPACE_FACTOR = 0.25  # spatial tolerance tightening inside time integrals
@@ -51,24 +51,16 @@ def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients,
     space_tol = _SPACE_FACTOR * REL_TOL
     space_scale = scale / max(width, 1.0)
 
-    # On the compactified line the shell floor shrinks by 1/jac so that the
-    # jacobian-multiplied evaluations carry uniform error per unit s; either
-    # way the accepted spatial error stays <= space_tol * scale in total.
-    def local_floor(t):
-        if horizon is not None:
-            return space_scale
-        at = abs(t)
-        if at < 1e-150:
-            return space_scale
-        s = (math.sqrt(1.0 + 4.0 * at * at) - 1.0) / (2.0 * at)
-        return space_scale * (1.0 - s * s) ** 2 / (1.0 + s * s)
-
     def fn(ts):
-        # one radial panel set for every node, each node to its own floor
+        # one radial panel set for every node, each node to its own floor;
+        # on the whole line the floor shrinks by ds/dt so that the jacobian-
+        # multiplied values carry uniform error per unit s.  Either way the
+        # accepted spatial error stays <= space_tol * scale in total.
         states = [evolve_analytic(f, t) for t in ts]
+        floors = (np.full(len(ts), space_scale) if horizon is not None
+                  else space_scale * _compact_line_rate(ts))
         values, _ = shell_integrals(states, coeffs, r_max=r_max,
-                                    scales=[local_floor(t) for t in ts],
-                                    rel_tol=space_tol)
+                                    scales=floors, rel_tol=space_tol)
         return values
 
     if horizon is None:

@@ -17,7 +17,8 @@ Config format: one INI section per experiment, flat key-value pairs, e.g.
 A packet key lists amplitude_re amplitude_im width center(n) momentum(n).
 The optional [lab] section holds the summary path.  Each experiment kind
 is one ExperimentKind record in REGISTRY: its statement, default
-tolerance, shortest schedule, the parser of its own keys and its driver.
+tolerance, the parser of its own keys and its driver; its shortest
+schedule is limits.MIN_POINTS[kind], which the load enforces too.
 A key is known to a section because some parser reads it.
 run_experiment labels each report with the section's datum_id, which
 defaults to the section name.
@@ -49,8 +50,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ConfigError, SmoothingLabError
-from .limits import (verify_asymptotics, verify_corollary, verify_flux,
-                     verify_identity, verify_remainder_decay,
+from .limits import (MIN_POINTS, verify_asymptotics, verify_corollary,
+                     verify_flux, verify_identity, verify_remainder_decay,
                      verify_sandwich, verify_smoothing_bound,
                      verify_theorem_main)
 from .model import VerificationReport, WavePacket, WavePacketSum
@@ -199,29 +200,20 @@ def _sandwich_options(reader: _SectionReader) -> dict:
     return {"k": k}
 
 
-def _smoothing_options(reader: _SectionReader) -> dict:
-    frac = reader.floatv("liminf_fraction", 0.9)
-    if not 0.0 < frac < 1.0:
-        raise reader.error("liminf_fraction", "must lie in (0, 1)")
-    return {"liminf_fraction": frac}
-
-
 @dataclass(frozen=True)
 class ExperimentKind:
     """Everything the harness knows about one experiment kind.
 
-    parse reads the kind's own keys into ExperimentSpec.options, and any
-    key that neither it nor the common parsers read is rejected; driver runs
-    a spec.  Drivers name their verify_* function in the lambda body, so the
-    function is looked up when the experiment runs.
+    tolerance is the kind's default, the only one: verify_* take theirs
+    explicitly.  parse reads the kind's own keys into ExperimentSpec.options,
+    and any key that neither it nor the common parsers read is rejected;
+    driver runs a spec.  Drivers name their verify_* function in the lambda
+    body, so the function is looked up when the experiment runs.
     """
 
     statement: str
-    tolerance: float  # the default tolerance
+    tolerance: float
     driver: Callable[[ExperimentSpec], VerificationReport]
-    # the limit kinds extrapolate from 3 points or more, and asymptotics
-    # and remainder-decay compare the last point with the first
-    min_points: int = 1
     parse: Callable[[_SectionReader], dict] = lambda reader: {}
 
 
@@ -235,19 +227,19 @@ REGISTRY = {
     "theorem-limit": ExperimentKind(
         "lim_{T->inf} int_{-T}^{T} int [psi''|u_r|^2 + (psi'/r)|grad_tau u|^2"
         " - (1/4)|u|^2 Lap^2 psi] dx dt = 2 pi psi'(inf) ||f||^2_{H^1/2}",
-        0.02, min_points=3, parse=_weight_options,
+        0.02, parse=_weight_options,
         driver=lambda s: verify_theorem_main(
             s.datum, s.options["weight"], s.schedule, s.tolerance)),
     "corollary-limit": ExperimentKind(
         "lim_{R->inf} (1/R) int_t int_{B_R} |u_r|^2 dx dt"
         " = 2 pi ||f||^2_{H^1/2}",
-        0.02, min_points=3,
+        0.02,
         driver=lambda s: verify_corollary(
             s.datum, s.schedule, s.tolerance)),
     "flux-limit": ExperimentKind(
         "lim_{t->+-inf} Im int conj(u) psi'(r) u_r dx"
         " = +-2 pi psi'(inf) ||f||^2_{H^1/2}",
-        0.02, min_points=3, parse=_weight_options,
+        0.02, parse=_weight_options,
         driver=lambda s: verify_flux(
             s.datum, s.options["weight"], s.schedule, s.tolerance)),
     "sandwich": ExperimentKind(
@@ -259,35 +251,34 @@ REGISTRY = {
     "remainder-decay": ExperimentKind(
         "lim_{R->inf} int_t int |u|^2 |Lap^2 psi_R| dx dt = 0,"
         " same for int_t int (|grad_tau u|^2/r) |psi_R'|",
-        0.25, min_points=2, parse=_weight_options,
+        0.25, parse=_weight_options,
         driver=lambda s: verify_remainder_decay(
             s.datum, s.options["weight"], s.schedule, decay_ratio=s.tolerance)),
     "asymptotics": ExperimentKind(
         "u(t) = e^{-i sgn(t) n pi/4} e^{i|x|^2/(4t)} (4 pi |t|)^{-n/2}"
         " fhat(x/(4 pi t)) + o_{L2}(1)",
-        0.1, min_points=2,
+        0.1,
         driver=lambda s: verify_asymptotics(
             s.datum, s.schedule, final_ratio=s.tolerance)),
     "smoothing-bound": ExperimentKind(
         "sup_R (1/R) int_t int_{B_R} |grad u|^2 dx dt"
         " >= 2 pi ||f||^2_{H^1/2}",
-        0.02, parse=_smoothing_options,
+        0.02,
         driver=lambda s: verify_smoothing_bound(
-            s.datum, s.schedule, s.tolerance,
-            liminf_fraction=s.options["liminf_fraction"])),
+            s.datum, s.schedule, s.tolerance)),
 }
 
 
 def _parse_schedule(reader: _SectionReader, kind: str) -> list:
-    record = REGISTRY[kind]
+    least = MIN_POINTS[kind]
     start = reader.floatv("schedule_start", required=True)
     count = reader.intv("schedule_count", required=True)
     factor = reader.floatv("schedule_factor", 2.0)
     if start <= 0:
         raise reader.error("schedule_start", "must be positive")
-    if count < record.min_points:
+    if count < least:
         raise reader.error("schedule_count",
-                           f"{kind} needs at least {record.min_points} "
+                           f"{kind} needs at least {least} "
                            f"schedule points, got {count}")
     if count > _MAX_SCHEDULE:
         raise reader.error("schedule_count",

@@ -8,7 +8,9 @@ flagged as non-convergent rather than extrapolated, and reported by its
 final value with the last increment as the error bar.
 
 The verify_* drivers run one experiment each and return a
-VerificationReport; they are the layer the harness schedules.
+VerificationReport; they are the layer the harness schedules.  Each
+checks its schedule with _points before computing anything, and takes its
+tolerance explicitly: the defaults live in harness.REGISTRY.
 """
 
 from __future__ import annotations
@@ -30,6 +32,28 @@ from .spectral import hs_norm_sq
 from .weights import make_psi_k, rescale
 
 TWO_PI = 2.0 * np.pi
+# the power model has three parameters, so a fit needs three points
+_FIT_POINTS = 3
+# smoothing-bound: the profile must stay above this fraction of
+# 2 pi ||f||^2_{H^1/2} from some schedule radius onward
+_LIMINF_FRACTION = 0.9
+
+# each kind's shortest schedule: the limit kinds extrapolate, and
+# asymptotics and remainder-decay compare the last point with the first
+MIN_POINTS = {"identity": 1, "sandwich": 1, "smoothing-bound": 1,
+              "asymptotics": 2, "remainder-decay": 2,
+              "theorem-limit": _FIT_POINTS, "corollary-limit": _FIT_POINTS,
+              "flux-limit": _FIT_POINTS}
+
+
+def _points(kind: str, schedule) -> list:
+    """The schedule as floats; InvalidParameterError below MIN_POINTS[kind]."""
+    pts = [float(p) for p in schedule]
+    if len(pts) < MIN_POINTS[kind]:
+        raise InvalidParameterError(
+            f"{kind} needs at least {MIN_POINTS[kind]} schedule points, "
+            f"got {len(pts)}")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -53,8 +77,9 @@ def estimate_limit(values) -> LimitEstimate:
     as the error bar, never as a fitted limit.
     """
     pts = [(float(p), float(v)) for p, v in values]
-    if len(pts) < 3:
-        raise InvalidParameterError("limit estimation needs at least 3 points")
+    if len(pts) < _FIT_POINTS:
+        raise InvalidParameterError(
+            f"limit estimation needs at least {_FIT_POINTS} points")
     params = np.array([p for p, _ in pts])
     vals = np.array([v for _, v in pts])
     if np.any(np.diff(params) <= 0):
@@ -118,31 +143,30 @@ def estimate_limit(values) -> LimitEstimate:
 # ---------------------------------------------------------------------------
 
 def verify_identity(f: WavePacketSum, w: RadialWeight, T_schedule,
-                    tolerance: float = 1e-6) -> VerificationReport:
+                    tolerance: float) -> VerificationReport:
     """Exact finite-horizon check: bulk integral vs endpoint flux difference.
 
     The two sides are computed by unrelated quadratures (space-time vs two
     time slices), so agreement at tolerance is a real statement about both.
     """
-    Ts = [float(T) for T in T_schedule]
+    Ts = _points("identity", T_schedule)
     floor = hs_norm_sq(f, 0.5)
     lhs = np.array([morawetz_lhs(f, w, T) for T in Ts])
     rhs = np.array([boundary_term(f, w, T) for T in Ts])
     rel = relative_residual(lhs, rhs, floor)
-    report = VerificationReport(
+    return VerificationReport(
         experiment="identity", n=f.n, weight_id=w.label,
         params=np.array(Ts), lhs=lhs, rhs=rhs,
         tolerance=tolerance, floor=floor,
         passed=bool(np.all(rel <= tolerance)),
-        notes=f"max relative residual {rel.max():.3e}" if len(Ts) else "",
+        notes=f"max relative residual {rel.max():.3e}",
     )
-    return report
 
 
 def verify_theorem_main(f: WavePacketSum, w: RadialWeight, T_schedule,
-                        tolerance: float = 0.02) -> VerificationReport:
+                        tolerance: float) -> VerificationReport:
     """Horizon limit of the weighted identity vs 2 pi psi'(inf) ||f||^2_{H^1/2}."""
-    Ts = [float(T) for T in T_schedule]
+    Ts = _points("theorem-limit", T_schedule)
     floor = hs_norm_sq(f, 0.5)
     target = TWO_PI * w.slope_inf * floor
     lhs = np.array([morawetz_lhs(f, w, T) for T in Ts])
@@ -160,13 +184,13 @@ def verify_theorem_main(f: WavePacketSum, w: RadialWeight, T_schedule,
 
 
 def verify_corollary(f: WavePacketSum, R_schedule,
-                     tolerance: float = 0.02) -> VerificationReport:
+                     tolerance: float) -> VerificationReport:
     """Radius limit of the ball profile vs 2 pi ||f||^2_{H^1/2}.
 
     Also checks the one-sided bound: the full-gradient profile must reach
     (1 - tolerance) of the target somewhere on the schedule.
     """
-    Rs = [float(R) for R in R_schedule]
+    Rs = _points("corollary-limit", R_schedule)
     floor = hs_norm_sq(f, 0.5)
     target = TWO_PI * floor
     lhs = np.array([radial_profile(f, R) for R in Rs])
@@ -176,8 +200,7 @@ def verify_corollary(f: WavePacketSum, R_schedule,
         smoothing = np.array([smoothing_profile(f, R) for R in Rs])
     est = estimate_limit(zip(Rs, lhs))
     limit_rel = relative_residual(est.value, target, floor)
-    sup_ok = bool(smoothing.size == 0 or
-                  smoothing.max() >= (1.0 - tolerance) * target)
+    sup_ok = bool(smoothing.max() >= (1.0 - tolerance) * target)
     return VerificationReport(
         experiment="corollary-limit", n=f.n, weight_id="none",
         params=np.array(Rs), lhs=lhs, rhs=np.full(len(Rs), target),
@@ -194,9 +217,9 @@ def verify_corollary(f: WavePacketSum, R_schedule,
 
 
 def verify_flux(f: WavePacketSum, w: RadialWeight, t_schedule,
-                tolerance: float = 0.02) -> VerificationReport:
+                tolerance: float) -> VerificationReport:
     """Radiation flux at +-t vs the signed limits +-2 pi psi'(inf) ||f||^2."""
-    ts = sorted(float(t) for t in t_schedule)
+    ts = sorted(_points("flux-limit", t_schedule))
     if any(t <= 0 for t in ts):
         raise InvalidParameterError("flux schedule must list positive times")
     floor = hs_norm_sq(f, 0.5)
@@ -224,18 +247,19 @@ def verify_flux(f: WavePacketSum, w: RadialWeight, t_schedule,
 
 
 def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
-                    tolerance: float = 1e-3) -> VerificationReport:
+                    tolerance: float) -> VerificationReport:
     """Three-term squeeze around the ball profile for the plateau weight.
 
     At every R:  profile(R) <= int int psi_k,R''|du/dr|^2
                             <= (k+1)/k * profile((k+1)R/k),
     and the spread of the profile tail must stay within the factor
-    (k+1)/k + tolerance.
+    (k+1)/k + tolerance.  A schedule too short to fit reports its last
+    profile value as the limit, with a NaN error.
     """
+    Rs = _points("sandwich", R_schedule)
     k = int(k)
     if k < 1:
         raise InvalidParameterError(f"plateau index must be >= 1, got {k}")
-    Rs = [float(R) for R in R_schedule]
     w = make_psi_k(k)
     outer = (k + 1.0) / k
     floor = hs_norm_sq(f, 0.5)
@@ -251,7 +275,7 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
     mid = np.array([weighted_radial_energy(f, rescale(w, R)) for R in Rs])
     high = np.array([outer * prof(outer * R) for R in Rs])
 
-    mag = max(float(np.max(np.abs(high))) if len(Rs) else 0.0, floor)
+    mag = max(float(np.max(np.abs(high))), floor)
     slack = 10.0 * REL_TOL * mag
     bracket_ok = bool(np.all(low <= mid + slack) and np.all(high >= mid - slack))
 
@@ -261,8 +285,8 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
     ratio = 1.0 if lim_sup == 0.0 else lim_sup / lim_inf if lim_inf > 0 else np.inf
     ratio_ok = bool(ratio <= outer + tolerance)
 
-    est = estimate_limit(zip(Rs, low)) if len(Rs) >= 3 else \
-        LimitEstimate(low[-1] if len(Rs) else 0.0, np.nan, False, "short schedule")
+    est = estimate_limit(zip(Rs, low)) if len(Rs) >= _FIT_POINTS else \
+        LimitEstimate(low[-1], np.nan, False, "short schedule")
 
     return VerificationReport(
         experiment="sandwich", n=f.n, weight_id=w.label,
@@ -281,17 +305,16 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
 
 
 def verify_asymptotics(f: WavePacketSum, t_schedule,
-                       final_ratio: float = 0.1) -> VerificationReport:
+                       final_ratio: float) -> VerificationReport:
     """Far-field approximant error along a growing time schedule.
 
     Passes when the L2 error strictly decreases at every step and the last
     value is at most final_ratio of the first.  No rate is asserted.  A
     series that starts at 0 (the zero datum) is absent, not a failure to
-    decay.  Fewer than 2 times raise InvalidParameterError.
+    decay.  A schedule shorter than MIN_POINTS["asymptotics"] raises
+    InvalidParameterError before any error is computed.
     """
-    ts = [float(t) for t in t_schedule]
-    if len(ts) < 2:
-        raise InvalidParameterError("asymptotics needs at least 2 times")
+    ts = _points("asymptotics", t_schedule)
     floor = hs_norm_sq(f, 0.5)
     errs = np.array([dispersive_l2_error(f, t) for t in ts])
     passed = bool(errs[0] == 0.0
@@ -306,23 +329,23 @@ def verify_asymptotics(f: WavePacketSum, t_schedule,
 
 
 def verify_smoothing_bound(f: WavePacketSum, R_schedule,
-                           tolerance: float = 0.02,
-                           liminf_fraction: float = 0.9) -> VerificationReport:
+                           tolerance: float) -> VerificationReport:
     """Boundedness and non-degeneracy of the gradient profile.
 
     Records the observed sup of profile/||f||^2_{H^1/2}; requires the
     profile to reach (1 - tolerance) of 2 pi ||f||^2 somewhere, and to stay
-    above liminf_fraction of that level from some schedule radius onward
-    (the contrapositive of 'profile vanishing forces f = 0').
+    above _LIMINF_FRACTION of that level from some schedule radius
+    onward (the contrapositive of 'profile vanishing forces f = 0').  An
+    empty schedule raises InvalidParameterError.
     """
-    Rs = [float(R) for R in R_schedule]
+    Rs = _points("smoothing-bound", R_schedule)
     floor = hs_norm_sq(f, 0.5)
     target = TWO_PI * floor
     vals = np.array([smoothing_profile(f, R) for R in Rs])
-    sup_ok = bool(len(Rs) and vals.max() >= (1.0 - tolerance) * target)
+    sup_ok = bool(vals.max() >= (1.0 - tolerance) * target)
     threshold_R = float("nan")
     for i in range(len(Rs)):
-        if np.all(vals[i:] >= liminf_fraction * target):
+        if np.all(vals[i:] >= _LIMINF_FRACTION * target):
             threshold_R = Rs[i]
             break
     observed = float(vals.max() / floor) if floor > 0 else 0.0
@@ -338,16 +361,15 @@ def verify_smoothing_bound(f: WavePacketSum, R_schedule,
 
 
 def verify_remainder_decay(f: WavePacketSum, w_base: RadialWeight, R_schedule,
-                           decay_ratio: float = 0.25) -> VerificationReport:
+                           decay_ratio: float) -> VerificationReport:
     """Both remainder terms must shrink to decay_ratio of their first value.
 
     lhs carries the tangential series, rhs the bilaplacian series; the gate
-    compares last against first for each, so fewer than 2 radii raise
-    InvalidParameterError.  n = 1 has no tangential term.
+    compares last against first for each, so a schedule shorter than
+    MIN_POINTS["remainder-decay"] raises InvalidParameterError before any
+    remainder is computed.  n = 1 has no tangential term.
     """
-    Rs = [float(R) for R in R_schedule]
-    if len(Rs) < 2:
-        raise InvalidParameterError("remainder decay needs at least 2 radii")
+    Rs = _points("remainder-decay", R_schedule)
     floor = hs_norm_sq(f, 0.5)
     pairs = [remainder_terms(f, w_base, R) for R in Rs]
     tans = np.array([p[0] for p in pairs])

@@ -287,6 +287,29 @@ def _frozen(values) -> np.ndarray:
     return a
 
 
+def _set_layout(fld, array: str) -> None:
+    """Check and normalise a grid field's layout in its __post_init__.
+
+    The dimension n must be 1, 2 or 3, the half-width L finite and
+    positive, the points per axis N positive and even, and the attribute
+    named by array of shape (N,)*n; it is stored frozen, with t a float.
+    """
+    n, L, N = int(fld.n), float(fld.L), int(fld.N)
+    if n not in (1, 2, 3):
+        raise InvalidParameterError(f"grid dimension must be 1, 2 or 3, got {n}")
+    if not 0.0 < L < np.inf:  # False for NaN too
+        raise InvalidParameterError(f"half-width must be finite and positive, got {L}")
+    if N <= 0 or N % 2:
+        raise InvalidParameterError(f"points per axis must be positive even, got {N}")
+    values = _frozen(getattr(fld, array))
+    if values.shape != (N,) * n:
+        raise InvalidParameterError(
+            f"{array} shape {values.shape} does not match {(N,) * n}")
+    for name, value in (("n", n), ("L", L), ("N", N), (array, values),
+                        ("t", float(fld.t))):
+        object.__setattr__(fld, name, value)
+
+
 @dataclass(frozen=True, eq=False)
 class GridField:
     """Uniform tensor-grid samples of a complex field on [-L, L)^n."""
@@ -298,25 +321,7 @@ class GridField:
     t: float = 0.0
 
     def __post_init__(self):
-        n = int(self.n)
-        N = int(self.N)
-        L = float(self.L)
-        if n not in (1, 2, 3):
-            raise InvalidParameterError(f"grid dimension must be 1, 2 or 3, got {n}")
-        if L <= 0:
-            raise InvalidParameterError(f"half-width must be positive, got {L}")
-        if N <= 0 or N % 2:
-            raise InvalidParameterError(f"points per axis must be positive even, got {N}")
-        samples = _frozen(self.samples)
-        if samples.shape != (N,) * n:
-            raise InvalidParameterError(
-                f"sample shape {samples.shape} does not match {(N,) * n}"
-            )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "t", float(self.t))
+        _set_layout(self, "samples")
 
     @property
     def dx(self) -> float:

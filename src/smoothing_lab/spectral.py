@@ -34,7 +34,7 @@ import numpy as np
 from scipy import fft
 
 from .errors import AliasingError, InvalidParameterError
-from .model import GridField, WavePacketSum, _frozen, grid_axis
+from .model import GridField, WavePacketSum, _set_layout, grid_axis
 from .propagator import GaussianState, evolve_analytic, fourier_state
 from .quadrature import ShellCoefficients, shell_integral
 
@@ -52,13 +52,7 @@ class SpectrumField:
     t: float = 0.0
 
     def __post_init__(self):
-        values = _frozen(self.values)
-        if values.shape != (self.N,) * self.n:
-            raise InvalidParameterError(
-                f"value shape {values.shape} does not match {(self.N,) * self.n}"
-            )
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "t", float(self.t))
+        _set_layout(self, "values")
 
     @property
     def dxi(self) -> float:

@@ -146,40 +146,6 @@ _BUMP_TABLES = BumpAntiderivatives.build()
 
 
 # ---------------------------------------------------------------------------
-# bump profile h_k
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class BumpProfile:
-    """h_k: 1 on [0, 1], smooth drop across [1, 1+1/k], 0 beyond.
-
-    Evaluations accept any real r and use |r| (the profile is even).
-    """
-
-    k: int
-
-    def __post_init__(self):
-        if int(self.k) < 1:
-            raise InvalidParameterError(f"bump steepness k must be >= 1, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
-
-    @property
-    def outer_edge(self) -> float:
-        return (self.k + 1.0) / self.k
-
-    def __call__(self, r):
-        return bump_transition(self.k * (np.abs(np.asarray(r, dtype=float)) - 1.0))
-
-    def d1(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.k * bump_transition(self.k * (np.abs(r) - 1.0), 1) * np.sign(r)
-
-    def d2(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.k**2 * bump_transition(self.k * (np.abs(r) - 1.0), 2)
-
-
-# ---------------------------------------------------------------------------
 # shipped weight families
 # ---------------------------------------------------------------------------
 
@@ -215,11 +181,17 @@ def make_psi_eps(eps: float) -> RadialWeight:
 
 
 def make_psi_k(k: int) -> RadialWeight:
-    """Second antiderivative of the bump h_k, quadratic core, affine tail."""
-    bump = BumpProfile(k)
+    """Second antiderivative of the bump h_k, quadratic core, affine tail.
+
+    psi'' = h_k is 1 on [0, 1], drops smoothly across [1, 1+1/k] and is 0
+    beyond; every derivative accepts any real r and uses |r| (h_k is even).
+    """
+    if int(k) < 1:
+        raise InvalidParameterError(f"bump steepness k must be >= 1, got {k}")
+    k = int(k)
     tab = _BUMP_TABLES
-    kk = float(bump.k)
-    outer = bump.outer_edge
+    kk = float(k)
+    outer = (k + 1.0) / k
     slope = 1.0 + tab.q_total / kk
     # psi(r >= outer) = slope*r - offset: the band formula with
     # Q2(s) = Q2(1) + Q(1)(s - 1)
@@ -251,8 +223,19 @@ def make_psi_k(k: int) -> RadialWeight:
         # psi' is odd; sign(0) = 0 gives the correct psi'(0) = 0
         return (out * np.sign(np.atleast_1d(r))).reshape(r.shape)
 
-    return RadialWeight(d0, d1, bump, bump.d1, bump.d2, slope_inf=slope,
-                        label=f"bump-k{bump.k}", knots=(1.0, outer))
+    def d2(r):
+        return bump_transition(k * (np.abs(np.asarray(r, dtype=float)) - 1.0))
+
+    def d3(r):
+        r = np.asarray(r, dtype=float)
+        return k * bump_transition(k * (np.abs(r) - 1.0), 1) * np.sign(r)
+
+    def d4(r):
+        r = np.asarray(r, dtype=float)
+        return k**2 * bump_transition(k * (np.abs(r) - 1.0), 2)
+
+    return RadialWeight(d0, d1, d2, d3, d4, slope_inf=slope,
+                        label=f"bump-k{k}", knots=(1.0, outer))
 
 
 def constant_weight(value: float = 1.0) -> RadialWeight:

@@ -19,9 +19,9 @@ from smoothing_lab.harness import REGISTRY, parse_experiment  # noqa: E402
 KEYS = [
     "kind", "n", "packet1", "packet2", "datum_id", "tolerance", "output",
     "schedule_start", "schedule_factor", "schedule_count",
-    "weight", "eps", "k", "value", "rescale_r", "liminf_fraction",
+    "weight", "eps", "k", "value", "rescale_r",
     # keys no parser reads
-    "schedule_kind", "identity_check", "final_ratio", "time_nodes",
+    "liminf_fraction", "schedule_kind", "identity_check", "final_ratio", "time_nodes",
     "rel_tol", "tau_space",
 ]
 

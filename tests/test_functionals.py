@@ -3,8 +3,8 @@
 Oracles: a centered zero-momentum Gaussian evolves to B(t) e^{-alpha(t) x^2}
 with alpha(t) = a/(1 + 4iat), so the truncated gradient integral has an erf
 closed form and the profile reduces to one scipy quad call in time.  The
-flux oracle is a trapezoid sum of the spectral representation on a wide
-grid.  The whole-line identity ties the three signed pieces to
+flux oracles are a trapezoid sum of the spectral representation on a wide
+grid and the grid route: sampled fields with an FFT gradient.  The whole-line identity ties the three signed pieces to
 2 pi psi'(inf) ||f||^2_{H^{1/2}}, which exercises every coefficient slot at
 once.
 """
@@ -29,10 +29,11 @@ from smoothing_lab.functionals import (
     weighted_radial_energy,
 )
 from smoothing_lab.model import (RadialWeight, gaussian_inner, packet,
-                                 packet_sum)
+                                 packet_sum, random_packet_suite)
 from smoothing_lab.propagator import (difference_state, dispersive_approx,
                                       evolve_analytic)
-from smoothing_lab.spectral import hs_norm_sq
+from smoothing_lab.spectral import (boundary_mass_fraction, hs_norm_sq,
+                                    sample_datum)
 from smoothing_lab.weights import make_psi_eps, make_psi_k
 
 F_1D = packet_sum([
@@ -107,6 +108,39 @@ def test_flux_matches_trapezoid_oracle():
     val = flux(F_1D, w, 0.4)
     assert val == pytest.approx(flux_oracle(F_1D, w, 0.4), rel=1e-7)
     assert abs(val) > 1e-3                # the check is not vacuous
+
+
+def grid_flux(f, w, t, L, N):
+    """Im sum conj(u) psi'(r)/r (x . grad u) dx^n on the sampled field, with
+    the gradient taken spectrally; the second value is the field's
+    boundary mass fraction."""
+    g = sample_datum(f, L, N, t)
+    ax = g.axis()
+    xs = np.meshgrid(*([ax] * f.n), indexing="ij")
+    r = np.sqrt(sum(x * x for x in xs))
+    xi = np.fft.fftfreq(N, d=g.dx)
+    xi[N // 2] = 0.0  # the Nyquist mode has no odd derivative
+    uhat = np.fft.fftn(g.samples)
+    radial = np.zeros_like(g.samples)
+    for d, x in enumerate(xs):
+        shape = [1] * f.n
+        shape[d] = N
+        radial += x * np.fft.ifftn(2j * np.pi * xi.reshape(shape) * uhat)
+    rate = np.divide(w.d1(r), r, out=np.zeros_like(r), where=r > 0.0)
+    value = float(np.sum(np.conj(g.samples) * rate * radial).imag) * g.dx**f.n
+    return value, boundary_mass_fraction(g)
+
+
+@pytest.mark.parametrize("n,L,N", [(1, 40.0, 2048), (2, 32.0, 512)])
+def test_flux_matches_grid_route(n, L, N):
+    # the grid route shares nothing with the shell quadrature but the
+    # closed-form evolution it samples
+    w = make_psi_eps(1.0)
+    for f in random_packet_suite(n, count=2, seed=5):
+        for t in (0.0, 0.7):
+            grid, edge = grid_flux(f, w, t, L, N)
+            assert edge <= 1e-8
+            assert flux(f, w, t) == pytest.approx(grid, rel=1e-8), (n, t)
 
 
 def test_boundary_term_is_half_flux_difference():

@@ -10,9 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from smoothing_lab.errors import ConfigError
-from smoothing_lab.harness import (CSV_COLUMNS, REGISTRY, list_experiments,
-                                   load_config, main, parse_experiment)
+from smoothing_lab import limits
+from smoothing_lab.errors import ConfigError, InvalidParameterError
+from smoothing_lab.harness import (CSV_COLUMNS, REGISTRY, ExperimentSpec,
+                                   list_experiments, load_config, main,
+                                   parse_experiment, run_experiment)
+from smoothing_lab.limits import MIN_POINTS
+from smoothing_lab.model import packet, packet_sum
+from smoothing_lab.weights import make_psi_eps
 
 QUICK_IDENTITY = """\
 [quick-identity]
@@ -253,6 +258,26 @@ def test_short_limit_schedule_rejected(workdir, capsys):
                                    "schedule_count", f"at least {least}")
 
 
+@pytest.mark.parametrize("kind", sorted(REGISTRY))
+def test_driver_rejects_short_schedule_before_computing(monkeypatch, kind):
+    # the load's minimum is the driver's own first check: a schedule one
+    # point short raises before the half-norm every driver computes
+    assert set(MIN_POINTS) == set(REGISTRY)
+
+    def computed(*args):
+        raise AssertionError("the driver computed before checking its schedule")
+
+    monkeypatch.setattr(limits, "hs_norm_sq", computed)
+    spec = ExperimentSpec(
+        section="short", kind=kind, datum=packet_sum([packet(1.0, 1.0, [0.0])]),
+        datum_id="short", schedule=[2.0**j for j in range(MIN_POINTS[kind] - 1)],
+        tolerance=REGISTRY[kind].tolerance, output="short.csv",
+        options={"weight": make_psi_eps(1.0), "k": 2})
+    with pytest.raises(InvalidParameterError,
+                       match=f"{kind} needs at least {MIN_POINTS[kind]} "):
+        run_experiment(spec)
+
+
 def test_overlong_schedule_rejected(workdir, capsys):
     # a million-point schedule would load and then run for days; the load
     # alone is checked first, so a parser without the cap fails here quickly
@@ -333,8 +358,12 @@ schedule_count = 2
      "[quick-identity] eps"),
     # the schedule's symbol follows from the kind; no key sets it
     (QUICK_IDENTITY + "schedule_kind = T\n", "[quick-identity] schedule_kind"),
+    # the liminf fraction of the smoothing bound is a constant of the lab
+    (SANDWICH.replace("kind = sandwich", "kind = smoothing-bound")
+     .replace("k = 2\n", "") + "liminf_fraction = 0.9\n",
+     "[quick-sandwich] liminf_fraction"),
 ], ids=["sandwich-identity_check", "eps-k", "bump-value", "constant-eps",
-        "identity-schedule_kind"])
+        "identity-schedule_kind", "smoothing-liminf_fraction"])
 def test_key_the_kind_does_not_read_rejected(workdir, capsys, text, needle):
     run_expecting_config_error(workdir, capsys, text, f"{needle}: unknown key")
 

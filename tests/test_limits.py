@@ -90,7 +90,7 @@ def test_schedule_guards():
 # ---------------------------------------------------------------------------
 
 def test_identity_report_fields():
-    report = verify_identity(F_1D, make_psi_eps(1.0), [0.5])
+    report = verify_identity(F_1D, make_psi_eps(1.0), [0.5], tolerance=1e-6)
     assert report.experiment == "identity"
     assert report.n == 1
     assert report.weight_id == "soft-abs-eps1"
@@ -105,7 +105,7 @@ def test_identity_holds_off_centre_in_3d():
     # the acceptance matrix covers n = 1 and 2; here a moving packet away
     # from the origin gives the n = 3 angular rule a non-trivial band
     f = packet_sum([packet(1.0, 1.0, [0.3, -0.2, 0.1], [0.2, 0.0, -0.1])])
-    report = verify_identity(f, make_psi_eps(1.0), [0.25])
+    report = verify_identity(f, make_psi_eps(1.0), [0.25], tolerance=1e-6)
     assert report.n == 3
     assert report.rel_residual[0] <= 1e-6
     assert report.passed
@@ -120,24 +120,26 @@ def test_asymptotics_smoke():
 def test_decay_drivers_reject_one_point_schedules():
     # each verdict compares the last point with the first
     with pytest.raises(InvalidParameterError):
-        verify_asymptotics(F_1D, [1.0])
+        verify_asymptotics(F_1D, [1.0], final_ratio=0.1)
     with pytest.raises(InvalidParameterError):
-        verify_remainder_decay(F_1D, make_psi_eps(1.0), [4.0])
+        verify_remainder_decay(F_1D, make_psi_eps(1.0), [4.0], decay_ratio=0.25)
 
 
 def test_flux_rejects_nonpositive_times():
-    with pytest.raises(InvalidParameterError):
-        verify_flux(F_1D, make_psi_eps(1.0), [-1.0, 1.0])
+    # three points pass the schedule-length check, so the positivity
+    # guard is what raises
+    with pytest.raises(InvalidParameterError, match="positive times"):
+        verify_flux(F_1D, make_psi_eps(1.0), [-1.0, 1.0, 2.0], tolerance=0.02)
 
 
 def test_sandwich_rejects_bad_plateau_index():
     with pytest.raises(InvalidParameterError):
-        verify_sandwich(F_1D, 0, [4.0, 8.0])
+        verify_sandwich(F_1D, 0, [4.0, 8.0], tolerance=1e-3)
 
 
 def test_zero_datum_smoothing_bound_passes():
     empty = packet_sum([], n=1)
-    report = verify_smoothing_bound(empty, [1.0, 2.0, 4.0])
+    report = verify_smoothing_bound(empty, [1.0, 2.0, 4.0], tolerance=0.02)
     assert report.passed
     assert np.all(report.lhs == 0.0)
     assert report.floor == 0.0
@@ -147,7 +149,8 @@ def test_remainder_decay_ignores_roundoff_tangential_series():
     # a radially symmetric datum has no tangential gradient: its tangential
     # series is roundoff and must count as absent, not as failing to decay
     centred = packet_sum([packet(1.0, 1.0, [0.0, 0.0])])
-    report = verify_remainder_decay(centred, make_psi_eps(1.0), [4.0, 16.0])
+    report = verify_remainder_decay(centred, make_psi_eps(1.0), [4.0, 16.0],
+                                    decay_ratio=0.25)
     assert np.all(report.lhs < 1e-12)
     assert report.rhs[1] <= 0.25 * report.rhs[0]
     assert report.passed

@@ -15,7 +15,8 @@ from smoothing_lab import quadrature
 from smoothing_lab.quadrature import (_GK21, _SERIES_BELOW, _TAU_SPACE,
                                       ShellCoefficients, _adaptive,
                                       _angular_moments, _bucket_band,
-                                      _moment_values, _on_compact_line,
+                                      _compact_line_rate, _moment_values,
+                                      _on_compact_line,
                                       _share_groups, _shell_values,
                                       _sphere_rule, _StateGeometry,
                                       adaptive_time_integral,
@@ -375,6 +376,21 @@ def test_compact_line_wrapper_zeroes_rounded_endpoints():
     np.testing.assert_array_equal(out[1:-1], jac / (1.0 + t * t))
     assert len(seen) == 1 and np.all(np.isfinite(seen[0]))
     np.testing.assert_array_equal(seen[0], t)
+
+
+def test_compact_line_rate_matches_mpmath():
+    # ds/dt = (1 - s^2)^2/(1 + s^2) at s = (sqrt(1 + 4t^2) - 1)/(2t), at 40
+    # digits, from t = 0 to past the largest whole-line node t (4.5e15)
+    mp = pytest.importorskip("mpmath").mp
+    t = np.concatenate([[0.0], np.geomspace(1e-9, 5e15, 49)])
+    t = np.concatenate([t, -t[1:]])
+    got = _compact_line_rate(t)
+    with mp.workdps(40):
+        for ti, gi in zip(t, got):
+            T = mp.mpf(ti)
+            s = (mp.sqrt(1 + 4 * T * T) - 1) / (2 * T) if ti else mp.mpf(0)
+            exact = (1 - s * s) ** 2 / (1 + s * s)
+            assert abs(gi - exact) <= 2 * EPS * exact, ti
 
 
 # ---------------------------------------------------------------------------

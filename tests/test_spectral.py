@@ -166,6 +166,23 @@ def test_spectrum_field_shape_guard():
         SpectrumField(2, 8.0, 64, np.zeros(64, dtype=complex))
 
 
+# (n, L, N): each breaks one rule of the layout both field types share
+BAD_LAYOUTS = {
+    "n0": (0, 4.0, 8), "n5": (5, 4.0, 8),
+    "L0": (1, 0.0, 8), "Lneg": (1, -2.0, 8), "Lnan": (1, np.nan, 8),
+    "Linf": (1, np.inf, 8), "N0": (1, 4.0, 0), "Nodd": (1, 2.0, 7),
+}
+
+
+@pytest.mark.parametrize("n,L,N", BAD_LAYOUTS.values(), ids=BAD_LAYOUTS)
+@pytest.mark.parametrize("make", [GridField, SpectrumField],
+                         ids=["grid", "spectrum"])
+def test_field_rejects_bad_layout(make, n, L, N):
+    # the array matches (N,)*n, so only the layout rule can reject it
+    with pytest.raises(InvalidParameterError):
+        make(n, L, N, np.ones((N,) * n, dtype=complex))
+
+
 def moving_packets(n, m):
     """m off-centre moving packets in dimension n (m = 0 is the zero datum)."""
     rng = np.random.default_rng(10 * n + m)
