@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidWeightError
+from .errors import InvalidParameterError, InvalidWeightError
 from .model import RadialWeight, WavePacketSum, l2_norm_sq
 from .propagator import difference_state, dispersive_approx, evolve_analytic
 from .quadrature import (REL_TOL, ShellCoefficients, _compact_line_rate,
@@ -74,9 +74,10 @@ def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients,
 
 def _ball_profile(f: WavePacketSum, R: float, tangential: bool) -> float:
     R = float(R)
+    if not 0.0 < R < np.inf:  # False for NaN too
+        raise InvalidParameterError(f"ball radius must be finite and positive, got {R}")
     one = lambda r: np.ones_like(r)
-    coeffs = ShellCoefficients(w_rr=one,
-                               w_tau=one if tangential and f.n > 1 else None)
+    coeffs = ShellCoefficients(w_rr=one, w_tau=one if tangential else None)
     scale = l2_norm_sq(f) * R
     return _time_integrated(f, coeffs, None, scale, r_max=R) / R
 
@@ -103,12 +104,7 @@ def _morawetz_coeffs(w: RadialWeight, n: int) -> ShellCoefficients:
     def w_tau(r):
         return w.d1(r) / r
 
-    return ShellCoefficients(
-        w_rr=w.d2,
-        w_tau=w_tau if n > 1 else None,
-        w_mass=w_mass,
-        knots=w.knots,
-    )
+    return ShellCoefficients(w_rr=w.d2, w_tau=w_tau, w_mass=w_mass, knots=w.knots)
 
 
 def morawetz_lhs(f: WavePacketSum, w: RadialWeight, T: float) -> float:
@@ -185,6 +181,7 @@ def _remainder_pair(f: WavePacketSum, w: RadialWeight, signed: bool):
         f, ShellCoefficients(w_mass=w_mass, knots=w.knots), None, scale
     )
     if f.n == 1:
+        # the line has no tangential directions: skip a whole-line integral of 0
         return 0.0, bilaplacian
 
     def w_tau(r):

@@ -195,8 +195,10 @@ def _weight_options(reader: _SectionReader) -> dict:
 
 def _sandwich_options(reader: _SectionReader) -> dict:
     k = reader.intv("k", required=True)
-    if k < 1:
-        raise reader.error("k", "plateau index must be >= 1")
+    try:
+        make_psi_k(k)  # owns the rule for k
+    except SmoothingLabError as exc:
+        raise reader.error("k", str(exc)) from None
     return {"k": k}
 
 

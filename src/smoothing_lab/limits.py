@@ -195,7 +195,9 @@ def verify_corollary(f: WavePacketSum, R_schedule,
     target = TWO_PI * floor
     lhs = np.array([radial_profile(f, R) for R in Rs])
     if f.n == 1:
-        smoothing = lhs.copy()  # no tangential directions on the line
+        # no tangential directions on the line: skip a whole-line integral
+        # per radius that would repeat lhs
+        smoothing = lhs.copy()
     else:
         smoothing = np.array([smoothing_profile(f, R) for R in Rs])
     est = estimate_limit(zip(Rs, lhs))
@@ -254,12 +256,9 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
                             <= (k+1)/k * profile((k+1)R/k),
     and the spread of the profile tail must stay within the factor
     (k+1)/k + tolerance.  A schedule too short to fit reports its last
-    profile value as the limit, with a NaN error.
+    profile value as the limit, with a NaN error.  make_psi_k judges k.
     """
     Rs = _points("sandwich", R_schedule)
-    k = int(k)
-    if k < 1:
-        raise InvalidParameterError(f"plateau index must be >= 1, got {k}")
     w = make_psi_k(k)
     outer = (k + 1.0) / k
     floor = hs_norm_sq(f, 0.5)

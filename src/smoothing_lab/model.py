@@ -291,8 +291,9 @@ def _set_layout(fld, array: str) -> None:
     """Check and normalise a grid field's layout in its __post_init__.
 
     The dimension n must be 1, 2 or 3, the half-width L finite and
-    positive, the points per axis N positive and even, and the attribute
-    named by array of shape (N,)*n; it is stored frozen, with t a float.
+    positive, the points per axis N positive and even, the time t finite,
+    and the attribute named by array of shape (N,)*n; it is stored frozen,
+    with t a float.
     """
     n, L, N = int(fld.n), float(fld.L), int(fld.N)
     if n not in (1, 2, 3):
@@ -305,8 +306,10 @@ def _set_layout(fld, array: str) -> None:
     if values.shape != (N,) * n:
         raise InvalidParameterError(
             f"{array} shape {values.shape} does not match {(N,) * n}")
-    for name, value in (("n", n), ("L", L), ("N", N), (array, values),
-                        ("t", float(fld.t))):
+    t = float(fld.t)
+    if not np.isfinite(t):
+        raise InvalidParameterError(f"time must be finite, got {t}")
+    for name, value in (("n", n), ("L", L), ("N", N), (array, values), ("t", t)):
         object.__setattr__(fld, name, value)
 
 

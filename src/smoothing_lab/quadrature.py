@@ -86,7 +86,8 @@ class ShellCoefficients:
     integrand = w_rr |du/dr|^2 + w_tau |grad_tau u|^2 + w_mass |u|^2
               + w_flux Im(conj(u) du/dr)
 
-    None means the term is absent (and its field values are never built).
+    None means the term is absent (and its field values are never built);
+    the n = 1 kernel drops w_tau, as the line has no tangential directions.
     knots lists radii where a coefficient changes analytic piece.
     """
 
@@ -516,16 +517,16 @@ def shell_integrals(states, coeffs: ShellCoefficients,
     """Integrate the shell integrand of each of a batch of states.
 
     states share their packet count and dimension.  Each state's integral
-    runs over r in [0, r_max] or its own envelope, the radius past which
-    the relative tail mass is below _TAU_SPACE, whichever is shorter, and
-    is refined until it meets its own target rel_tol * max(|value|, scale);
-    a missing scale is the state's first total.  States whose truncation
-    radii agree within a factor _SHARE_RATIO share one radial panel set,
-    starting from the weight knots and the packet centres of their state
-    at the median time.  Returns (values, info), one value per state,
-    where info carries the error estimates and the panel count.  Raises
-    ToleranceNotMetError when one panel set runs out of its _MAX_PANELS
-    budget.
+    runs over r in [0, r_max] (r_max > 0) or its own envelope, the radius
+    past which the relative tail mass is below _TAU_SPACE, whichever is
+    shorter, and is refined until it meets its own target
+    rel_tol * max(|value|, scale); a missing scale is the state's first
+    total.  States whose truncation radii agree within a factor
+    _SHARE_RATIO share one radial panel set, starting from the weight knots
+    and the packet centres of their state at the median time.  Returns
+    (values, info), one value per state, where info carries the error
+    estimates and the panel count.  Raises ToleranceNotMetError when one
+    panel set runs out of its _MAX_PANELS budget.
     """
     count = len(states)
     if states[0].n > 3:
@@ -538,12 +539,9 @@ def shell_integrals(states, coeffs: ShellCoefficients,
             reach = np.minimum(reach, r_max)
         floor = None if scales is None else np.asarray(scales, dtype=float)
         for rows in _share_groups(reach):
-            end = float(reach[rows].max())
-            if end <= 0.0:
-                continue
             part = _StateGeometry([states[i] for i in rows])
             values[rows], errors[rows], used = _batch_integral(
-                part, coeffs, end, rel_tol,
+                part, coeffs, float(reach[rows].max()), rel_tol,
                 None if floor is None else floor[rows])
             panels += used
     return values, {"abs_error": errors, "panels": panels}

@@ -183,38 +183,35 @@ def hs_norm_sq(f, s: float) -> float:
     Packet sums go through their closed-form transform and the adaptive
     shell quadrature, at the lab's fixed accuracy; spectrum fields through the weighted discrete sum
     with the xi = 0 bin contributing zero (the origin carries no measure
-    in the continuous integral).
+    in the continuous integral).  s must be finite with 2s > -n, where
+    |xi|^(2s) is locally integrable; any other s raises
+    InvalidParameterError.
     """
     s = float(s)
+    if not isinstance(f, (WavePacketSum, SpectrumField)):
+        raise InvalidParameterError(
+            "hs_norm_sq expects a WavePacketSum or a SpectrumField"
+        )
+    if not (np.isfinite(s) and 2.0 * s > -f.n):
+        raise InvalidParameterError(
+            f"Sobolev index s must be finite with 2s > -{f.n}, got {s}")
     if isinstance(f, WavePacketSum):
-        if 2.0 * s <= -f.n:
-            raise InvalidParameterError(
-                f"s = {s} is not integrable against packet spectra in dimension {f.n}"
-            )
         coeffs = ShellCoefficients(w_mass=lambda r: r ** (2.0 * s))
         value, _ = shell_integral(fourier_state(f), coeffs)
         return max(value, 0.0)
-    if isinstance(f, SpectrumField):
-        if 2.0 * s <= -f.n:
-            raise InvalidParameterError(
-                f"s = {s} is not integrable in dimension {f.n}"
-            )
-        xi = f.axis()
-        rsq = np.zeros((f.N,) * f.n)
-        for ax in range(f.n):
-            shape = [1] * f.n
-            shape[ax] = f.N
-            rsq = rsq + (xi**2).reshape(shape)
-        if s == 0.0:
-            w = np.ones_like(rsq)
-        else:
-            safe = np.where(rsq > 0.0, rsq, 1.0)
-            w = np.where(rsq > 0.0, safe**s, 0.0)
-        dens = f.values.real**2 + f.values.imag**2
-        return float((dens * w).sum() * f.dxi**f.n)
-    raise InvalidParameterError(
-        "hs_norm_sq expects a WavePacketSum or a SpectrumField"
-    )
+    xi = f.axis()
+    rsq = np.zeros((f.N,) * f.n)
+    for ax in range(f.n):
+        shape = [1] * f.n
+        shape[ax] = f.N
+        rsq = rsq + (xi**2).reshape(shape)
+    if s == 0.0:
+        w = np.ones_like(rsq)
+    else:
+        safe = np.where(rsq > 0.0, rsq, 1.0)
+        w = np.where(rsq > 0.0, safe**s, 0.0)
+    dens = f.values.real**2 + f.values.imag**2
+    return float((dens * w).sum() * f.dxi**f.n)
 
 
 # ---------------------------------------------------------------------------

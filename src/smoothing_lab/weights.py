@@ -19,6 +19,7 @@ import (Trefethen, Approximation Theory and Approximation Practice).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,8 +153,8 @@ _BUMP_TABLES = BumpAntiderivatives.build()
 def make_psi_eps(eps: float) -> RadialWeight:
     """psi(r) = sqrt(eps^2 + r^2): smooth |x| with curvature scale eps."""
     eps = float(eps)
-    if not eps > 0:
-        raise InvalidParameterError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < np.inf:  # False for NaN too
+        raise InvalidParameterError(f"eps must be finite and positive, got {eps}")
     e2 = eps * eps
 
     def d0(r):
@@ -185,9 +186,10 @@ def make_psi_k(k: int) -> RadialWeight:
 
     psi'' = h_k is 1 on [0, 1], drops smoothly across [1, 1+1/k] and is 0
     beyond; every derivative accepts any real r and uses |r| (h_k is even).
+    The plateau index k must be an integer >= 1.
     """
-    if int(k) < 1:
-        raise InvalidParameterError(f"bump steepness k must be >= 1, got {k}")
+    if not (isinstance(k, numbers.Real) and np.isfinite(k) and k == int(k) >= 1):
+        raise InvalidParameterError(f"bump steepness k must be an integer >= 1, got {k!r}")
     k = int(k)
     tab = _BUMP_TABLES
     kk = float(k)
@@ -197,29 +199,26 @@ def make_psi_k(k: int) -> RadialWeight:
     # Q2(s) = Q2(1) + Q(1)(s - 1)
     offset = 0.5 + tab.q_total / kk + (tab.q_total - tab.Q2_total) / kk**2
 
-    def d0(r):
-        r = np.asarray(r, dtype=float)
+    def by_piece(r, core, band, tail):
+        # core(|r|) on |r| <= 1, tail(|r|) on |r| >= outer and band(|r|)
+        # between; a NaN fails both tests and the band formulas keep it NaN
         a = np.atleast_1d(np.abs(r))
         out = np.empty_like(a)
-        core = a <= 1.0
-        tail = a >= outer
-        band = ~core & ~tail
-        out[core] = 0.5 * a[core] ** 2
-        out[tail] = slope * a[tail] - offset
-        ab = a[band]
-        out[band] = 0.5 + (ab - 1.0) + tab.Q2(kk * (ab - 1.0)) / kk**2
-        return out.reshape(r.shape)
+        inner, beyond = a <= 1.0, a >= outer
+        mid = ~inner & ~beyond
+        out[inner], out[beyond], out[mid] = core(a[inner]), tail(a[beyond]), band(a[mid])
+        return out
+
+    def d0(r):
+        r = np.asarray(r, dtype=float)
+        return by_piece(r, lambda a: 0.5 * a**2,
+                        lambda a: 0.5 + (a - 1.0) + tab.Q2(kk * (a - 1.0)) / kk**2,
+                        lambda a: slope * a - offset).reshape(r.shape)
 
     def d1(r):
         r = np.asarray(r, dtype=float)
-        a = np.atleast_1d(np.abs(r))
-        out = np.empty_like(a)
-        core = a <= 1.0
-        tail = a >= outer
-        band = ~core & ~tail
-        out[core] = a[core]
-        out[tail] = slope
-        out[band] = 1.0 + tab.Q(kk * (a[band] - 1.0)) / kk
+        out = by_piece(r, lambda a: a, lambda a: 1.0 + tab.Q(kk * (a - 1.0)) / kk,
+                       lambda a: slope)
         # psi' is odd; sign(0) = 0 gives the correct psi'(0) = 0
         return (out * np.sign(np.atleast_1d(r))).reshape(r.shape)
 
@@ -255,8 +254,9 @@ def constant_weight(value: float = 1.0) -> RadialWeight:
 def rescale(w: RadialWeight, R: float) -> RadialWeight:
     """psi_R(r) = R psi(r/R): derivative orders j scale by R^(1-j)."""
     R = float(R)
-    if not R > 0:
-        raise InvalidParameterError(f"rescale factor must be positive, got {R}")
+    if not 0.0 < R < np.inf:
+        raise InvalidParameterError(
+            f"rescale factor must be finite and positive, got {R}")
 
     def make(j, base):
         scale = R ** (1 - j)

@@ -16,7 +16,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from smoothing_lab.errors import (InvalidWeightError, ToleranceNotMetError)
+from smoothing_lab.errors import (InvalidParameterError, InvalidWeightError,
+                                  ToleranceNotMetError)
 from smoothing_lab.functionals import (
     boundary_term,
     dispersive_l2_error,
@@ -75,6 +76,16 @@ def test_radial_profile_matches_quad_oracle(R):
     f = packet_sum([packet(1.0, 1.0, [0.0])])
     assert radial_profile(f, R) == pytest.approx(profile_oracle(1.0, R),
                                                  rel=1e-6)
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("profile", [radial_profile, smoothing_profile])
+def test_profile_rejects_radius_that_is_not_finite_and_positive(profile, R):
+    # the ball profile divides by R, and a negative or infinite R would
+    # return 0 instead of failing
+    f = packet_sum([packet(1.0, 1.0, [0.3])])
+    with pytest.raises(InvalidParameterError, match="ball radius"):
+        profile(f, R)
 
 
 def test_smoothing_profile_equals_radial_in_1d():

@@ -348,6 +348,17 @@ schedule_count = 2
 
 
 @pytest.mark.parametrize("text,needle", [
+    (SANDWICH.replace("k = 2", "k = 0"), "[quick-sandwich] k"),
+    (QUICK_IDENTITY.replace("weight = eps\neps = 1.0", "weight = bump\nk = -1"),
+     "[quick-identity] k"),
+], ids=["sandwich", "bump-weight"])
+def test_bad_plateau_index_names_k(workdir, capsys, text, needle):
+    # make_psi_k judges k for both readers of the key
+    run_expecting_config_error(workdir, capsys, text,
+                               f"{needle}: bump steepness k must be an integer >= 1")
+
+
+@pytest.mark.parametrize("text,needle", [
     # the sandwich kind computes no identity check, so the key is unread
     (SANDWICH + "identity_check = true\n", "[quick-sandwich] identity_check"),
     # a weight kind reads its own parameter only

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from smoothing_lab import limits
 from smoothing_lab.errors import InvalidParameterError
 from smoothing_lab.limits import (
     estimate_limit,
@@ -135,6 +136,17 @@ def test_flux_rejects_nonpositive_times():
 def test_sandwich_rejects_bad_plateau_index():
     with pytest.raises(InvalidParameterError):
         verify_sandwich(F_1D, 0, [4.0, 8.0], tolerance=1e-3)
+
+
+def test_sandwich_rejects_fractional_plateau_index(monkeypatch):
+    # make_psi_k judges k before any integral, so 2.5 cannot run as 2
+    def computed(*args):
+        raise AssertionError("an integral ran before k was checked")
+
+    monkeypatch.setattr(limits, "hs_norm_sq", computed)
+    monkeypatch.setattr(limits, "radial_profile", computed)
+    with pytest.raises(InvalidParameterError, match="integer >= 1"):
+        verify_sandwich(F_1D, 2.5, [4.0, 8.0], tolerance=1e-3)
 
 
 def test_zero_datum_smoothing_bound_passes():

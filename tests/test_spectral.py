@@ -156,6 +156,15 @@ def test_hs_norm_rejects_nonintegrable_order():
         hs_norm_sq(sf, -0.5)
 
 
+@pytest.mark.parametrize("s", [np.nan, np.inf])
+def test_hs_norm_rejects_non_finite_order(s):
+    # both branches share the one check, before any quadrature or sum
+    sf = forward_transform(sample_datum(F_1D, L=16.0, N=512))
+    for f in (F_1D, sf):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            hs_norm_sq(f, s)
+
+
 def test_hs_norm_rejects_other_types():
     with pytest.raises(InvalidParameterError):
         hs_norm_sq(np.zeros(4), 0.5)
@@ -166,21 +175,23 @@ def test_spectrum_field_shape_guard():
         SpectrumField(2, 8.0, 64, np.zeros(64, dtype=complex))
 
 
-# (n, L, N): each breaks one rule of the layout both field types share
+# (n, L, N, t): each breaks one rule of the layout both field types share
 BAD_LAYOUTS = {
-    "n0": (0, 4.0, 8), "n5": (5, 4.0, 8),
-    "L0": (1, 0.0, 8), "Lneg": (1, -2.0, 8), "Lnan": (1, np.nan, 8),
-    "Linf": (1, np.inf, 8), "N0": (1, 4.0, 0), "Nodd": (1, 2.0, 7),
+    "n0": (0, 4.0, 8, 0.0), "n5": (5, 4.0, 8, 0.0),
+    "L0": (1, 0.0, 8, 0.0), "Lneg": (1, -2.0, 8, 0.0), "Lnan": (1, np.nan, 8, 0.0),
+    "Linf": (1, np.inf, 8, 0.0), "N0": (1, 4.0, 0, 0.0), "Nodd": (1, 2.0, 7, 0.0),
+    "tnan": (1, 4.0, 8, np.nan), "tinf": (1, 4.0, 8, np.inf),
+    "tneginf": (1, 4.0, 8, -np.inf),
 }
 
 
-@pytest.mark.parametrize("n,L,N", BAD_LAYOUTS.values(), ids=BAD_LAYOUTS)
+@pytest.mark.parametrize("n,L,N,t", BAD_LAYOUTS.values(), ids=BAD_LAYOUTS)
 @pytest.mark.parametrize("make", [GridField, SpectrumField],
                          ids=["grid", "spectrum"])
-def test_field_rejects_bad_layout(make, n, L, N):
+def test_field_rejects_bad_layout(make, n, L, N, t):
     # the array matches (N,)*n, so only the layout rule can reject it
     with pytest.raises(InvalidParameterError):
-        make(n, L, N, np.ones((N,) * n, dtype=complex))
+        make(n, L, N, np.ones((N,) * n, dtype=complex), t=t)
 
 
 def moving_packets(n, m):

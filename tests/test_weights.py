@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from smoothing_lab.errors import InvalidWeightError, OriginError
+from smoothing_lab.errors import (InvalidParameterError, InvalidWeightError,
+                                  OriginError)
 from smoothing_lab.functionals import check_remainder_hypotheses
 from smoothing_lab.model import RadialWeight
 from smoothing_lab.weights import (bump_transition, constant_weight,
@@ -79,6 +80,30 @@ def test_bump_transition_derivatives_vanish_where_exp_underflows(s):
         assert bump_transition(s) == 1.0
         assert bump_transition(s, 1) == 0.0
         assert bump_transition(s, 2) == 0.0
+
+
+@pytest.mark.parametrize("k", [2.5, np.nan, np.inf])
+def test_psi_k_rejects_index_that_is_not_an_integer(k):
+    # k is not truncated: 2.5 must not run as 2
+    with pytest.raises(InvalidParameterError, match="integer >= 1"):
+        make_psi_k(k)
+
+
+def test_psi_k_accepts_integral_index_of_any_type():
+    for k in (2.0, np.int64(2), np.float64(2.0)):
+        assert make_psi_k(k).label == "bump-k2"
+
+
+def test_psi_eps_rejects_infinite_eps():
+    # an infinite eps would give psi' = 0 everywhere
+    with pytest.raises(InvalidParameterError, match="finite and positive"):
+        make_psi_eps(np.inf)
+
+
+def test_rescale_rejects_infinite_factor():
+    # an infinite factor would give psi'' = 0 everywhere
+    with pytest.raises(InvalidParameterError, match="finite and positive"):
+        rescale(make_psi_eps(1.0), np.inf)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
