@@ -150,11 +150,24 @@ _BUMP_TABLES = BumpAntiderivatives.build()
 # shipped weight families
 # ---------------------------------------------------------------------------
 
+# the range of eps where every derivative of psi_eps is finite at r = 0:
+# d4 divides by (eps^2 + r^2)^(7/2), so eps^7 must neither underflow (an
+# eps^2 that underflows turns d1..d4 into 0/0 there) nor overflow
+_EPS_RANGE = (np.finfo(float).tiny ** (1.0 / 7.0), np.finfo(float).tiny ** (-1.0 / 7.0))
+
+
 def make_psi_eps(eps: float) -> RadialWeight:
-    """psi(r) = sqrt(eps^2 + r^2): smooth |x| with curvature scale eps."""
+    """psi(r) = sqrt(eps^2 + r^2): smooth |x| with curvature scale eps.
+
+    eps must lie in _EPS_RANGE, about [1.1e-44, 8.9e43], where all five
+    derivatives stay finite at the origin.
+    """
     eps = float(eps)
-    if not 0.0 < eps < np.inf:  # False for NaN too
-        raise InvalidParameterError(f"eps must be finite and positive, got {eps}")
+    lo, hi = _EPS_RANGE
+    if not lo <= eps <= hi:  # False for NaN too
+        raise InvalidParameterError(
+            f"eps must be finite and positive, within [{lo:.3g}, {hi:.3g}] "
+            f"where psi_eps's derivatives stay finite at r = 0, got {eps}")
     e2 = eps * eps
 
     def d0(r):
@@ -240,6 +253,8 @@ def make_psi_k(k: int) -> RadialWeight:
 def constant_weight(value: float = 1.0) -> RadialWeight:
     """psi = const: every derivative term vanishes; slope at infinity 0."""
     value = float(value)
+    if not np.isfinite(value):
+        raise InvalidParameterError(f"constant weight value must be finite, got {value}")
 
     def d0(r):
         return np.full_like(np.asarray(r, dtype=float), value)

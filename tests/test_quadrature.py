@@ -16,7 +16,7 @@ from smoothing_lab.quadrature import (_GK21, _SERIES_BELOW, _TAU_SPACE,
                                       ShellCoefficients, _adaptive,
                                       _angular_moments, _bucket_band,
                                       _compact_line_rate, _moment_values,
-                                      _on_compact_line,
+                                      _on_compact_line, _panel_value,
                                       _share_groups, _shell_values,
                                       _sphere_rule, _StateGeometry,
                                       adaptive_time_integral,
@@ -340,6 +340,80 @@ def test_batched_integral_matches_single_state_calls(n):
         assert abs(value - single[0]) <= 2.0 * target
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("packets", [1, 2])
+@pytest.mark.parametrize("blocked", [False, True])
+def test_panel_sweep_matches_one_panel_calls(n, packets, blocked, monkeypatch):
+    # one sweep over P panels gives, to 4 ulp, what P one-panel calls give,
+    # also when the kernel walks the sweep's radii in several blocks
+    f = random_packet_suite(n, 1, packets, seed=20 + packets)[0]
+    geom = _StateGeometry([evolve_analytic(f, t) for t in (-0.6, 0.0, 0.8)])
+    if blocked:  # fewer than the 48 radii of one panel per block
+        monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 20 * geom.m * (geom.m + 1))
+    edges = np.array([0.0, 0.3, 0.7, 1.1, 1.6, 2.4, 3.5, 5.0])
+    a, b = edges[:-1], edges[1:]
+    values, errors = _panel_value(geom, a, b, ALL_TERMS, n)
+    assert values.shape == errors.shape == (len(a), 3)
+    for p in range(len(a)):
+        value, error = _panel_value(geom, a[p:p + 1], b[p:p + 1], ALL_TERMS, n)
+        assert np.all(np.abs(values[p] - value[0]) <= 4 * EPS * np.abs(value[0])), p
+        assert np.all(np.abs(errors[p] - error[0]) <= 4 * EPS * np.abs(value[0])), p
+
+
+def count_calls(monkeypatch, name, sizes=None):
+    """Wrap quadrature.<name> to count its calls; a list sizes also records
+    the length of each call's third argument."""
+    calls = []
+    inner = getattr(quadrature, name)
+
+    def wrapper(*args):
+        calls.append(len(args[2]) if sizes else 1)
+        return inner(*args)
+
+    monkeypatch.setattr(quadrature, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_batch_integral_makes_one_kernel_call_per_sweep(n, monkeypatch):
+    # the initial panels in one kernel call, then one call per split; the
+    # kink off every knot makes the refinement split
+    coeffs = ShellCoefficients(w_mass=lambda r: np.abs(r - 1.3))
+    f = random_packet_suite(n, 1, 2, seed=22)[0]
+    geom = _StateGeometry([evolve_analytic(f, t) for t in (0.0, 0.5)])
+    kernel = count_calls(monkeypatch, "_shell_values" if n == 1 else "_moment_values")
+    sweeps = count_calls(monkeypatch, "_panel_value", sizes=True)
+    end = float(geom.support_radii(_TAU_SPACE).max())
+    _, _, panels = quadrature._batch_integral(geom, coeffs, end, 1e-10, None)
+    splits = panels - sweeps[0]
+    assert splits > 0
+    assert len(kernel) == len(sweeps) == 1 + splits
+    assert sweeps[1:] == [2] * splits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sweeps_accept_the_panels_of_one_panel_calls(n, monkeypatch):
+    # refinement over sweeps keeps every panel that refinement panel by
+    # panel keeps, on a seed-11 suite, and the values agree to roundoff
+    coeffs = ShellCoefficients(w_rr=lambda r: 1.0 / (1.0 + r * r),
+                               w_mass=lambda r: np.exp(-r), w_flux=np.cos)
+    suite = random_packet_suite(n, 3, 2, seed=11)
+    times = (-1.0, -0.2, 0.0, 0.4, 1.5)
+    swept = [shell_integrals([evolve_analytic(f, t) for t in times], coeffs)
+             for f in suite]
+    inner = quadrature._panel_value
+
+    def one_at_a_time(geom, a, b, coeffs, n):
+        rows = [inner(geom, a[p:p + 1], b[p:p + 1], coeffs, n) for p in range(len(a))]
+        return tuple(np.concatenate(part) for part in zip(*rows))
+
+    monkeypatch.setattr(quadrature, "_panel_value", one_at_a_time)
+    for f, (values, info) in zip(suite, swept):
+        single, ref = shell_integrals([evolve_analytic(f, t) for t in times], coeffs)
+        assert info["panels"] == ref["panels"]
+        np.testing.assert_allclose(values, single, rtol=1e-14)
+
+
 def test_vector_refinement_meets_every_component_target():
     # a smooth and an oscillatory component on one panel set: refinement
     # goes on until the harder one meets its own target too
@@ -348,13 +422,19 @@ def test_vector_refinement_meets_every_component_target():
     fns = (np.exp, lambda x: np.cos(40.0 * x))
 
     def panel(a, b):
+        # a sweep of P panels: edge arrays (P,) in, (P, 2) values out
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        coarse = np.array([half * w5 @ f(mid + half * x5) for f in fns])
-        fine = np.array([half * w10 @ f(mid + half * x10) for f in fns])
+
+        def rule(x, w):
+            return np.stack([half * (f(mid[:, None] + half[:, None] * x) @ w)
+                             for f in fns], axis=-1)
+
+        coarse, fine = rule(x5, w5), rule(x10, w10)
         return fine, np.abs(fine - coarse)
 
     floors = np.array([1.0, 1e-3])
     values, errors, _ = _adaptive(panel, [0.0, 1.0], 1e-10, floors)
+    assert values.shape == (2,)
     assert np.all(errors <= 1e-10 * np.maximum(np.abs(values), floors))
     for value, error, exact in zip(values, errors, (np.e - 1.0, np.sin(40.0) / 40.0)):
         assert_bounded(value, error, exact)

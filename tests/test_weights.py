@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from smoothing_lab.errors import (InvalidParameterError, InvalidWeightError,
                                   OriginError)
 from smoothing_lab.functionals import check_remainder_hypotheses
+from smoothing_lab import weights
 from smoothing_lab.model import RadialWeight
 from smoothing_lab.weights import (bump_transition, constant_weight,
                                    derivative_stack_check, make_psi_eps,
@@ -98,6 +99,31 @@ def test_psi_eps_rejects_infinite_eps():
     # an infinite eps would give psi' = 0 everywhere
     with pytest.raises(InvalidParameterError, match="finite and positive"):
         make_psi_eps(np.inf)
+
+
+@pytest.mark.parametrize("eps", [1e-200, 1e-150, 1e-45, 1e44, 1e100])
+def test_psi_eps_rejects_eps_whose_derivatives_break_at_origin(eps):
+    # eps = 1e-200 gave d2 = [nan, nan, 0] at r = [0, 1e-201, 1], as eps^2
+    # underflows; eps = 1e-150 gave d3(0) = nan, as (eps^2)^(7/2) does
+    with pytest.raises(InvalidParameterError, match="finite and positive"):
+        make_psi_eps(eps)
+
+
+@pytest.mark.parametrize("edge", [0, 1])
+def test_psi_eps_derivatives_finite_across_accepted_range(edge):
+    eps = float(weights._EPS_RANGE[edge])
+    w = make_psi_eps(eps)
+    r = np.array([0.0, 0.1 * eps, 1.0])
+    for j in range(5):
+        assert np.all(np.isfinite(getattr(w, f"d{j}")(r))), j
+    assert w.d2(0.0) == pytest.approx(1.0 / eps, rel=1e-14)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_constant_weight_rejects_non_finite_value(value):
+    # constant_weight(nan) built "constantnan" with d0 = nan everywhere
+    with pytest.raises(InvalidParameterError, match="finite"):
+        constant_weight(value)
 
 
 def test_rescale_rejects_infinite_factor():
