@@ -175,34 +175,32 @@ class _StateGeometry:
     """Envelope and packet-pair data of a batch of T states with m packets each.
 
     The packet parameters are stacked into arrays of shape (T, m, ...), one
-    row per state.  The support radius is per state.
+    row per state: B and alpha (T, m), c and v (T, m, n), t (T,).  The
+    support radius is per state.
     """
 
-    _ROWS = ("B", "alpha", "c", "v", "t", "A", "rho", "peak", "G", "peak_max")
-
-    def __init__(self, states):
-        self.n = states[0].n
-        self.m = len(states[0])
-        self.B = np.stack([s.B for s in states])  # (T, m)
-        self.alpha = np.stack([s.alpha for s in states])  # (T, m)
-        self.c = np.stack([s.c for s in states])  # (T, m, n)
-        self.v = np.stack([s.v for s in states])  # (T, m, n)
-        self.t = np.array([s.t for s in states])  # (T,)
-        self.A = self.alpha.real  # > 0
-        self.rho = np.sqrt((self.c**2).sum(axis=-1))  # (T, m)
-        self.peak = np.abs(self.B)
+    def __init__(self, B, alpha, c, v, t):
+        self.B, self.alpha, self.c, self.v, self.t = B, alpha, c, v, t
+        self.m, self.n = c.shape[1:]
+        self.A = alpha.real  # > 0
+        self.rho = np.sqrt((c**2).sum(axis=-1))  # (T, m)
+        self.peak = np.abs(B)
         # angular growth vector per packet
-        self.G = 2.0 * self.alpha[..., None] * self.c + 2j * np.pi * self.v
+        self.G = 2.0 * alpha[..., None] * c + 2j * np.pi * v
         self.peak_max = (self.peak**2).max(axis=1, initial=0.0)  # (T,)
+
+    @classmethod
+    def of(cls, states):
+        """The geometry of a list of states, stacked."""
+        return cls(np.stack([s.B for s in states]), np.stack([s.alpha for s in states]),
+                   np.stack([s.c for s in states]), np.stack([s.v for s in states]),
+                   np.array([s.t for s in states]))
 
     def subset(self, rows):
         """The geometry of the states at the index array rows, sliced from
         this batch's stacked arrays rather than stacked again."""
-        part = object.__new__(_StateGeometry)
-        part.n, part.m = self.n, self.m
-        for name in self._ROWS:
-            setattr(part, name, getattr(self, name)[rows])
-        return part
+        return _StateGeometry(self.B[rows], self.alpha[rows], self.c[rows],
+                              self.v[rows], self.t[rows])
 
     @cached_property
     def middle(self):
@@ -576,7 +574,7 @@ def shell_integrals(states, coeffs: ShellCoefficients,
     if states[0].n > 3:
         raise InvalidParameterError("shell quadrature supports n <= 3")
     values, errors, panels = np.zeros(count), np.zeros(count), 0
-    geom = _StateGeometry(states)
+    geom = _StateGeometry.of(states)
     if geom.m and geom.peak_max.any():
         reach = geom.support_radii(_TAU_SPACE)
         if r_max is not None:

@@ -150,16 +150,18 @@ _BUMP_TABLES = BumpAntiderivatives.build()
 # shipped weight families
 # ---------------------------------------------------------------------------
 
-# the range of eps where every derivative of psi_eps is finite at r = 0:
-# d4 divides by (eps^2 + r^2)^(7/2), so eps^7 must neither underflow (an
-# eps^2 that underflows turns d1..d4 into 0/0 there) nor overflow
-_EPS_RANGE = (np.finfo(float).tiny ** (1.0 / 7.0), np.finfo(float).tiny ** (-1.0 / 7.0))
+# the range of eps where every derivative of psi_eps is finite at r = 0.
+# Below it (eps^2 + r^2)^(7/2), d4's denominator, underflows there (an eps^2
+# that underflows turns d1..d4 into 0/0); above it d4's numerator at r = 0,
+# -3 eps^4, overflows and d4 becomes -inf/inf.  An eps^7 that overflows
+# only flushes d4(0) = -3/eps^3 to -0.
+_EPS_RANGE = (np.finfo(float).tiny ** (1.0 / 7.0), (np.finfo(float).max / 3.0) ** 0.25)
 
 
 def make_psi_eps(eps: float) -> RadialWeight:
     """psi(r) = sqrt(eps^2 + r^2): smooth |x| with curvature scale eps.
 
-    eps must lie in _EPS_RANGE, about [1.1e-44, 8.9e43], where all five
+    eps must lie in _EPS_RANGE, about [1.1e-44, 8.8e76], where all five
     derivatives stay finite at the origin.
     """
     eps = float(eps)

@@ -232,7 +232,7 @@ def test_moment_kernel_matches_reference_rule(n, case):
     rng = np.random.default_rng(n)
     f = MOMENT_CASES[case](n)
     for t in (-2.0, 0.0, 0.7, 5.0):
-        geom = _StateGeometry([evolve_analytic(f, t)])
+        geom = _StateGeometry.of([evolve_analytic(f, t)])
         # random radii and radii on both sides of each pair's series switch
         size = np.sqrt(np.abs(geom.pairs["ss"][0]))
         switch = np.sqrt(_SERIES_BELOW) / size[size > 0.0]
@@ -266,7 +266,7 @@ def test_far_off_centre_packet_stays_finite(n):
     rho = 30.0 * sigma
     c = rho * np.eye(n)[0]
     f = packet_sum([WavePacket(0.9 - 0.2j, a, c, 0.3 * np.eye(n)[-1])])
-    geom = _StateGeometry([evolve_analytic(f, 0.0)])
+    geom = _StateGeometry.of([evolve_analytic(f, 0.0)])
     r = rho + sigma * np.array([-0.7, 0.0, 1.0])
     grow = np.sqrt(geom.pairs["ss"][0, 0].real) * r
     assert np.all(grow > np.log(np.finfo(float).max))
@@ -282,7 +282,7 @@ def test_moment_kernel_rejects_frequencies_past_bessel_range():
     # complex Bessel functions return NaN there, the kernel must not
     f = packet_sum([WavePacket(1.0, 1.0, [0.3, 0.0], [0.0, 0.0]),
                     WavePacket(1.0, 1.0, [0.0, 0.0], [3e8, 0.0])])
-    geom = _StateGeometry([evolve_analytic(f, 0.0)])
+    geom = _StateGeometry.of([evolve_analytic(f, 0.0)])
     with pytest.raises(InvalidParameterError, match="Bessel"):
         _moment_values(geom, np.array([1.0]), ShellCoefficients(w_mass=np.ones_like))
 
@@ -302,7 +302,7 @@ def moving_pair(n):
 def test_batched_kernel_rows_match_single_states(n, blocked, monkeypatch):
     # the rule kernel in n = 1, 2, 3 and the moment kernel in n = 2, 3
     states = [evolve_analytic(moving_pair(n), t) for t in (-0.4, 0.0, 0.3, 1.1)]
-    geom = _StateGeometry(states)
+    geom = _StateGeometry.of(states)
     r = np.linspace(0.05, 3.0, 16)
     omega, wts = _sphere_rule(n, _bucket_band(reference_band(geom, r)))
     pairs = geom.m * (geom.m + 1) // 2
@@ -316,7 +316,7 @@ def test_batched_kernel_rows_match_single_states(n, blocked, monkeypatch):
         batch = kernel(geom)
         assert batch.shape == (len(states), r.size)
         for row, state in zip(batch, states):
-            single = kernel(_StateGeometry([state]))[0]
+            single = kernel(_StateGeometry.of([state]))[0]
             scale = np.abs(single).max()
             assert scale > 0.0
             np.testing.assert_allclose(row, single, rtol=1e-14, atol=1e-14 * scale)
@@ -329,7 +329,7 @@ def test_batched_integral_matches_single_state_calls(n):
     # one-state integral within the two targets
     coeffs = ShellCoefficients(w_mass=lambda r: np.exp(-r))
     states = [evolve_analytic(moving_pair(n), t) for t in (0.9, 0.1, -0.1)]
-    reach = _StateGeometry(states).support_radii(_TAU_SPACE)
+    reach = _StateGeometry.of(states).support_radii(_TAU_SPACE)
     assert sorted(map(len, _share_groups(reach))) == [1, 2]
     scales = [1.0, 1e-3, 1e-6]
     values, info = shell_integrals(states, coeffs, scales=scales, rel_tol=1e-9)
@@ -347,7 +347,7 @@ def test_panel_sweep_matches_one_panel_calls(n, packets, blocked, monkeypatch):
     # one sweep over P panels gives, to 4 ulp, what P one-panel calls give,
     # also when the kernel walks the sweep's radii in several blocks
     f = random_packet_suite(n, 1, packets, seed=20 + packets)[0]
-    geom = _StateGeometry([evolve_analytic(f, t) for t in (-0.6, 0.0, 0.8)])
+    geom = _StateGeometry.of([evolve_analytic(f, t) for t in (-0.6, 0.0, 0.8)])
     if blocked:  # fewer than the 48 radii of one panel per block
         monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 20 * geom.m * (geom.m + 1))
     edges = np.array([0.0, 0.3, 0.7, 1.1, 1.6, 2.4, 3.5, 5.0])
@@ -380,7 +380,7 @@ def test_batch_integral_makes_one_kernel_call_per_sweep(n, monkeypatch):
     # kink off every knot makes the refinement split
     coeffs = ShellCoefficients(w_mass=lambda r: np.abs(r - 1.3))
     f = random_packet_suite(n, 1, 2, seed=22)[0]
-    geom = _StateGeometry([evolve_analytic(f, t) for t in (0.0, 0.5)])
+    geom = _StateGeometry.of([evolve_analytic(f, t) for t in (0.0, 0.5)])
     kernel = count_calls(monkeypatch, "_shell_values" if n == 1 else "_moment_values")
     sweeps = count_calls(monkeypatch, "_panel_value", sizes=True)
     end = float(geom.support_radii(_TAU_SPACE).max())

@@ -1,32 +1,40 @@
 """Alternating parent/change pairs of the benchmark, written to BENCH_<name>.json.
 
-    python3 tools/bench_pairs.py --parent PARENT --change . --name batched_sweep \\
-        [--pairs 10] [--seed 1] [--seconds 20] [--workload finite-identity ...]
+    python3 tools/bench_pairs.py --parent PARENT --name batched_sweep \\
+        [--workload finite-identity ...]
 
-PARENT and the change are two source checkouts, each with src/ and
-perfbench/; make the parent's with `git archive <commit> | tar -x -C DIR`
-or a second clone.  For each workload, pair i runs `perfbench/run.py
---trace 0` once in each checkout, the parent first in even pairs and the
-change first in odd ones, so that a drift of the host's speed falls on
-both sides alike.  Timings from different hosts, or from one host on
-different days, do not compare; pairs run back to back do.
+The change is the checkout this tool lives in; PARENT is a second git
+checkout of the commit to compare against, such as a clone with that
+commit checked out.  Each side is labelled with `git describe --always
+--dirty` of its checkout.  For each workload (by default every workload
+of BENCHMARK.json), pair i of PAIRS runs `perfbench/run.py --trace 0` at
+seed SEED and the benchmark's run_seconds once in each checkout, the
+parent first in even pairs and the change first in odd ones, so that a
+drift of the host's speed falls on both sides alike.  Timings from
+different hosts, or from one host on different days, do not compare;
+pairs run back to back do.
 
-The work counts come from one pass of each workload per checkout, in a
-child process that wraps private functions of the quadrature module:
+The work counts come from one pass of each workload per checkout.  Those
+the benchmark's tracer does not give are counted in a child process that
+wraps private functions of the quadrature module:
 
-    kernel_calls             calls of the shell kernels, _shell_values
+    kernel_calls             calls of both shell kernels, _shell_values
                              (n = 1) and _moment_values (n = 2, 3)
     radial_panel_sweeps      calls of the radial panel rule _panel_value
     radial_panels_evaluated  radial panels those calls evaluate
-    radial_panels_accepted   panels of the radial panel sets at convergence
-    time_panels_evaluated    Gauss-Kronrod panels evaluated, one call of the
-                             time integrand each
-    time_panels_accepted     panels of the time integrals at convergence
+    radial_panels_accepted   panels of every radial panel set at convergence
 
-They do not depend on the host, so they show whether a change of time
-came from doing less work or from doing the same work faster.  Beside
-them, cpu_over_wall is the CPU time of the whole child process over the
-wall time of that pass: well above 1, a second BLAS thread is running.
+They are not the tracer's metrics and count differently from the ones of
+similar name: the tracer's quadrature.kernel_calls counts _shell_values
+only, and its quadrature.panels_accepted only the panel sets of
+shell_integral, not those inside the time integrals.  Beside them,
+cpu_over_wall is the CPU time of the whole child process over the wall
+time of that pass: well above 1, a second BLAS thread is running.  The
+time panels, quadrature.time_nodes (calls of the time integrand, one per
+Gauss-Kronrod panel), come from the record of a `perfbench/run.py --trace
+1` run, under the tracer's own name, with its quadrature.panels_accepted.
+None of these counts depends on the host, so they show whether a change
+of time came from doing less work or from doing the same work faster.
 
 BENCH_<name>.json, at the change checkout's root, holds the machine block
 of perfbench/machine.py, the end-to-end metrics of every pair with their
@@ -46,7 +54,11 @@ from pathlib import Path
 
 import numpy as np
 
+CHANGE = Path(__file__).resolve().parents[1]
+SEED = 1
+PAIRS = 10  # the fewest pairs that can show a gain in nine of ten
 RUN_TIMEOUT_S = 600
+TRACED = ("quadrature.time_nodes", "quadrature.panels_accepted")
 
 
 def run_checkout(checkout: Path, args: list, what: str) -> str:
@@ -58,14 +70,12 @@ def run_checkout(checkout: Path, args: list, what: str) -> str:
     return proc.stdout
 
 
-def last_json(text: str) -> dict:
-    return json.loads(text.splitlines()[-1])
-
-
-def timed_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    result = last_json(run_checkout(checkout, [
-        "perfbench/run.py", "--workload", workload, "--seed", seed,
-        "--seconds", seconds, "--trace", 0], f"{workload} benchmark run"))
+def benchmark_run(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
+    """The metric values of one perfbench run in checkout."""
+    result = json.loads(run_checkout(checkout, [
+        "perfbench/run.py", "--workload", workload, "--seed", SEED,
+        "--seconds", seconds, "--trace", trace],
+        f"{workload} benchmark run").splitlines()[-1])
     if not result["correct"]:
         sys.exit(f"{workload}: the run in {checkout} reported incorrect results")
     return {k: v["value"] for k, v in result["metrics"].items()}
@@ -75,7 +85,7 @@ def compare(parent: list, change: list, better: str) -> dict:
     """Medians of both sides, the parent's quartile spread, and the pairs
     in which the change is better."""
     mp, mc = statistics.median(parent), statistics.median(change)
-    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (mp, mp, mp)
+    q1, _, q3 = statistics.quantiles(parent, n=4)
     wins = sum((c < p) if better == "lower" else (c > p)
                for p, c in zip(parent, change))
     return {"parent_median": mp, "change_median": mc,
@@ -83,18 +93,17 @@ def compare(parent: list, change: list, better: str) -> dict:
             "parent_iqr": q3 - q1, "pairs_better": wins}
 
 
-def count_work(workload: str, seed: int) -> dict:
-    """Work counts of one pass, and its CPU over wall time, in the checkout
-    that is the working directory."""
-    root = Path.cwd()
-    sys.path.insert(0, str(root / "perfbench"))
+def count_work(workload: str) -> dict:
+    """The counts of one pass that the tracer does not give, and its CPU
+    over wall time, in the checkout that is the working directory."""
+    sys.path.insert(0, str(Path.cwd() / "perfbench"))
     import run  # perfbench/run.py of this checkout; Lab() adds its src/
 
     lab = run.Lab()
     q = lab.quadrature
     counts = Counter(dict.fromkeys((
         "kernel_calls", "radial_panel_sweeps", "radial_panels_evaluated",
-        "radial_panels_accepted", "time_panels_evaluated", "panels_accepted"), 0))
+        "radial_panels_accepted"), 0))
 
     def wrap(name, note):
         inner = getattr(q, name)
@@ -106,82 +115,80 @@ def count_work(workload: str, seed: int) -> dict:
 
         setattr(q, name, wrapper)
 
+    def kernel(args, result):
+        counts["kernel_calls"] += 1
+
     def sweep(args, result):
         # the panel edges a are one float per call before sweeps, (P,) after
         counts["radial_panel_sweeps"] += 1
         counts["radial_panels_evaluated"] += int(np.size(args[1]))
 
-    def kernel(args, result):
-        counts["kernel_calls"] += 1
-
-    def time_panel(args, result):
-        counts["time_panels_evaluated"] += 1
-
     def panel_set(args, result):
         counts["radial_panels_accepted"] += result[2]
-
-    def refinement(args, result):
-        counts["panels_accepted"] += result[2]
 
     wrap("_shell_values", kernel)
     wrap("_moment_values", kernel)
     wrap("_panel_value", sweep)
     wrap("_batch_integral", panel_set)
-    wrap("_adaptive", refinement)
-    wrap("_kronrod_panel", time_panel)
-    wl = run.build(lab, workload, seed)
+    wl = run.build(lab, workload, SEED)
     try:
         wall, cpu = time.perf_counter(), time.process_time()
         wl.run_pass(run.Timer())
         wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
     finally:
         wl.close()
-    counts["time_panels_accepted"] = counts.pop("panels_accepted") \
-        - counts["radial_panels_accepted"]
-    return {**dict(sorted(counts.items())), "cpu_over_wall": cpu / wall}
+    return {**counts, "cpu_over_wall": cpu / wall}
+
+
+def work(checkout: Path, workload: str, seconds: float) -> dict:
+    counted = json.loads(run_checkout(
+        checkout, [Path(__file__).resolve(), "--count-work", workload],
+        f"{workload} work count").splitlines()[-1])
+    traced = benchmark_run(checkout, workload, seconds, trace=1)
+    return {**counted, **{name: traced[name] for name in TRACED}}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path)
-    parser.add_argument("--change", type=Path, default=Path("."))
     parser.add_argument("--name", help="the output is BENCH_<name>.json")
-    parser.add_argument("--labels", nargs=2, metavar=("PARENT", "CHANGE"),
-                        help="what the two checkouts are, say two commit ids")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--workload", action="append",
                         help="repeat for several; default every workload")
     parser.add_argument("--count-work", metavar="WORKLOAD",
-                        help="print the work counts of one pass in this checkout")
+                        help="print the tool's work counts of one pass in this checkout")
     args = parser.parse_args(argv)
     if args.count_work:
-        print(json.dumps(count_work(args.count_work, args.seed)))
+        print(json.dumps(count_work(args.count_work)))
         return 0
     if args.parent is None or args.name is None:
         parser.error("--parent and --name are required")
 
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    checkouts = {"parent": args.parent.resolve(), "change": CHANGE}
+    spec = json.loads((CHANGE / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    me = Path(__file__).resolve()
-    labels = dict(zip(checkouts, args.labels or [p.name for p in checkouts.values()]))
 
     out = {
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "checkouts": labels,
-        "machine": json.loads(run_checkout(checkouts["change"], ["perfbench/machine.py"],
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
+                   f"--seconds {seconds:g} --trace 0",
+        "checkouts": {side: subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=path, check=True,
+            capture_output=True, text=True).stdout.strip()
+            for side, path in checkouts.items()},
+        "machine": json.loads(run_checkout(CHANGE, ["perfbench/machine.py"],
                                            "machine block")),
+        "work_counts": "kernel_calls, radial_panel_sweeps, radial_panels_evaluated "
+                       "and radial_panels_accepted are this tool's counts, not the "
+                       "tracer's (see tools/bench_pairs.py); the quadrature.* counts "
+                       "are the tracer's, from a --trace 1 run, per pass",
         "workloads": {},
     }
     for workload in workloads:
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {side: timed_run(checkouts[side], workload, args.seed, args.seconds)
+            pair = {side: benchmark_run(checkouts[side], workload, seconds, trace=0)
                     for side in order}
             pairs.append({side: pair[side] for side in checkouts})
             print(f"{workload} pair {i + 1}: wall_s parent "
@@ -192,11 +199,10 @@ def main(argv=None) -> int:
             "metrics": {m: compare([p["parent"][m] for p in pairs],
                                    [p["change"][m] for p in pairs], better[m])
                         for m in better},
-            "work": {side: last_json(run_checkout(
-                path, [me, "--count-work", workload, "--seed", args.seed],
-                f"{workload} work count")) for side, path in checkouts.items()},
+            "work": {side: work(path, workload, seconds)
+                     for side, path in checkouts.items()},
         }
-    path = checkouts["change"] / f"BENCH_{args.name}.json"
+    path = CHANGE / f"BENCH_{args.name}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0
