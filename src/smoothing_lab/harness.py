@@ -162,23 +162,26 @@ def _parse_packets(reader: _SectionReader, n: int) -> WavePacketSum:
     return WavePacketSum(n, tuple(p for _, p in entries))
 
 
+# each weight kind's parameter key, the reader of that key, its default
+# (None: the key is required) and the factory that judges the value, named
+# in a lambda body, as REGISTRY's drivers are, so it is looked up per call
+_WEIGHT_KINDS = {
+    "eps": ("eps", _SectionReader.floatv, None, lambda x: make_psi_eps(x)),
+    "bump": ("k", _SectionReader.intv, None, lambda x: make_psi_k(x)),
+    "constant": ("value", _SectionReader.floatv, 1.0, lambda x: constant_weight(x)),
+}
+
+
 def _parse_weight(reader: _SectionReader):
     kind = reader.raw("weight", required=True).strip().lower()
+    if kind not in _WEIGHT_KINDS:
+        raise reader.error(
+            "weight", f"unknown weight kind {kind!r} ({'|'.join(_WEIGHT_KINDS)})")
+    key, read, default, factory = _WEIGHT_KINDS[kind]
+    value = read(reader, key, default, required=default is None)
     try:
-        if kind == "eps":
-            w = make_psi_eps(reader.floatv("eps", required=True))
-        elif kind == "bump":
-            w = make_psi_k(reader.intv("k", required=True))
-        elif kind == "constant":
-            w = constant_weight(reader.floatv("value", 1.0))
-        else:
-            raise reader.error(
-                "weight", f"unknown weight kind {kind!r} (eps|bump|constant)"
-            )
+        w = factory(value)
     except SmoothingLabError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        key = "eps" if kind == "eps" else "k" if kind == "bump" else "value"
         raise reader.error(key, str(exc)) from None
     R = reader.floatv("rescale_r")
     if R is not None:

@@ -9,8 +9,9 @@ final value with the last increment as the error bar.
 
 The verify_* drivers run one experiment each and return a
 VerificationReport; they are the layer the harness schedules.  Each
-checks its schedule with _points before computing anything, and takes its
-tolerance explicitly: the defaults live in harness.REGISTRY.
+checks its schedule's length and order with _points before computing
+anything, and takes its tolerance explicitly: the defaults live in
+harness.REGISTRY.
 """
 
 from __future__ import annotations
@@ -47,12 +48,16 @@ MIN_POINTS = {"identity": 1, "sandwich": 1, "smoothing-bound": 1,
 
 
 def _points(kind: str, schedule) -> list:
-    """The schedule as floats; InvalidParameterError below MIN_POINTS[kind]."""
+    """The schedule as floats; InvalidParameterError below MIN_POINTS[kind]
+    points or where the points do not strictly increase."""
     pts = [float(p) for p in schedule]
     if len(pts) < MIN_POINTS[kind]:
         raise InvalidParameterError(
             f"{kind} needs at least {MIN_POINTS[kind]} schedule points, "
             f"got {len(pts)}")
+    if any(b <= a for a, b in zip(pts, pts[1:])):
+        raise InvalidParameterError(
+            f"{kind} schedule points must strictly increase, got {pts}")
     return pts
 
 
@@ -142,6 +147,15 @@ def estimate_limit(values) -> LimitEstimate:
 # experiment drivers
 # ---------------------------------------------------------------------------
 
+def _limit_verdict(params, values, target: float, floor: float,
+                   tolerance: float):
+    """The schedule's limit estimate, and whether it converged to target
+    within tolerance relative to max(|limit|, |target|, floor)."""
+    est = estimate_limit(zip(params, values))
+    within = relative_residual(est.value, target, floor) <= tolerance
+    return est, bool(est.converged and within)
+
+
 def verify_identity(f: WavePacketSum, w: RadialWeight, T_schedule,
                     tolerance: float) -> VerificationReport:
     """Exact finite-horizon check: bulk integral vs endpoint flux difference.
@@ -170,16 +184,14 @@ def verify_theorem_main(f: WavePacketSum, w: RadialWeight, T_schedule,
     floor = hs_norm_sq(f, 0.5)
     target = TWO_PI * w.slope_inf * floor
     lhs = np.array([morawetz_lhs(f, w, T) for T in Ts])
-    est = estimate_limit(zip(Ts, lhs))
-    limit_rel = relative_residual(est.value, target, floor)
+    est, passed = _limit_verdict(Ts, lhs, target, floor, tolerance)
     return VerificationReport(
         experiment="theorem-limit", n=f.n, weight_id=w.label,
         params=np.array(Ts), lhs=lhs, rhs=np.full(len(Ts), target),
         tolerance=tolerance, floor=floor,
         extrapolated_limit=est.value, limit_error=est.error,
-        passed=bool(est.converged and limit_rel <= tolerance),
+        passed=passed,
         notes=est.note,
-        extra={"target": target},
     )
 
 
@@ -200,18 +212,16 @@ def verify_corollary(f: WavePacketSum, R_schedule,
         smoothing = lhs.copy()
     else:
         smoothing = np.array([smoothing_profile(f, R) for R in Rs])
-    est = estimate_limit(zip(Rs, lhs))
-    limit_rel = relative_residual(est.value, target, floor)
+    est, limit_ok = _limit_verdict(Rs, lhs, target, floor, tolerance)
     sup_ok = bool(smoothing.max() >= (1.0 - tolerance) * target)
     return VerificationReport(
         experiment="corollary-limit", n=f.n, weight_id="none",
         params=np.array(Rs), lhs=lhs, rhs=np.full(len(Rs), target),
         tolerance=tolerance, floor=floor,
         extrapolated_limit=est.value, limit_error=est.error,
-        passed=bool(est.converged and limit_rel <= tolerance and sup_ok),
+        passed=limit_ok and sup_ok,
         notes=est.note,
         extra={
-            "target": target,
             "smoothing_profile": smoothing.tolist(),
             "smoothing_sup_ok": sup_ok,
         },
@@ -221,17 +231,15 @@ def verify_corollary(f: WavePacketSum, R_schedule,
 def verify_flux(f: WavePacketSum, w: RadialWeight, t_schedule,
                 tolerance: float) -> VerificationReport:
     """Radiation flux at +-t vs the signed limits +-2 pi psi'(inf) ||f||^2."""
-    ts = sorted(_points("flux-limit", t_schedule))
+    ts = _points("flux-limit", t_schedule)
     if any(t <= 0 for t in ts):
         raise InvalidParameterError("flux schedule must list positive times")
     floor = hs_norm_sq(f, 0.5)
     target = TWO_PI * w.slope_inf * floor
     plus = np.array([flux(f, w, t) for t in ts])
     minus = np.array([flux(f, w, -t) for t in ts])
-    est_p = estimate_limit(zip(ts, plus))
-    est_m = estimate_limit(zip(ts, minus))
-    rel_p = relative_residual(est_p.value, target, floor)
-    rel_m = relative_residual(est_m.value, -target, floor)
+    est_p, ok_p = _limit_verdict(ts, plus, target, floor, tolerance)
+    est_m, ok_m = _limit_verdict(ts, minus, -target, floor, tolerance)
     params = np.concatenate([[-t for t in ts[::-1]], ts])
     lhs = np.concatenate([minus[::-1], plus])
     rhs = np.concatenate([np.full(len(ts), -target), np.full(len(ts), target)])
@@ -240,10 +248,9 @@ def verify_flux(f: WavePacketSum, w: RadialWeight, t_schedule,
         params=params, lhs=lhs, rhs=rhs,
         tolerance=tolerance, floor=floor,
         extrapolated_limit=est_p.value, limit_error=est_p.error,
-        passed=bool(est_p.converged and est_m.converged
-                    and rel_p <= tolerance and rel_m <= tolerance),
+        passed=ok_p and ok_m,
         notes=f"+: {est_p.note}; -: {est_m.note}",
-        extra={"target": target, "minus_limit": est_m.value,
+        extra={"minus_limit": est_m.value,
                "minus_limit_error": est_m.error},
     )
 
@@ -354,7 +361,7 @@ def verify_smoothing_bound(f: WavePacketSum, R_schedule,
         tolerance=tolerance, floor=floor,
         passed=bool(sup_ok and np.isfinite(threshold_R)),
         notes=f"observed sup/norm ratio {observed:.6f}",
-        extra={"target": target, "threshold_radius": threshold_R,
+        extra={"threshold_radius": threshold_R,
                "observed_constant": observed},
     )
 

@@ -71,7 +71,11 @@ class WavePacket:
 
 @dataclass(frozen=True, eq=False)
 class WavePacketSum:
-    """Datum f as an ordered superposition of packets in dimension n."""
+    """Datum f as an ordered superposition of packets in dimension n.
+
+    Also holds the packets as read-only arrays under a GaussianState's
+    names: amplitudes B and widths alpha (m,), centres c and momenta v (m, n).
+    """
 
     n: int
     packets: tuple
@@ -90,26 +94,17 @@ class WavePacketSum:
                     f"packet dimension {p.n} does not match datum dimension {n}"
                 )
         object.__setattr__(self, "packets", pk)
+        for name, arr in (
+            ("B", np.array([p.amplitude for p in pk], dtype=complex)),
+            ("alpha", np.array([p.width for p in pk], dtype=float)),
+            ("c", np.array([p.center for p in pk], dtype=float).reshape(-1, n)),
+            ("v", np.array([p.momentum for p in pk], dtype=float).reshape(-1, n)),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.packets)
-
-    # parameter arrays, the form every numeric kernel consumes
-    def parameter_arrays(self):
-        m = len(self.packets)
-        B = np.array([p.amplitude for p in self.packets], dtype=complex)
-        a = np.array([p.width for p in self.packets], dtype=float)
-        c = (
-            np.array([p.center for p in self.packets], dtype=float)
-            if m
-            else np.zeros((0, self.n))
-        )
-        v = (
-            np.array([p.momentum for p in self.packets], dtype=float)
-            if m
-            else np.zeros((0, self.n))
-        )
-        return B, a, c, v
 
 
 def packet(amplitude, width, center, momentum=None) -> WavePacket:
@@ -211,11 +206,10 @@ def gaussian_inner(B1, alpha1, c1, v1, B2, alpha2, c2, v2) -> complex:
     return complex((pref * np.exp(expo)).sum())
 
 
-def l2_norm_sq(f: WavePacketSum) -> float:
-    """int |f|^2 dx in closed form via pairwise Gaussian overlaps."""
-    B, a, c, v = f.parameter_arrays()
-    alpha = a.astype(complex)
-    value = gaussian_inner(B, alpha, c, v, B, alpha, c, v)
+def l2_norm_sq(f) -> float:
+    """int |f|^2 dx in closed form via pairwise Gaussian overlaps, for a
+    WavePacketSum or a GaussianState."""
+    value = gaussian_inner(f.B, f.alpha, f.c, f.v, f.B, f.alpha, f.c, f.v)
     # the Gram sum is real and nonnegative up to roundoff
     return max(value.real, 0.0)
 

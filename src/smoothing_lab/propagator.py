@@ -8,9 +8,9 @@ i u_t + Lap u = 0.  Plugging the ansatz B(t) exp(-alpha(t)|x-c(t)|^2
     c(t)     = x0 + 4 pi v t,
     B(t)     = A (1 + 4 i a t)^(-n/2) exp(-4 pi^2 i |v|^2 t),
 
-with v itself unchanged.  Everything downstream (quadrature, spectra,
-asymptotics) consumes the flat parameter arrays of the resulting
-GaussianState.
+with v itself unchanged.  These closed forms read a datum's packet arrays
+B, alpha, c and v and return a GaussianState with arrays of the same
+names, which everything downstream (quadrature, spectra) consumes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .model import WavePacketSum, gaussian_inner
+from .model import WavePacketSum, l2_norm_sq
 
 _QUARTER_TURN = np.pi / 4.0
 
@@ -77,9 +77,7 @@ class GaussianState:
 
     def mass(self) -> float:
         """int |u|^2 dx by closed-form overlaps."""
-        val = gaussian_inner(self.B, self.alpha, self.c, self.v,
-                             self.B, self.alpha, self.c, self.v)
-        return max(val.real, 0.0)
+        return l2_norm_sq(self)
 
 
 def difference_state(a: GaussianState, b: GaussianState) -> GaussianState:
@@ -101,14 +99,12 @@ def evolve_analytic(f: WavePacketSum, t: float) -> GaussianState:
     t = float(t)
     if not math.isfinite(t):
         raise InvalidParameterError(f"evolution time t must be finite, got {t}")
-    B, a, c, v = f.parameter_arrays()
-    g = 1.0 + 4j * a * t
-    alpha = a / g
-    vv = (v * v).sum(axis=-1)
+    g = 1.0 + 4j * f.alpha * t
+    vv = (f.v * f.v).sum(axis=-1)
     # principal branch of g^(-n/2); Re g = 1 > 0 keeps it off the cut
-    Bt = B * np.exp(-0.5 * f.n * np.log(g)) * np.exp(-4j * np.pi**2 * vv * t)
-    ct = c + 4.0 * np.pi * v * t
-    return GaussianState(f.n, Bt, alpha, ct, v, t=t)
+    Bt = f.B * np.exp(-0.5 * f.n * np.log(g)) * np.exp(-4j * np.pi**2 * vv * t)
+    ct = f.c + 4.0 * np.pi * f.v * t
+    return GaussianState(f.n, Bt, f.alpha / g, ct, f.v, t=t)
 
 
 def fourier_state(f: WavePacketSum) -> GaussianState:
@@ -117,41 +113,35 @@ def fourier_state(f: WavePacketSum) -> GaussianState:
     Each packet transforms to amplitude A (pi/a)^(n/2) exp(2 pi i x0.v),
     width pi^2/a, center v and momentum -x0.
     """
-    B, a, c, v = f.parameter_arrays()
-    cv = (c * v).sum(axis=-1)
-    Bhat = B * (np.pi / a) ** (0.5 * f.n) * np.exp(2j * np.pi * cv)
-    return GaussianState(f.n, Bhat, (np.pi**2 / a).astype(complex), v, -c, t=0.0)
+    cv = (f.c * f.v).sum(axis=-1)
+    Bhat = f.B * (np.pi / f.alpha) ** (0.5 * f.n) * np.exp(2j * np.pi * cv)
+    return GaussianState(f.n, Bhat, np.pi**2 / f.alpha, f.v, -f.c, t=0.0)
 
 
 def dispersive_approx(f: WavePacketSum, t: float) -> GaussianState:
     """Far-field approximant: phase * (4 pi |t|)^(-n/2) * fhat(x/(4 pi t)).
 
     The constant phase is exp(-i sign(t) n pi/4) and the chirp
-    exp(i|x|^2/(4t)) rides on top of the rescaled transform.  For packet
-    data this is again a Gaussian family:
-
-        alpha = pi^2/(a mu^2) - i/(4t),   mu = 4 pi t,
-        center mu v,  momentum v - x0/mu,
-        amplitude A (pi/a)^(n/2) (4 pi |t|)^(-n/2)
-                  * exp(-i sign(t) n pi/4) exp(-4 pi^2 i |v|^2 t)
-                  * exp(2 pi i x0.v).
+    exp(i|x|^2/(4t)) rides on top of the rescaled transform.  With
+    mu = 4 pi t, fhat(x/mu) is fourier_state(f) with each width alpha
+    divided by mu^2, centre xi0 multiplied by mu and momentum by 1/mu.
+    Expanded about the centre mu xi0, the chirp adds -i/(4t) to the width,
+    xi0 to the momentum and the phase exp(-4 pi^2 i |xi0|^2 t) to the
+    amplitude, so the approximant is again a Gaussian family.
     """
     t = float(t)
     if not math.isfinite(t):
         raise InvalidParameterError(f"approximant time t must be finite, got {t}")
     if t == 0.0:
         raise InvalidParameterError("asymptotic approximant undefined at t = 0")
-    B, a, c, v = f.parameter_arrays()
+    fhat = fourier_state(f)
     mu = 4.0 * np.pi * t
-    alpha = np.pi**2 / (a * mu**2) - 0.25j / t
-    vv = (v * v).sum(axis=-1)
-    cv = (c * v).sum(axis=-1)
+    xx = (fhat.c * fhat.c).sum(axis=-1)
     Bt = (
-        B
-        * (np.pi / a) ** (0.5 * f.n)
-        * (4.0 * np.pi * abs(t)) ** (-0.5 * f.n)
+        fhat.B
+        * abs(mu) ** (-0.5 * f.n)
         * np.exp(-1j * np.sign(t) * f.n * _QUARTER_TURN)
-        * np.exp(-4j * np.pi**2 * vv * t)
-        * np.exp(2j * np.pi * cv)
+        * np.exp(-4j * np.pi**2 * xx * t)
     )
-    return GaussianState(f.n, Bt, alpha, mu * v, v - c / mu, t=t)
+    return GaussianState(f.n, Bt, fhat.alpha / mu**2 - 0.25j / t,
+                         mu * fhat.c, fhat.c + fhat.v / mu, t=t)

@@ -186,6 +186,11 @@ def hs_norm_sq(f, s: float) -> float:
     in the continuous integral).  s must be finite with 2s > -n, where
     |xi|^(2s) is locally integrable; any other s raises
     InvalidParameterError.
+
+    The packet route handles less: its shell integrand carries the factor
+    r^(n-1+2s), and once 2s + n - 1 falls to about -0.5 (s about -0.25,
+    -0.75, -1.25 in n = 1, 2, 3; the edge depends on the datum) the radial
+    refinement reaches its depth cap and raises ToleranceNotMetError.
     """
     s = float(s)
     if not isinstance(f, (WavePacketSum, SpectrumField)):

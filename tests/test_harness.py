@@ -258,23 +258,40 @@ def test_short_limit_schedule_rejected(workdir, capsys):
                                    "schedule_count", f"at least {least}")
 
 
-@pytest.mark.parametrize("kind", sorted(REGISTRY))
-def test_driver_rejects_short_schedule_before_computing(monkeypatch, kind):
-    # the load's minimum is the driver's own first check: a schedule one
-    # point short raises before the half-norm every driver computes
-    assert set(MIN_POINTS) == set(REGISTRY)
+def uncomputed_spec(monkeypatch, kind, schedule):
+    """A spec of kind on schedule whose driver fails if it computes the
+    half-norm, the first thing every driver computes after its checks."""
 
     def computed(*args):
         raise AssertionError("the driver computed before checking its schedule")
 
     monkeypatch.setattr(limits, "hs_norm_sq", computed)
-    spec = ExperimentSpec(
-        section="short", kind=kind, datum=packet_sum([packet(1.0, 1.0, [0.0])]),
-        datum_id="short", schedule=[2.0**j for j in range(MIN_POINTS[kind] - 1)],
-        tolerance=REGISTRY[kind].tolerance, output="short.csv",
+    return ExperimentSpec(
+        section="bad", kind=kind, datum=packet_sum([packet(1.0, 1.0, [0.0])]),
+        datum_id="bad", schedule=schedule,
+        tolerance=REGISTRY[kind].tolerance, output="bad.csv",
         options={"weight": make_psi_eps(1.0), "k": 2})
+
+
+@pytest.mark.parametrize("kind", sorted(REGISTRY))
+def test_driver_rejects_short_schedule_before_computing(monkeypatch, kind):
+    # the load's minimum is the driver's own first check: a schedule one
+    # point short raises before the half-norm every driver computes
+    assert set(MIN_POINTS) == set(REGISTRY)
+    spec = uncomputed_spec(monkeypatch, kind,
+                           [2.0**j for j in range(MIN_POINTS[kind] - 1)])
     with pytest.raises(InvalidParameterError,
                        match=f"{kind} needs at least {MIN_POINTS[kind]} "):
+        run_experiment(spec)
+
+
+@pytest.mark.parametrize("kind", sorted(REGISTRY))
+def test_driver_rejects_decreasing_schedule_before_computing(monkeypatch, kind):
+    # a schedule read out of order would fit, bracket or compare the wrong
+    # points; three points meet every kind's minimum, so the order is what
+    # raises, and flux-limit checks it before its positivity guard
+    spec = uncomputed_spec(monkeypatch, kind, [4.0, 2.0, 1.0])
+    with pytest.raises(InvalidParameterError, match="must strictly increase"):
         run_experiment(spec)
 
 

@@ -142,10 +142,16 @@ def test_packet_validation():
 def test_packet_sum_parameter_arrays():
     f = packet_sum([WavePacket(1.0, 1.0, [0.1], [0.2]),
                     WavePacket(2.0j, 0.5, [0.3], [0.4])])
-    B, a, c, v = f.parameter_arrays()
-    assert B.shape == (2,) and np.iscomplexobj(B)
-    np.testing.assert_allclose(a, [1.0, 0.5])
-    assert c.shape == (2, 1) and v.shape == (2, 1)
+    assert f.B.shape == (2,) and np.iscomplexobj(f.B)
+    np.testing.assert_allclose(f.alpha, [1.0, 0.5])
+    assert f.c.shape == (2, 1) and f.v.shape == (2, 1)
+    for arr in (f.B, f.alpha, f.c, f.v):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    empty = packet_sum([], n=3)
+    assert empty.B.shape == empty.alpha.shape == (0,)
+    assert empty.c.shape == empty.v.shape == (0, 3)
 
 
 def test_relative_residual_floor():
