@@ -9,13 +9,13 @@ substitution t = s/(1 - s^2).
 Error budget: every functional works to the fixed relative tolerance
 REL_TOL of the quadrature module.  The time integrator works toward an
 absolute target REL_TOL * max(|integral|, mass floor).  A time panel
-evolves the datum to its 21 Gauss-Kronrod nodes and integrates all 21
-states over one shared radial panel set; each node's spatial integral
-works to a quarter of REL_TOL, with an absolute floor of the mass floor
-divided by the time-domain width: summed over the window, the floors
-allow at most a quarter of the time layer's least target,
-REL_TOL * mass floor.  Without the division the spatial error would swamp
-the panel error estimates on long windows.
+evolves the datum's packet arrays to its 21 Gauss-Kronrod nodes in one
+call and integrates them, one row per node, over one shared radial panel
+set; each node's spatial integral works to a quarter of REL_TOL, with an
+absolute floor of the mass floor divided by the time-domain width: summed
+over the window, the floors allow at most a quarter of the time layer's
+least target, REL_TOL * mass floor.  Without the division the spatial
+error would swamp the panel error estimates on long windows.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, InvalidWeightError
 from .model import RadialWeight, WavePacketSum, l2_norm_sq
-from .propagator import difference_state, dispersive_approx, evolve_analytic
+from .propagator import (_evolve_times, difference_state, dispersive_approx,
+                         evolve_analytic)
 from .quadrature import (REL_TOL, ShellCoefficients, _compact_line_rate,
                          adaptive_time_integral, real_line_time_integral,
                          shell_integral, shell_integrals)
@@ -56,10 +57,9 @@ def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients,
         # on the whole line the floor shrinks by ds/dt so that the jacobian-
         # multiplied values carry uniform error per unit s.  Either way the
         # accepted spatial error stays <= space_tol * scale in total.
-        states = [evolve_analytic(f, t) for t in ts]
         floors = (np.full(len(ts), space_scale) if horizon is not None
                   else space_scale * _compact_line_rate(ts))
-        values, _ = shell_integrals(states, coeffs, r_max=r_max,
+        values, _ = shell_integrals(_evolve_times(f, ts), coeffs, r_max=r_max,
                                     scales=floors, rel_tol=space_tol)
         return values
 

@@ -97,8 +97,9 @@ class WavePacketSum:
         for name, arr in (
             ("B", np.array([p.amplitude for p in pk], dtype=complex)),
             ("alpha", np.array([p.width for p in pk], dtype=float)),
-            ("c", np.array([p.center for p in pk], dtype=float).reshape(-1, n)),
-            ("v", np.array([p.momentum for p in pk], dtype=float).reshape(-1, n)),
+            # astype copies, so no writable base lies under the reshape
+            ("c", np.reshape([p.center for p in pk], (-1, n)).astype(float)),
+            ("v", np.reshape([p.momentum for p in pk], (-1, n)).astype(float)),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -263,15 +264,15 @@ def grid_axis(L: float, N: int) -> np.ndarray:
     return -L + (2.0 * L / N) * np.arange(N)
 
 
-def _frozen(values) -> np.ndarray:
-    """A read-only complex array of values that no other reference can write.
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only dtype array of values that no other reference can write.
 
     values is copied unless it and every array it views are read-only
-    already, so a field never freezes its caller's array nor changes when
-    the caller writes through a view's base.  The grid functions freeze the
-    arrays they allocate, and those pass through without a copy.
+    already, so a field or state never freezes its caller's array nor
+    changes when the caller writes through a view's base.  The arrays the
+    grid functions allocate and freeze, and a datum's, pass uncopied.
     """
-    a = np.asarray(values, dtype=complex)
+    a = np.asarray(values, dtype=dtype)
     base = a
     while isinstance(base, np.ndarray) and not base.flags.writeable:
         base = base.base
@@ -296,7 +297,7 @@ def _set_layout(fld, array: str) -> None:
         raise InvalidParameterError(f"half-width must be finite and positive, got {L}")
     if N <= 0 or N % 2:
         raise InvalidParameterError(f"points per axis must be positive even, got {N}")
-    values = _frozen(getattr(fld, array))
+    values = _frozen(getattr(fld, array), complex)
     if values.shape != (N,) * n:
         raise InvalidParameterError(
             f"{array} shape {values.shape} does not match {(N,) * n}")

@@ -9,8 +9,9 @@ i u_t + Lap u = 0.  Plugging the ansatz B(t) exp(-alpha(t)|x-c(t)|^2
     B(t)     = A (1 + 4 i a t)^(-n/2) exp(-4 pi^2 i |v|^2 t),
 
 with v itself unchanged.  These closed forms read a datum's packet arrays
-B, alpha, c and v and return a GaussianState with arrays of the same
-names, which everything downstream (quadrature, spectra) consumes.
+B, alpha, c and v.  _evolve_times evaluates them at an array of times at
+once, the arrays a time panel integrates; its one-time case
+evolve_analytic returns a GaussianState with arrays of the same names.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .model import WavePacketSum, l2_norm_sq
+from .model import WavePacketSum, _frozen, l2_norm_sq
 
 _QUARTER_TURN = np.pi / 4.0
 
@@ -42,14 +43,13 @@ class GaussianState:
     t: float = 0.0
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=complex)
-        alpha = np.asarray(self.alpha, dtype=complex)
-        c = np.asarray(self.c, dtype=float).reshape(B.size, self.n)
-        v = np.asarray(self.v, dtype=float).reshape(B.size, self.n)
+        B = _frozen(self.B, complex)
+        alpha = _frozen(self.alpha, complex)
+        c = _frozen(self.c, float).reshape(B.size, self.n)
+        v = _frozen(self.v, float).reshape(B.size, self.n)
         if B.size and not np.all(alpha.real > 0):
             raise InvalidParameterError("packet widths must have positive real part")
         for name, arr in (("B", B), ("alpha", alpha), ("c", c), ("v", v)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "t", float(self.t))
 
@@ -94,17 +94,29 @@ def difference_state(a: GaussianState, b: GaussianState) -> GaussianState:
     )
 
 
+def _evolve_times(f: WavePacketSum, ts):
+    """The packet arrays (B, alpha, c, v, t) of the evolution of f to the
+    times ts, one row per time: shapes (T, m), (T, m), (T, m, n), (T, m, n)
+    and (T,), with v a read-only view of f.v.  B is broadcast before the
+    product so that each row rounds as the one-time case does."""
+    t = np.asarray(ts, dtype=float)
+    tc = t[:, None]
+    g = 1.0 + 4j * f.alpha * tc
+    vv = (f.v * f.v).sum(axis=-1)
+    # principal branch of g^(-n/2); Re g = 1 > 0 keeps it off the cut
+    B = (np.broadcast_to(f.B, g.shape) * np.exp(-0.5 * f.n * np.log(g))
+         * np.exp(-4j * np.pi**2 * vv * tc))
+    c = f.c + 4.0 * np.pi * f.v * tc[..., None]
+    return B, f.alpha / g, c, np.broadcast_to(f.v, c.shape), t
+
+
 def evolve_analytic(f: WavePacketSum, t: float) -> GaussianState:
     """Exact solution at time t of i u_t + Lap u = 0 with u(0) = f."""
     t = float(t)
     if not math.isfinite(t):
         raise InvalidParameterError(f"evolution time t must be finite, got {t}")
-    g = 1.0 + 4j * f.alpha * t
-    vv = (f.v * f.v).sum(axis=-1)
-    # principal branch of g^(-n/2); Re g = 1 > 0 keeps it off the cut
-    Bt = f.B * np.exp(-0.5 * f.n * np.log(g)) * np.exp(-4j * np.pi**2 * vv * t)
-    ct = f.c + 4.0 * np.pi * f.v * t
-    return GaussianState(f.n, Bt, f.alpha / g, ct, f.v, t=t)
+    B, alpha, c, v, _ = _evolve_times(f, [t])
+    return GaussianState(f.n, B[0], alpha[0], c[0], v[0], t=t)
 
 
 def fourier_state(f: WavePacketSum) -> GaussianState:

@@ -189,13 +189,6 @@ class _StateGeometry:
         self.G = 2.0 * alpha[..., None] * c + 2j * np.pi * v
         self.peak_max = (self.peak**2).max(axis=1, initial=0.0)  # (T,)
 
-    @classmethod
-    def of(cls, states):
-        """The geometry of a list of states, stacked."""
-        return cls(np.stack([s.B for s in states]), np.stack([s.alpha for s in states]),
-                   np.stack([s.c for s in states]), np.stack([s.v for s in states]),
-                   np.array([s.t for s in states]))
-
     def subset(self, rows):
         """The geometry of the states at the index array rows, sliced from
         this batch's stacked arrays rather than stacked again."""
@@ -553,15 +546,16 @@ def _batch_integral(geom, coeffs, end, rel_tol, floor):
                      refined, rel_tol, floor)
 
 
-def shell_integrals(states, coeffs: ShellCoefficients,
+def shell_integrals(batch, coeffs: ShellCoefficients,
                     r_max: float | None = None, scales=None,
                     rel_tol: float = REL_TOL):
     """Integrate the shell integrand of each of a batch of states.
 
-    states share their packet count and dimension.  Each state's integral
-    runs over r in [0, r_max] (r_max > 0) or its own envelope, the radius
-    past which the relative tail mass is below _TAU_SPACE, whichever is
-    shorter, and is refined until it meets its own target
+    batch is the tuple (B, alpha, c, v, t) of the states' packet arrays,
+    stacked one row per state, as _StateGeometry takes them.  Each state's
+    integral runs over r in [0, r_max] (r_max > 0) or its own envelope, the
+    radius past which the relative tail mass is below _TAU_SPACE, whichever
+    is shorter, and is refined until it meets its own target
     rel_tol * max(|value|, scale); a missing scale is the state's first
     total.  States whose truncation radii agree within a factor
     _SHARE_RATIO share one radial panel set, starting from the weight knots
@@ -570,11 +564,11 @@ def shell_integrals(states, coeffs: ShellCoefficients,
     estimates and the panel count.  Raises ToleranceNotMetError when one
     panel set runs out of its _MAX_PANELS budget.
     """
-    count = len(states)
-    if states[0].n > 3:
+    geom = _StateGeometry(*batch)
+    if geom.n > 3:
         raise InvalidParameterError("shell quadrature supports n <= 3")
+    count = len(geom.t)
     values, errors, panels = np.zeros(count), np.zeros(count), 0
-    geom = _StateGeometry.of(states)
     if geom.m and geom.peak_max.any():
         reach = geom.support_radii(_TAU_SPACE)
         if r_max is not None:
@@ -597,7 +591,9 @@ def shell_integral(state, coeffs: ShellCoefficients,
     info carries the error estimate and panel count.  Raises
     ToleranceNotMetError when the panel budget runs out.
     """
-    values, info = shell_integrals([state], coeffs,
+    batch = (state.B[None], state.alpha[None], state.c[None], state.v[None],
+             np.array([state.t]))
+    values, info = shell_integrals(batch, coeffs,
                                    scales=None if scale is None else [scale])
     return float(values[0]), {"abs_error": float(info["abs_error"][0]),
                               "panels": info["panels"]}

@@ -181,11 +181,11 @@ def hs_norm_sq(f, s: float) -> float:
     """Homogeneous Sobolev square norm int |xi|^(2s) |fhat(xi)|^2 dxi.
 
     Packet sums go through their closed-form transform and the adaptive
-    shell quadrature, at the lab's fixed accuracy; spectrum fields through the weighted discrete sum
-    with the xi = 0 bin contributing zero (the origin carries no measure
-    in the continuous integral).  s must be finite with 2s > -n, where
-    |xi|^(2s) is locally integrable; any other s raises
-    InvalidParameterError.
+    shell quadrature, at the lab's fixed accuracy; spectrum fields through
+    the weighted discrete sum with the xi = 0 bin contributing zero (the
+    origin carries no measure in the continuous integral).  s must be
+    finite with 2s > -n, where |xi|^(2s) is locally integrable; any other
+    s raises InvalidParameterError.
 
     The packet route handles less: its shell integrand carries the factor
     r^(n-1+2s), and once 2s + n - 1 falls to about -0.5 (s about -0.25,

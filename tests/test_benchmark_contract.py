@@ -3,8 +3,11 @@
 perfbench/ wraps package functions by name and copies the harness's default
 tolerances into the cli-mix config.  A rename under src/ or a changed
 default would otherwise show only in a traced benchmark run; these tests
-build the three workloads at seed 1 without running a pass and install and
-remove the tracer, which takes about a second.
+build the three workloads at seed 1, install and remove the tracer, and
+run one traced seed-1 pass of finite-identity and of cli-mix, in which
+every span the benchmark requires of the workload must fire and every
+verdict must be ok.  A call that moves out from under a traced name, such
+as a weight derivative read other than through the weight, fails there.
 """
 
 import sys
@@ -16,7 +19,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import run  # noqa: E402  (perfbench/run.py)
-from tracer import Tracer  # noqa: E402
+from tracer import Tracer, required_spans  # noqa: E402
 from workloads import WORKLOADS, CliMix  # noqa: E402
 
 from smoothing_lab import harness  # noqa: E402
@@ -42,6 +45,23 @@ def test_tracer_finds_every_name(lab):
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("name", ["finite-identity", "cli-mix"])
+def test_traced_pass_fires_every_required_span(lab, name, tmp_path):
+    cls = WORKLOADS[name]
+    wl = cls(lab, 1, str(tmp_path)) if cls is CliMix else cls(lab, 1)
+    tracer = Tracer(lab.modules())
+    try:
+        tracer.install()
+        wl.wrap_weights(tracer.wrap_weight)
+        _, verdicts = wl.run_pass(run.Timer(), tracer=tracer)
+    finally:
+        tracer.uninstall()
+        wl.close()
+    fired = {span[1] for span in tracer.spans}
+    assert sorted(required_spans(name) - fired) == []
+    assert [(task, v.note) for task, v in verdicts if not v.ok] == []
 
 
 def test_cli_mix_tolerances_are_the_registry_defaults():

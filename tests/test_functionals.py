@@ -4,7 +4,9 @@ Oracles: a centered zero-momentum Gaussian evolves to B(t) e^{-alpha(t) x^2}
 with alpha(t) = a/(1 + 4iat), so the truncated gradient integral has an erf
 closed form and the profile reduces to one scipy quad call in time.  The
 flux oracles are a trapezoid sum of the spectral representation on a wide
-grid and the grid route: sampled fields with an FFT gradient.  The whole-line identity ties the three signed pieces to
+grid and the grid route: sampled fields with an FFT gradient, which with
+a Gauss-Legendre rule in time also checks the windowed Morawetz
+integral.  The whole-line identity ties the three signed pieces to
 2 pi psi'(inf) ||f||^2_{H^{1/2}}, which exercises every coefficient slot at
 once.
 """
@@ -121,22 +123,29 @@ def test_flux_matches_trapezoid_oracle():
     assert abs(val) > 1e-3                # the check is not vacuous
 
 
+def grid_gradient(g):
+    """(coordinates, radius, gradient) of a sampled field: the coordinates
+    and the gradient one array per axis, the gradient taken spectrally."""
+    xs = np.meshgrid(*([g.axis()] * g.n), indexing="ij")
+    r = np.sqrt(sum(x * x for x in xs))
+    xi = np.fft.fftfreq(g.N, d=g.dx)
+    xi[g.N // 2] = 0.0  # the Nyquist mode has no odd derivative
+    uhat = np.fft.fftn(g.samples)
+    grads = []
+    for d in range(g.n):
+        shape = [1] * g.n
+        shape[d] = g.N
+        grads.append(np.fft.ifftn(2j * np.pi * xi.reshape(shape) * uhat))
+    return xs, r, grads
+
+
 def grid_flux(f, w, t, L, N):
     """Im sum conj(u) psi'(r)/r (x . grad u) dx^n on the sampled field, with
     the gradient taken spectrally; the second value is the field's
     boundary mass fraction."""
     g = sample_datum(f, L, N, t)
-    ax = g.axis()
-    xs = np.meshgrid(*([ax] * f.n), indexing="ij")
-    r = np.sqrt(sum(x * x for x in xs))
-    xi = np.fft.fftfreq(N, d=g.dx)
-    xi[N // 2] = 0.0  # the Nyquist mode has no odd derivative
-    uhat = np.fft.fftn(g.samples)
-    radial = np.zeros_like(g.samples)
-    for d, x in enumerate(xs):
-        shape = [1] * f.n
-        shape[d] = N
-        radial += x * np.fft.ifftn(2j * np.pi * xi.reshape(shape) * uhat)
+    xs, r, grads = grid_gradient(g)
+    radial = sum(x * grad for x, grad in zip(xs, grads))
     rate = np.divide(w.d1(r), r, out=np.zeros_like(r), where=r > 0.0)
     value = float(np.sum(np.conj(g.samples) * rate * radial).imag) * g.dx**f.n
     return value, boundary_mass_fraction(g)
@@ -152,6 +161,44 @@ def test_flux_matches_grid_route(n, L, N):
             grid, edge = grid_flux(f, w, t, L, N)
             assert edge <= 1e-8
             assert flux(f, w, t) == pytest.approx(grid, rel=1e-8), (n, t)
+
+
+def grid_morawetz_density(f, w, t, L, N):
+    """sum [psi''|du/dr|^2 + (psi'/r)|grad_tau u|^2 - (1/4) Lap^2 psi |u|^2]
+    dx^n on the field sampled at time t, and the field's boundary mass
+    fraction.  Lap^2 psi is expanded here from the derivatives d1 to d4;
+    the origin sample takes the limits psi'/r -> psi''(0) and
+    Lap^2 psi(0) = psi''''(0) n (n + 2)/3."""
+    n = f.n
+    g = sample_datum(f, L, N, t)
+    xs, r, grads = grid_gradient(g)
+    origin = r == 0.0
+    rs = np.where(origin, 1.0, r)
+    d1, d2, d3, d4 = w.d1(r), w.d2(r), w.d3(r), w.d4(r)
+    rate = np.where(origin, d2, d1 / rs)
+    bilap = np.where(origin, d4 * n * (n + 2) / 3.0,
+                     d4 + 2.0 * (n - 1) * d3 / rs
+                     + (n - 1) * (n - 3) * (d2 / rs**2 - d1 / rs**3))
+    # x = 0 at the origin, so du/dr is 0 there and psi''(0)|grad u|^2 remains
+    ursq = np.abs(sum(x * grad for x, grad in zip(xs, grads)) / rs) ** 2
+    gsq = sum(np.abs(grad) ** 2 for grad in grads)
+    density = (d2 * ursq + rate * (gsq - ursq)
+               - 0.25 * bilap * np.abs(g.samples) ** 2)
+    return float(density.sum()) * g.dx**n, boundary_mass_fraction(g)
+
+
+@pytest.mark.parametrize("n,L,N", [(1, 40.0, 2048), (2, 32.0, 512)])
+def test_morawetz_lhs_matches_grid_route(n, L, N):
+    # grid sums of the bulk integrand at 48 Gauss-Legendre times; with 24
+    # the time rule alone misses the first n = 2 datum by 1e-6
+    w, T = make_psi_eps(1.0), 0.5
+    nodes, weights = np.polynomial.legendre.leggauss(48)
+    for f in random_packet_suite(n, count=2, seed=5):
+        sums, edges = zip(*(grid_morawetz_density(f, w, T * s, L, N)
+                            for s in nodes))
+        assert max(edges) <= 1e-8
+        grid = T * float(np.dot(weights, sums))
+        assert morawetz_lhs(f, w, T) == pytest.approx(grid, rel=1e-8), n
 
 
 def test_boundary_term_is_half_flux_difference():

@@ -16,10 +16,11 @@ import pytest
 
 from smoothing_lab.errors import InvalidParameterError
 from smoothing_lab.model import (WavePacket, gaussian_inner, l2_norm_sq,
-                                 packet_sum)
-from smoothing_lab.propagator import (GaussianState, difference_state,
-                                      dispersive_approx, evolve_analytic,
-                                      fourier_state)
+                                 packet_sum, random_packet_suite)
+from smoothing_lab.propagator import (GaussianState, _evolve_times,
+                                      difference_state, dispersive_approx,
+                                      evolve_analytic, fourier_state)
+from smoothing_lab.quadrature import _GK21
 
 F_1D = packet_sum([WavePacket(1.0, 1.0, [0.2], [0.3]),
                    WavePacket(0.5j, 1.5, [-0.4], [-0.2])])
@@ -157,3 +158,39 @@ def test_gaussian_state_validation():
     with pytest.raises(InvalidParameterError):
         GaussianState(1, np.array([1.0 + 0j]), np.array([-0.1 + 1j]),
                       np.zeros((1, 1)), np.zeros((1, 1)))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("packets", [1, 2, 3, 4, 5])
+def test_evolved_rows_equal_one_time_states_bit_for_bit(n, packets):
+    # at one time and at the 21 nodes of a time panel, each row of the
+    # stacked evolution is the state evolve_analytic builds at that time
+    nodes = 0.4 + 1.7 * _GK21[0]
+    for f in random_packet_suite(n, 2, packets, seed=30 + packets, center_scale=2.0):
+        for ts in (nodes[:1], nodes):
+            B, alpha, c, v, t = _evolve_times(f, ts)
+            assert B.shape == alpha.shape == (len(ts), packets)
+            assert c.shape == v.shape == (len(ts), packets, n)
+            assert same_bits(t, ts)
+            for k in range(len(ts)):
+                st = evolve_analytic(f, ts[k])
+                for row, name in ((B, "B"), (alpha, "alpha"), (c, "c"), (v, "v")):
+                    assert same_bits(row[k], getattr(st, name)), (name, ts[k])
+
+
+def test_gaussian_state_neither_freezes_nor_follows_caller_arrays():
+    base = np.array([1.0 + 0.5j, 2.0])
+    B, alpha = base[:1], np.array([0.8 + 0.1j])
+    c, v = np.array([[0.3]]), np.array([[0.2]])
+    st = GaussianState(1, B, alpha, c, v)
+    assert all(a.flags.writeable for a in (base, B, alpha, c, v))
+    base[0], alpha[0], c[0, 0], v[0, 0] = 5.0, 2.0, 5.0, 5.0
+    assert st.B[0] == 1.0 + 0.5j and st.alpha[0] == 0.8 + 0.1j
+    assert st.c[0, 0] == 0.3 and st.v[0, 0] == 0.2
+    assert not any(a.flags.writeable for a in (st.B, st.alpha, st.c, st.v))
+    # a datum's read-only arrays pass through without a copy
+    assert np.shares_memory(evolve_analytic(F_1D, 0.7).v, F_1D.v)

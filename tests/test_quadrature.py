@@ -10,7 +10,7 @@ from smoothing_lab.errors import (InvalidParameterError,
                                   ToleranceNotMetError)
 from smoothing_lab.model import (WavePacket, l2_norm_sq, packet_sum,
                                  random_packet_suite)
-from smoothing_lab.propagator import evolve_analytic, fourier_state
+from smoothing_lab.propagator import _evolve_times, evolve_analytic, fourier_state
 from smoothing_lab import quadrature
 from smoothing_lab.quadrature import (_GK21, _SERIES_BELOW, _TAU_SPACE,
                                       ShellCoefficients, _adaptive,
@@ -30,6 +30,11 @@ def single(n, A=1.0, a=1.0, c=None, v=None):
     c = np.zeros(n) if c is None else c
     v = np.zeros(n) if v is None else v
     return packet_sum([WavePacket(A, a, c, v)])
+
+
+def geometry(f, times):
+    """The stacked geometry of the datum f evolved to each of times."""
+    return _StateGeometry(*_evolve_times(f, times))
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +107,8 @@ def test_two_packet_interference_mass():
 
 def test_ball_truncated_mass_matches_erf():
     a, R = 0.9, 1.7
-    st = evolve_analytic(single(1, a=a), 0.0)
-    vals, _ = shell_integrals([st], ShellCoefficients(w_mass=np.ones_like),
+    batch = _evolve_times(single(1, a=a), [0.0])
+    vals, _ = shell_integrals(batch, ShellCoefficients(w_mass=np.ones_like),
                               r_max=R)
     expect = np.sqrt(np.pi / (2 * a)) * erf(np.sqrt(2 * a) * R)
     assert vals[0] == pytest.approx(expect, rel=1e-10)
@@ -149,9 +154,9 @@ def test_shell_weight_knots_are_honored():
 def test_shell_integral_reports_nonconvergence():
     # demands accuracy below machine precision so refinement must give up
     f = single(2, a=1.0, v=np.array([0.4, -0.3]))
-    st = evolve_analytic(f, 2.0)
+    batch = _evolve_times(f, [2.0])
     with pytest.raises(ToleranceNotMetError) as exc:
-        shell_integrals([st], ShellCoefficients(w_mass=np.ones_like),
+        shell_integrals(batch, ShellCoefficients(w_mass=np.ones_like),
                         rel_tol=1e-18)
     assert exc.value.achieved > exc.value.requested
     assert np.isfinite(exc.value.estimate)
@@ -232,7 +237,7 @@ def test_moment_kernel_matches_reference_rule(n, case):
     rng = np.random.default_rng(n)
     f = MOMENT_CASES[case](n)
     for t in (-2.0, 0.0, 0.7, 5.0):
-        geom = _StateGeometry.of([evolve_analytic(f, t)])
+        geom = geometry(f, [t])
         # random radii and radii on both sides of each pair's series switch
         size = np.sqrt(np.abs(geom.pairs["ss"][0]))
         switch = np.sqrt(_SERIES_BELOW) / size[size > 0.0]
@@ -266,7 +271,7 @@ def test_far_off_centre_packet_stays_finite(n):
     rho = 30.0 * sigma
     c = rho * np.eye(n)[0]
     f = packet_sum([WavePacket(0.9 - 0.2j, a, c, 0.3 * np.eye(n)[-1])])
-    geom = _StateGeometry.of([evolve_analytic(f, 0.0)])
+    geom = geometry(f, [0.0])
     r = rho + sigma * np.array([-0.7, 0.0, 1.0])
     grow = np.sqrt(geom.pairs["ss"][0, 0].real) * r
     assert np.all(grow > np.log(np.finfo(float).max))
@@ -282,7 +287,7 @@ def test_moment_kernel_rejects_frequencies_past_bessel_range():
     # complex Bessel functions return NaN there, the kernel must not
     f = packet_sum([WavePacket(1.0, 1.0, [0.3, 0.0], [0.0, 0.0]),
                     WavePacket(1.0, 1.0, [0.0, 0.0], [3e8, 0.0])])
-    geom = _StateGeometry.of([evolve_analytic(f, 0.0)])
+    geom = geometry(f, [0.0])
     with pytest.raises(InvalidParameterError, match="Bessel"):
         _moment_values(geom, np.array([1.0]), ShellCoefficients(w_mass=np.ones_like))
 
@@ -301,8 +306,8 @@ def moving_pair(n):
 @pytest.mark.parametrize("blocked", [False, True])
 def test_batched_kernel_rows_match_single_states(n, blocked, monkeypatch):
     # the rule kernel in n = 1, 2, 3 and the moment kernel in n = 2, 3
-    states = [evolve_analytic(moving_pair(n), t) for t in (-0.4, 0.0, 0.3, 1.1)]
-    geom = _StateGeometry.of(states)
+    times = (-0.4, 0.0, 0.3, 1.1)
+    geom = geometry(moving_pair(n), times)
     r = np.linspace(0.05, 3.0, 16)
     omega, wts = _sphere_rule(n, _bucket_band(reference_band(geom, r)))
     pairs = geom.m * (geom.m + 1) // 2
@@ -314,9 +319,9 @@ def test_batched_kernel_rows_match_single_states(n, blocked, monkeypatch):
         if blocked:  # blocks of 3 states: one boundary inside the batch
             monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 3 * per_state)
         batch = kernel(geom)
-        assert batch.shape == (len(states), r.size)
-        for row, state in zip(batch, states):
-            single = kernel(_StateGeometry.of([state]))[0]
+        assert batch.shape == (len(times), r.size)
+        for row, t in zip(batch, times):
+            single = kernel(geometry(moving_pair(n), [t]))[0]
             scale = np.abs(single).max()
             assert scale > 0.0
             np.testing.assert_allclose(row, single, rtol=1e-14, atol=1e-14 * scale)
@@ -328,15 +333,17 @@ def test_batched_integral_matches_single_state_calls(n):
     # has to sort; each value meets its own floor and agrees with its
     # one-state integral within the two targets
     coeffs = ShellCoefficients(w_mass=lambda r: np.exp(-r))
-    states = [evolve_analytic(moving_pair(n), t) for t in (0.9, 0.1, -0.1)]
-    reach = _StateGeometry.of(states).support_radii(_TAU_SPACE)
+    f, times = moving_pair(n), (0.9, 0.1, -0.1)
+    reach = geometry(f, times).support_radii(_TAU_SPACE)
     assert sorted(map(len, _share_groups(reach))) == [1, 2]
     scales = [1.0, 1e-3, 1e-6]
-    values, info = shell_integrals(states, coeffs, scales=scales, rel_tol=1e-9)
-    for state, value, error, scale in zip(states, values, info["abs_error"], scales):
+    values, info = shell_integrals(_evolve_times(f, times), coeffs, scales=scales,
+                                   rel_tol=1e-9)
+    for t, value, error, scale in zip(times, values, info["abs_error"], scales):
         target = 1e-9 * max(abs(value), scale)
         assert error <= target
-        single, _ = shell_integrals([state], coeffs, scales=[scale], rel_tol=1e-9)
+        single, _ = shell_integrals(_evolve_times(f, [t]), coeffs, scales=[scale],
+                                    rel_tol=1e-9)
         assert abs(value - single[0]) <= 2.0 * target
 
 
@@ -347,7 +354,7 @@ def test_panel_sweep_matches_one_panel_calls(n, packets, blocked, monkeypatch):
     # one sweep over P panels gives, to 4 ulp, what P one-panel calls give,
     # also when the kernel walks the sweep's radii in several blocks
     f = random_packet_suite(n, 1, packets, seed=20 + packets)[0]
-    geom = _StateGeometry.of([evolve_analytic(f, t) for t in (-0.6, 0.0, 0.8)])
+    geom = geometry(f, (-0.6, 0.0, 0.8))
     if blocked:  # fewer than the 48 radii of one panel per block
         monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 20 * geom.m * (geom.m + 1))
     edges = np.array([0.0, 0.3, 0.7, 1.1, 1.6, 2.4, 3.5, 5.0])
@@ -380,7 +387,7 @@ def test_batch_integral_makes_one_kernel_call_per_sweep(n, monkeypatch):
     # kink off every knot makes the refinement split
     coeffs = ShellCoefficients(w_mass=lambda r: np.abs(r - 1.3))
     f = random_packet_suite(n, 1, 2, seed=22)[0]
-    geom = _StateGeometry.of([evolve_analytic(f, t) for t in (0.0, 0.5)])
+    geom = geometry(f, (0.0, 0.5))
     kernel = count_calls(monkeypatch, "_shell_values" if n == 1 else "_moment_values")
     sweeps = count_calls(monkeypatch, "_panel_value", sizes=True)
     end = float(geom.support_radii(_TAU_SPACE).max())
@@ -399,8 +406,7 @@ def test_sweeps_accept_the_panels_of_one_panel_calls(n, monkeypatch):
                                w_mass=lambda r: np.exp(-r), w_flux=np.cos)
     suite = random_packet_suite(n, 3, 2, seed=11)
     times = (-1.0, -0.2, 0.0, 0.4, 1.5)
-    swept = [shell_integrals([evolve_analytic(f, t) for t in times], coeffs)
-             for f in suite]
+    swept = [shell_integrals(_evolve_times(f, times), coeffs) for f in suite]
     inner = quadrature._panel_value
 
     def one_at_a_time(geom, a, b, coeffs, n):
@@ -409,7 +415,7 @@ def test_sweeps_accept_the_panels_of_one_panel_calls(n, monkeypatch):
 
     monkeypatch.setattr(quadrature, "_panel_value", one_at_a_time)
     for f, (values, info) in zip(suite, swept):
-        single, ref = shell_integrals([evolve_analytic(f, t) for t in times], coeffs)
+        single, ref = shell_integrals(_evolve_times(f, times), coeffs)
         assert info["panels"] == ref["panels"]
         np.testing.assert_allclose(values, single, rtol=1e-14)
 
@@ -552,7 +558,7 @@ def test_mass_error_bar_bounds_gram_sum(n, t):
 
 def test_ball_mass_error_bar_bounds_erf():
     a, R = 0.9, 1.7
-    vals, info = shell_integrals([evolve_analytic(single(1, a=a), 0.0)],
+    vals, info = shell_integrals(_evolve_times(single(1, a=a), [0.0]),
                                  ShellCoefficients(w_mass=np.ones_like), r_max=R)
     assert_bounded(vals[0], info["abs_error"][0],
                    np.sqrt(np.pi / (2 * a)) * erf(np.sqrt(2 * a) * R))

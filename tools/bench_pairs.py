@@ -32,9 +32,11 @@ cpu_over_wall is the CPU time of the whole child process over the wall
 time of that pass: well above 1, a second BLAS thread is running.  The
 time panels, quadrature.time_nodes (calls of the time integrand, one per
 Gauss-Kronrod panel), come from the record of a `perfbench/run.py --trace
-1` run, under the tracer's own name, with its quadrature.panels_accepted.
-None of these counts depends on the host, so they show whether a change
-of time came from doing less work or from doing the same work faster.
+1` run, under the tracer's own name, with its quadrature.panels_accepted
+and propagator.calls, the calls of the propagator's traced functions:
+each builds one GaussianState, while a time panel builds none.  None of
+these counts depends on the host, so they show whether a change of time
+came from doing less work or from doing the same work faster.
 
 BENCH_<name>.json, at the change checkout's root, holds the machine block
 of perfbench/machine.py, the end-to-end metrics of every pair with their
@@ -58,7 +60,7 @@ CHANGE = Path(__file__).resolve().parents[1]
 SEED = 1
 PAIRS = 10  # the fewest pairs that can show a gain in nine of ten
 RUN_TIMEOUT_S = 600
-TRACED = ("quadrature.time_nodes", "quadrature.panels_accepted")
+TRACED = ("quadrature.time_nodes", "quadrature.panels_accepted", "propagator.calls")
 
 
 def run_checkout(checkout: Path, args: list, what: str) -> str:
@@ -180,8 +182,9 @@ def main(argv=None) -> int:
                                            "machine block")),
         "work_counts": "kernel_calls, radial_panel_sweeps, radial_panels_evaluated "
                        "and radial_panels_accepted are this tool's counts, not the "
-                       "tracer's (see tools/bench_pairs.py); the quadrature.* counts "
-                       "are the tracer's, from a --trace 1 run, per pass",
+                       "tracer's (see tools/bench_pairs.py); the quadrature.* and "
+                       "propagator.* counts are the tracer's, from a --trace 1 run, "
+                       "per pass",
         "workloads": {},
     }
     for workload in workloads:
