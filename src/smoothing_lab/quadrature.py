@@ -35,16 +35,16 @@ the reference the tests hold the closed forms against.
 One refinement loop serves both layers: it works on vector panels, as
 scipy.integrate.quad_vec does, and splits the panel with the largest
 relative error estimate until every component meets its target.  It
-hands its panel rule a sweep of panels at a time.  A radial panel's
-estimate is the difference of its 16- and 32-node Gauss-Legendre values;
-a time panel's is the difference of its 21-point Gauss-Kronrod value and
-the embedded 10-point Gauss value (Kronrod 1965; QUADPACK qk21).  The
-time integrals take a vectorised integrand, which maps an array of times
-to an array of values and is called once per time panel with all 21
-nodes, as scipy.integrate.fixed_quad calls its function: the time rule
-maps over the panels of a sweep, so the nodes of one call are those of
-one panel.  Infinite horizons run through the substitution
-t = s/(1 - s^2).
+hands its panel rule a sweep of panels at a time.  Both layers use a
+Gauss-Kronrod rule and take its distance to the embedded Gauss value as
+the error estimate (Kronrod 1965): K33 over G16 on a radial panel, whose
+33 radii include the 16 Gauss radii (Laurie, Math. Comp. 66, 1997), and
+K21 over G10 on a time panel (QUADPACK qk21).  The time integrals take
+a vectorised integrand, which maps an array of times to an array of
+values and is called once per time panel with all 21 nodes, as
+scipy.integrate.fixed_quad calls its function: the time rule maps over
+the panels of a sweep, so the nodes of one call are those of one panel.
+Infinite horizons run through the substitution t = s/(1 - s^2).
 """
 
 from __future__ import annotations
@@ -114,6 +114,41 @@ class ShellCoefficients:
 def _gl(m: int):
     x, w = roots_legendre(m)
     return x, w
+
+
+# Gauss-Kronrod rules by increasing |x|: the abscissae the Kronrod extension
+# adds to the Gauss rule, their weights, and the Kronrod weights at the
+# Gauss abscissae.  QUADPACK qk21 (Kronrod 1965) extends G10 for the time
+# panels; K33 extends G16 for the radial panels, as tools/kronrod_nodes.py
+# derives it (Laurie, Math. Comp. 66, 1997).
+_KRONROD_X = (0.0, 0.2943928627014602, 0.5627571346686047, 0.7808177265864169,
+              0.9301574913557082, 0.9956571630258081)
+_KRONROD_W = (0.1494455540029169, 0.14277593857706009, 0.12349197626206584,
+              0.0931254545836976, 0.054755896574351995, 0.011694638867371874)
+_KRONROD_W_GAUSS = (0.14773910490133849, 0.13470921731147334, 0.10938715880229764,
+                    0.07503967481091996, 0.032558162307964725)
+_K33_X = (0.0, 0.18916857901808373, 0.37148378087841627, 0.5404076763521397,
+          0.6897411066817623, 0.8142402870624444, 0.9091576670123429,
+          0.9715059509693926, 0.9982392741454446)
+_K33_W = (0.0951542160804983, 0.09343867406092123, 0.08833750257911273,
+          0.08005394126371929, 0.06886299519153125, 0.055205633095422174,
+          0.039512951202421966, 0.022498859440049444, 0.004742777049247318)
+_K33_W_GAUSS = (0.09472840124723005, 0.09129203282819166, 0.08459580379259064,
+                0.07476982388559955, 0.062358806011834855, 0.047506215976407015,
+                0.031260543647380526, 0.013257930688091158)
+
+
+def _gauss_kronrod(gauss, x, w, w_gauss):
+    """(nodes, Kronrod weights, Gauss weights) of the Kronrod extension of
+    the gauss-point Gauss-Legendre rule; the Gauss nodes come first."""
+    xg, wg = _gl(gauss)  # ascending, so |x| falls, then rises
+    xk, wk, wkg = map(np.array, (x, w, w_gauss))
+    return (np.concatenate([xg, -xk[:0:-1], xk]),
+            np.concatenate([wkg[::-1], wkg, wk[:0:-1], wk]), wg)
+
+
+_GK21 = _gauss_kronrod(10, _KRONROD_X, _KRONROD_W, _KRONROD_W_GAUSS)
+_GK33 = _gauss_kronrod(16, _K33_X, _K33_W, _K33_W_GAUSS)
 
 
 @lru_cache(maxsize=256)
@@ -255,52 +290,49 @@ def _shell_values(geom: _StateGeometry, r: np.ndarray, omega: np.ndarray,
     """Angularly reduced integrand at radii r, one row per state: (T, Q).
 
     Sums the integrand over the directions omega with weights wts: S^0 in
-    n = 1, a reference rule in n = 2, 3.  Each coefficient function is
-    evaluated once on r and shared by every state; the states and radii
-    are walked in blocks of at most _KERNEL_BLOCK complex elements.  No
-    r^{n-1} factor yet.
+    n = 1, a reference rule in n = 2, 3.  At x = r w packet i is
+    B_i exp(-alpha_i (r^2 + |c_i|^2) + r w.G_i), so its envelope exponent
+    is built once per packet, state and radius, and each direction adds
+    the one product r w.G_i; its radial derivative is that value times
+    w.G_i - 2 alpha_i r.  The field arrays run packet first, (m, t, Q, A),
+    so the packet sums are sums over the leading axis.  Each coefficient
+    function is evaluated once on r and shared by every state; the states
+    and radii are walked in blocks of at most _KERNEL_BLOCK complex
+    elements.  No r^{n-1} factor yet.
     """
     n = geom.n
     w_mass = None if coeffs.w_mass is None else coeffs.w_mass(r)[:, None]
     w_rr = None if coeffs.w_rr is None else coeffs.w_rr(r)[:, None]
     w_flux = None if coeffs.w_flux is None else coeffs.w_flux(r)[:, None]
     w_tau = None if coeffs.w_tau is None or n == 1 else coeffs.w_tau(r)[:, None]
-    # sums over packets as matrix products, faster than sum(axis=-1) over
-    # the short packet axis
-    ones = np.ones(geom.m)
     out = np.empty((len(geom.B), r.size))
     for rows, cols in _blocks(len(geom.B), r.size, len(wts) * geom.m):
-        B, alpha, c, v = geom.B[rows], geom.alpha[rows], geom.c[rows], geom.v[rows]
         q = r[cols]
-        R = q[:, None, None]  # radius axis of the (Q, A, m) field arrays
-        # points x = r * omega, evaluated packet by packet without forming x
-        oc = (omega @ c.transpose(0, 2, 1))[:, None]  # (t, 1, A, m)
-        ov = (omega @ v.transpose(0, 2, 1))[:, None]
-        al = alpha[:, None, None, :]
-        # exponent: -alpha (r^2 - 2 r oc + |c|^2) + 2 pi i r ov
-        csq = (c**2).sum(axis=-1)[:, None, None, :]
-        expo = -al * ((q * q)[:, None, None] - 2.0 * R * oc + csq) + 2j * np.pi * R * ov
-        vals = B[:, None, None, :] * np.exp(expo)  # (t, Q, A, m)
-        u = vals @ ones
+        R = q[:, None]  # radius axis of the (m, t, Q, A) field arrays
+        alpha = geom.alpha[rows].T[..., None]  # (m, t, 1)
+        csq = (geom.c[rows] ** 2).sum(axis=-1).T[..., None]
+        G = geom.G[rows].transpose(1, 0, 2)  # (m, t, n)
+        og = (G @ omega.T)[:, :, None]  # w.G_i: (m, t, 1, A)
+        envelope = -alpha * (q * q + csq)  # (m, t, Q)
+        vals = geom.B[rows].T[..., None, None] * np.exp(envelope[..., None] + R * og)
+        u = vals.sum(axis=0)  # (t, Q, A)
         pieces = np.zeros(u.shape, dtype=float)
         if w_mass is not None:
             pieces += w_mass[cols] * (u.real**2 + u.imag**2)
         if coeffs.needs_gradient():
-            # du/dr = sum_i vals_i (-2 alpha_i (r - oc_i) + 2 pi i ov_i)
-            ur = (vals * (-2.0 * al * (R - oc) + 2j * np.pi * ov)) @ ones
+            ur = (vals * (og - 2.0 * alpha[..., None] * R)).sum(axis=0)
             ursq = ur.real**2 + ur.imag**2
             if w_rr is not None:
                 pieces += w_rr[cols] * ursq
             if w_flux is not None:
-                pieces += w_flux[cols] * (np.conj(u) * ur).imag
+                pieces += w_flux[cols] * (u.real * ur.imag - u.imag * ur.real)
             if w_tau is not None:
-                # grad u = -2 (sum_i alpha_i vals_i) x + sum_i vals_i G_i,
-                # built one axis at a time
-                s0 = (vals @ alpha[:, None, :, None])[..., 0]  # (t, Q, A)
+                # grad u = sum_i vals_i (G_i - 2 alpha_i x), one axis at a time
+                s0 = (alpha[..., None] * vals).sum(axis=0)
                 gsq = np.zeros(u.shape, dtype=float)
                 for k in range(n):
-                    Gk = geom.G[rows, None, :, k, None]  # (t, 1, m, 1)
-                    g = -2.0 * s0 * (q[:, None] * omega[:, k]) + (vals @ Gk)[..., 0]
+                    g = (vals * G[:, :, None, None, k]).sum(axis=0) \
+                        - 2.0 * s0 * (R * omega[:, k])
                     gsq += g.real**2 + g.imag**2
                 pieces += w_tau[cols] * np.maximum(gsq - ursq, 0.0)
         out[rows, cols] = pieces @ wts
@@ -424,25 +456,26 @@ def _moment_values(geom: _StateGeometry, r: np.ndarray,
 
 
 def _panel_value(geom, a, b, coeffs, n):
-    """(value_32, |value_32 - value_16|) of every state on each radial panel
+    """(value_33, |value_33 - value_16|) of every state on each radial panel
     [a_p, b_p] of a sweep: a and b are edge arrays of shape (P,), and both
     results have shape (P, T).
 
-    The 48 radii of both rules on all P panels go to one kernel call: the
+    The 33 radii of K33 on all P panels go to one kernel call: the
     two-point rule of S^0 in n = 1, the pair sums of exact angular moments
-    in n = 2, 3.  So each weight coefficient is evaluated once per sweep,
-    and the kernel runs once per sweep, not once per panel.
+    in n = 2, 3.  The first 16 are the radii of G16, so the estimate costs
+    no radius of its own.  Each weight coefficient is evaluated once per
+    sweep, and the kernel runs once per sweep, not once per panel.
     """
+    nodes, wk, wg = _GK33
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    (x16, w16), (x32, w32) = _gl(16), _gl(32)
-    r = mid[:, None] + half[:, None] * np.concatenate([x16, x32])  # (P, 48)
+    r = mid[:, None] + half[:, None] * nodes  # (P, 33)
     if n == 1:
         shell = _shell_values(geom, r.ravel(), *_sphere_rule(1, 0), coeffs)
     else:
         shell = _moment_values(geom, r.ravel(), coeffs)
-    shell = shell.reshape(-1, *r.shape)  # (T, P, 48)
-    coarse, fine = (half * (shell[..., cut] * r[:, cut] ** (n - 1) * w).sum(axis=-1)
-                    for cut, w in ((slice(16), w16), (slice(16, None), w32)))
+    shell = shell.reshape(-1, *r.shape) * r ** (n - 1)  # (T, P, 33)
+    coarse = half * (shell[..., :16] * wg).sum(axis=-1)
+    fine = half * (shell * wk).sum(axis=-1)
     return fine.T, np.abs(fine - coarse).T
 
 
@@ -561,9 +594,12 @@ def shell_integrals(batch, coeffs: ShellCoefficients,
     _SHARE_RATIO share one radial panel set, starting from the weight knots
     and the packet centres of their state at the median time.  Returns
     (values, info), one value per state, where info carries the error
-    estimates and the panel count.  Raises ToleranceNotMetError when one
+    estimates and the panel count.  Raises InvalidParameterError unless
+    r_max > 0 (inf means no cut-off), and ToleranceNotMetError when one
     panel set runs out of its _MAX_PANELS budget.
     """
+    if r_max is not None and not r_max > 0.0:
+        raise InvalidParameterError(f"r_max must be positive, got {r_max}")
     geom = _StateGeometry(*batch)
     if geom.n > 3:
         raise InvalidParameterError("shell quadrature supports n <= 3")
@@ -602,28 +638,6 @@ def shell_integral(state, coeffs: ShellCoefficients,
 # ---------------------------------------------------------------------------
 # adaptive time integration
 # ---------------------------------------------------------------------------
-
-# QUADPACK qk21 (Kronrod 1965) by increasing |x|: the abscissae the Kronrod
-# extension adds to the 10-point Gauss rule, their weights, and the 21-point
-# weights at the Gauss abscissae.
-_KRONROD_X = (0.0, 0.2943928627014602, 0.5627571346686047, 0.7808177265864169,
-              0.9301574913557082, 0.9956571630258081)
-_KRONROD_W = (0.1494455540029169, 0.14277593857706009, 0.12349197626206584,
-              0.0931254545836976, 0.054755896574351995, 0.011694638867371874)
-_KRONROD_W_GAUSS = (0.14773910490133849, 0.13470921731147334, 0.10938715880229764,
-                    0.07503967481091996, 0.032558162307964725)
-
-
-def _gauss_kronrod_21():
-    """(nodes, Kronrod weights, Gauss weights); the Gauss nodes come first."""
-    xg, wg = _gl(10)  # ascending, so |x| falls, then rises
-    xk, wk, wkg = map(np.array, (_KRONROD_X, _KRONROD_W, _KRONROD_W_GAUSS))
-    return (np.concatenate([xg, -xk[:0:-1], xk]),
-            np.concatenate([wkg[::-1], wkg, wk[:0:-1], wk]), wg)
-
-
-_GK21 = _gauss_kronrod_21()
-
 
 def _kronrod_panel(fn, a, b):
     """(K21 value, |K21 - G10|) of fn on [a, b], fn called once on all nodes."""

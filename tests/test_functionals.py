@@ -35,6 +35,7 @@ from smoothing_lab.model import (RadialWeight, gaussian_inner, packet,
                                  packet_sum, random_packet_suite)
 from smoothing_lab.propagator import (difference_state, dispersive_approx,
                                       evolve_analytic)
+from smoothing_lab.quadrature import ShellCoefficients, shell_integral
 from smoothing_lab.spectral import (boundary_mass_fraction, hs_norm_sq,
                                     sample_datum)
 from smoothing_lab.weights import make_psi_eps, make_psi_k
@@ -161,6 +162,45 @@ def test_flux_matches_grid_route(n, L, N):
             grid, edge = grid_flux(f, w, t, L, N)
             assert edge <= 1e-8
             assert flux(f, w, t) == pytest.approx(grid, rel=1e-8), (n, t)
+
+
+def grid_shell_term(f, w, t, L, N, term):
+    """The grid sum of one shell term at time t with the coefficients of
+    test_shell_term_matches_grid_route, and the boundary mass fraction.
+    With x.grad u = r du/dr and r^2 |grad_tau u|^2 = r^2 |grad u|^2 -
+    |x.grad u|^2 every density is smooth at the origin."""
+    g = sample_datum(f, L, N, t)
+    xs, r, grads = grid_gradient(g)
+    xgrad = np.abs(sum(x * grad for x, grad in zip(xs, grads))) ** 2
+    if term == "w_rr":  # r^2 psi'' |du/dr|^2
+        density = w.d2(r) * xgrad
+    elif term == "w_tau":  # r psi' |grad_tau u|^2
+        rate = np.divide(w.d1(r), r, out=np.zeros_like(r), where=r > 0.0)
+        density = rate * (r * r * sum(np.abs(grad) ** 2 for grad in grads) - xgrad)
+    else:  # psi'' |u|^2
+        density = w.d2(r) * np.abs(g.samples) ** 2
+    return float(density.sum()) * g.dx**f.n, boundary_mass_fraction(g)
+
+
+SHELL_TERMS = {"w_rr": lambda w: lambda r: r * r * w.d2(r),
+               "w_tau": lambda w: lambda r: r * w.d1(r),
+               "w_mass": lambda w: w.d2}
+
+
+@pytest.mark.parametrize("n,L,N,term", [
+    *((1, 40.0, 2048, term) for term in ("w_rr", "w_mass")),  # no tangent on the line
+    *((2, 32.0, 512, term) for term in SHELL_TERMS)])
+def test_shell_term_matches_grid_route(n, L, N, term):
+    # the radial-shell kernel and rule at fixed t, one term at a time,
+    # against grid sums of the same evolved field
+    w = make_psi_eps(1.0)
+    coeffs = ShellCoefficients(**{term: SHELL_TERMS[term](w)}, knots=w.knots)
+    for f in random_packet_suite(n, count=2, seed=5):
+        for t in (0.0, 0.7):
+            grid, edge = grid_shell_term(f, w, t, L, N, term)
+            assert edge <= 1e-8
+            value, _ = shell_integral(evolve_analytic(f, t), coeffs)
+            assert value == pytest.approx(grid, rel=1e-8), (n, t)
 
 
 def grid_morawetz_density(f, w, t, L, N):

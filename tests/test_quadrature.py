@@ -12,10 +12,10 @@ from smoothing_lab.model import (WavePacket, l2_norm_sq, packet_sum,
                                  random_packet_suite)
 from smoothing_lab.propagator import _evolve_times, evolve_analytic, fourier_state
 from smoothing_lab import quadrature
-from smoothing_lab.quadrature import (_GK21, _SERIES_BELOW, _TAU_SPACE,
+from smoothing_lab.quadrature import (_GK21, _GK33, _SERIES_BELOW, _TAU_SPACE,
                                       ShellCoefficients, _adaptive,
                                       _angular_moments, _bucket_band,
-                                      _compact_line_rate, _moment_values,
+                                      _compact_line_rate, _gl, _moment_values,
                                       _on_compact_line, _panel_value,
                                       _share_groups, _shell_values,
                                       _sphere_rule, _StateGeometry,
@@ -149,6 +149,17 @@ def test_shell_weight_knots_are_honored():
     val, _ = shell_integral(st, ShellCoefficients(w_mass=w, knots=(1.7,)))
     expect = np.sqrt(np.pi / (2 * a)) * erf(np.sqrt(2 * a) * 1.7)
     assert val == pytest.approx(expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("r_max", [-1.0, 0.0, np.nan])
+def test_shell_integrals_reject_radius_that_is_not_positive(r_max):
+    batch = _evolve_times(single(1), [0.0])
+    coeffs = ShellCoefficients(w_mass=np.ones_like)
+    with pytest.raises(InvalidParameterError, match="r_max"):
+        shell_integrals(batch, coeffs, r_max=r_max)
+    # inf is no cut-off at all
+    np.testing.assert_array_equal(shell_integrals(batch, coeffs, r_max=np.inf)[0],
+                                  shell_integrals(batch, coeffs)[0])
 
 
 def test_shell_integral_reports_nonconvergence():
@@ -355,8 +366,9 @@ def test_panel_sweep_matches_one_panel_calls(n, packets, blocked, monkeypatch):
     # also when the kernel walks the sweep's radii in several blocks
     f = random_packet_suite(n, 1, packets, seed=20 + packets)[0]
     geom = geometry(f, (-0.6, 0.0, 0.8))
-    if blocked:  # fewer than the 48 radii of one panel per block
-        monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 20 * geom.m * (geom.m + 1))
+    if blocked:  # fewer than the 33 radii of one panel per block: 6 (m + 1)
+        # for _shell_values in n = 1, 24 for _moment_values in n = 2, 3
+        monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 12 * geom.m * (geom.m + 1))
     edges = np.array([0.0, 0.3, 0.7, 1.1, 1.6, 2.4, 3.5, 5.0])
     a, b = edges[:-1], edges[1:]
     values, errors = _panel_value(geom, a, b, ALL_TERMS, n)
@@ -535,6 +547,36 @@ def test_gauss_kronrod_table_is_exact_to_degree_31():
         assert abs(wk @ nodes**k - exact) <= 4 * EPS
         if k < 20:  # the embedded 10-point Gauss rule
             assert abs(wg @ nodes[:10] ** k - exact) <= 16 * EPS
+
+
+def test_kronrod_33_table_is_exact_to_degree_49():
+    nodes, wk, wg = _GK33
+    x16, w16 = _gl(16)
+    np.testing.assert_array_equal(nodes[:16], x16)
+    np.testing.assert_array_equal(wg, w16)
+    assert len(set(nodes.tolist())) == 33
+    assert np.all(wk > 0.0) and abs(wk.sum() - 2.0) <= 4 * EPS
+    for k in range(50):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(wk @ nodes**k - exact) <= 4 * EPS, k
+
+
+def test_radial_panel_estimate_is_k33_minus_g16(monkeypatch):
+    # with the kernel replaced by r^49, of the degree K33 integrates
+    # exactly and G16 does not, each panel's value is the integral and its
+    # error the distance to the 16-point Gauss value
+    monkeypatch.setattr(quadrature, "_shell_values",
+                        lambda geom, r, omega, wts, coeffs: (r**49)[None])
+    a, b = np.array([0.0, 0.2]), np.array([1.0, 3.0])
+    values, errors = _panel_value(None, a, b, None, 1)
+    x16, w16 = _gl(16)
+    for p in range(len(a)):
+        mid, half = 0.5 * (a[p] + b[p]), 0.5 * (b[p] - a[p])
+        gauss = half * (w16 @ (mid + half * x16) ** 49)
+        exact = (b[p] ** 50 - a[p] ** 50) / 50.0
+        np.testing.assert_allclose(values[p, 0], exact, rtol=1e-13)
+        assert abs(exact - gauss) > 1e-10 * exact  # G16 is not exact here
+        np.testing.assert_allclose(errors[p, 0], abs(exact - gauss), rtol=1e-4)
 
 
 # ---------------------------------------------------------------------------

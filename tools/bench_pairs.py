@@ -20,6 +20,8 @@ wraps private functions of the quadrature module:
 
     kernel_calls             calls of both shell kernels, _shell_values
                              (n = 1) and _moment_values (n = 2, 3)
+    kernel_state_radii       states times radii over those calls: the
+                             states of each call's geometry times its radii
     radial_panel_sweeps      calls of the radial panel rule _panel_value
     radial_panels_evaluated  radial panels those calls evaluate
     radial_panels_accepted   panels of every radial panel set at convergence
@@ -104,8 +106,8 @@ def count_work(workload: str) -> dict:
     lab = run.Lab()
     q = lab.quadrature
     counts = Counter(dict.fromkeys((
-        "kernel_calls", "radial_panel_sweeps", "radial_panels_evaluated",
-        "radial_panels_accepted"), 0))
+        "kernel_calls", "kernel_state_radii", "radial_panel_sweeps",
+        "radial_panels_evaluated", "radial_panels_accepted"), 0))
 
     def wrap(name, note):
         inner = getattr(q, name)
@@ -119,6 +121,7 @@ def count_work(workload: str) -> dict:
 
     def kernel(args, result):
         counts["kernel_calls"] += 1
+        counts["kernel_state_radii"] += len(args[0].B) * int(np.size(args[1]))
 
     def sweep(args, result):
         # the panel edges a are one float per call before sweeps, (P,) after
@@ -180,11 +183,11 @@ def main(argv=None) -> int:
             for side, path in checkouts.items()},
         "machine": json.loads(run_checkout(CHANGE, ["perfbench/machine.py"],
                                            "machine block")),
-        "work_counts": "kernel_calls, radial_panel_sweeps, radial_panels_evaluated "
-                       "and radial_panels_accepted are this tool's counts, not the "
-                       "tracer's (see tools/bench_pairs.py); the quadrature.* and "
-                       "propagator.* counts are the tracer's, from a --trace 1 run, "
-                       "per pass",
+        "work_counts": "kernel_calls, kernel_state_radii, radial_panel_sweeps, "
+                       "radial_panels_evaluated and radial_panels_accepted are this "
+                       "tool's counts, not the tracer's (see tools/bench_pairs.py); "
+                       "the quadrature.* and propagator.* counts are the tracer's, "
+                       "from a --trace 1 run, per pass",
         "workloads": {},
     }
     for workload in workloads:
