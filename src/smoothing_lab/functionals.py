@@ -8,10 +8,10 @@ substitution t = s/(1 - s^2).
 
 Error budget: every functional works to the fixed relative tolerance
 REL_TOL of the quadrature module.  The time integrator works toward an
-absolute target REL_TOL * max(|integral|, mass floor).  A time panel
-evolves the datum's packet arrays to its 21 Gauss-Kronrod nodes in one
-call and integrates them, one row per node, over one shared radial panel
-set; each node's spatial integral works to a quarter of REL_TOL, with an
+absolute target REL_TOL * max(|integral|, mass floor).  A time sweep
+evolves the datum's packet arrays to the nodes of all its panels in one
+call and integrates them, one row per node, in one shell_integrals call;
+each node's spatial integral works to a quarter of REL_TOL, with an
 absolute floor of the mass floor divided by the time-domain width: summed
 over the window, the floors allow at most a quarter of the time layer's
 least target, REL_TOL * mass floor.  Without the division the spatial
@@ -53,7 +53,7 @@ def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients,
     space_scale = scale / max(width, 1.0)
 
     def fn(ts):
-        # one radial panel set for every node, each node to its own floor;
+        # the nodes of a whole time sweep in one batch, each to its own floor;
         # on the whole line the floor shrinks by ds/dt so that the jacobian-
         # multiplied values carry uniform error per unit s.  Either way the
         # accepted spatial error stays <= space_tol * scale in total.

@@ -10,14 +10,13 @@ times radial coefficient functions.  Shells make ball truncations exact
 panel edges.
 
 One radial integral can serve a batch of states with the same packets,
-such as the 21 Gauss-Kronrod nodes of a time panel: states whose
+such as the Gauss-Kronrod nodes of a sweep of time panels: states whose
 truncation radii agree within _SHARE_RATIO share one radial panel set,
 and every state is one component of the result with its own error
 target.  The panel rule is vectorised over panels: _panel_value takes the
-edge arrays (P,) of a sweep of P panels, evaluates each coefficient
-function once on all their radii and runs the kernel once, so a panel
-set costs one kernel call for its initial panels and one more for the
-two halves of each split.
+edge arrays (P,) of a sweep of P panels and runs the kernel once on all
+their radii, so a panel set costs one kernel call for its initial panels
+and one more for the two halves of each split.
 
 On the shell of radius r a packet is
 b_i = B_i exp(-alpha_i (r^2 + |c_i|^2)) exp(r w.G_i) with
@@ -35,16 +34,17 @@ the reference the tests hold the closed forms against.
 One refinement loop serves both layers: it works on vector panels, as
 scipy.integrate.quad_vec does, and splits the panel with the largest
 relative error estimate until every component meets its target.  It
-hands its panel rule a sweep of panels at a time.  Both layers use a
-Gauss-Kronrod rule and take its distance to the embedded Gauss value as
-the error estimate (Kronrod 1965): K33 over G16 on a radial panel, whose
-33 radii include the 16 Gauss radii (Laurie, Math. Comp. 66, 1997), and
-K21 over G10 on a time panel (QUADPACK qk21).  The time integrals take
-a vectorised integrand, which maps an array of times to an array of
-values and is called once per time panel with all 21 nodes, as
-scipy.integrate.fixed_quad calls its function: the time rule maps over
-the panels of a sweep, so the nodes of one call are those of one panel.
-Infinite horizons run through the substitution t = s/(1 - s^2).
+hands its panel rule a sweep of panels at a time, and one sweep routine,
+_kronrod_sweep, serves both layers: it calls the integrand once on the
+nodes of every panel of the sweep and takes the distance of a
+Gauss-Kronrod rule to its embedded Gauss value as the error estimate
+(Kronrod 1965): K33 over G16 on a radial panel, whose 33 radii include
+the 16 Gauss radii (Laurie, Math. Comp. 66, 1997), and K21 over G10 on a
+time panel (QUADPACK qk21).  The time integrals take a vectorised
+integrand, which maps an array of times to an array of values, as
+scipy.integrate.fixed_quad calls its function, and is called once per
+sweep on the 21 nodes of each of its panels.  Infinite horizons run
+through the substitution t = s/(1 - s^2).
 """
 
 from __future__ import annotations
@@ -455,28 +455,38 @@ def _moment_values(geom: _StateGeometry, r: np.ndarray,
     return out
 
 
+def _kronrod_sweep(rule, a, b, integrand):
+    """(Kronrod value, |Kronrod - Gauss value|) on each panel [a_p, b_p] of
+    a sweep, a and b being edge arrays of shape (P,): both of shape (P, C).
+
+    rule is a (nodes, Kronrod weights, Gauss weights) triple of
+    _gauss_kronrod, Gauss nodes first.  integrand is called once, on the
+    (P, K) nodes of every panel, and returns their values as (C, P, K).
+    """
+    nodes, wk, wg = rule
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    values = integrand(mid[:, None] + half[:, None] * nodes)
+    coarse = half * (values[..., :len(wg)] * wg).sum(axis=-1)
+    fine = half * (values * wk).sum(axis=-1)
+    return fine.T, np.abs(fine - coarse).T
+
+
 def _panel_value(geom, a, b, coeffs, n):
     """(value_33, |value_33 - value_16|) of every state on each radial panel
-    [a_p, b_p] of a sweep: a and b are edge arrays of shape (P,), and both
-    results have shape (P, T).
+    [a_p, b_p] of a sweep, both of shape (P, T), by _kronrod_sweep on K33.
 
-    The 33 radii of K33 on all P panels go to one kernel call: the
-    two-point rule of S^0 in n = 1, the pair sums of exact angular moments
-    in n = 2, 3.  The first 16 are the radii of G16, so the estimate costs
-    no radius of its own.  Each weight coefficient is evaluated once per
-    sweep, and the kernel runs once per sweep, not once per panel.
+    The 33 radii of all P panels go to one kernel call, which evaluates
+    each weight coefficient once: the two-point rule of S^0 in n = 1, the
+    pair sums of exact angular moments in n = 2, 3.
     """
-    nodes, wk, wg = _GK33
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    r = mid[:, None] + half[:, None] * nodes  # (P, 33)
-    if n == 1:
-        shell = _shell_values(geom, r.ravel(), *_sphere_rule(1, 0), coeffs)
-    else:
-        shell = _moment_values(geom, r.ravel(), coeffs)
-    shell = shell.reshape(-1, *r.shape) * r ** (n - 1)  # (T, P, 33)
-    coarse = half * (shell[..., :16] * wg).sum(axis=-1)
-    fine = half * (shell * wk).sum(axis=-1)
-    return fine.T, np.abs(fine - coarse).T
+    def integrand(r):  # (P, 33) radii -> (T, P, 33)
+        if n == 1:
+            shell = _shell_values(geom, r.ravel(), *_sphere_rule(1, 0), coeffs)
+        else:
+            shell = _moment_values(geom, r.ravel(), coeffs)
+        return shell.reshape(-1, *r.shape) * r ** (n - 1)
+
+    return _kronrod_sweep(_GK33, a, b, integrand)
 
 
 def _column_fsums(rows):
@@ -489,25 +499,20 @@ def _adaptive(panel, edges, rel_tol, floor):
 
     panel(a, b) evaluates a sweep of P panels [a_p, b_p], a and b being
     edge arrays of shape (P,), and returns (values, errors) with one row
-    per panel and one entry per component: shape (P, T), or (P,) for a
-    scalar integral.  All initial panels go to one call, and the two
-    halves of each split to one more.  Component c meets its target when
-    its summed error is at most rel_tol * max(|value_c|, floor_c), floor_c
-    being |floor_c| if given and nonzero, else the component's first total.
-    The loop splits the panel with the largest max_c err_c/floor_c until
-    every component meets its target.  It decides on running totals and
-    confirms with one fsum per component, which also gives the returned
-    value and error.  Returns (values, errors, panels); raises
-    ToleranceNotMetError for the worst component when the budget of
-    _MAX_PANELS panels runs out or a panel under 2^-40 of the interval
-    would have to split.
+    per panel and one entry per component: shape (P, T).  All initial
+    panels go to one call, and the two halves of each split to one more.
+    Component c meets its target when its summed error is at most
+    rel_tol * max(|value_c|, floor_c), floor_c being |floor_c| if given
+    and nonzero, else the component's first total.  The loop splits the
+    panel with the largest max_c err_c/floor_c until every component meets
+    its target.  It decides on running totals and confirms with one fsum
+    per component, which also gives the returned value and error.  Returns
+    (values, errors, panels); raises ToleranceNotMetError for the worst
+    component when the budget of _MAX_PANELS panels runs out or a panel
+    under 2^-40 of the interval would have to split.
     """
-    def sweep(a, b):
-        values, errors = panel(a, b)
-        return np.reshape(values, (len(a), -1)), np.reshape(errors, (len(a), -1))
-
     edges = np.asarray(edges, dtype=float)
-    first = sweep(edges[:-1], edges[1:])
+    first = panel(edges[:-1], edges[1:])
     value, err = map(_column_fsums, first)
     floor = np.abs(value if floor is None else np.where(floor, floor, value))
     weight = np.divide(1.0, floor, out=np.ones_like(floor), where=floor > 0.0)
@@ -540,7 +545,7 @@ def _adaptive(panel, edges, rel_tol, floor):
         heapq.heappop(heap)
         run_value, run_err = run_value - v, run_err - e
         mid = 0.5 * (a + b)
-        halves = sweep(np.array([a, mid]), np.array([mid, b]))
+        halves = panel(np.array([a, mid]), np.array([mid, b]))
         for aa, bb, vv, ee in zip((a, mid), (mid, b), *halves):
             heapq.heappush(heap, (-float((ee * weight).max()), counter, aa, bb, vv, ee))
             counter += 1
@@ -639,34 +644,29 @@ def shell_integral(state, coeffs: ShellCoefficients,
 # adaptive time integration
 # ---------------------------------------------------------------------------
 
-def _kronrod_panel(fn, a, b):
-    """(K21 value, |K21 - G10|) of fn on [a, b], fn called once on all nodes."""
-    nodes, wk, wg = _GK21
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = np.asarray(fn(mid + half * nodes), dtype=float)
-    kronrod = half * math.fsum(wk * vals)
-    gauss = half * math.fsum(wg * vals[:10])
-    return kronrod, abs(kronrod - gauss)
-
-
 def adaptive_time_integral(fn, a: float, b: float, rel_tol: float,
                            scale: float, panels: int = 2):
-    """(int_a^b fn(t) dt, error estimate) by Gauss-Kronrod panels.
+    """(int_a^b fn(t) dt, error estimate) by K21 panels, each with
+    |K21 - G10| as its error, through _kronrod_sweep.
 
-    fn is vectorised: it maps an array of times to the array of values at
-    those times, and is called once per panel with its 21 nodes, also when
-    the refinement evaluates several panels in one sweep.  The
+    fn is vectorised: it maps a 1-D array of times to the array of values
+    at those times, and is called once per sweep on the 21 nodes of each
+    of its panels: 21 * panels nodes first, then 42 per split.  The
     absolute target is rel_tol * max(|total|, |scale|): the scale floor
     keeps near-cancelling integrals from demanding impossible relative
-    accuracy.  Raises ToleranceNotMetError when the _MAX_PANELS budget
-    runs out.
+    accuracy.  Raises InvalidParameterError before any call unless a and b
+    are finite, and ToleranceNotMetError when the _MAX_PANELS budget runs
+    out.
     """
-    def sweep(lo, hi):
-        # one fn call per panel, so each call sees the 21 nodes of one panel
-        return np.transpose([_kronrod_panel(fn, *edge) for edge in zip(lo, hi)])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidParameterError(f"time bounds must be finite, got [{a}, {b}]")
+
+    def integrand(t):  # (P, 21) nodes -> (1, P, 21)
+        return np.asarray(fn(t.ravel()), dtype=float).reshape(1, *t.shape)
 
     edges = np.linspace(a, b, panels + 1)
-    value, err, _ = _adaptive(sweep, edges, rel_tol, scale)
+    value, err, _ = _adaptive(lambda lo, hi: _kronrod_sweep(_GK21, lo, hi, integrand),
+                              edges, rel_tol, scale)
     return float(value[0]), float(err[0])
 
 

@@ -91,6 +91,13 @@ def test_profile_rejects_radius_that_is_not_finite_and_positive(profile, R):
         profile(f, R)
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf])
+def test_morawetz_lhs_rejects_horizon_that_is_not_finite(T):
+    # the time integral checks its bounds before any sweep runs
+    with pytest.raises(InvalidParameterError, match="finite"):
+        morawetz_lhs(F_1D, make_psi_eps(1.0), T)
+
+
 def test_smoothing_profile_equals_radial_in_1d():
     f = packet_sum([packet(1.0, 1.0, [0.0])])
     assert smoothing_profile(f, 2.0) == pytest.approx(radial_profile(f, 2.0),

@@ -133,6 +133,12 @@ def test_flux_rejects_nonpositive_times():
         verify_flux(F_1D, make_psi_eps(1.0), [-1.0, 1.0, 2.0], tolerance=0.02)
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf])
+def test_identity_rejects_horizon_that_is_not_finite(T):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        verify_identity(F_1D, make_psi_eps(1.0), [T], 1e-6)
+
+
 def test_sandwich_rejects_bad_plateau_index():
     with pytest.raises(InvalidParameterError):
         verify_sandwich(F_1D, 0, [4.0, 8.0], tolerance=1e-3)

@@ -539,6 +539,55 @@ def test_divergent_real_line_integral_is_reported():
                                 rel_tol=1e-8, scale=1.0)
 
 
+def test_time_integrand_is_called_once_per_sweep():
+    # one call evaluates the 21 nodes of every panel of a sweep: the two
+    # initial panels of a window, then the two halves of each split
+    sizes = []
+
+    def fn(t):
+        sizes.append(t.size)
+        return 1.0 / (1.0 + 25.0 * t * t)
+
+    adaptive_time_integral(fn, -1.0, 1.0, rel_tol=1e-10, scale=1.0)
+    assert len(sizes) > 1 and set(sizes) == {42}
+    sizes.clear()
+    real_line_time_integral(fn, rel_tol=1e-8, scale=1.0)
+    # four initial panels, less the nodes that round to s = +-1
+    assert 21 < sizes[0] <= 84 and all(0 < size <= 42 for size in sizes[1:])
+
+
+@pytest.mark.parametrize("a,b", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf),
+                                 (-np.inf, np.inf)])
+def test_time_integral_rejects_bound_that_is_not_finite(a, b):
+    def fn(t):
+        raise AssertionError("the integrand ran before the bounds were checked")
+
+    with pytest.raises(InvalidParameterError, match="finite"):
+        adaptive_time_integral(fn, a, b, rel_tol=1e-8, scale=1.0)
+
+
+def test_time_panel_estimate_is_k21_minus_g10():
+    # t^31 is of the degree K21 integrates exactly and G10 does not; the
+    # loose target accepts the first sweep, so the value is the exact
+    # integral and the error the summed distance of the two initial
+    # panels to the 10-point Gauss value
+    a, b = 0.2, 3.0
+    value, err = adaptive_time_integral(lambda t: t**31, a, b, rel_tol=1.0,
+                                        scale=1e30)
+    exact = lambda lo, hi: (hi**32 - lo**32) / 32.0
+    np.testing.assert_allclose(value, exact(a, b), rtol=1e-13)
+    x10, w10 = _gl(10)
+    distance = 0.0
+    for lo, hi in ((a, 1.6), (1.6, b)):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        gauss = half * (w10 @ (mid + half * x10) ** 31)
+        assert abs(exact(lo, hi) - gauss) > 1e-12 * exact(lo, hi)
+        distance += abs(exact(lo, hi) - gauss)
+    # the second panel's distance, 2.6e-11 of its value, is about 1e4 times
+    # the roundoff of its K21 and G10 sums
+    np.testing.assert_allclose(err, distance, rtol=1e-3)
+
+
 def test_gauss_kronrod_table_is_exact_to_degree_31():
     nodes, wk, wg = _GK21
     assert len(set(nodes.tolist())) == 21

@@ -1,18 +1,18 @@
 """Alternating parent/change pairs of the benchmark, written to BENCH_<name>.json.
 
     python3 tools/bench_pairs.py --parent PARENT --name batched_sweep \\
-        [--workload finite-identity ...]
+        [--workload finite-identity ...] [--seed N]
 
 The change is the checkout this tool lives in; PARENT is a second git
 checkout of the commit to compare against, such as a clone with that
 commit checked out.  Each side is labelled with `git describe --always
 --dirty` of its checkout.  For each workload (by default every workload
 of BENCHMARK.json), pair i of PAIRS runs `perfbench/run.py --trace 0` at
-seed SEED and the benchmark's run_seconds once in each checkout, the
-parent first in even pairs and the change first in odd ones, so that a
-drift of the host's speed falls on both sides alike.  Timings from
-different hosts, or from one host on different days, do not compare;
-pairs run back to back do.
+seed N (--seed, default 1) and the benchmark's run_seconds once in each
+checkout, the parent first in even pairs and the change first in odd
+ones, so that a drift of the host's speed falls on both sides alike.
+Timings from different hosts, or from one host on different days, do not
+compare; pairs run back to back do.
 
 The work counts come from one pass of each workload per checkout.  Those
 the benchmark's tracer does not give are counted in a child process that
@@ -32,13 +32,14 @@ only, and its quadrature.panels_accepted only the panel sets of
 shell_integral, not those inside the time integrals.  Beside them,
 cpu_over_wall is the CPU time of the whole child process over the wall
 time of that pass: well above 1, a second BLAS thread is running.  The
-time panels, quadrature.time_nodes (calls of the time integrand, one per
-Gauss-Kronrod panel), come from the record of a `perfbench/run.py --trace
-1` run, under the tracer's own name, with its quadrature.panels_accepted
-and propagator.calls, the calls of the propagator's traced functions:
-each builds one GaussianState, while a time panel builds none.  None of
-these counts depends on the host, so they show whether a change of time
-came from doing less work or from doing the same work faster.
+time sweeps, quadrature.time_nodes (calls of the time integrand, one per
+sweep), come from the record of a `perfbench/run.py --trace 1` run at the
+same seed, under the tracer's own name, with its
+quadrature.panels_accepted and propagator.calls, the calls of the
+propagator's traced functions: each builds one GaussianState, while a
+time sweep builds none.  None of these counts depends on the host, so
+they show whether a change of time came from doing less work or from
+doing the same work faster.
 
 BENCH_<name>.json, at the change checkout's root, holds the machine block
 of perfbench/machine.py, the end-to-end metrics of every pair with their
@@ -59,7 +60,6 @@ from pathlib import Path
 import numpy as np
 
 CHANGE = Path(__file__).resolve().parents[1]
-SEED = 1
 PAIRS = 10  # the fewest pairs that can show a gain in nine of ten
 RUN_TIMEOUT_S = 600
 TRACED = ("quadrature.time_nodes", "quadrature.panels_accepted", "propagator.calls")
@@ -74,10 +74,11 @@ def run_checkout(checkout: Path, args: list, what: str) -> str:
     return proc.stdout
 
 
-def benchmark_run(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
+def benchmark_run(checkout: Path, workload: str, seed: int, seconds: float,
+                  trace: int) -> dict:
     """The metric values of one perfbench run in checkout."""
     result = json.loads(run_checkout(checkout, [
-        "perfbench/run.py", "--workload", workload, "--seed", SEED,
+        "perfbench/run.py", "--workload", workload, "--seed", seed,
         "--seconds", seconds, "--trace", trace],
         f"{workload} benchmark run").splitlines()[-1])
     if not result["correct"]:
@@ -97,7 +98,7 @@ def compare(parent: list, change: list, better: str) -> dict:
             "parent_iqr": q3 - q1, "pairs_better": wins}
 
 
-def count_work(workload: str) -> dict:
+def count_work(workload: str, seed: int) -> dict:
     """The counts of one pass that the tracer does not give, and its CPU
     over wall time, in the checkout that is the working directory."""
     sys.path.insert(0, str(Path.cwd() / "perfbench"))
@@ -135,7 +136,7 @@ def count_work(workload: str) -> dict:
     wrap("_moment_values", kernel)
     wrap("_panel_value", sweep)
     wrap("_batch_integral", panel_set)
-    wl = run.build(lab, workload, SEED)
+    wl = run.build(lab, workload, seed)
     try:
         wall, cpu = time.perf_counter(), time.process_time()
         wl.run_pass(run.Timer())
@@ -145,11 +146,11 @@ def count_work(workload: str) -> dict:
     return {**counts, "cpu_over_wall": cpu / wall}
 
 
-def work(checkout: Path, workload: str, seconds: float) -> dict:
+def work(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     counted = json.loads(run_checkout(
-        checkout, [Path(__file__).resolve(), "--count-work", workload],
-        f"{workload} work count").splitlines()[-1])
-    traced = benchmark_run(checkout, workload, seconds, trace=1)
+        checkout, [Path(__file__).resolve(), "--count-work", workload,
+                   "--seed", seed], f"{workload} work count").splitlines()[-1])
+    traced = benchmark_run(checkout, workload, seed, seconds, trace=1)
     return {**counted, **{name: traced[name] for name in TRACED}}
 
 
@@ -161,9 +162,11 @@ def main(argv=None) -> int:
                         help="repeat for several; default every workload")
     parser.add_argument("--count-work", metavar="WORKLOAD",
                         help="print the tool's work counts of one pass in this checkout")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="the benchmark seed of every run (default 1)")
     args = parser.parse_args(argv)
     if args.count_work:
-        print(json.dumps(count_work(args.count_work)))
+        print(json.dumps(count_work(args.count_work, args.seed)))
         return 0
     if args.parent is None or args.name is None:
         parser.error("--parent and --name are required")
@@ -175,7 +178,7 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
     out = {
-        "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
                    f"--seconds {seconds:g} --trace 0",
         "checkouts": {side: subprocess.run(
             ["git", "describe", "--always", "--dirty"], cwd=path, check=True,
@@ -194,7 +197,8 @@ def main(argv=None) -> int:
         pairs = []
         for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {side: benchmark_run(checkouts[side], workload, seconds, trace=0)
+            pair = {side: benchmark_run(checkouts[side], workload, args.seed,
+                                        seconds, trace=0)
                     for side in order}
             pairs.append({side: pair[side] for side in checkouts})
             print(f"{workload} pair {i + 1}: wall_s parent "
@@ -205,7 +209,7 @@ def main(argv=None) -> int:
             "metrics": {m: compare([p["parent"][m] for p in pairs],
                                    [p["change"][m] for p in pairs], better[m])
                         for m in better},
-            "work": {side: work(path, workload, seconds)
+            "work": {side: work(path, workload, args.seed, seconds)
                      for side, path in checkouts.items()},
         }
     path = CHANGE / f"BENCH_{args.name}.json"
