@@ -49,8 +49,11 @@ MIN_POINTS = {"identity": 1, "sandwich": 1, "smoothing-bound": 1,
 
 def _points(kind: str, schedule) -> list:
     """The schedule as floats; InvalidParameterError below MIN_POINTS[kind]
-    points or where the points do not strictly increase."""
+    points, at a point that is not finite, or where the points do not
+    strictly increase."""
     pts = [float(p) for p in schedule]
+    if not all(np.isfinite(pts)):
+        raise InvalidParameterError(f"{kind} schedule points must be finite, got {pts}")
     if len(pts) < MIN_POINTS[kind]:
         raise InvalidParameterError(
             f"{kind} needs at least {MIN_POINTS[kind]} schedule points, "
@@ -77,9 +80,10 @@ def estimate_limit(values) -> LimitEstimate:
     """Extrapolate an ordered (parameter, value) schedule to its limit.
 
     Fits v = L + c p^(-alpha) over the tail (up to the last 5 points).  A
-    tail whose increments alternate in sign above the noise floor is
-    reported as non-convergent with the final value and the last increment
-    as the error bar, never as a fitted limit.
+    tail whose increments alternate in sign above the noise floor, or a
+    schedule with a value that is not finite, is reported as
+    non-convergent with the final value and the last increment as the
+    error bar, never as a fitted limit.
     """
     pts = [(float(p), float(v)) for p, v in values]
     if len(pts) < _FIT_POINTS:
@@ -90,9 +94,12 @@ def estimate_limit(values) -> LimitEstimate:
     if np.any(np.diff(params) <= 0):
         raise InvalidParameterError("schedule parameters must strictly increase")
 
+    incs = np.diff(vals)
+    if not np.all(np.isfinite(vals)):
+        return LimitEstimate(vals[-1], float(np.abs(incs[-1])), False,
+                             "non-finite value in the schedule")
     scale = float(np.max(np.abs(vals)))
     noise = max(1e-9 * scale, 1e-300)
-    incs = np.diff(vals)
     if np.all(np.abs(incs) <= noise):
         return LimitEstimate(vals[-1], 0.0, True, "constant sequence")
 

@@ -45,8 +45,14 @@ class GaussianState:
     def __post_init__(self):
         B = _frozen(self.B, complex)
         alpha = _frozen(self.alpha, complex)
-        c = _frozen(self.c, float).reshape(B.size, self.n)
-        v = _frozen(self.v, float).reshape(B.size, self.n)
+        c, v = _frozen(self.c, float), _frozen(self.v, float)
+        wrong = [f"{name} holds {arr.size} values, not {per * B.size}"
+                 for name, arr, per in (("alpha", alpha, 1), ("c", c, self.n),
+                                        ("v", v, self.n)) if arr.size != per * B.size]
+        if wrong:
+            raise InvalidParameterError(
+                f"packet arrays disagree with B's {B.size} packets: " + ", ".join(wrong))
+        c, v = c.reshape(B.size, self.n), v.reshape(B.size, self.n)
         if B.size and not np.all(alpha.real > 0):
             raise InvalidParameterError("packet widths must have positive real part")
         for name, arr in (("B", B), ("alpha", alpha), ("c", c), ("v", v)):

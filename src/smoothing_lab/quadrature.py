@@ -16,7 +16,7 @@ and every state is one component of the result with its own error
 target.  The panel rule is vectorised over panels: _panel_value takes the
 edge arrays (P,) of a sweep of P panels and runs the kernel once on all
 their radii, so a panel set costs one kernel call for its initial panels
-and one more for the two halves of each split.
+and one more per refinement round.
 
 On the shell of radius r a packet is
 b_i = B_i exp(-alpha_i (r^2 + |c_i|^2)) exp(r w.G_i) with
@@ -32,24 +32,24 @@ The product rules of _sphere_rule, sized from |z| by _bucket_band, are
 the reference the tests hold the closed forms against.
 
 One refinement loop serves both layers: it works on vector panels, as
-scipy.integrate.quad_vec does, and splits the panel with the largest
-relative error estimate until every component meets its target.  It
-hands its panel rule a sweep of panels at a time, and one sweep routine,
-_kronrod_sweep, serves both layers: it calls the integrand once on the
-nodes of every panel of the sweep and takes the distance of a
-Gauss-Kronrod rule to its embedded Gauss value as the error estimate
-(Kronrod 1965): K33 over G16 on a radial panel, whose 33 radii include
-the 16 Gauss radii (Laurie, Math. Comp. 66, 1997), and K21 over G10 on a
-time panel (QUADPACK qk21).  The time integrals take a vectorised
-integrand, which maps an array of times to an array of values, as
-scipy.integrate.fixed_quad calls its function, and is called once per
-sweep on the 21 nodes of each of its panels.  Infinite horizons run
-through the substitution t = s/(1 - s^2).
+scipy.integrate.quad_vec does, and refines in rounds until every
+component meets its target.  Each round splits the fewest panels of
+largest relative error estimate that leave at most half of every target
+on the others, and hands its panel rule the sweep of all their halves.
+One sweep routine, _kronrod_sweep, serves both layers: it calls the
+integrand once on the nodes of every panel of the sweep and takes the
+distance of a Gauss-Kronrod rule to its embedded Gauss value as the
+error estimate (Kronrod 1965): K33 over G16 on a radial panel, whose 33
+radii include the 16 Gauss radii (Laurie, Math. Comp. 66, 1997), and
+K21 over G10 on a time panel (QUADPACK qk21).  The time integrals take
+a vectorised integrand, which maps an array of times to an array of
+values, as scipy.integrate.fixed_quad calls its function, and is called
+once per refinement round on the 21 nodes of each panel of that round's
+sweep.  Infinite horizons run through the substitution t = s/(1 - s^2).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -80,6 +80,7 @@ _SHARE_RATIO = 1.5
 # panel budget of one radial panel set or one time integral; read when a
 # refinement runs
 _MAX_PANELS = 4000
+_KEEP = 0.5  # share of each target a refinement round leaves unsplit
 # the lab's fixed accuracy: every functional works to the relative
 # tolerance REL_TOL, and a spatial integral stops where the relative tail
 # mass of every term falls below _TAU_SPACE
@@ -495,61 +496,50 @@ def _column_fsums(rows):
 
 
 def _adaptive(panel, edges, rel_tol, floor):
-    """Worst-first refinement of a vector integral over edges.
+    """Refinement of a vector integral over edges in rounds of batched splits.
 
     panel(a, b) evaluates a sweep of P panels [a_p, b_p], a and b being
-    edge arrays of shape (P,), and returns (values, errors) with one row
-    per panel and one entry per component: shape (P, T).  All initial
-    panels go to one call, and the two halves of each split to one more.
-    Component c meets its target when its summed error is at most
-    rel_tol * max(|value_c|, floor_c), floor_c being |floor_c| if given
-    and nonzero, else the component's first total.  The loop splits the
-    panel with the largest max_c err_c/floor_c until every component meets
-    its target.  It decides on running totals and confirms with one fsum
-    per component, which also gives the returned value and error.  Returns
-    (values, errors, panels); raises ToleranceNotMetError for the worst
-    component when the budget of _MAX_PANELS panels runs out or a panel
-    under 2^-40 of the interval would have to split.
+    edge arrays of shape (P,), and returns (values, errors) of shape
+    (P, T), one entry per component; the panel set is kept as those flat
+    arrays.  Component c meets its target when the fsum of its errors is at
+    most rel_tol * max(|value_c|, floor_c), floor_c being |floor_c| if
+    given and nonzero, else the component's first total.  All initial
+    panels go to one call.  Each round that finds a component over its
+    target ranks the panels by max_c err_c/floor_c and sends the halves of
+    the fewest worst ones that leave at most _KEEP of every component's
+    target on the rest to one more call, as scipy.integrate.quad_vec does.
+    Returns (values, errors, panels); raises ToleranceNotMetError for the
+    worst component when a round would take the panel set past _MAX_PANELS
+    or split a panel under 2^-40 of the interval.
     """
     edges = np.asarray(edges, dtype=float)
-    first = panel(edges[:-1], edges[1:])
-    value, err = map(_column_fsums, first)
-    floor = np.abs(value if floor is None else np.where(floor, floor, value))
+    a, b = edges[:-1], edges[1:]
+    values, errors = panel(a, b)
+    first = _column_fsums(values)
+    floor = np.abs(first if floor is None else np.where(floor, floor, first))
     weight = np.divide(1.0, floor, out=np.ones_like(floor), where=floor > 0.0)
-    heap = [(-float((e * weight).max()), i, a, b, v, e)
-            for i, (a, b, v, e) in enumerate(zip(edges[:-1], edges[1:], *first))]
-    heapq.heapify(heap)
-    counter = len(heap)
     length = edges[-1] - edges[0]
-
-    def totals():
-        return (_column_fsums([item[4] for item in heap]),
-                _column_fsums([item[5] for item in heap]))
-
-    def target(value):
-        return np.maximum(rel_tol * np.maximum(np.abs(value), floor), 1e-300)
-
-    run_value, run_err = value, err
     while True:
-        if np.all(run_err <= target(run_value)):
-            value, err = totals()
-            if np.all(err <= target(value)):
-                return value, err, len(heap)
-            run_value, run_err = value, err  # the running totals drifted
-        _, _, a, b, v, e = heap[0]
-        if len(heap) >= _MAX_PANELS or b - a < 2.0**-40 * length:
-            value, err = totals()
-            worst = int(np.argmax(err / target(value)))
-            raise ToleranceNotMetError(float(value[worst]), float(err[worst]),
-                                       float(target(value)[worst]))
-        heapq.heappop(heap)
-        run_value, run_err = run_value - v, run_err - e
-        mid = 0.5 * (a + b)
-        halves = panel(np.array([a, mid]), np.array([mid, b]))
-        for aa, bb, vv, ee in zip((a, mid), (mid, b), *halves):
-            heapq.heappush(heap, (-float((ee * weight).max()), counter, aa, bb, vv, ee))
-            counter += 1
-            run_value, run_err = run_value + vv, run_err + ee
+        value, err = _column_fsums(values), _column_fsums(errors)
+        target = np.maximum(rel_tol * np.maximum(np.abs(value), floor), 1e-300)
+        if np.all(err <= target):
+            return value, err, len(a)
+        order = np.argsort(-(errors * weight).max(axis=1), kind="stable")
+        # left[k]: the error left on the panels after the k worst; it falls with k
+        left = np.cumsum(errors[order[::-1]], axis=0)[::-1]
+        count = 1 + np.count_nonzero(np.any(left[1:] > _KEEP * target, axis=1))
+        worst, rest = order[:count], order[count:]
+        if len(a) + count > _MAX_PANELS \
+                or np.any(b[worst] - a[worst] < 2.0**-40 * length):
+            c = int(np.argmax(err / target))
+            raise ToleranceNotMetError(float(value[c]), float(err[c]),
+                                       float(target[c]))
+        mid = 0.5 * (a[worst] + b[worst])
+        a, b = (np.concatenate([a[rest], a[worst], mid]),
+                np.concatenate([b[rest], mid, b[worst]]))
+        halves = panel(a[len(rest):], b[len(rest):])
+        values = np.concatenate([values[rest], halves[0]])
+        errors = np.concatenate([errors[rest], halves[1]])
 
 
 def _share_groups(reach):
@@ -649,25 +639,34 @@ def adaptive_time_integral(fn, a: float, b: float, rel_tol: float,
     """(int_a^b fn(t) dt, error estimate) by K21 panels, each with
     |K21 - G10| as its error, through _kronrod_sweep.
 
-    fn is vectorised: it maps a 1-D array of times to the array of values
-    at those times, and is called once per sweep on the 21 nodes of each
-    of its panels: 21 * panels nodes first, then 42 per split.  The
+    fn maps a 1-D array of k times to its values there, shape (k,), and is
+    called once per refinement round on the 21 nodes of each panel of that
+    round's sweep: 21 * panels nodes first, then 42 per panel split.  The
     absolute target is rel_tol * max(|total|, |scale|): the scale floor
     keeps near-cancelling integrals from demanding impossible relative
     accuracy.  Raises InvalidParameterError before any call unless a and b
-    are finite, and ToleranceNotMetError when the _MAX_PANELS budget runs
-    out.
+    are finite, and when fn returns another shape; ToleranceNotMetError
+    when the _MAX_PANELS budget runs out.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidParameterError(f"time bounds must be finite, got [{a}, {b}]")
 
     def integrand(t):  # (P, 21) nodes -> (1, P, 21)
-        return np.asarray(fn(t.ravel()), dtype=float).reshape(1, *t.shape)
+        return _time_values(fn, t.ravel()).reshape(1, *t.shape)
 
     edges = np.linspace(a, b, panels + 1)
     value, err, _ = _adaptive(lambda lo, hi: _kronrod_sweep(_GK21, lo, hi, integrand),
                               edges, rel_tol, scale)
     return float(value[0]), float(err[0])
+
+
+def _time_values(fn, t):
+    """fn at the 1-D times t; InvalidParameterError unless of their shape."""
+    values = np.asarray(fn(t), dtype=float)
+    if values.shape != t.shape:
+        raise InvalidParameterError(f"the time integrand fn must return shape (k,) "
+                                    f"for k times, got {values.shape} for {t.size}")
+    return values
 
 
 def _on_compact_line(fn):
@@ -684,7 +683,7 @@ def _on_compact_line(fn):
         inside = om > 0.0
         si, omi = s[inside], om[inside]
         out = np.zeros_like(s)
-        out[inside] = fn(si / omi) * ((1.0 + si * si) / omi**2)
+        out[inside] = _time_values(fn, si / omi) * ((1.0 + si * si) / omi**2)
         return out
 
     return g

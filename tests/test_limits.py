@@ -20,6 +20,7 @@ from smoothing_lab.limits import (
     verify_remainder_decay,
     verify_sandwich,
     verify_smoothing_bound,
+    verify_theorem_main,
 )
 from smoothing_lab.model import packet, packet_sum
 from smoothing_lab.weights import make_psi_eps
@@ -86,6 +87,22 @@ def test_schedule_guards():
         estimate_limit([(2, 1.0), (1, 1.1), (4, 1.2)])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_value_is_not_a_converged_limit(bad):
+    # an infinite value made the noise floor infinite, so every increment
+    # counted as noise and the schedule passed as a converged constant
+    est = estimate_limit([(1, 1.0), (2, bad), (3, 1.2)])
+    assert not est.converged
+    assert est.note == "non-finite value in the schedule"
+    assert est.value == 1.2
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_schedule_points_must_be_finite(bad):
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        limits._points("identity", [1.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # drivers: one cheap live run each, plus guards
 # ---------------------------------------------------------------------------
@@ -137,6 +154,16 @@ def test_flux_rejects_nonpositive_times():
 def test_identity_rejects_horizon_that_is_not_finite(T):
     with pytest.raises(InvalidParameterError, match="finite"):
         verify_identity(F_1D, make_psi_eps(1.0), [T], 1e-6)
+
+
+def test_theorem_rejects_horizon_that_is_not_finite(monkeypatch):
+    def computed(*args):
+        raise AssertionError("an integral ran before the schedule was checked")
+
+    monkeypatch.setattr(limits, "hs_norm_sq", computed)
+    monkeypatch.setattr(limits, "morawetz_lhs", computed)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        verify_theorem_main(F_1D, make_psi_eps(1.0), [1.0, 2.0, np.inf], 0.02)
 
 
 def test_sandwich_rejects_bad_plateau_index():

@@ -160,6 +160,16 @@ def test_gaussian_state_validation():
                       np.zeros((1, 1)), np.zeros((1, 1)))
 
 
+@pytest.mark.parametrize("n,alpha,c", [
+    (1, [1.0], [0.0, 0.0]),  # one width for two amplitudes
+    (2, [1.0, 1.0], [0.0, 0.0, 0.0]),  # three centre coordinates for 2 x 2
+])
+def test_gaussian_state_rejects_packet_arrays_that_disagree(n, alpha, c):
+    v = np.zeros(2 * n)
+    with pytest.raises(InvalidParameterError, match="packet arrays disagree"):
+        GaussianState(n, [1.0, 2.0], alpha, c, v)
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 

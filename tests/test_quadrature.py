@@ -395,8 +395,9 @@ def count_calls(monkeypatch, name, sizes=None):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_batch_integral_makes_one_kernel_call_per_sweep(n, monkeypatch):
-    # the initial panels in one kernel call, then one call per split; the
-    # kink off every knot makes the refinement split
+    # the initial panels in one kernel call, then one call per refinement
+    # round on the two halves of each panel that round splits; the kink off
+    # every knot makes the refinement split
     coeffs = ShellCoefficients(w_mass=lambda r: np.abs(r - 1.3))
     f = random_packet_suite(n, 1, 2, seed=22)[0]
     geom = geometry(f, (0.0, 0.5))
@@ -405,9 +406,10 @@ def test_batch_integral_makes_one_kernel_call_per_sweep(n, monkeypatch):
     end = float(geom.support_radii(_TAU_SPACE).max())
     _, _, panels = quadrature._batch_integral(geom, coeffs, end, 1e-10, None)
     splits = panels - sweeps[0]
-    assert splits > 0
-    assert len(kernel) == len(sweeps) == 1 + splits
-    assert sweeps[1:] == [2] * splits
+    assert splits > 0 and len(sweeps) > 1
+    assert len(kernel) == len(sweeps)
+    assert all(size > 0 and size % 2 == 0 for size in sweeps[1:])
+    assert sum(sweeps[1:]) == 2 * splits
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -456,6 +458,33 @@ def test_vector_refinement_meets_every_component_target():
     assert np.all(errors <= 1e-10 * np.maximum(np.abs(values), floors))
     for value, error, exact in zip(values, errors, (np.e - 1.0, np.sin(40.0) / 40.0)):
         assert_bounded(value, error, exact)
+
+
+def test_refinement_splits_the_fewest_worst_panels():
+    # eight unit panels on [0, 8] with known errors in two components; a
+    # half panel reports none, so one round of splits converges.  Each
+    # component's target is 8 rel_tol = 10 units.  Ranked by their larger
+    # error, the panels go 0 (8), 1 (6), 2 (4), 6 (3), 3 (2), ...: after
+    # splitting 0, 1 and 2, component 0 keeps 5.85 units, more than half
+    # its target, and after 6 too it keeps 2.85, so the round splits
+    # exactly those four
+    unit = 1e-3
+    table = unit * np.array([[8.0, 0.0], [1.0, 6.0], [4.0, 0.0], [2.0, 0.0],
+                             [0.5, 0.0], [0.25, 0.0], [3.0, 0.0], [0.1, 0.0]])
+    calls = []
+
+    def panel(a, b):
+        calls.append(sorted(zip(a.tolist(), b.tolist())))
+        width = b - a
+        errors = np.where((width == 1.0)[:, None], table[a.astype(int)], 0.0)
+        return np.stack([width, width], axis=1), errors
+
+    values, errors, panels = _adaptive(panel, np.arange(9.0), 10 * unit / 8.0, None)
+    split = (0, 1, 2, 6)
+    assert len(calls) == 2 and panels == 8 + len(split)
+    assert calls[1] == sorted((lo + h, lo + h + 0.5) for lo in split for h in (0.0, 0.5))
+    np.testing.assert_array_equal(values, [8.0, 8.0])
+    np.testing.assert_allclose(errors, [2.85 * unit, 0.0], rtol=1e-12)
 
 
 def test_compact_line_wrapper_zeroes_rounded_endpoints():
@@ -539,9 +568,10 @@ def test_divergent_real_line_integral_is_reported():
                                 rel_tol=1e-8, scale=1.0)
 
 
-def test_time_integrand_is_called_once_per_sweep():
+def test_time_integrand_is_called_once_per_round():
     # one call evaluates the 21 nodes of every panel of a sweep: the two
-    # initial panels of a window, then the two halves of each split
+    # initial panels of a window, then, once per refinement round, the two
+    # halves of each panel that round splits, here more than one in a round
     sizes = []
 
     def fn(t):
@@ -549,11 +579,26 @@ def test_time_integrand_is_called_once_per_sweep():
         return 1.0 / (1.0 + 25.0 * t * t)
 
     adaptive_time_integral(fn, -1.0, 1.0, rel_tol=1e-10, scale=1.0)
-    assert len(sizes) > 1 and set(sizes) == {42}
+    assert sizes[0] == 42 and len(sizes) > 1
+    assert all(size > 0 and size % 42 == 0 for size in sizes[1:])
+    assert max(sizes[1:]) > 42
     sizes.clear()
-    real_line_time_integral(fn, rel_tol=1e-8, scale=1.0)
+    real_line_time_integral(fn, rel_tol=1e-12, scale=1.0)
     # four initial panels, less the nodes that round to s = +-1
-    assert 21 < sizes[0] <= 84 and all(0 < size <= 42 for size in sizes[1:])
+    assert 21 < sizes[0] <= 84 and len(sizes) > 1
+    assert all(size > 0 for size in sizes[1:])
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda fn: adaptive_time_integral(fn, 0.0, 1.5, 1e-8, 1.0),
+    lambda fn: real_line_time_integral(fn, 1e-8, 1.0),
+], ids=["window", "whole-line"])
+@pytest.mark.parametrize("fn", [lambda t: 2.0, lambda t: np.exp(-t * t)[1:],
+                                lambda t: np.exp(-t * t)[:, None]],
+                         ids=["scalar", "short", "column"])
+def test_time_integrand_of_wrong_shape_is_rejected(integrate, fn):
+    with pytest.raises(InvalidParameterError, match=r"fn must return shape \(k,\)"):
+        integrate(fn)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf),

@@ -33,7 +33,7 @@ shell_integral, not those inside the time integrals.  Beside them,
 cpu_over_wall is the CPU time of the whole child process over the wall
 time of that pass: well above 1, a second BLAS thread is running.  The
 time sweeps, quadrature.time_nodes (calls of the time integrand, one per
-sweep), come from the record of a `perfbench/run.py --trace 1` run at the
+refinement round), come from the record of a `perfbench/run.py --trace 1` run at the
 same seed, under the tracer's own name, with its
 quadrature.panels_accepted and propagator.calls, the calls of the
 propagator's traced functions: each builds one GaussianState, while a
