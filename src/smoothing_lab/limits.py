@@ -83,7 +83,9 @@ def estimate_limit(values) -> LimitEstimate:
     tail whose increments alternate in sign above the noise floor, or a
     schedule with a value that is not finite, is reported as
     non-convergent with the final value and the last increment as the
-    error bar, never as a fitted limit.
+    error bar, never as a fitted limit.  Raises InvalidParameterError for
+    fewer than _FIT_POINTS points, or parameters that are not finite or do
+    not strictly increase.
     """
     pts = [(float(p), float(v)) for p, v in values]
     if len(pts) < _FIT_POINTS:
@@ -91,6 +93,8 @@ def estimate_limit(values) -> LimitEstimate:
             f"limit estimation needs at least {_FIT_POINTS} points")
     params = np.array([p for p, _ in pts])
     vals = np.array([v for _, v in pts])
+    if not np.all(np.isfinite(params)):
+        raise InvalidParameterError(f"schedule parameters must be finite, got {params}")
     if np.any(np.diff(params) <= 0):
         raise InvalidParameterError("schedule parameters must strictly increase")
 

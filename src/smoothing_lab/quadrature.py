@@ -9,14 +9,15 @@ times radial coefficient functions.  Shells make ball truncations exact
 (panel edges sit on the ball boundary) and keep weight seams aligned with
 panel edges.
 
-One radial integral can serve a batch of states with the same packets,
-such as the Gauss-Kronrod nodes of a sweep of time panels: states whose
-truncation radii agree within _SHARE_RATIO share one radial panel set,
-and every state is one component of the result with its own error
-target.  The panel rule is vectorised over panels: _panel_value takes the
-edge arrays (P,) of a sweep of P panels and runs the kernel once on all
-their radii, so a panel set costs one kernel call for its initial panels
-and one more per refinement round.
+One call integrates a batch of states with the same packets, such as
+the Gauss-Kronrod nodes of a sweep of time panels.  Every state has its
+own radial panel set over [0, its own truncation radius], and every
+panel carries the index of its state.  All the sets refine in the same
+rounds: _panel_value takes the flat arrays (P,) of a sweep of P panels,
+the state and the edges of each, and runs the kernel once on their
+(P, 33) radii, which gathers each panel's state geometry once, so a
+batch costs one kernel call for its initial panels and one more per
+refinement round, however far apart its states' truncation radii are.
 
 On the shell of radius r a packet is
 b_i = B_i exp(-alpha_i (r^2 + |c_i|^2)) exp(r w.G_i) with
@@ -31,11 +32,13 @@ whatever the angular band |z|.  n = 1 sums its two directions {+1, -1}.
 The product rules of _sphere_rule, sized from |z| by _bucket_band, are
 the reference the tests hold the closed forms against.
 
-One refinement loop serves both layers: it works on vector panels, as
-scipy.integrate.quad_vec does, and refines in rounds until every
-component meets its target.  Each round splits the fewest panels of
-largest relative error estimate that leave at most half of every target
-on the others, and hands its panel rule the sweep of all their halves.
+One refinement loop serves both layers: each panel belongs to one
+component of the result, a state of the radial layer or the one time
+integral of the time layer, and the loop refines in rounds until every
+component meets its own target.  Each round splits, in every component
+over its target, the fewest of its worst panels that leave at most half
+of that target on the others, as scipy.integrate.quad_vec does, and
+hands its panel rule the sweep of all their halves.
 One sweep routine, _kronrod_sweep, serves both layers: it calls the
 integrand once on the nodes of every panel of the sweep and takes the
 distance of a Gauss-Kronrod rule to its embedded Gauss value as the
@@ -62,23 +65,19 @@ from .errors import InvalidParameterError, ToleranceNotMetError
 
 _SAFETY_LOG = 16.0  # extra e-foldings kept beyond the tail-mass radius
 _ANGULAR_PAD = 18.0
-# complex elements (states x radii x angles x packets, or states x radii x
-# packet pairs) of one kernel block: the kernels walk a batch of states, and
-# the radii of a sweep when one state's alone exceed it, in blocks of this
-# size, which bounds their working set
-_KERNEL_BLOCK = 2**15
+# complex elements (radii x angles x packets, or radii x packet pairs) of
+# one kernel block: the kernels walk the panels of a sweep in blocks of at
+# most this size, one panel when a panel alone exceeds it, and evaluate the
+# weight coefficients a block at a time, which bounds their working set
+_KERNEL_BLOCK = 2**14
 # the angular moments come from the 0F1 series below this |z.z|, where the
 # closed forms cancel; 12 terms reach 1e-16 there
 _SERIES_BELOW = 4.0
 _SERIES_TERMS = 12
 # |sqrt(z.z)| past which scipy's complex Bessel functions return NaN
 _BESSEL_RANGE = 1e9
-# states share one radial panel set when their truncation radii agree
-# within this factor; a wider batch would put every state on the union of
-# the panels its narrowest and its widest member need
-_SHARE_RATIO = 1.5
-# panel budget of one radial panel set or one time integral; read when a
-# refinement runs
+# panel budget of one state's radial panel set or one time integral; read
+# when a refinement runs
 _MAX_PANELS = 4000
 _KEEP = 0.5  # share of each target a refinement round leaves unsplit
 # the lab's fixed accuracy: every functional works to the relative
@@ -219,27 +218,16 @@ class _StateGeometry:
         self.B, self.alpha, self.c, self.v, self.t = B, alpha, c, v, t
         self.m, self.n = c.shape[1:]
         self.A = alpha.real  # > 0
-        self.rho = np.sqrt((c**2).sum(axis=-1))  # (T, m)
+        self.csq = (c**2).sum(axis=-1)  # (T, m)
+        self.rho = np.sqrt(self.csq)
         self.peak = np.abs(B)
         # angular growth vector per packet
         self.G = 2.0 * alpha[..., None] * c + 2j * np.pi * v
         self.peak_max = (self.peak**2).max(axis=1, initial=0.0)  # (T,)
 
-    def subset(self, rows):
-        """The geometry of the states at the index array rows, sliced from
-        this batch's stacked arrays rather than stacked again."""
-        return _StateGeometry(self.B[rows], self.alpha[rows], self.c[rows],
-                              self.v[rows], self.t[rows])
-
-    @cached_property
-    def middle(self):
-        """Index of the state at the median time, whose packet centres
-        become knots of the radial panel set."""
-        return int(np.argsort(self.t, kind="stable")[len(self.t) // 2])
-
     @cached_property
     def pairs(self):
-        """Per state and packet pair i <= j, the (T, P) factors of the pair sum.
+        """Per state and packet pair i <= j, the (T, J) factors of the pair sum.
 
         On the shell of radius r, conj(b_i) b_j is
         conj(B_i) B_j exp(log0 - a r^2) exp(z.w) with z = r S and
@@ -253,10 +241,9 @@ class _StateGeometry:
         ai, aj = np.conj(self.alpha[:, i]), self.alpha[:, j]
         gi, gj = np.conj(self.G[:, i]), self.G[:, j]
         S = gi + gj
-        csq = (self.c**2).sum(axis=-1)
         return {
             "weight": np.where(i == j, 1.0, 2.0) * np.conj(self.B[:, i]) * self.B[:, j],
-            "log0": -ai * csq[:, i] - aj * csq[:, j],
+            "log0": -ai * self.csq[:, i] - aj * self.csq[:, j],
             "a": ai + aj, "ai": ai, "aj": aj,
             "ss": (S * S).sum(axis=-1), "si": (S * gi).sum(axis=-1),
             "sj": (S * gj).sum(axis=-1), "gg": (gi * gj).sum(axis=-1),
@@ -270,63 +257,62 @@ class _StateGeometry:
         d = np.sqrt(np.maximum(logs + _SAFETY_LOG, 1.0) / (2.0 * self.A))
         return (self.rho + d).max(axis=1)
 
-    def min_sigma(self) -> float:
-        return float((1.0 / np.sqrt(2.0 * self.A)).min())
+
+def _coefficients(coeffs: ShellCoefficients, r, tangential=True):
+    """w_mass, w_rr, w_flux and w_tau, each evaluated once on the radii r
+    of a kernel block, in the shape of r; None where a term is absent."""
+    return [None if fn is None else fn(r.ravel()).reshape(r.shape)
+            for fn in (coeffs.w_mass, coeffs.w_rr, coeffs.w_flux,
+                       coeffs.w_tau if tangential else None)]
 
 
-def _blocks(states, radii, per_point):
-    """(rows, cols) slices that walk a grid of states x radii in blocks of
-    at most _KERNEL_BLOCK complex elements, per_point of them per state and
-    radius: whole rows of radii when one state's fit, else one state and a
-    run of radii at a time."""
-    cols = max(1, min(radii, _KERNEL_BLOCK // per_point))
-    rows = max(1, _KERNEL_BLOCK // (cols * per_point))
-    for lo in range(0, states, rows):
-        for start in range(0, radii, cols):
-            yield slice(lo, lo + rows), slice(start, start + cols)
+def _panel_blocks(r, per_point):
+    """Slices that walk the panels (rows) of the radii r in blocks of at
+    most _KERNEL_BLOCK complex elements, per_point of them per radius."""
+    step = max(1, _KERNEL_BLOCK // (r.shape[1] * per_point))
+    return (slice(lo, lo + step) for lo in range(0, len(r), step))
 
 
 def _shell_values(geom: _StateGeometry, r: np.ndarray, omega: np.ndarray,
-                  wts: np.ndarray, coeffs: ShellCoefficients) -> np.ndarray:
-    """Angularly reduced integrand at radii r, one row per state: (T, Q).
+                  wts: np.ndarray, coeffs: ShellCoefficients,
+                  rows: np.ndarray) -> np.ndarray:
+    """Angularly reduced integrand of state rows[p] at the radii r[p], for
+    each row p of the (P, K) radii of a sweep of panels: (P, K).
 
     Sums the integrand over the directions omega with weights wts: S^0 in
     n = 1, a reference rule in n = 2, 3.  At x = r w packet i is
     B_i exp(-alpha_i (r^2 + |c_i|^2) + r w.G_i), so its envelope exponent
-    is built once per packet, state and radius, and each direction adds
-    the one product r w.G_i; its radial derivative is that value times
-    w.G_i - 2 alpha_i r.  The field arrays run packet first, (m, t, Q, A),
-    so the packet sums are sums over the leading axis.  Each coefficient
-    function is evaluated once on r and shared by every state; the states
-    and radii are walked in blocks of at most _KERNEL_BLOCK complex
-    elements.  No r^{n-1} factor yet.
+    is built once per packet and radius, and each direction adds the one
+    product r w.G_i; its radial derivative is that value times
+    w.G_i - 2 alpha_i r.  The field arrays run packet first, (m, P, K, A),
+    so the packet sums are sums over the leading axis.  The geometry is
+    gathered once per panel, and the panels are walked in blocks of at
+    most _KERNEL_BLOCK complex elements, each of which evaluates every
+    coefficient function once on its radii.  No r^{n-1} factor yet.
     """
     n = geom.n
-    w_mass = None if coeffs.w_mass is None else coeffs.w_mass(r)[:, None]
-    w_rr = None if coeffs.w_rr is None else coeffs.w_rr(r)[:, None]
-    w_flux = None if coeffs.w_flux is None else coeffs.w_flux(r)[:, None]
-    w_tau = None if coeffs.w_tau is None or n == 1 else coeffs.w_tau(r)[:, None]
-    out = np.empty((len(geom.B), r.size))
-    for rows, cols in _blocks(len(geom.B), r.size, len(wts) * geom.m):
-        q = r[cols]
-        R = q[:, None]  # radius axis of the (m, t, Q, A) field arrays
-        alpha = geom.alpha[rows].T[..., None]  # (m, t, 1)
-        csq = (geom.c[rows] ** 2).sum(axis=-1).T[..., None]
-        G = geom.G[rows].transpose(1, 0, 2)  # (m, t, n)
-        og = (G @ omega.T)[:, :, None]  # w.G_i: (m, t, 1, A)
-        envelope = -alpha * (q * q + csq)  # (m, t, Q)
-        vals = geom.B[rows].T[..., None, None] * np.exp(envelope[..., None] + R * og)
-        u = vals.sum(axis=0)  # (t, Q, A)
+    out = np.empty(r.shape)
+    for block in _panel_blocks(r, len(wts) * geom.m):
+        state = rows[block]
+        q = r[block]
+        R = q[..., None]  # radius axes of the (m, P, K, A) field arrays
+        w_mass, w_rr, w_flux, w_tau = _coefficients(coeffs, R, n > 1)
+        alpha = geom.alpha[state].T[..., None]  # (m, P, 1)
+        G = geom.G[state].transpose(1, 0, 2)  # (m, P, n)
+        og = (G @ omega.T)[:, :, None]  # w.G_i: (m, P, 1, A)
+        envelope = -alpha * (q * q + geom.csq[state].T[..., None])  # (m, P, K)
+        vals = geom.B[state].T[..., None, None] * np.exp(envelope[..., None] + R * og)
+        u = vals.sum(axis=0)  # (P, K, A)
         pieces = np.zeros(u.shape, dtype=float)
         if w_mass is not None:
-            pieces += w_mass[cols] * (u.real**2 + u.imag**2)
+            pieces += w_mass * (u.real**2 + u.imag**2)
         if coeffs.needs_gradient():
             ur = (vals * (og - 2.0 * alpha[..., None] * R)).sum(axis=0)
             ursq = ur.real**2 + ur.imag**2
             if w_rr is not None:
-                pieces += w_rr[cols] * ursq
+                pieces += w_rr * ursq
             if w_flux is not None:
-                pieces += w_flux[cols] * (u.real * ur.imag - u.imag * ur.real)
+                pieces += w_flux * (u.real * ur.imag - u.imag * ur.real)
             if w_tau is not None:
                 # grad u = sum_i vals_i (G_i - 2 alpha_i x), one axis at a time
                 s0 = (alpha[..., None] * vals).sum(axis=0)
@@ -335,8 +321,8 @@ def _shell_values(geom: _StateGeometry, r: np.ndarray, omega: np.ndarray,
                     g = (vals * G[:, :, None, None, k]).sum(axis=0) \
                         - 2.0 * s0 * (R * omega[:, k])
                     gsq += g.real**2 + g.imag**2
-                pieces += w_tau[cols] * np.maximum(gsq - ursq, 0.0)
-        out[rows, cols] = pieces @ wts
+                pieces += w_tau * np.maximum(gsq - ursq, 0.0)
+        out[block] = pieces @ wts
     return out
 
 
@@ -395,13 +381,14 @@ def _angular_moments(n, zeta):
 
 
 def _pair_sum(*terms):
-    """Sum over (coef, moment) terms of sum_p coef[t, p] moment[t, p, q]."""
+    """Sum over (coef, moment) terms of sum_j coef[p, j] moment[p, j, k]."""
     return sum((coef[:, None, :] @ moment)[:, 0] for coef, moment in terms)
 
 
 def _moment_values(geom: _StateGeometry, r: np.ndarray,
-                   coeffs: ShellCoefficients) -> np.ndarray:
-    """Angularly integrated integrand at radii r in n = 2, 3: (T, Q).
+                   coeffs: ShellCoefficients, rows: np.ndarray) -> np.ndarray:
+    """Angularly integrated integrand in n = 2, 3 of state rows[p] at the
+    radii r[p], for each row p of the (P, K) radii of a sweep: (P, K).
 
     The exact angular integral of what _shell_values sums on a rule.  With
     z = r (conj(G_i) + G_j), every term is a Hermitian sum over packet
@@ -421,27 +408,23 @@ def _moment_values(geom: _StateGeometry, r: np.ndarray,
     growth exp(Re s) of the moments joins the exponent of that envelope,
     which the Gaussians keep at most 0, so neither overflows alone.  The
     cost per radius is that of the m(m+1)/2 pairs, whatever the angular
-    band.
+    band.  The panels are walked in blocks, as in _shell_values.
     """
-    w_mass = None if coeffs.w_mass is None else coeffs.w_mass(r)
-    w_rr = None if coeffs.w_rr is None else coeffs.w_rr(r)
-    w_flux = None if coeffs.w_flux is None else coeffs.w_flux(r)
-    w_tau = None if coeffs.w_tau is None else coeffs.w_tau(r)
-    count, size = geom.pairs["ss"].shape
-    out = np.zeros((count, r.size))
-    for rows, cols in _blocks(count, r.size, size):
-        p = {key: val[rows] for key, val in geom.pairs.items()}
-        q = r[cols]
+    out = np.zeros(r.shape)
+    for block in _panel_blocks(r, geom.pairs["ss"].shape[1]):
+        p = {key: val[rows[block]] for key, val in geom.pairs.items()}  # (P, J)
+        q = r[block]
+        w_mass, w_rr, w_flux, w_tau = _coefficients(coeffs, q)
         rsq = q * q
-        grow, moments = _angular_moments(geom.n, p["ss"][..., None] * rsq)
+        grow, moments = _angular_moments(geom.n, p["ss"][..., None] * rsq[:, None])
         env = p["weight"][..., None] * np.exp(
-            p["log0"][..., None] - p["a"][..., None] * rsq + grow)
-        f0, f1, f2 = env * moments  # (t, P, Q) each
-        block = out[rows, cols]
+            p["log0"][..., None] - p["a"][..., None] * rsq[:, None] + grow)
+        f0, f1, f2 = env * moments  # (P, J, K) each
+        part = out[block]
         if w_mass is not None:
-            block += w_mass[cols] * f0.sum(axis=1).real
+            part += w_mass * f0.sum(axis=1).real
         if w_rr is not None:
-            block += w_rr[cols] * (rsq * _pair_sum(
+            part += w_rr * (rsq * _pair_sum(
                 (4.0 * p["ai"] * p["aj"], f0),
                 (-4.0 * (p["ai"] * p["sj"] + p["aj"] * p["si"]), f1),
                 (4.0 * p["si"] * p["sj"], f2)).real
@@ -449,129 +432,121 @@ def _moment_values(geom: _StateGeometry, r: np.ndarray,
         if w_tau is not None:
             tau = _pair_sum((p["gg"], f0 - 2.0 * f1)).real \
                 - 4.0 * rsq * _pair_sum((p["si"] * p["sj"], f2)).real
-            block += w_tau[cols] * np.maximum(tau, 0.0)
+            part += w_tau * np.maximum(tau, 0.0)
         if w_flux is not None:
-            block += w_flux[cols] * q * _pair_sum(
+            part += w_flux * q * _pair_sum(
                 (p["ai"] - p["aj"], f0), (p["sj"] - p["si"], f1)).imag
     return out
 
 
 def _kronrod_sweep(rule, a, b, integrand):
     """(Kronrod value, |Kronrod - Gauss value|) on each panel [a_p, b_p] of
-    a sweep, a and b being edge arrays of shape (P,): both of shape (P, C).
+    a sweep, a and b being edge arrays of shape (P,): both of shape (P,).
 
     rule is a (nodes, Kronrod weights, Gauss weights) triple of
     _gauss_kronrod, Gauss nodes first.  integrand is called once, on the
-    (P, K) nodes of every panel, and returns their values as (C, P, K).
+    (P, K) nodes of every panel, and returns their values as (P, K).
     """
     nodes, wk, wg = rule
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     values = integrand(mid[:, None] + half[:, None] * nodes)
-    coarse = half * (values[..., :len(wg)] * wg).sum(axis=-1)
+    coarse = half * (values[:, :len(wg)] * wg).sum(axis=-1)
     fine = half * (values * wk).sum(axis=-1)
-    return fine.T, np.abs(fine - coarse).T
+    return fine, np.abs(fine - coarse)
 
 
-def _panel_value(geom, a, b, coeffs, n):
-    """(value_33, |value_33 - value_16|) of every state on each radial panel
-    [a_p, b_p] of a sweep, both of shape (P, T), by _kronrod_sweep on K33.
+def _panel_value(geom, rows, a, b, coeffs):
+    """(value_33, |value_33 - value_16|) of state rows[p] on each radial
+    panel [a_p, b_p] of a sweep, by _kronrod_sweep on K33; rows, a, b and
+    both results have shape (P,).
 
     The 33 radii of all P panels go to one kernel call, which evaluates
     each weight coefficient once: the two-point rule of S^0 in n = 1, the
     pair sums of exact angular moments in n = 2, 3.
     """
-    def integrand(r):  # (P, 33) radii -> (T, P, 33)
-        if n == 1:
-            shell = _shell_values(geom, r.ravel(), *_sphere_rule(1, 0), coeffs)
-        else:
-            shell = _moment_values(geom, r.ravel(), coeffs)
-        return shell.reshape(-1, *r.shape) * r ** (n - 1)
+    def integrand(r):  # (P, 33) radii -> (P, 33)
+        if geom.n == 1:
+            return _shell_values(geom, r, *_sphere_rule(1, 0), coeffs, rows)
+        return _moment_values(geom, r, coeffs, rows) * r ** (geom.n - 1)
 
     return _kronrod_sweep(_GK33, a, b, integrand)
 
 
-def _column_fsums(rows):
-    """Correctly rounded sum of each column, so row order does not matter."""
-    return np.array([math.fsum(col) for col in np.array(rows).T])
+def _adaptive(panel, rows, a, b, rel_tol, floor):
+    """Refinement of C integrals in rounds of batched splits.
 
-
-def _adaptive(panel, edges, rel_tol, floor):
-    """Refinement of a vector integral over edges in rounds of batched splits.
-
-    panel(a, b) evaluates a sweep of P panels [a_p, b_p], a and b being
-    edge arrays of shape (P,), and returns (values, errors) of shape
-    (P, T), one entry per component; the panel set is kept as those flat
-    arrays.  Component c meets its target when the fsum of its errors is at
-    most rel_tol * max(|value_c|, floor_c), floor_c being |floor_c| if
-    given and nonzero, else the component's first total.  All initial
-    panels go to one call.  Each round that finds a component over its
-    target ranks the panels by max_c err_c/floor_c and sends the halves of
-    the fewest worst ones that leave at most _KEEP of every component's
-    target on the rest to one more call, as scipy.integrate.quad_vec does.
-    Returns (values, errors, panels); raises ToleranceNotMetError for the
-    worst component when a round would take the panel set past _MAX_PANELS
-    or split a panel under 2^-40 of the interval.
+    The panels [a_p, b_p] are kept as flat arrays (P,), and panel p
+    belongs to component rows[p] < C.  panel(rows, a, b) evaluates a sweep
+    of panels and returns their (values, errors), both of shape (P,).
+    Component c meets its target when the sum of its errors is at most
+    rel_tol * max(|value_c|, floor_c), floor_c being |floor[c]| if nonzero,
+    else the component's first total.  All initial panels go to one call.
+    Each round splits, in every component over its target, the fewest of
+    its worst panels that leave at most _KEEP of that target on the rest,
+    and sends the halves of all of them to one more call, as
+    scipy.integrate.quad_vec does.  Returns (values, errors, panels) with
+    values and errors of shape (C,); raises ToleranceNotMetError for the
+    worst component when a round would take a component past _MAX_PANELS
+    or split a panel under 2^-40 of its component's interval.
     """
-    edges = np.asarray(edges, dtype=float)
-    a, b = edges[:-1], edges[1:]
-    values, errors = panel(a, b)
-    first = _column_fsums(values)
-    floor = np.abs(first if floor is None else np.where(floor, floor, first))
-    weight = np.divide(1.0, floor, out=np.ones_like(floor), where=floor > 0.0)
-    length = edges[-1] - edges[0]
+    count = len(floor)
+    values, errors = panel(rows, a, b)
+    length = np.bincount(rows, b - a, count)
+    floor = np.abs(np.where(floor, floor, np.bincount(rows, values, count)))
     while True:
-        value, err = _column_fsums(values), _column_fsums(errors)
+        value, err = np.bincount(rows, values, count), np.bincount(rows, errors, count)
         target = np.maximum(rel_tol * np.maximum(np.abs(value), floor), 1e-300)
         if np.all(err <= target):
             return value, err, len(a)
-        order = np.argsort(-(errors * weight).max(axis=1), kind="stable")
-        # left[k]: the error left on the panels after the k worst; it falls with k
-        left = np.cumsum(errors[order[::-1]], axis=0)[::-1]
-        count = 1 + np.count_nonzero(np.any(left[1:] > _KEEP * target, axis=1))
-        worst, rest = order[:count], order[count:]
-        if len(a) + count > _MAX_PANELS \
-                or np.any(b[worst] - a[worst] < 2.0**-40 * length):
+        # each component's panels, worst first, and the rank of each there
+        order = np.lexsort((-errors, rows))
+        owner = rows[order]
+        rank = np.arange(len(order)) - np.searchsorted(owner, owner)
+        # left[c, k]: the error left on c's panels after its k worst
+        left = np.zeros((count, rank.max() + 2))
+        left[owner, rank] = errors[order]
+        left = np.cumsum(left[:, ::-1], axis=1)[:, ::-1]
+        take = np.where(err > target, 1 + np.count_nonzero(
+            left[:, 1:] > _KEEP * target[:, None], axis=1), 0)
+        split = np.zeros(len(a), dtype=bool)
+        split[order[rank < take[owner]]] = True
+        if np.any(np.bincount(rows, minlength=count) + take > _MAX_PANELS) \
+                or np.any((b - a)[split] < 2.0**-40 * length[rows[split]]):
             c = int(np.argmax(err / target))
             raise ToleranceNotMetError(float(value[c]), float(err[c]),
                                        float(target[c]))
-        mid = 0.5 * (a[worst] + b[worst])
-        a, b = (np.concatenate([a[rest], a[worst], mid]),
-                np.concatenate([b[rest], mid, b[worst]]))
-        halves = panel(a[len(rest):], b[len(rest):])
-        values = np.concatenate([values[rest], halves[0]])
-        errors = np.concatenate([errors[rest], halves[1]])
+        mid = 0.5 * (a[split] + b[split])
+        halves = (np.tile(rows[split], 2), np.concatenate([a[split], mid]),
+                  np.concatenate([mid, b[split]]))
+        rows, a, b, values, errors = (
+            np.concatenate([old[~split], new]) for old, new in
+            zip((rows, a, b, values, errors), halves + panel(*halves)))
 
 
-def _share_groups(reach):
-    """Index arrays of states that share one radial panel set: sorted by
-    truncation radius, a group closes before the first state that reaches
-    more than _SHARE_RATIO times as far as the group's first."""
-    order = np.argsort(reach, kind="stable")
-    groups, start = [], 0
-    for i in range(1, len(order) + 1):
-        if i == len(order) or reach[order[i]] > _SHARE_RATIO * reach[order[start]]:
-            groups.append(order[start:i])
-            start = i
-    return groups
+def _initial_panels(geom, knots, reach):
+    """(rows, a, b) of the starting panel sets of all states at once.
 
-
-def _batch_integral(geom, coeffs, end, rel_tol, floor):
-    """(values, errors, panels) of a batch on one radial panel set over [0, end]."""
-    centres = geom.rho[geom.middle]
-    inner = {float(x) for x in (*coeffs.knots, *centres) if 0.0 < x < end}
-    edges = sorted({0.0, end} | inner)
-
-    # cap initial panel width by the sharpest packet scale
-    cap = max(2.0 * geom.min_sigma(), end / 64.0)
-    refined = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        pieces = max(1, math.ceil((b - a) / cap))
-        step = (b - a) / pieces
-        refined.extend(a + i * step for i in range(pieces))
-    refined.append(end)
-
-    return _adaptive(lambda a, b: _panel_value(geom, a, b, coeffs, geom.n),
-                     refined, rel_tol, floor)
+    State s's set runs over [0, reach[s]], cut at the weight knots and at
+    its own packet centres, and each piece is split evenly into panels no
+    wider than twice the width of its sharpest packet, or reach[s]/64 if
+    that is wider.
+    """
+    T = len(reach)
+    cuts = np.concatenate([np.zeros((T, 1)), np.broadcast_to(
+        np.asarray(knots, dtype=float), (T, len(knots))), geom.rho, reach[:, None]],
+        axis=1)
+    cuts = np.sort(np.minimum(cuts, reach[:, None]), axis=1)  # past reach: empty
+    width = np.diff(cuts, axis=1)
+    cap = np.maximum(2.0 / np.sqrt(2.0 * geom.A.max(axis=1)), reach / 64.0)
+    pieces = np.ceil(width / cap[:, None]).astype(int).ravel()
+    step = np.repeat((width.ravel() / np.maximum(pieces, 1)), pieces)
+    k = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    a = np.repeat(cuts[:, :-1].ravel(), pieces) + k * step
+    # each panel ends where the next begins, a state's last at its reach
+    rows = np.repeat(np.arange(T), pieces.reshape(T, -1).sum(axis=1))
+    last = np.append(rows[1:] != rows[:-1], True)
+    b = np.where(last, reach[rows], np.append(a[1:], 0.0))
+    return rows, a, b
 
 
 def shell_integrals(batch, coeffs: ShellCoefficients,
@@ -585,13 +560,13 @@ def shell_integrals(batch, coeffs: ShellCoefficients,
     radius past which the relative tail mass is below _TAU_SPACE, whichever
     is shorter, and is refined until it meets its own target
     rel_tol * max(|value|, scale); a missing scale is the state's first
-    total.  States whose truncation radii agree within a factor
-    _SHARE_RATIO share one radial panel set, starting from the weight knots
-    and the packet centres of their state at the median time.  Returns
-    (values, info), one value per state, where info carries the error
-    estimates and the panel count.  Raises InvalidParameterError unless
-    r_max > 0 (inf means no cut-off), and ToleranceNotMetError when one
-    panel set runs out of its _MAX_PANELS budget.
+    total.  Every state has its own radial panel set, from _initial_panels,
+    and all the sets refine in the same rounds of _adaptive, one kernel
+    call per round.  Returns (values, info), one value per state, where
+    info carries the error estimates and the number of panels of all the
+    sets.  Raises InvalidParameterError unless r_max > 0 (inf means no
+    cut-off), and ToleranceNotMetError when a state's panel set runs out
+    of its _MAX_PANELS budget.
     """
     if r_max is not None and not r_max > 0.0:
         raise InvalidParameterError(f"r_max must be positive, got {r_max}")
@@ -599,17 +574,15 @@ def shell_integrals(batch, coeffs: ShellCoefficients,
     if geom.n > 3:
         raise InvalidParameterError("shell quadrature supports n <= 3")
     count = len(geom.t)
-    values, errors, panels = np.zeros(count), np.zeros(count), 0
-    if geom.m and geom.peak_max.any():
-        reach = geom.support_radii(_TAU_SPACE)
-        if r_max is not None:
-            reach = np.minimum(reach, r_max)
-        floor = None if scales is None else np.asarray(scales, dtype=float)
-        for rows in _share_groups(reach):
-            values[rows], errors[rows], used = _batch_integral(
-                geom.subset(rows), coeffs, float(reach[rows].max()), rel_tol,
-                None if floor is None else floor[rows])
-            panels += used
+    if not (geom.m and geom.peak_max.any()):
+        return np.zeros(count), {"abs_error": np.zeros(count), "panels": 0}
+    reach = geom.support_radii(_TAU_SPACE)
+    if r_max is not None:
+        reach = np.minimum(reach, r_max)
+    values, errors, panels = _adaptive(
+        lambda rows, a, b: _panel_value(geom, rows, a, b, coeffs),
+        *_initial_panels(geom, coeffs.knots, reach), rel_tol,
+        np.zeros(count) if scales is None else np.asarray(scales, dtype=float))
     return values, {"abs_error": errors, "panels": panels}
 
 
@@ -651,12 +624,14 @@ def adaptive_time_integral(fn, a: float, b: float, rel_tol: float,
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidParameterError(f"time bounds must be finite, got [{a}, {b}]")
 
-    def integrand(t):  # (P, 21) nodes -> (1, P, 21)
-        return _time_values(fn, t.ravel()).reshape(1, *t.shape)
+    def integrand(t):  # (P, 21) nodes -> (P, 21)
+        return _time_values(fn, t.ravel()).reshape(t.shape)
 
     edges = np.linspace(a, b, panels + 1)
-    value, err, _ = _adaptive(lambda lo, hi: _kronrod_sweep(_GK21, lo, hi, integrand),
-                              edges, rel_tol, scale)
+    value, err, _ = _adaptive(
+        lambda _, lo, hi: _kronrod_sweep(_GK21, lo, hi, integrand),
+        np.zeros(panels, dtype=int), edges[:-1], edges[1:], rel_tol,
+        np.array([scale], dtype=float))
     return float(value[0]), float(err[0])
 
 

@@ -81,6 +81,45 @@ def test_radial_profile_matches_quad_oracle(R):
                                                  rel=1e-6)
 
 
+def packet_transform(f, xi):
+    """fhat(xi) of an n = 1 packet sum from its packet parameters: packet
+    A exp(-a (x - x0)^2 + 2 pi i v x) transforms (kernel exp(-2 pi i x xi))
+    to A sqrt(pi/a) exp(-pi^2 (xi - v)^2 / a) exp(-2 pi i x0 (xi - v))."""
+    return sum(p.amplitude * np.sqrt(np.pi / p.width)
+               * np.exp(-np.pi**2 * (xi - p.momentum[0]) ** 2 / p.width)
+               * np.exp(-2j * np.pi * p.center[0] * (xi - p.momentum[0]))
+               for p in f.packets)
+
+
+def fourier_radial_profile(f, R):
+    """The time-collapsed Fourier form of the n = 1 radial profile,
+    2 pi ||f||^2_{H^1/2} - (1/2R) int sgn(xi) sin(4 pi R xi) fhat(xi)
+    conj(fhat(-xi)) dxi: the time integral puts the two frequencies of
+    |u_x|^2 on |xi| = |eta|, and the ball's transform sin(2 pi R k)/(pi k)
+    couples eta = xi and eta = -xi.  Both integrands are even in xi, so
+    each is twice its half-line integral; beyond |xi| = 12 the Gaussians
+    are below 1e-100."""
+    half_norm, _ = quad(lambda xi: xi * (abs(packet_transform(f, xi)) ** 2
+                                         + abs(packet_transform(f, -xi)) ** 2),
+                        0.0, 12.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    cross, _ = quad(lambda xi: (packet_transform(f, xi)
+                                * np.conj(packet_transform(f, -xi))).real,
+                    0.0, 12.0, weight="sin", wvar=4.0 * np.pi * R,
+                    epsabs=1e-15, epsrel=1e-12, limit=200)
+    return 2.0 * np.pi * half_norm - cross / R
+
+
+@pytest.mark.parametrize("R", [0.5, 2.0, 8.0])
+@pytest.mark.parametrize("datum", [0, 1])
+def test_radial_profile_matches_fourier_oracle(datum, R):
+    # an oracle that shares no code with the shell kernels or their
+    # refinement; the coupling term is 9e-2 to 2e-1 of the profile at
+    # R = 0.5 and 2e-5 at R = 8
+    f = random_packet_suite(1, 2, seed=5)[datum]
+    expect = fourier_radial_profile(f, R)
+    assert abs(radial_profile(f, R) - expect) <= 1e-10 * abs(expect)
+
+
 @pytest.mark.parametrize("R", [0.0, -1.0, np.nan, np.inf])
 @pytest.mark.parametrize("profile", [radial_profile, smoothing_profile])
 def test_profile_rejects_radius_that_is_not_finite_and_positive(profile, R):

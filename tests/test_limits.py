@@ -87,6 +87,15 @@ def test_schedule_guards():
         estimate_limit([(2, 1.0), (1, 1.1), (4, 1.2)])
 
 
+@pytest.mark.parametrize("params", [(1.0, np.nan, 3.0), (1.0, 2.0, np.inf),
+                                    (np.nan, 2.0, 3.0)])
+def test_schedule_parameters_must_be_finite(params):
+    # both passed the increase check, NaN because every comparison with it
+    # is False, and reached the fit
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        estimate_limit(zip(params, (1.0, 1.1, 1.15)))
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_value_is_not_a_converged_limit(bad):
     # an infinite value made the noise floor infinite, so every increment

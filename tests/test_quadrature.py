@@ -1,6 +1,7 @@
 """Shell and time quadrature against closed forms and special functions."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from smoothing_lab.quadrature import (_GK21, _GK33, _SERIES_BELOW, _TAU_SPACE,
                                       _angular_moments, _bucket_band,
                                       _compact_line_rate, _gl, _moment_values,
                                       _on_compact_line, _panel_value,
-                                      _share_groups, _shell_values,
-                                      _sphere_rule, _StateGeometry,
+                                      _shell_values, _sphere_rule,
+                                      _StateGeometry,
                                       adaptive_time_integral,
                                       real_line_time_integral, shell_integral,
                                       shell_integrals)
@@ -35,6 +36,14 @@ def single(n, A=1.0, a=1.0, c=None, v=None):
 def geometry(f, times):
     """The stacked geometry of the datum f evolved to each of times."""
     return _StateGeometry(*_evolve_times(f, times))
+
+
+def on_grid(kernel, geom, r, *args):
+    """A kernel at each of the radii r for every state of geom, one radius
+    per panel row: (T, Q)."""
+    count = len(geom.t)
+    rows = np.repeat(np.arange(count), r.size)
+    return kernel(geom, np.tile(r, count)[:, None], *args, rows).reshape(count, r.size)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +209,8 @@ def reference_values(geom, r, coeffs, chunk=2**14):
     """_shell_values on the angular rule that resolves that band, summed a
     chunk of nodes at a time so that large rules stay small in memory."""
     omega, wts = _sphere_rule.__wrapped__(geom.n, _bucket_band(reference_band(geom, r)))
-    return sum(_shell_values(geom, r, omega[k:k + chunk], wts[k:k + chunk], coeffs)
-               for k in range(0, len(wts), chunk))
+    return sum(on_grid(_shell_values, geom, r, omega[k:k + chunk], wts[k:k + chunk],
+                       coeffs) for k in range(0, len(wts), chunk))
 
 
 def odd_pair(n):
@@ -261,7 +270,7 @@ def test_moment_kernel_matches_reference_rule(n, case):
             assert np.any(np.abs(zeta) < _SERIES_BELOW)
             assert np.any(np.abs(zeta) >= _SERIES_BELOW)
         for name, coeffs in TERMS.items():
-            got = _moment_values(geom, r, coeffs)[0]
+            got = on_grid(_moment_values, geom, r, coeffs)[0]
             ref = reference_values(geom, r, coeffs)[0]
             if case == "centred" and name == "w_tau":
                 # radially symmetric at every t; the rule leaves roundoff
@@ -287,7 +296,7 @@ def test_far_off_centre_packet_stays_finite(n):
     grow = np.sqrt(geom.pairs["ss"][0, 0].real) * r
     assert np.all(grow > np.log(np.finfo(float).max))
     assert np.all(-2.0 * a * (r * r + rho * rho) < np.log(np.finfo(float).tiny))
-    got = _moment_values(geom, r, ALL_TERMS)[0]
+    got = on_grid(_moment_values, geom, r, ALL_TERMS)[0]
     assert np.all(np.isfinite(got))
     ref = reference_values(geom, r, ALL_TERMS)[0]
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -300,11 +309,12 @@ def test_moment_kernel_rejects_frequencies_past_bessel_range():
                     WavePacket(1.0, 1.0, [0.0, 0.0], [3e8, 0.0])])
     geom = geometry(f, [0.0])
     with pytest.raises(InvalidParameterError, match="Bessel"):
-        _moment_values(geom, np.array([1.0]), ShellCoefficients(w_mass=np.ones_like))
+        _moment_values(geom, np.array([[1.0]]), ShellCoefficients(w_mass=np.ones_like),
+                       np.array([0]))
 
 
 # ---------------------------------------------------------------------------
-# batches of states on one radial panel set
+# batches of states, each on its own radial panel set
 # ---------------------------------------------------------------------------
 
 def moving_pair(n):
@@ -316,67 +326,109 @@ def moving_pair(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("blocked", [False, True])
 def test_batched_kernel_rows_match_single_states(n, blocked, monkeypatch):
-    # the rule kernel in n = 1, 2, 3 and the moment kernel in n = 2, 3
+    # the rule kernel in n = 1, 2, 3 and the moment kernel in n = 2, 3, on
+    # panels of states in no order, some states on several panels
     times = (-0.4, 0.0, 0.3, 1.1)
     geom = geometry(moving_pair(n), times)
-    r = np.linspace(0.05, 3.0, 16)
+    rows = np.array([2, 0, 3, 1, 0, 2, 3])
+    r = np.linspace(0.05, 3.0, 16) + 0.1 * np.arange(len(rows))[:, None]
     omega, wts = _sphere_rule(n, _bucket_band(reference_band(geom, r)))
     pairs = geom.m * (geom.m + 1) // 2
-    kernels = [(lambda g: _shell_values(g, r, omega, wts, ALL_TERMS),
-                r.size * len(wts) * geom.m)]
+    kernels = [(lambda g, rr, k: _shell_values(g, rr, omega, wts, ALL_TERMS, k),
+                r.shape[1] * len(wts) * geom.m)]
     if n > 1:
-        kernels.append((lambda g: _moment_values(g, r, ALL_TERMS), r.size * pairs))
-    for kernel, per_state in kernels:
-        if blocked:  # blocks of 3 states: one boundary inside the batch
-            monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 3 * per_state)
-        batch = kernel(geom)
-        assert batch.shape == (len(times), r.size)
-        for row, t in zip(batch, times):
-            single = kernel(geometry(moving_pair(n), [t]))[0]
+        kernels.append((lambda g, rr, k: _moment_values(g, rr, ALL_TERMS, k),
+                        r.shape[1] * pairs))
+    for kernel, per_panel in kernels:
+        if blocked:  # blocks of 3 panels: two boundaries inside the sweep
+            monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 3 * per_panel)
+        batch = kernel(geom, r, rows)
+        assert batch.shape == r.shape
+        for row, radii, state in zip(batch, r, rows):
+            single = kernel(geometry(moving_pair(n), [times[state]]), radii[None],
+                            np.array([0]))[0]
             scale = np.abs(single).max()
             assert scale > 0.0
             np.testing.assert_allclose(row, single, rtol=1e-14, atol=1e-14 * scale)
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_batched_integral_matches_single_state_calls(n):
-    # two of the three states share a panel set, in an order the grouping
-    # has to sort; each value meets its own floor and agrees with its
-    # one-state integral within the two targets
-    coeffs = ShellCoefficients(w_mass=lambda r: np.exp(-r))
-    f, times = moving_pair(n), (0.9, 0.1, -0.1)
+def test_states_of_any_reach_refine_in_one_kernel_call_per_round(n, monkeypatch):
+    # truncation radii more than 1.5 times apart, in no order: every state
+    # refines its own panel set, all in the same rounds, so the batch makes
+    # as many kernel calls as its slowest state alone, 1 + (rounds); each
+    # value meets its own floor and agrees with its one-state integral.
+    # The kink off every knot makes each state refine
+    coeffs = ShellCoefficients(w_mass=lambda r: np.abs(r - 1.3))
+    f, times = moving_pair(n), (0.9, 0.1, -0.1, 4.0)
     reach = geometry(f, times).support_radii(_TAU_SPACE)
-    assert sorted(map(len, _share_groups(reach))) == [1, 2]
-    scales = [1.0, 1e-3, 1e-6]
+    assert reach.max() > 1.5 * reach.min()
+    scales = [1.0, 1e-3, 1e-6, 1e-2]
+    kernel = count_calls(monkeypatch, "_shell_values" if n == 1 else "_moment_values")
     values, info = shell_integrals(_evolve_times(f, times), coeffs, scales=scales,
                                    rel_tol=1e-9)
+    calls, alone_calls, alone_panels = len(kernel), [], 0
     for t, value, error, scale in zip(times, values, info["abs_error"], scales):
         target = 1e-9 * max(abs(value), scale)
         assert error <= target
-        single, _ = shell_integrals(_evolve_times(f, [t]), coeffs, scales=[scale],
-                                    rel_tol=1e-9)
+        kernel.clear()
+        single, alone = shell_integrals(_evolve_times(f, [t]), coeffs, scales=[scale],
+                                        rel_tol=1e-9)
         assert abs(value - single[0]) <= 2.0 * target
+        alone_calls.append(len(kernel))
+        alone_panels += alone["panels"]
+    assert calls == max(alone_calls) > 1
+    assert info["panels"] == alone_panels
+
+
+def test_initial_panels_match_a_loop_over_states():
+    # each state's starting set, built one state at a time as a list: cut
+    # [0, reach] at the knots inside it and at the state's packet centres,
+    # then split each piece into ceil(width / cap) equal panels
+    f = random_packet_suite(2, 1, 3, seed=24)[0]
+    geom = geometry(f, (-2.0, 0.0, 0.5, 6.0))
+    reach = np.minimum(geom.support_radii(_TAU_SPACE), 9.0)
+    knots = (0.5, 1.7, 30.0)
+    rows, a, b = quadrature._initial_panels(geom, knots, reach)
+    expect = []
+    for s, end in enumerate(reach):
+        cuts = sorted({0.0, end} | {x for x in (*knots, *geom.rho[s]) if 0.0 < x < end})
+        cap = max(2.0 / np.sqrt(2.0 * geom.A[s].max()), end / 64.0)
+        edges = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            pieces = math.ceil((hi - lo) / cap)
+            step = (hi - lo) / pieces
+            edges.extend(lo + k * step for k in range(pieces))
+        edges.append(end)
+        expect.extend((s, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+    assert reach.min() < 9.0 and np.any(reach == 9.0)
+    np.testing.assert_array_equal(rows, [e[0] for e in expect])
+    np.testing.assert_array_equal(a, [e[1] for e in expect])
+    np.testing.assert_array_equal(b, [e[2] for e in expect])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("packets", [1, 2])
 @pytest.mark.parametrize("blocked", [False, True])
 def test_panel_sweep_matches_one_panel_calls(n, packets, blocked, monkeypatch):
-    # one sweep over P panels gives, to 4 ulp, what P one-panel calls give,
-    # also when the kernel walks the sweep's radii in several blocks
+    # one sweep over P panels of three states gives, to 4 ulp, what P
+    # one-panel calls give, also when the kernel walks the sweep in blocks
     f = random_packet_suite(n, 1, packets, seed=20 + packets)[0]
     geom = geometry(f, (-0.6, 0.0, 0.8))
-    if blocked:  # fewer than the 33 radii of one panel per block: 6 (m + 1)
-        # for _shell_values in n = 1, 24 for _moment_values in n = 2, 3
+    if blocked:  # fewer than the 33 radii of one panel per block, so one
+        # panel a block: 6 (m + 1) radii for _shell_values in n = 1, 24 for
+        # _moment_values in n = 2, 3
         monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 12 * geom.m * (geom.m + 1))
     edges = np.array([0.0, 0.3, 0.7, 1.1, 1.6, 2.4, 3.5, 5.0])
     a, b = edges[:-1], edges[1:]
-    values, errors = _panel_value(geom, a, b, ALL_TERMS, n)
-    assert values.shape == errors.shape == (len(a), 3)
+    rows = np.array([0, 1, 2, 0, 2, 1, 0])
+    values, errors = _panel_value(geom, rows, a, b, ALL_TERMS)
+    assert values.shape == errors.shape == (len(a),)
     for p in range(len(a)):
-        value, error = _panel_value(geom, a[p:p + 1], b[p:p + 1], ALL_TERMS, n)
-        assert np.all(np.abs(values[p] - value[0]) <= 4 * EPS * np.abs(value[0])), p
-        assert np.all(np.abs(errors[p] - error[0]) <= 4 * EPS * np.abs(value[0])), p
+        value, error = _panel_value(geom, rows[p:p + 1], a[p:p + 1], b[p:p + 1],
+                                    ALL_TERMS)
+        assert np.abs(values[p] - value[0]) <= 4 * EPS * np.abs(value[0]), p
+        assert np.abs(errors[p] - error[0]) <= 4 * EPS * np.abs(value[0]), p
 
 
 def count_calls(monkeypatch, name, sizes=None):
@@ -400,12 +452,10 @@ def test_batch_integral_makes_one_kernel_call_per_sweep(n, monkeypatch):
     # every knot makes the refinement split
     coeffs = ShellCoefficients(w_mass=lambda r: np.abs(r - 1.3))
     f = random_packet_suite(n, 1, 2, seed=22)[0]
-    geom = geometry(f, (0.0, 0.5))
     kernel = count_calls(monkeypatch, "_shell_values" if n == 1 else "_moment_values")
     sweeps = count_calls(monkeypatch, "_panel_value", sizes=True)
-    end = float(geom.support_radii(_TAU_SPACE).max())
-    _, _, panels = quadrature._batch_integral(geom, coeffs, end, 1e-10, None)
-    splits = panels - sweeps[0]
+    _, info = shell_integrals(_evolve_times(f, (0.0, 0.5)), coeffs, rel_tol=1e-10)
+    splits = info["panels"] - sweeps[0]
     assert splits > 0 and len(sweeps) > 1
     assert len(kernel) == len(sweeps)
     assert all(size > 0 and size % 2 == 0 for size in sweeps[1:])
@@ -423,9 +473,10 @@ def test_sweeps_accept_the_panels_of_one_panel_calls(n, monkeypatch):
     swept = [shell_integrals(_evolve_times(f, times), coeffs) for f in suite]
     inner = quadrature._panel_value
 
-    def one_at_a_time(geom, a, b, coeffs, n):
-        rows = [inner(geom, a[p:p + 1], b[p:p + 1], coeffs, n) for p in range(len(a))]
-        return tuple(np.concatenate(part) for part in zip(*rows))
+    def one_at_a_time(geom, rows, a, b, coeffs):
+        panels = [inner(geom, rows[p:p + 1], a[p:p + 1], b[p:p + 1], coeffs)
+                  for p in range(len(a))]
+        return tuple(np.concatenate(part) for part in zip(*panels))
 
     monkeypatch.setattr(quadrature, "_panel_value", one_at_a_time)
     for f, (values, info) in zip(suite, swept):
@@ -435,56 +486,68 @@ def test_sweeps_accept_the_panels_of_one_panel_calls(n, monkeypatch):
 
 
 def test_vector_refinement_meets_every_component_target():
-    # a smooth and an oscillatory component on one panel set: refinement
-    # goes on until the harder one meets its own target too
+    # a smooth and an oscillatory component, each on its own panel set over
+    # [0, 1]: the smooth one stops splitting first, and refinement goes on
+    # until the harder one meets its own target too
     x5, w5 = np.polynomial.legendre.leggauss(5)
     x10, w10 = np.polynomial.legendre.leggauss(10)
     fns = (np.exp, lambda x: np.cos(40.0 * x))
+    swept = []
 
-    def panel(a, b):
-        # a sweep of P panels: edge arrays (P,) in, (P, 2) values out
+    def panel(rows, a, b):
+        # a sweep of P panels: component and edge arrays (P,) in, (P,) out
+        swept.append(rows)
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
 
         def rule(x, w):
-            return np.stack([half * (f(mid[:, None] + half[:, None] * x) @ w)
-                             for f in fns], axis=-1)
+            nodes = mid[:, None] + half[:, None] * x
+            return half * (np.where(rows[:, None] == 0, fns[0](nodes), fns[1](nodes)) @ w)
 
         coarse, fine = rule(x5, w5), rule(x10, w10)
         return fine, np.abs(fine - coarse)
 
     floors = np.array([1.0, 1e-3])
-    values, errors, _ = _adaptive(panel, [0.0, 1.0], 1e-10, floors)
-    assert values.shape == (2,)
+    values, errors, _ = _adaptive(panel, np.array([0, 1]), np.zeros(2), np.ones(2),
+                                  1e-10, floors)
+    assert values.shape == errors.shape == (2,)
     assert np.all(errors <= 1e-10 * np.maximum(np.abs(values), floors))
+    assert len(swept) > 2 and np.all(swept[-1] == 1)
     for value, error, exact in zip(values, errors, (np.e - 1.0, np.sin(40.0) / 40.0)):
         assert_bounded(value, error, exact)
 
 
 def test_refinement_splits_the_fewest_worst_panels():
-    # eight unit panels on [0, 8] with known errors in two components; a
-    # half panel reports none, so one round of splits converges.  Each
-    # component's target is 8 rel_tol = 10 units.  Ranked by their larger
-    # error, the panels go 0 (8), 1 (6), 2 (4), 6 (3), 3 (2), ...: after
-    # splitting 0, 1 and 2, component 0 keeps 5.85 units, more than half
-    # its target, and after 6 too it keeps 2.85, so the round splits
-    # exactly those four
+    # two components, each of eight unit panels on [0, 8] with known
+    # errors; a half panel reports none, so one round of splits converges.
+    # Each component's target is 8 rel_tol = 10 units, and each ranks its
+    # own panels.  Component 0 goes 0 (8), 2 (4), 6 (3), 3 (2), ...: after
+    # splitting 0 and 2 it keeps 6.85 units, more than half its target, and
+    # after 6 too it keeps 3.85.  Component 1 holds 12.5 units, 12 on panel
+    # 1, and keeps 0.5 after splitting that one.  A component under its
+    # target would split none
     unit = 1e-3
-    table = unit * np.array([[8.0, 0.0], [1.0, 6.0], [4.0, 0.0], [2.0, 0.0],
-                             [0.5, 0.0], [0.25, 0.0], [3.0, 0.0], [0.1, 0.0]])
+    table = unit * np.array([[8.0, 1.0, 4.0, 2.0, 0.5, 0.25, 3.0, 0.1],
+                             [0.0, 12.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5],
+                             [0.0, 9.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
     calls = []
 
-    def panel(a, b):
-        calls.append(sorted(zip(a.tolist(), b.tolist())))
+    def panel(rows, a, b):
+        calls.append(sorted(zip(rows.tolist(), a.tolist(), b.tolist())))
         width = b - a
-        errors = np.where((width == 1.0)[:, None], table[a.astype(int)], 0.0)
-        return np.stack([width, width], axis=1), errors
+        lo = np.minimum(a.astype(int) - 8 * rows, 7)
+        return width, np.where(width == 1.0, table[rows, lo], 0.0)
 
-    values, errors, panels = _adaptive(panel, np.arange(9.0), 10 * unit / 8.0, None)
-    split = (0, 1, 2, 6)
-    assert len(calls) == 2 and panels == 8 + len(split)
-    assert calls[1] == sorted((lo + h, lo + h + 0.5) for lo in split for h in (0.0, 0.5))
-    np.testing.assert_array_equal(values, [8.0, 8.0])
-    np.testing.assert_allclose(errors, [2.85 * unit, 0.0], rtol=1e-12)
+    rows = np.repeat(np.arange(3), 8)
+    a = np.arange(24.0)  # component c's panels span [8c, 8c + 8]
+    values, errors, panels = _adaptive(panel, rows, a, a + 1.0, 10 * unit / 8.0,
+                                       np.zeros(3))
+    split = ((0, 0), (0, 2), (0, 6), (1, 1))
+    assert len(calls) == 2 and panels == 24 + len(split)
+    assert calls[1] == sorted((c, 8 * c + lo + h, 8 * c + lo + h + 0.5)
+                              for c, lo in split for h in (0.0, 0.5))
+    np.testing.assert_array_equal(values, [8.0, 8.0, 8.0])
+    np.testing.assert_allclose(errors, [3.85 * unit, 0.5 * unit, 9.0 * unit],
+                               rtol=1e-12)
 
 
 def test_compact_line_wrapper_zeroes_rounded_endpoints():
@@ -660,17 +723,18 @@ def test_radial_panel_estimate_is_k33_minus_g16(monkeypatch):
     # exactly and G16 does not, each panel's value is the integral and its
     # error the distance to the 16-point Gauss value
     monkeypatch.setattr(quadrature, "_shell_values",
-                        lambda geom, r, omega, wts, coeffs: (r**49)[None])
+                        lambda geom, r, omega, wts, coeffs, rows: r**49)
     a, b = np.array([0.0, 0.2]), np.array([1.0, 3.0])
-    values, errors = _panel_value(None, a, b, None, 1)
+    values, errors = _panel_value(SimpleNamespace(n=1), np.zeros(2, dtype=int), a, b,
+                                  None)
     x16, w16 = _gl(16)
     for p in range(len(a)):
         mid, half = 0.5 * (a[p] + b[p]), 0.5 * (b[p] - a[p])
         gauss = half * (w16 @ (mid + half * x16) ** 49)
         exact = (b[p] ** 50 - a[p] ** 50) / 50.0
-        np.testing.assert_allclose(values[p, 0], exact, rtol=1e-13)
+        np.testing.assert_allclose(values[p], exact, rtol=1e-13)
         assert abs(exact - gauss) > 1e-10 * exact  # G16 is not exact here
-        np.testing.assert_allclose(errors[p, 0], abs(exact - gauss), rtol=1e-4)
+        np.testing.assert_allclose(errors[p], abs(exact - gauss), rtol=1e-4)
 
 
 # ---------------------------------------------------------------------------

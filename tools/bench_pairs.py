@@ -20,16 +20,24 @@ wraps private functions of the quadrature module:
 
     kernel_calls             calls of both shell kernels, _shell_values
                              (n = 1) and _moment_values (n = 2, 3)
-    kernel_state_radii       states times radii over those calls: the
-                             states of each call's geometry times its radii
+    kernel_state_radii       (state, radius) points over those calls: the
+                             size of each call's radii array r, one row per
+                             panel, or, where r is one list of radii that
+                             every state of the call's geometry shares,
+                             the states times its size
     radial_panel_sweeps      calls of the radial panel rule _panel_value
     radial_panels_evaluated  radial panels those calls evaluate
-    radial_panels_accepted   panels of every radial panel set at convergence
+    radial_panels_accepted   panels at convergence, summed over the
+                             info["panels"] of every shell_integrals call
 
-They are not the tracer's metrics and count differently from the ones of
-similar name: the tracer's quadrature.kernel_calls counts _shell_values
-only, and its quadrature.panels_accepted only the panel sets of
-shell_integral, not those inside the time integrals.  Beside them,
+Every state has its own radial panel set, so the panel counts are per
+state; a checkout whose states share panel sets in groups counts them per
+group, so compare such a parent with a change only on kernel_calls and
+kernel_state_radii.  None of these is a tracer metric, and they count
+differently from the ones of similar name: the tracer's
+quadrature.kernel_calls counts _shell_values only, and its
+quadrature.panels_accepted only the panel sets of shell_integral, not
+those inside the time integrals.  Beside them,
 cpu_over_wall is the CPU time of the whole child process over the wall
 time of that pass: well above 1, a second BLAS thread is running.  The
 time sweeps, quadrature.time_nodes (calls of the time integrand, one per
@@ -111,6 +119,7 @@ def count_work(workload: str, seed: int) -> dict:
         "radial_panels_evaluated", "radial_panels_accepted"), 0))
 
     def wrap(name, note):
+        """Rebind quadrature.<name> in every module that imported it."""
         inner = getattr(q, name)
 
         def wrapper(*args, **kwargs):
@@ -118,24 +127,27 @@ def count_work(workload: str, seed: int) -> dict:
             note(args, result)
             return result
 
-        setattr(q, name, wrapper)
+        for mod in lab.modules().values():
+            if getattr(mod, name, None) is inner:
+                setattr(mod, name, wrapper)
 
     def kernel(args, result):
+        geom, r = args[0], np.asarray(args[1])
         counts["kernel_calls"] += 1
-        counts["kernel_state_radii"] += len(args[0].B) * int(np.size(args[1]))
+        counts["kernel_state_radii"] += r.size if r.ndim == 2 else len(geom.B) * r.size
 
     def sweep(args, result):
-        # the panel edges a are one float per call before sweeps, (P,) after
+        # args[1], the panel edges a or the panels' states rows, is (P,)
         counts["radial_panel_sweeps"] += 1
         counts["radial_panels_evaluated"] += int(np.size(args[1]))
 
-    def panel_set(args, result):
-        counts["radial_panels_accepted"] += result[2]
+    def panel_sets(args, result):
+        counts["radial_panels_accepted"] += int(result[1]["panels"])
 
     wrap("_shell_values", kernel)
     wrap("_moment_values", kernel)
     wrap("_panel_value", sweep)
-    wrap("_batch_integral", panel_set)
+    wrap("shell_integrals", panel_sets)
     wl = run.build(lab, workload, seed)
     try:
         wall, cpu = time.perf_counter(), time.process_time()
