@@ -13,12 +13,17 @@ level: sum |fhat|^2 dxi^n = sum |f|^2 dx^n.
 The free evolution multiplies the spectrum by exp(-4 pi^2 i |xi|^2 t).
 Every factor the grid path applies -- the centring sign (-1)^j that
 stands in for fftshift, the phase (-1)^k, the dx^n scale and the
-evolution symbol -- is a product of one vector per axis, so each is a
-broadcast multiply in place on an array the path allocated itself.
-scipy.fft runs at its default of one worker and may overwrite (overwrite_x)
-only a temporary the path made itself; the caller's read-only arrays are
-only read.  Packet states are sampled the same way, one factor per axis.
-Each result array is frozen in place, so its field wraps it uncopied.
+evolution symbol -- is a product of one vector per axis, so each multiply
+is one blocked pass: a chunk of first-axis rows meets every axis's factor
+while it is in cache.  A field keeps its phased spectrum while it lives
+(one extra array of the field's size), so forward_transform and every
+evolve_spectral of one field share one forward transform.  scipy.fft
+runs at its default of one worker and may overwrite (overwrite_x) only a
+temporary the path made itself; the caller's read-only arrays are only
+read.  Packet states are sampled the same way, one factor per axis.  Each
+result array is frozen in place, so its field wraps it uncopied.  Sums of
+|samples|^2 take no square roots: dot products over fixed blocks of the
+float view, the blocks' sums added exactly by math.fsum.
 
 Periodic wrap-around is the one failure mode of the grid path, so every
 operation that can push mass to the box edge checks the boundary-mass
@@ -27,7 +32,9 @@ fraction against a fixed aliasing threshold and fails loudly.
 
 from __future__ import annotations
 
+import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +46,13 @@ from .propagator import GaussianState, evolve_analytic, fourier_state
 from .quadrature import ShellCoefficients, shell_integral
 
 _ALIASING_THRESHOLD = 1e-8  # boundary-mass fraction tolerated on grids
+_SUM_BLOCK = 2**13  # floats per summed block; OpenBLAS threads ddot from 2**14
+_FACTOR_BLOCK = 2**15  # elements per chunk of a factor multiply
+
+# the spectrum of each transformed field, keyed by the field: a field is
+# frozen and hashes by identity, so an entry never goes stale, and it
+# goes when its field goes
+_SPECTRA = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,23 +89,22 @@ def boundary_mass_fraction(g: GridField) -> float:
     """
     inside = np.flatnonzero(np.abs(g.axis()) < g.L / 2.0)
     lo, hi = int(inside[0]), int(inside[-1]) + 1
-    dens = np.abs(g.samples)
-    dens *= dens
     # the edge region is the two end slabs of the first axis, then those
     # of the second axis within the first axis's core, and so on
-    edge = 0.0
-    core = dens
+    edge = []
+    core = g.samples
     for ax in range(g.n):
         head = (slice(None),) * ax
-        edge += core[head + (slice(None, lo),)].sum()
-        edge += core[head + (slice(hi, None),)].sum()
+        edge += [_sum_sq(core[head + (slice(None, lo),)]),
+                 _sum_sq(core[head + (slice(hi, None),)])]
         core = core[head + (slice(lo, hi),)]
-    total = edge + core.sum()
-    if not np.isfinite(total):
+    edge = math.fsum(edge)
+    total = edge + _sum_sq(core)
+    if not math.isfinite(total):
         raise InvalidParameterError(f"grid mass {total} is not finite")
     if total == 0.0:
         return 0.0
-    return float(edge / total)
+    return edge / total
 
 
 def _sealed(a: np.ndarray) -> np.ndarray:
@@ -108,16 +121,30 @@ def _sealed(a: np.ndarray) -> np.ndarray:
 
 
 def _times_axis_factors(x: np.ndarray, factors, out=None) -> np.ndarray:
-    """x times factors[ax] broadcast along each axis ax.
+    """x times factors[ax] broadcast along each axis ax, in one pass.
 
-    out=None allocates the result with the first factor; every later
-    factor, and every factor when out is given, multiplies in place.
+    The pass goes a chunk of first-axis rows at a time, about
+    _FACTOR_BLOCK elements, and multiplies each chunk by every axis's
+    factor while it is in cache: tens of chunks, not one pass per axis
+    nor one call per row.  Every factor but the first is laid out over
+    one row, N^(n-1) values, so those multiplies run contiguously.  Each
+    element meets its factors in axis order, as in one broadcast multiply
+    per axis, so the result is bit for bit that of the per-axis passes.
+    out=None allocates the result; out may be x.
     """
-    for ax, factor in enumerate(factors):
-        shape = [1] * x.ndim
-        shape[ax] = factor.size
-        out = np.multiply(x, factor.reshape(shape), out=out)
-        x = out
+    dtype = np.result_type(x, *factors)
+    if out is None:
+        out = np.empty(x.shape, dtype)
+    row = x.shape[1:]
+    lead = factors[0].astype(dtype).reshape((-1,) + (1,) * len(row))
+    rest = [np.broadcast_to(f.astype(dtype).reshape((-1,) + (1,) * (len(row) - ax)),
+                            row).copy()
+            for ax, f in enumerate(factors[1:], 1)]
+    rows = max(1, _FACTOR_BLOCK * len(x) // x.size)
+    for i in range(0, len(x), rows):
+        chunk = np.multiply(x[i:i + rows], lead[i:i + rows], out=out[i:i + rows])
+        for factor in rest:
+            np.multiply(chunk, factor, out=chunk)
     return out
 
 
@@ -134,43 +161,57 @@ def _centring_phases(N: int, n: int, scale: float):
     return [pre] * n, [post * scale] + [post] * (n - 1)
 
 
+def _spectrum(g: GridField) -> SpectrumField:
+    """The phased spectrum of g, transformed on first use and kept while g
+    lives.  No check: each public caller makes its own."""
+    sf = _SPECTRA.get(g)
+    if sf is None:
+        pre, post = _centring_phases(g.N, g.n, g.dx**g.n)
+        F = fft.fftn(_times_axis_factors(g.samples, pre), overwrite_x=True)
+        _times_axis_factors(F, post, out=F)
+        sf = _SPECTRA[g] = SpectrumField(g.n, g.L, g.N, _sealed(F), t=g.t)
+    return sf
+
+
 def forward_transform(g: GridField) -> SpectrumField:
     """Riemann-sum transform of a grid snapshot in the global convention."""
     frac = boundary_mass_fraction(g)
     if frac > _ALIASING_THRESHOLD:
         raise AliasingError(frac, _ALIASING_THRESHOLD)
-    pre, post = _centring_phases(g.N, g.n, g.dx**g.n)
-    F = fft.fftn(_times_axis_factors(g.samples, pre), overwrite_x=True)
-    _times_axis_factors(F, post, out=F)
-    return SpectrumField(g.n, g.L, g.N, _sealed(F), t=g.t)
+    return _spectrum(g)
+
+
+def _samples(sf: SpectrumField, symbol=None) -> np.ndarray:
+    """The inverse transform of sf's values times symbol on every axis."""
+    pre, post = _centring_phases(sf.N, sf.n, sf.dx**-sf.n)
+    if symbol is not None:
+        post = [p * symbol for p in post]
+    samples = fft.ifftn(_times_axis_factors(sf.values, post), overwrite_x=True)
+    return _sealed(_times_axis_factors(samples, pre, out=samples))
 
 
 def inverse_transform(sf: SpectrumField) -> GridField:
     """Exact inverse of forward_transform (both phases are involutions)."""
-    pre, post = _centring_phases(sf.N, sf.n, sf.dx**-sf.n)
-    samples = fft.ifftn(_times_axis_factors(sf.values, post), overwrite_x=True)
-    _times_axis_factors(samples, pre, out=samples)
-    return GridField(sf.n, sf.L, sf.N, _sealed(samples), t=sf.t)
+    return GridField(sf.n, sf.L, sf.N, _samples(sf), t=sf.t)
 
 
 def evolve_spectral(g: GridField, t: float) -> GridField:
     """Advance a grid snapshot by time t under the free flow.
 
-    The spectrum is multiplied by exp(-4 pi^2 i |xi|^2 t) axis by axis and
+    The field's spectrum (transformed once per field) is multiplied by
+    exp(-4 pi^2 i |xi|^2 t), in the same pass as the inverse's phases, and
     inverted; the timestamp advances by t.  The multiplier is unimodular,
     so the discrete mass is conserved exactly.  If the evolved field has
     spread to within L/2 of the box edge beyond the aliasing threshold,
-    the result is rejected.  A non-finite t raises InvalidParameterError.
+    the result is rejected; the input's own boundary mass is not checked.
+    A non-finite t raises InvalidParameterError.
     """
     t = float(t)
     if not math.isfinite(t):
         raise InvalidParameterError(f"evolution time t must be finite, got {t}")
-    xi = fft.fftfreq(g.N, d=g.dx)
-    symbol = np.exp(-4j * np.pi**2 * xi**2 * t)
-    F = fft.fftn(g.samples)
-    _times_axis_factors(F, [symbol] * g.n, out=F)
-    out = GridField(g.n, g.L, g.N, _sealed(fft.ifftn(F, overwrite_x=True)),
-                    t=g.t + t)
+    sf = _spectrum(g)
+    symbol = np.exp(-4j * np.pi**2 * sf.axis()**2 * t)
+    out = GridField(g.n, g.L, g.N, _samples(sf, symbol), t=g.t + t)
     frac = boundary_mass_fraction(out)
     if frac > _ALIASING_THRESHOLD:
         raise AliasingError(frac, _ALIASING_THRESHOLD)
@@ -251,15 +292,35 @@ def sample_datum(f: WavePacketSum, L: float, N: int, t: float = 0.0) -> GridFiel
     return sample_state(evolve_analytic(f, t), L, N)
 
 
-def _sum_sq(z: np.ndarray) -> float:
-    """sum |z|^2 by numpy's pairwise summation.
+def _floats(z: np.ndarray) -> np.ndarray:
+    """The float64 view of a complex array, copied first if its last axis
+    is strided."""
+    if z.strides[-1] != z.itemsize:
+        z = np.ascontiguousarray(z)
+    return z.view(np.float64)
 
-    np.vdot is no substitute: BLAS sums serially and was 1e-14 off on a
-    million-point spectrum, where the discrete Parseval check wants 1e-12.
+
+def _sum_sq(z: np.ndarray) -> float:
+    """sum |z|^2, without square roots (np.abs is a hypot).
+
+    The squares of each block of _SUM_BLOCK floats of the float view are
+    summed as one BLAS dot product, and math.fsum adds the blocks' sums
+    exactly; a strided slab (of boundary_mass_fraction) goes a row at a
+    time, 2N floats at most.  np.vdot over the whole array is no
+    substitute: one serial BLAS sum was 1e-14 off on a million-point
+    spectrum, where the discrete Parseval check wants 1e-12.  Nor is
+    np.einsum's sum of products: on the benchmark's smooth fields its
+    block sums were biased low, up to 1.4e-15 in all.
     """
-    dens = np.abs(z)
-    dens *= dens
-    return float(dens.sum())
+    v = _floats(z)
+    if v.flags.c_contiguous:
+        v = v.reshape(-1)
+        whole = v.size - v.size % _SUM_BLOCK
+        rows = [v[:whole].reshape(-1, _SUM_BLOCK), v[whole:]]
+    else:
+        rows = [v]
+    return math.fsum(itertools.chain.from_iterable(
+        np.vecdot(r, r).ravel().tolist() for r in rows))
 
 
 def grid_l2_sq(g: GridField) -> float:
@@ -268,10 +329,23 @@ def grid_l2_sq(g: GridField) -> float:
 
 
 def rel_l2_diff(a: GridField, b: GridField) -> float:
-    """Relative L2 discrepancy between two same-layout snapshots."""
+    """Relative L2 discrepancy between two same-layout snapshots.
+
+    One pass over both float views, a block of _SUM_BLOCK floats at a
+    time: the block's difference goes into one small buffer, and the
+    block's three sums of squares are added up like _sum_sq's.
+    """
     if (a.n, a.L, a.N) != (b.n, b.L, b.N):
         raise InvalidParameterError("snapshots live on different grids")
-    den_sq = max(_sum_sq(a.samples), _sum_sq(b.samples))
+    va, vb = _floats(a.samples).reshape(-1), _floats(b.samples).reshape(-1)
+    buf = np.empty(min(_SUM_BLOCK, va.size))
+    sums = []  # per block: sum a^2, sum b^2, sum (a - b)^2
+    for i in range(0, va.size, _SUM_BLOCK):
+        ra, rb = va[i:i + _SUM_BLOCK], vb[i:i + _SUM_BLOCK]
+        d = np.subtract(ra, rb, out=buf[:ra.size])
+        sums.append((np.dot(ra, ra), np.dot(rb, rb), np.dot(d, d)))
+    sq_a, sq_b, sq_d = (math.fsum(col) for col in zip(*sums))
+    den_sq = max(sq_a, sq_b)
     if den_sq == 0.0:
         return 0.0
-    return math.sqrt(_sum_sq(a.samples - b.samples) / den_sq)
+    return math.sqrt(sq_d / den_sq)

@@ -21,8 +21,8 @@ from smoothing_lab.propagator import evolve_analytic
 from smoothing_lab.spectral import (evolve_spectral, forward_transform,
                                     grid_l2_sq, hs_norm_sq, rel_l2_diff,
                                     sample_datum, sample_state)
-from smoothing_lab.weights import (derivative_stack_check, make_psi_eps,
-                                   make_psi_k, rescale)
+from smoothing_lab.weights import make_psi_eps, make_psi_k, rescale
+from weight_checks import derivative_stack_check
 
 UNIT_GAUSSIAN = packet_sum([packet(1.0, 1.0, [0.0])])
 

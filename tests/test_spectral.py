@@ -8,9 +8,17 @@ invariants that hold exactly (Parseval, roundtrip, unimodular evolution)
 and the failure modes (aliasing on input and on output).
 """
 
+import gc
+import itertools
+import math
+import weakref
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from smoothing_lab import spectral
 from smoothing_lab import (
     AliasingError,
     GridField,
@@ -326,3 +334,113 @@ def test_rel_l2_diff_layout_guard():
     b = sample_datum(F_1D, L=16.0, N=256)
     with pytest.raises(InvalidParameterError):
         rel_l2_diff(a, b)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts of the grid path's fftn and ifftn calls."""
+    calls = Counter()
+    real = spectral.fft
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return getattr(real, name)(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(spectral, "fft", SimpleNamespace(
+        fftn=counted("fftn"), ifftn=counted("ifftn")))
+    return calls
+
+
+def two_packets(n):
+    return packet_sum([packet(1.0, 0.5, [0.2] * n, [0.1] * n),
+                       packet(0.5j, 0.7, [-0.3] * n, [-0.1] * n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_field_is_transformed_once(fft_calls, n):
+    g = sample_datum(two_packets(n), L=12.0, N=64)
+    for t in (0.1, 0.2, 0.3):
+        evolve_spectral(g, t)
+    assert fft_calls == {"fftn": 1, "ifftn": 3}
+    # forward_transform serves the same spectrum; a new field transforms anew
+    assert forward_transform(g) is forward_transform(g)
+    assert fft_calls["fftn"] == 1
+    evolve_spectral(GridField(g.n, g.L, g.N, g.samples), 0.1)
+    assert fft_calls["fftn"] == 2
+
+
+def test_spectrum_cache_entry_goes_with_its_field():
+    gc.collect()
+    before = len(spectral._SPECTRA)
+    g = sample_datum(F_1D, L=16.0, N=512)
+    evolve_spectral(g, 0.3)
+    assert len(spectral._SPECTRA) == before + 1
+    field, spectrum = weakref.ref(g), weakref.ref(spectral._SPECTRA[g].values)
+    del g
+    gc.collect()
+    assert field() is None and spectrum() is None
+    assert len(spectral._SPECTRA) == before
+
+
+def test_evolution_checks_only_its_output_for_aliasing():
+    # a packet sampled past L/2 on its way out, evolved back to the centre
+    f = packet_sum([packet(1.0, 0.5, [0.0], [1.0])])
+    g = sample_datum(f, L=24.0, N=1024, t=1.0)
+    assert boundary_mass_fraction(g) > 0.5
+    with pytest.raises(AliasingError):
+        forward_transform(g)
+    back = evolve_spectral(g, -1.0)
+    assert boundary_mass_fraction(back) < 1e-12
+    assert back.t == 0.0
+    assert rel_l2_diff(back, sample_datum(f, L=24.0, N=1024)) < 1e-6
+
+
+@pytest.mark.parametrize("n,N", [(1, 512), (2, 128), (3, 48)])
+def test_evolution_matches_direct_numpy_fft(n, N):
+    g = sample_datum(two_packets(n), L=12.0, N=N)
+    t = 0.3
+    symbol = np.exp(-4j * np.pi**2 * np.fft.fftfreq(N, d=g.dx) ** 2 * t)
+    multiplier = np.ones((1,) * n)
+    for ax in range(n):
+        multiplier = multiplier * symbol.reshape((-1,) + (1,) * (n - 1 - ax))
+    direct = np.fft.ifftn(np.fft.fftn(g.samples) * multiplier)
+    moved = evolve_spectral(g, t)
+    assert rel_l2_diff(moved, GridField(n, g.L, N, direct)) <= 1e-14
+
+
+def fsum_sq(v):
+    """math.fsum of the squares of the float array v, a slice at a time."""
+    return math.fsum(itertools.chain.from_iterable(
+        (c * c).tolist() for c in np.array_split(v.ravel(), max(1, v.size // 2**16))))
+
+
+def random_field(n, N):
+    rng = np.random.default_rng(N)
+    shape = (N,) * n
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return GridField(n, 4.0, N, z)
+
+
+def smooth_field():
+    # the spectrum of the benchmark-like 3-D packet: on such smooth values a
+    # sum of products outside BLAS (np.einsum) ran 5 eps low
+    sf = forward_transform(sample_datum(workload_3d_datum(), L=18.0, N=128))
+    return GridField(3, 18.0, 128, sf.values)
+
+
+@pytest.mark.parametrize("make", [lambda: random_field(3, 128), smooth_field,
+                                  lambda: random_field(1, 6)],
+                         ids=["random-128^3", "smooth-128^3", "random-6"])
+def test_blocked_sums_match_fsum(make):
+    # 128^3 fills whole blocks; 2 N = 12 floats is a tail alone
+    a = make()
+    noise = np.random.default_rng(0).standard_normal(a.samples.shape)
+    b = GridField(a.n, a.L, a.N, a.samples * (1.0 + 1e-3 * noise))
+    va, vb = a.samples.view(np.float64), b.samples.view(np.float64)
+    eps = np.finfo(float).eps
+    assert grid_l2_sq(a) == pytest.approx(fsum_sq(va) * a.dx**a.n, rel=4 * eps, abs=0.0)
+    exact = math.sqrt(fsum_sq(va - vb) / max(fsum_sq(va), fsum_sq(vb)))
+    assert rel_l2_diff(a, b) == pytest.approx(exact, rel=4 * eps, abs=0.0)
+    assert rel_l2_diff(a, a) == 0.0

@@ -12,8 +12,9 @@ from smoothing_lab.functionals import check_remainder_hypotheses
 from smoothing_lab import weights
 from smoothing_lab.model import RadialWeight
 from smoothing_lab.weights import (bump_transition, constant_weight,
-                                   derivative_stack_check, make_psi_eps,
-                                   make_psi_k, radial_laplacians, rescale)
+                                   make_psi_eps, make_psi_k,
+                                   radial_laplacians, rescale)
+from weight_checks import derivative_stack_check
 
 R_GRID = np.geomspace(0.05, 30.0, 40)
 

@@ -16,7 +16,8 @@ compare; pairs run back to back do.
 
 The work counts come from one pass of each workload per checkout.  Those
 the benchmark's tracer does not give are counted in a child process that
-wraps private functions of the quadrature module:
+wraps private functions of the quadrature module and swaps the spectral
+module's `fft` for a counting proxy:
 
     kernel_calls             calls of both shell kernels, _shell_values
                              (n = 1) and _moment_values (n = 2, 3)
@@ -29,25 +30,29 @@ wraps private functions of the quadrature module:
     radial_panels_evaluated  radial panels those calls evaluate
     radial_panels_accepted   panels at convergence, summed over the
                              info["panels"] of every shell_integrals call
+    grid_transforms          n-D transforms of the grid path: calls of
+                             fftn and ifftn through the spectral module
+    grid_transform_points    grid points over those transforms
 
 Every state has its own radial panel set, so the panel counts are per
 state; a checkout whose states share panel sets in groups counts them per
 group, so compare such a parent with a change only on kernel_calls and
 kernel_state_radii.  None of these is a tracer metric, and they count
 differently from the ones of similar name: the tracer's
-quadrature.kernel_calls counts _shell_values only, and its
+quadrature.kernel_calls counts _shell_values only, its
 quadrature.panels_accepted only the panel sets of shell_integral, not
-those inside the time integrals.  Beside them,
-cpu_over_wall is the CPU time of the whole child process over the wall
-time of that pass: well above 1, a second BLAS thread is running.  The
-time sweeps, quadrature.time_nodes (calls of the time integrand, one per
-refinement round), come from the record of a `perfbench/run.py --trace 1` run at the
-same seed, under the tracer's own name, with its
-quadrature.panels_accepted and propagator.calls, the calls of the
-propagator's traced functions: each builds one GaussianState, while a
-time sweep builds none.  None of these counts depends on the host, so
-they show whether a change of time came from doing less work or from
-doing the same work faster.
+those inside the time integrals, and its spectral.fft_calls the calls of
+forward_transform, inverse_transform and evolve_spectral, not transforms.
+Beside them, cpu_over_wall is the CPU time of the whole child process
+over the wall time of that pass: well above 1, a second BLAS thread is
+running.  The time sweeps, quadrature.time_nodes (calls of the time
+integrand, one per refinement round), come from the record of a
+`perfbench/run.py --trace 1` run at the same seed, under the tracer's own
+name, with its quadrature.panels_accepted, spectral.fft_calls and
+propagator.calls, the calls of the propagator's traced functions: each
+builds one GaussianState, while a time sweep builds none.  None of these
+counts depends on the host, so they show whether a change of time came
+from doing less work or from doing the same work faster.
 
 BENCH_<name>.json, at the change checkout's root, holds the machine block
 of perfbench/machine.py, the end-to-end metrics of every pair with their
@@ -70,7 +75,8 @@ import numpy as np
 CHANGE = Path(__file__).resolve().parents[1]
 PAIRS = 10  # the fewest pairs that can show a gain in nine of ten
 RUN_TIMEOUT_S = 600
-TRACED = ("quadrature.time_nodes", "quadrature.panels_accepted", "propagator.calls")
+TRACED = ("quadrature.time_nodes", "quadrature.panels_accepted", "propagator.calls",
+          "spectral.fft_calls")
 
 
 def run_checkout(checkout: Path, args: list, what: str) -> str:
@@ -116,7 +122,8 @@ def count_work(workload: str, seed: int) -> dict:
     q = lab.quadrature
     counts = Counter(dict.fromkeys((
         "kernel_calls", "kernel_state_radii", "radial_panel_sweeps",
-        "radial_panels_evaluated", "radial_panels_accepted"), 0))
+        "radial_panels_evaluated", "radial_panels_accepted",
+        "grid_transforms", "grid_transform_points"), 0))
 
     def wrap(name, note):
         """Rebind quadrature.<name> in every module that imported it."""
@@ -144,6 +151,24 @@ def count_work(workload: str, seed: int) -> dict:
     def panel_sets(args, result):
         counts["radial_panels_accepted"] += int(result[1]["panels"])
 
+    class CountingFFT:
+        """The spectral module's fft, counting the n-D transforms."""
+
+        def __init__(self, fft):
+            self.fft = fft
+
+        def __getattr__(self, name):
+            inner = getattr(self.fft, name)
+            if name not in ("fftn", "ifftn"):
+                return inner
+
+            def transform(x, *args, **kwargs):
+                counts["grid_transforms"] += 1
+                counts["grid_transform_points"] += np.size(x)
+                return inner(x, *args, **kwargs)
+            return transform
+
+    lab.spectral.fft = CountingFFT(lab.spectral.fft)
     wrap("_shell_values", kernel)
     wrap("_moment_values", kernel)
     wrap("_panel_value", sweep)
@@ -199,10 +224,11 @@ def main(argv=None) -> int:
         "machine": json.loads(run_checkout(CHANGE, ["perfbench/machine.py"],
                                            "machine block")),
         "work_counts": "kernel_calls, kernel_state_radii, radial_panel_sweeps, "
-                       "radial_panels_evaluated and radial_panels_accepted are this "
+                       "radial_panels_evaluated, radial_panels_accepted, "
+                       "grid_transforms and grid_transform_points are this "
                        "tool's counts, not the tracer's (see tools/bench_pairs.py); "
-                       "the quadrature.* and propagator.* counts are the tracer's, "
-                       "from a --trace 1 run, per pass",
+                       "the quadrature.*, propagator.* and spectral.* counts are "
+                       "the tracer's, from a --trace 1 run, per pass",
         "workloads": {},
     }
     for workload in workloads:
