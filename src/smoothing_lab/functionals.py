@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, InvalidWeightError
 from .model import RadialWeight, WavePacketSum, l2_norm_sq
@@ -168,17 +169,84 @@ def check_remainder_hypotheses(w: RadialWeight, n: int) -> None:
         )
 
 
+# _sign_changes samples a lattice that spans a weight's knots by
+# _KINK_DECADES either way, at _KINK_PER_DECADE radii a decade and as many
+# equal steps between neighbouring knots, then each bracket of a sign
+# change at _KINK_STEPS equal steps; brentq locates the root of the local
+# cubic to _KINK_XTOL of a step, well under an ulp of the radius
+_KINK_DECADES = 3
+_KINK_PER_DECADE = 64
+_KINK_STEPS = 256
+_KINK_XTOL = 1e-13
+
+
+def _flips(values):
+    """Index arrays (a, b) of the neighbouring nonzero values of opposite
+    sign, a < b."""
+    nonzero = np.flatnonzero(values)
+    k = np.flatnonzero(np.sign(values[nonzero[:-1]]) != np.sign(values[nonzero[1:]]))
+    return nonzero[k], nonzero[k + 1]
+
+
+def _sign_changes(g, knots) -> tuple:
+    """The radii where g changes sign, each to a few ulp, in two calls of g.
+
+    |g| changes analytic piece at a sign change of g, so these radii are
+    knots of the coefficient |g|.  g is sampled on a lattice: a geometric
+    one from 10^-_KINK_DECADES of the least positive knot to
+    10^_KINK_DECADES times the largest (about 1 if there are none), plus _KINK_PER_DECADE equal
+    steps between neighbouring knots.  Neighbouring nonzero samples of
+    opposite sign bracket a zero.  Each bracket is sampled again at
+    _KINK_STEPS equal steps, all brackets in one call, and its zero is the
+    root of the cubic through the four samples around the first change,
+    which a step h leaves off by order h^4.
+    """
+    edges = sorted(k for k in knots if k > 0.0) or [1.0]  # g is read on r > 0
+    lo, hi = edges[0] * 10.0**-_KINK_DECADES, edges[-1] * 10.0**_KINK_DECADES
+    r = np.unique(np.concatenate(
+        [np.geomspace(lo, hi, int(_KINK_PER_DECADE * np.log10(hi / lo)) + 1)]
+        + [np.linspace(a, b, _KINK_PER_DECADE + 1) for a, b in zip(edges, edges[1:])]))
+    a, b = _flips(g(r))
+    if not a.size:
+        return ()
+    grid = np.linspace(r[a], r[b], _KINK_STEPS + 1, axis=1)
+    values = g(grid.ravel()).reshape(grid.shape)
+    zeros = []
+    for x, y in zip(grid, values):
+        i = _flips(y)[0][0]  # y[i + 1] is 0 or of the other sign
+        # the cubic through the four samples around i in Lagrange form, in
+        # steps from x[i]: it takes each sample's sign exactly at its node,
+        # so it changes sign on [0, 1] as the samples do
+        start = min(max(i - 1, 0), len(x) - 4)
+        nodes = [float(k) for k in range(start - i, start - i + 4)]
+        scaled = [float(yk) / math.prod(sk - sm for sm in nodes if sm != sk)
+                  for sk, yk in zip(nodes, y[start:start + 4])]
+
+        def cubic(s):
+            return sum(wk * math.prod(s - sm for sm in nodes if sm != sk)
+                       for sk, wk in zip(nodes, scaled))
+
+        t = brentq(cubic, 0.0, 1.0, xtol=_KINK_XTOL)
+        zeros.append(float(x[i] + t * (x[i + 1] - x[i])))
+    return tuple(zeros)
+
+
 def _remainder_pair(f: WavePacketSum, w: RadialWeight, signed: bool):
     """(tangential, bilaplacian) whole-line integrals with coefficients
-    psi'(r)/r and Lap^2 psi(r), or their absolute values unless signed."""
+    psi'(r)/r and Lap^2 psi(r), or their absolute values unless signed.
+    An absolute value changes analytic piece where its argument changes
+    sign, so its coefficient's knots add those radii (_sign_changes)."""
     scale = l2_norm_sq(f) * _weight_scale(w)
 
-    def w_mass(r):
-        _, bilap = radial_laplacians(w, r, f.n)
-        return bilap if signed else np.abs(bilap)
+    def bilap(r):
+        return radial_laplacians(w, r, f.n)[1]
 
+    def w_mass(r):
+        return bilap(r) if signed else np.abs(bilap(r))
+
+    knots = w.knots if signed else w.knots + _sign_changes(bilap, w.knots)
     bilaplacian = _time_integrated(
-        f, ShellCoefficients(w_mass=w_mass, knots=w.knots), None, scale
+        f, ShellCoefficients(w_mass=w_mass, knots=knots), None, scale
     )
     if f.n == 1:
         # the line has no tangential directions: skip a whole-line integral of 0
@@ -187,8 +255,9 @@ def _remainder_pair(f: WavePacketSum, w: RadialWeight, signed: bool):
     def w_tau(r):
         return (w.d1(r) if signed else np.abs(w.d1(r))) / r
 
+    knots = w.knots if signed else w.knots + _sign_changes(w.d1, w.knots)
     tangential = _time_integrated(
-        f, ShellCoefficients(w_tau=w_tau, knots=w.knots), None, scale
+        f, ShellCoefficients(w_tau=w_tau, knots=knots), None, scale
     )
     return tangential, bilaplacian
 

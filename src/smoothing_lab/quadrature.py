@@ -28,9 +28,15 @@ angular integrals have closed forms in zeta = z.z (Funk-Hecke; Watson
 section 11.41; DLMF 10.25 and 16.2): 2 pi I_0(sqrt(zeta)) and
 4 pi sinh(sqrt(zeta))/sqrt(zeta) and their derivatives in zeta.  The
 kernel's cost per radius therefore follows the number of packet pairs,
-whatever the angular band |z|.  n = 1 sums its two directions {+1, -1}.
-The product rules of _sphere_rule, sized from |z| by _bucket_band, are
-the reference the tests hold the closed forms against.
+whatever the angular band |z|.  A diagonal pair i = j has real factors
+and a real zeta >= 0, so it runs in real arithmetic throughout, and
+one-packet data take no complex exp at all.  n = 1 sums its two
+directions {+1, -1} on field arrays laid out (packet, direction, panel,
+radius), radius last, with every packet's phase taken relative to packet
+0's at the same point: a shared phase cancels in every quadratic term,
+so packet 0 costs a real exp and only the others a complex one.  The
+product rules of _sphere_rule, sized from |z| by _bucket_band, are the
+reference the tests hold the closed forms against.
 
 One refinement loop serves both layers: each panel belongs to one
 component of the result, a state of the radial layer or the one time
@@ -96,7 +102,9 @@ class ShellCoefficients:
 
     None means the term is absent (and its field values are never built);
     the n = 1 kernel drops w_tau, as the line has no tangential directions.
-    knots lists radii where a coefficient changes analytic piece.
+    knots lists radii where a coefficient changes analytic piece; a
+    coefficient that is the absolute value of a function changes piece
+    where that function changes sign, so its knots include those zeros.
     """
 
     w_rr: Callable | None = None
@@ -232,22 +240,35 @@ class _StateGeometry:
         On the shell of radius r, conj(b_i) b_j is
         conj(B_i) B_j exp(log0 - a r^2) exp(z.w) with z = r S and
         S = conj(G_i) + G_j.  weight is conj(B_i) B_j, doubled off the
-        diagonal to count the pair (j, i) too.  The bilinear products
-        ss = S.S, si = S.conj(G_i), sj = S.G_j and gg = conj(G_i).G_j give
-        z.z, z.conj(G_i) and z.G_j by powers of r; ai and aj are
-        conj(alpha_i) and alpha_j.
+        diagonal to count the pair (j, i) too.  ss = S.S and
+        gg = conj(G_i).G_j; with ai = conj(alpha_i), aj = alpha_j,
+        si = S.conj(G_i) and sj = S.G_j, the products that _moment_values
+        takes the real part of are rr0 = 4 ai aj, rr1 = -4 (ai sj + aj si),
+        sisj = si sj, fl0 = -i (ai - aj) and fl1 = -i (sj - si).
         """
         i, j = np.triu_indices(self.m)
         ai, aj = np.conj(self.alpha[:, i]), self.alpha[:, j]
         gi, gj = np.conj(self.G[:, i]), self.G[:, j]
         S = gi + gj
+        si, sj = (S * gi).sum(axis=-1), (S * gj).sum(axis=-1)
         return {
             "weight": np.where(i == j, 1.0, 2.0) * np.conj(self.B[:, i]) * self.B[:, j],
-            "log0": -ai * self.csq[:, i] - aj * self.csq[:, j],
-            "a": ai + aj, "ai": ai, "aj": aj,
-            "ss": (S * S).sum(axis=-1), "si": (S * gi).sum(axis=-1),
-            "sj": (S * gj).sum(axis=-1), "gg": (gi * gj).sum(axis=-1),
+            "log0": -ai * self.csq[:, i] - aj * self.csq[:, j], "a": ai + aj,
+            "ss": (S * S).sum(axis=-1), "gg": (gi * gj).sum(axis=-1),
+            "rr0": 4.0 * ai * aj, "rr1": -4.0 * (ai * sj + aj * si), "sisj": si * sj,
+            "fl0": -1j * (ai - aj), "fl1": -1j * (sj - si),
         }
+
+    @cached_property
+    def pair_groups(self):
+        """pairs split in two: the diagonal pairs i = j, as real arrays, and
+        the others.  For i = j every factor is real (S = 2 Re G_i, so
+        zeta = z.z >= 0), and so are their angular moments."""
+        i, j = np.triu_indices(self.m)
+        groups = [{key: val[:, i == j].real for key, val in self.pairs.items()}]
+        if self.m > 1:
+            groups.append({key: val[:, i != j] for key, val in self.pairs.items()})
+        return groups
 
     def support_radii(self, tau: float) -> np.ndarray:
         """Per state, the radius past which the relative tail of every term
@@ -281,11 +302,16 @@ def _shell_values(geom: _StateGeometry, r: np.ndarray, omega: np.ndarray,
 
     Sums the integrand over the directions omega with weights wts: S^0 in
     n = 1, a reference rule in n = 2, 3.  At x = r w packet i is
-    B_i exp(-alpha_i (r^2 + |c_i|^2) + r w.G_i), so its envelope exponent
-    is built once per packet and radius, and each direction adds the one
-    product r w.G_i; its radial derivative is that value times
-    w.G_i - 2 alpha_i r.  The field arrays run packet first, (m, P, K, A),
-    so the packet sums are sums over the leading axis.  The geometry is
+    B_i exp(E_i), E_i = -alpha_i (r^2 + |c_i|^2) + r w.G_i, so its envelope
+    exponent is built once per packet and radius, and each direction adds
+    the one product r w.G_i; its radial derivative is that value times
+    w.G_i - 2 alpha_i r.  The field arrays run packet first and radius
+    last, (m, A, P, K), so the packet sums are sums over the leading axis
+    and every elementwise loop runs along the radii.  Every packet is taken
+    relative to the phase of packet 0 at the same point, B_i exp(E_i - i
+    Im E_0): a phase shared by all packets cancels in every quadratic term,
+    since du/dr and grad u are sums over the same packets, so packet 0
+    costs a real exp, and only the others a complex one.  The geometry is
     gathered once per panel, and the panels are walked in blocks of at
     most _KERNEL_BLOCK complex elements, each of which evaluates every
     coefficient function once on its radii.  No r^{n-1} factor yet.
@@ -294,20 +320,24 @@ def _shell_values(geom: _StateGeometry, r: np.ndarray, omega: np.ndarray,
     out = np.empty(r.shape)
     for block in _panel_blocks(r, len(wts) * geom.m):
         state = rows[block]
-        q = r[block]
-        R = q[..., None]  # radius axes of the (m, P, K, A) field arrays
-        w_mass, w_rr, w_flux, w_tau = _coefficients(coeffs, R, n > 1)
-        alpha = geom.alpha[state].T[..., None]  # (m, P, 1)
+        q = r[block]  # (P, K), the trailing axes of the (m, A, P, K) fields
+        w_mass, w_rr, w_flux, w_tau = _coefficients(coeffs, q, n > 1)
+        alpha = geom.alpha[state].T[:, None, :, None]  # (m, 1, P, 1)
         G = geom.G[state].transpose(1, 0, 2)  # (m, P, n)
-        og = (G @ omega.T)[:, :, None]  # w.G_i: (m, P, 1, A)
-        envelope = -alpha * (q * q + geom.csq[state].T[..., None])  # (m, P, K)
-        vals = geom.B[state].T[..., None, None] * np.exp(envelope[..., None] + R * og)
-        u = vals.sum(axis=0)  # (P, K, A)
+        og = (omega @ G.transpose(0, 2, 1))[..., None]  # w.G_i: (m, A, P, 1)
+        envelope = -alpha[:, 0] * (q * q + geom.csq[state].T[..., None])  # (m, P, K)
+        exponent = envelope[:, None] + q * og
+        vals = np.empty(exponent.shape, dtype=complex)
+        vals[0] = np.exp(exponent[0].real)
+        exponent.imag[1:] -= exponent[0].imag
+        np.exp(exponent[1:], out=vals[1:])
+        vals *= geom.B[state].T[:, None, :, None]
+        u = vals.sum(axis=0)  # (A, P, K)
         pieces = np.zeros(u.shape, dtype=float)
         if w_mass is not None:
             pieces += w_mass * (u.real**2 + u.imag**2)
         if coeffs.needs_gradient():
-            ur = (vals * (og - 2.0 * alpha[..., None] * R)).sum(axis=0)
+            ur = (vals * (og - 2.0 * alpha * q)).sum(axis=0)
             ursq = ur.real**2 + ur.imag**2
             if w_rr is not None:
                 pieces += w_rr * ursq
@@ -315,14 +345,14 @@ def _shell_values(geom: _StateGeometry, r: np.ndarray, omega: np.ndarray,
                 pieces += w_flux * (u.real * ur.imag - u.imag * ur.real)
             if w_tau is not None:
                 # grad u = sum_i vals_i (G_i - 2 alpha_i x), one axis at a time
-                s0 = (alpha[..., None] * vals).sum(axis=0)
+                s0 = (alpha * vals).sum(axis=0)
                 gsq = np.zeros(u.shape, dtype=float)
                 for k in range(n):
-                    g = (vals * G[:, :, None, None, k]).sum(axis=0) \
-                        - 2.0 * s0 * (R * omega[:, k])
+                    g = (vals * G[:, None, :, None, k]).sum(axis=0) \
+                        - 2.0 * s0 * (q * omega[:, k, None, None])
                     gsq += g.real**2 + g.imag**2
                 pieces += w_tau * np.maximum(gsq - ursq, 0.0)
-        out[block] = pieces @ wts
+        out[block] = np.einsum("a,a...->...", wts, pieces)
     return out
 
 
@@ -333,13 +363,14 @@ def _angular_moments(n, zeta):
     F(zeta) = |S^{n-1}| 0F1(; n/2; zeta/4) is the integral of exp(z.w)
     over the unit sphere, and F', F'' are its derivatives in zeta: F is
     2 pi I_0(s) in n = 2 and 4 pi sinh(s)/s in n = 3.  Below |zeta| =
-    _SERIES_BELOW the three come from one Horner pass of the series.
-    Raises InvalidParameterError past the range of the complex Bessel
-    functions, where they would return NaN.
+    _SERIES_BELOW the three come from one Horner pass of the series.  A
+    real zeta, which must be >= 0, gives real moments by real arithmetic
+    throughout.  Raises InvalidParameterError past the range of the
+    complex Bessel functions, where they would return NaN.
     """
     root = np.sqrt(zeta)
     grow = root.real
-    moments = np.empty((3,) + zeta.shape, dtype=complex)
+    moments = np.empty((3,) + zeta.shape, dtype=zeta.dtype)
     small = np.abs(zeta) < _SERIES_BELOW
     if small.any():
         x, b = 0.25 * zeta[small], 0.5 * n
@@ -355,7 +386,8 @@ def _angular_moments(n, zeta):
     if big.any():
         z2, s = zeta[big], root[big]
         if n == 2:
-            # i0e/i1e where zeta > 0, which every diagonal pair has
+            # i0e/i1e where zeta > 0: all of a real zeta (the diagonal
+            # pairs), and any real positive zeta of the other pairs
             real = (z2.imag == 0.0) & (z2.real > 0.0)
             e0, e1 = np.empty_like(s), np.empty_like(s)
             e0[real], e1[real] = i0e(s[real].real), i1e(s[real].real)
@@ -371,8 +403,10 @@ def _angular_moments(n, zeta):
                                0.5 * np.pi * (e0 - 2.0 * ratio) / z2)
         else:
             # sinh(s) and cosh(s) times exp(-Re s)
-            p = np.exp(1j * s.imag)
-            q = np.exp(-2.0 * s.real - 1j * s.imag)
+            if np.iscomplexobj(s):
+                p, q = np.exp(1j * s.imag), np.exp(-2.0 * s.real - 1j * s.imag)
+            else:
+                p, q = 1.0, np.exp(-2.0 * s)
             sh, ch = 0.5 * (p - q), 0.5 * (p + q)
             moments[:, big] = (4.0 * np.pi * sh / s,
                                2.0 * np.pi * (s * ch - sh) / (s * z2),
@@ -407,35 +441,37 @@ def _moment_values(geom: _StateGeometry, r: np.ndarray,
     each times conj(b_i) b_j without its angular factor exp(z.w).  The
     growth exp(Re s) of the moments joins the exponent of that envelope,
     which the Gaussians keep at most 0, so neither overflows alone.  The
-    cost per radius is that of the m(m+1)/2 pairs, whatever the angular
-    band.  The panels are walked in blocks, as in _shell_values.
+    diagonal pairs i = j run as real arrays, exp and moments included
+    (_StateGeometry.pair_groups), so one-packet data use no complex
+    arithmetic; the tangential term is clamped at 0 once, on the sum over
+    all pairs.  The cost per radius is that of the m(m+1)/2 pairs, whatever
+    the angular band.  The panels are walked in blocks, as in _shell_values.
     """
     out = np.zeros(r.shape)
     for block in _panel_blocks(r, geom.pairs["ss"].shape[1]):
-        p = {key: val[rows[block]] for key, val in geom.pairs.items()}  # (P, J)
         q = r[block]
         w_mass, w_rr, w_flux, w_tau = _coefficients(coeffs, q)
         rsq = q * q
-        grow, moments = _angular_moments(geom.n, p["ss"][..., None] * rsq[:, None])
-        env = p["weight"][..., None] * np.exp(
-            p["log0"][..., None] - p["a"][..., None] * rsq[:, None] + grow)
-        f0, f1, f2 = env * moments  # (P, J, K) each
-        part = out[block]
-        if w_mass is not None:
-            part += w_mass * f0.sum(axis=1).real
-        if w_rr is not None:
-            part += w_rr * (rsq * _pair_sum(
-                (4.0 * p["ai"] * p["aj"], f0),
-                (-4.0 * (p["ai"] * p["sj"] + p["aj"] * p["si"]), f1),
-                (4.0 * p["si"] * p["sj"], f2)).real
-                + 2.0 * _pair_sum((p["gg"], f1)).real)
+        part, tau = out[block], 0.0
+        for group in geom.pair_groups:
+            p = {key: val[rows[block]] for key, val in group.items()}  # (P, J)
+            grow, moments = _angular_moments(geom.n, p["ss"][..., None] * rsq[:, None])
+            env = p["weight"][..., None] * np.exp(
+                p["log0"][..., None] - p["a"][..., None] * rsq[:, None] + grow)
+            f0, f1, f2 = env * moments  # (P, J, K) each
+            if w_mass is not None:
+                part += w_mass * f0.sum(axis=1).real
+            if w_rr is not None:
+                part += w_rr * (rsq * _pair_sum(
+                    (p["rr0"], f0), (p["rr1"], f1), (4.0 * p["sisj"], f2)).real
+                    + 2.0 * _pair_sum((p["gg"], f1)).real)
+            if w_tau is not None:
+                tau = tau + _pair_sum((p["gg"], f0 - 2.0 * f1)).real \
+                    - 4.0 * rsq * _pair_sum((p["sisj"], f2)).real
+            if w_flux is not None:
+                part += w_flux * q * _pair_sum((p["fl0"], f0), (p["fl1"], f1)).real
         if w_tau is not None:
-            tau = _pair_sum((p["gg"], f0 - 2.0 * f1)).real \
-                - 4.0 * rsq * _pair_sum((p["si"] * p["sj"], f2)).real
             part += w_tau * np.maximum(tau, 0.0)
-        if w_flux is not None:
-            part += w_flux * q * _pair_sum(
-                (p["ai"] - p["aj"], f0), (p["sj"] - p["si"], f1)).imag
     return out
 
 

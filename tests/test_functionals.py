@@ -18,6 +18,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
+from smoothing_lab import functionals
 from smoothing_lab.errors import (InvalidParameterError, InvalidWeightError,
                                   ToleranceNotMetError)
 from smoothing_lab.functionals import (
@@ -35,7 +36,7 @@ from smoothing_lab.model import (RadialWeight, gaussian_inner, packet,
                                  packet_sum, random_packet_suite)
 from smoothing_lab.propagator import (difference_state, dispersive_approx,
                                       evolve_analytic)
-from smoothing_lab.quadrature import ShellCoefficients, shell_integral
+from smoothing_lab.quadrature import REL_TOL, ShellCoefficients, shell_integral
 from smoothing_lab.spectral import (boundary_mass_fraction, hs_norm_sq,
                                     sample_datum)
 from smoothing_lab.weights import make_psi_eps, make_psi_k
@@ -371,6 +372,50 @@ def test_absolute_remainder_diverges_for_even_datum_in_1d():
     f = packet_sum([packet(1.0, 1.0, [0.0])])
     with pytest.raises(ToleranceNotMetError):
         remainder_terms(f, make_psi_eps(1.0), 4.0)
+
+
+# an odd datum, fhat(0) = 0, as the absolute n = 1 remainder needs
+KINK_1D = packet_sum([packet(0.8 + 0.6j, 1.0, [0.5], [0.05]),
+                      packet(-0.8 - 0.6j, 1.0, [-0.5], [-0.05])])
+
+
+def remainder_knots(monkeypatch, f, w, R):
+    """The knots of every whole-line integral remainder_terms runs."""
+    seen = []
+
+    def spy(f, coeffs, horizon, scale, r_max=None):
+        seen.append(coeffs.knots)
+        return 0.0
+
+    monkeypatch.setattr(functionals, "_time_integrated", spy)
+    remainder_terms(f, w, R)
+    return seen
+
+
+@pytest.mark.parametrize("eps", [0.3, 1.0])
+@pytest.mark.parametrize("R", [2.0, 8.0])
+def test_absolute_bilaplacian_is_cut_at_its_kink(monkeypatch, eps, R):
+    # in n = 1, Lap^2 psi_R = psi_R'''' is proportional to 4 r^2 - (R eps)^2,
+    # so |Lap^2 psi_R| has its kink at R eps / 2, which must be a knot; in
+    # n = 3, Lap^2 psi_R < 0 everywhere, and neither term adds a knot
+    w = make_psi_eps(eps)
+    (knots,) = remainder_knots(monkeypatch, KINK_1D, w, R)
+    base = tuple(R * k for k in w.knots)
+    assert knots[:2] == base and len(knots) == 3
+    assert abs(knots[2] - 0.5 * R * eps) <= 4 * np.spacing(0.5 * R * eps)
+    f3 = packet_sum([packet(1.0, 1.0, [0.3, 0.0, 0.0])])
+    assert remainder_knots(monkeypatch, f3, w, R) == [base, base]
+
+
+@pytest.mark.parametrize("R", [2.0, 8.0])
+def test_absolute_bilaplacian_meets_tolerance_across_its_kink(monkeypatch, R):
+    # the lab's tolerance against the same route at 1e-4 of it: a kink
+    # inside a panel defeats the K33 - G16 estimate, and without the kink
+    # as a knot the result is off by 5e-8 (R = 2) and 7e-8 (R = 8)
+    _, got = remainder_terms(KINK_1D, make_psi_eps(1.0), R)
+    monkeypatch.setattr(functionals, "REL_TOL", 1e-4 * REL_TOL)
+    _, tight = remainder_terms(KINK_1D, make_psi_eps(1.0), R)
+    assert abs(got - tight) <= REL_TOL * abs(tight)
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,47 @@ def test_far_off_centre_packet_stays_finite(n):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def direct_line_values(f, t, r, coeffs):
+    """The n = 1 integrand at x = r and x = -r, summed over both rays, from
+    each packet's own exp(-alpha (x - c)^2 + 2 pi i v x): (Q,)."""
+    B, alpha, c, v, _ = (arr[0] for arr in _evolve_times(f, [t]))
+    total = np.zeros(r.shape)
+    for ray in (1.0, -1.0):
+        x = ray * r[:, None]  # (Q, 1) against the packets (m,)
+        vals = B * np.exp(-alpha * (x - c[:, 0]) ** 2 + 2j * np.pi * v[:, 0] * x)
+        u = vals.sum(axis=1)
+        ur = ray * (vals * (-2.0 * alpha * (x - c[:, 0]) + 2j * np.pi * v[:, 0])).sum(axis=1)
+        total += (coeffs.w_mass(r) * np.abs(u) ** 2 + coeffs.w_rr(r) * np.abs(ur) ** 2
+                  + coeffs.w_flux(r) * (np.conj(u) * ur).imag)
+    return total
+
+
+LINE_CASES = {
+    "1 packet": [WavePacket(0.9 - 0.4j, 1.1, [0.3], [0.45])],
+    "odd pair": [WavePacket(1.0, 1.2, [0.5], [0.3]), WavePacket(-1.0, 1.2, [-0.5], [-0.3])],
+    # momenta 12 apart: the phase of packet 1 relative to packet 0 turns
+    # by 2 pi 12 r, about 450 radians at r = 6
+    "far phases": [WavePacket(0.8, 0.9, [0.2], [5.0]), WavePacket(0.6j, 1.3, [-0.4], [-7.0])],
+    # momenta near 40: a phase of about 1500 radians at r = 6 that packets
+    # 0 and 1 share
+    "3 packets": [WavePacket(1.0 + 0.2j, 0.8, [0.6], [40.0]),
+                  WavePacket(-0.5j, 1.5, [-0.3], [38.5]),
+                  WavePacket(0.7, 1.0, [0.1], [-3.0])],
+}
+
+
+@pytest.mark.parametrize("case", list(LINE_CASES))
+def test_line_kernel_matches_direct_sum_of_exponentials(case):
+    # packets taken relative to packet 0's phase leave every quadratic term
+    # as the packets' own complex exponentials give it, at t = 0 and after
+    f = packet_sum(LINE_CASES[case])
+    r = np.linspace(0.0, 6.0, 97)
+    for t in (0.0, 0.37, -1.6):
+        got = on_grid(_shell_values, geometry(f, [t]), r, *_sphere_rule(1, 0), ALL_TERMS)[0]
+        ref = direct_line_values(f, t, r, ALL_TERMS)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), t
+
+
 def test_moment_kernel_rejects_frequencies_past_bessel_range():
     # a pair whose momenta differ by 3e8 has |z| near 2e9 at r = 1; the
     # complex Bessel functions return NaN there, the kernel must not

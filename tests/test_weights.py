@@ -1,9 +1,11 @@
 """Weight families: closed forms, derivative stacks, hypothesis gates."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from scipy.integrate import quad
 
 from smoothing_lab.errors import (InvalidParameterError, InvalidWeightError,
@@ -210,6 +212,60 @@ def test_radial_laplacians_against_finite_differences():
                 + (n - 1) * (lap_profile(r0 + h) - lap_profile(r0 - h)) / (2 * h * r0)
             )
             assert bilap[0] == pytest.approx(fd_bilap, rel=1e-4, abs=1e-9)
+
+
+LAPLACIAN_WEIGHTS = [make_psi_eps(0.8), make_psi_k(2), rescale(make_psi_k(1), 4.0)]
+
+
+@pytest.mark.parametrize("w", LAPLACIAN_WEIGHTS, ids=lambda w: w.label)
+def test_radial_laplacians_read_only_what_the_dimension_needs(w):
+    # n = 1 returns (psi'', psi'''') bit for bit and never calls d1 or d3
+    calls = []
+
+    def spy(j):
+        inner = getattr(w, f"d{j}")
+
+        def dj(r):
+            calls.append(j)
+            return inner(r)
+        return dj
+
+    watched = dataclasses.replace(w, d1=spy(1), d3=spy(3))
+    r = np.geomspace(0.01, 40.0, 301)
+    lap, bilap = radial_laplacians(watched, r, 1)
+    np.testing.assert_array_equal(lap, w.d2(r))
+    np.testing.assert_array_equal(bilap, w.d4(r))
+    assert calls == []
+    # n = 2, 3: the full formulas, every term included
+    d1, d2, d3, d4 = (getattr(w, f"d{j}")(r) for j in range(1, 5))
+    for n in (2, 3):
+        lap, bilap = radial_laplacians(watched, r, n)
+        np.testing.assert_array_equal(lap, d2 + (n - 1) * d1 / r)
+        np.testing.assert_array_equal(
+            bilap, d4 + 2.0 * (n - 1) * d3 / r + (n - 1) * (n - 3) * (d2 - d1 / r) / r**2)
+
+
+def test_trimmed_bump_tables_match_untrimmed_series():
+    # the untrimmed tables, rebuilt: q interpolated at degree _DEGREE on
+    # each panel, integrated twice, each panel's constant chained on
+    P = weights._PANELS
+    half = 0.5 / P
+    coef = np.stack([chebyshev.chebinterpolate(
+        lambda x, m=m: bump_transition(m + half * x), weights._DEGREE)
+        for m in (np.arange(P) + 0.5) / P], axis=1)
+    tables = []
+    for _ in range(2):
+        coef = chebyshev.chebint(coef, lbnd=-1.0, scl=half)
+        coef[0] += np.concatenate([[0.0], np.cumsum(chebyshev.chebval(1.0, coef))[:-1]])
+        tables.append(coef)
+    tab = weights._BUMP_TABLES
+    assert tab.Q_coef.shape[0] < 16 and tab.Q2_coef.shape[0] < 16
+    s = np.linspace(0.0, 1.0, 20001)
+    for trimmed, full, total in ((tab.Q_coef, tables[0], tab.q_total),
+                                 (tab.Q2_coef, tables[1], tab.Q2_total)):
+        assert full.shape[0] > 40
+        gap = np.abs(tab._eval(trimmed, s) - tab._eval(full, s))
+        assert gap.max() <= 2 * np.spacing(total)
 
 
 def test_radial_laplacians_origin_guard():

@@ -33,6 +33,12 @@ module's `fft` for a counting proxy:
     grid_transforms          n-D transforms of the grid path: calls of
                              fftn and ifftn through the spectral module
     grid_transform_points    grid points over those transforms
+    per_task                 kernel_calls and kernel_state_radii again,
+                             split by the task of the pass (a verify_*
+                             call, or an experiment section of cli-mix)
+                             that the pass's Timer was timing when the
+                             kernel ran, so that a change of the totals
+                             can be traced to the tasks it sits in
 
 Every state has its own radial panel set, so the panel counts are per
 state; a checkout whose states share panel sets in groups counts them per
@@ -62,6 +68,7 @@ medians, and the work counts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import subprocess
@@ -124,6 +131,20 @@ def count_work(workload: str, seed: int) -> dict:
         "kernel_calls", "kernel_state_radii", "radial_panel_sweeps",
         "radial_panels_evaluated", "radial_panels_accepted",
         "grid_transforms", "grid_transform_points"), 0))
+    tasks = []  # the task the timer is timing, innermost last
+    per_task = {}
+
+    class TaskTimer(run.Timer):
+        """The pass's timer, which also names the task it is timing."""
+
+        @contextlib.contextmanager
+        def __call__(self, name):
+            tasks.append(name)
+            try:
+                with super().__call__(name):
+                    yield
+            finally:
+                tasks.pop()
 
     def wrap(name, note):
         """Rebind quadrature.<name> in every module that imported it."""
@@ -140,8 +161,11 @@ def count_work(workload: str, seed: int) -> dict:
 
     def kernel(args, result):
         geom, r = args[0], np.asarray(args[1])
-        counts["kernel_calls"] += 1
-        counts["kernel_state_radii"] += r.size if r.ndim == 2 else len(geom.B) * r.size
+        radii = r.size if r.ndim == 2 else len(geom.B) * r.size
+        tallies = [counts] + ([per_task.setdefault(tasks[-1], Counter())] if tasks else [])
+        for tally in tallies:
+            tally["kernel_calls"] += 1
+            tally["kernel_state_radii"] += radii
 
     def sweep(args, result):
         # args[1], the panel edges a or the panels' states rows, is (P,)
@@ -176,11 +200,12 @@ def count_work(workload: str, seed: int) -> dict:
     wl = run.build(lab, workload, seed)
     try:
         wall, cpu = time.perf_counter(), time.process_time()
-        wl.run_pass(run.Timer())
+        wl.run_pass(TaskTimer())
         wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
     finally:
         wl.close()
-    return {**counts, "cpu_over_wall": cpu / wall}
+    return {**counts, "cpu_over_wall": cpu / wall,
+            "per_task": {task: dict(tally) for task, tally in per_task.items()}}
 
 
 def work(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
