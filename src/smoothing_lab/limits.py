@@ -3,9 +3,13 @@
 Convergence rates in the horizon T and the radius R are not known a
 priori, so the extrapolator fits a constant-plus-power model
 v(p) = L + c p^(-alpha) with the exponent a free parameter, seeded from
-the increment ratio of the last three points.  A non-monotone tail is
-flagged as non-convergent rather than extrapolated, and reported by its
-final value with the last increment as the error bar.
+the increment ratio of the last three points.  The fit is a variable
+projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 1973): at fixed
+alpha, L and c are linear and have a closed-form least-squares solution,
+so the fit searches the one variable log alpha, and solves it to
+roundoff.  A non-monotone tail is flagged as non-convergent rather than
+extrapolated, and reported by its final value with the last increment as
+the error bar.
 
 The verify_* drivers run one experiment each and return a
 VerificationReport; they are the layer the harness schedules.  Each
@@ -16,11 +20,10 @@ harness.REGISTRY.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import InvalidParameterError
 from .functionals import (boundary_term, dispersive_l2_error, flux,
@@ -35,6 +38,8 @@ from .weights import make_psi_k, rescale
 TWO_PI = 2.0 * np.pi
 # the power model has three parameters, so a fit needs three points
 _FIT_POINTS = 3
+# the fitted exponent alpha stays in these bounds
+_ALPHA_BOUNDS = (0.05, 20.0)
 # smoothing-bound: the profile must stay above this fraction of
 # 2 pi ||f||^2_{H^1/2} from some schedule radius onward
 _LIMINF_FRACTION = 0.9
@@ -72,20 +77,83 @@ class LimitEstimate:
     note: str = ""
 
 
-def _power_model(p, L, c, alpha):
-    return L + c * np.power(p, -alpha)
+def _projected_fit(p, v, alpha: float):
+    """(L, c, residuals v - L - c q, q) of the least-squares fit of
+    L + c q to v with q = p^(-alpha) at a fixed alpha, in closed form; the
+    sums run on values centred at their means, which keeps the residuals
+    clear of the cancellation of v against L."""
+    q = np.power(p, -alpha)
+    q_mean, v_mean = q.sum() / len(q), v.sum() / len(v)
+    dq, dv = q - q_mean, v - v_mean
+    c = float((dq @ dv) / (dq @ dq))
+    return float(v_mean - c * q_mean), c, dv - c * dq, q
+
+
+def _fit_exponent(p, v, alpha0: float) -> float:
+    """The exponent alpha in _ALPHA_BOUNDS of the least-squares fit of
+    v = L + c p^(-alpha), the local minimum of the residual sum of squares
+    that lies downhill of alpha0.
+
+    With L and c at their optimum for each alpha, d(RSS)/d(alpha) is
+    2 c sum_i r_i q_i log p_i (the variable projection).  From alpha0 the
+    search steps downhill in x = log alpha, doubling its step, until that
+    slope changes sign or a bound is reached, and then closes the bracket
+    by false position until it is 2 eps wide in x, so to roundoff in
+    alpha.
+    """
+    logp = np.log(p)
+
+    def slope(x):
+        _, c, r, q = _projected_fit(p, v, math.exp(x))
+        return c * float(r @ (q * logp))
+
+    lo, hi = (math.log(b) for b in _ALPHA_BOUNDS)
+    a = math.log(alpha0)
+    ga = slope(a)
+    if ga == 0.0:
+        return alpha0
+    step = 0.125 if ga < 0.0 else -0.125
+    while True:
+        b = min(max(a + step, lo), hi)
+        gb = slope(b)
+        if gb == 0.0 or (gb > 0.0) != (ga > 0.0):
+            break
+        if b in (lo, hi):
+            return math.exp(b)  # the residual falls all the way to the bound
+        a, ga, step = b, gb, 2.0 * step
+    # a and b bracket the sign change, ga and gb of opposite signs: false
+    # position with the Illinois rule, which halves the slope of an end
+    # kept twice running, and bisection where a step would leave (a, b)
+    kept = 0
+    while gb != 0.0 and abs(b - a) > 2.0 * np.finfo(float).eps:
+        x = (a * gb - b * ga) / (gb - ga)
+        if not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
+        gx = slope(x)
+        if gx != 0.0 and (gx > 0.0) == (ga > 0.0):
+            a, ga = x, gx
+            gb, kept = (0.5 * gb if kept == 1 else gb), 1
+        else:
+            b, gb = x, gx
+            ga, kept = (0.5 * ga if kept == -1 else ga), -1
+    return math.exp(b)
 
 
 def estimate_limit(values) -> LimitEstimate:
     """Extrapolate an ordered (parameter, value) schedule to its limit.
 
-    Fits v = L + c p^(-alpha) over the tail (up to the last 5 points).  A
-    tail whose increments alternate in sign above the noise floor, or a
-    schedule with a value that is not finite, is reported as
-    non-convergent with the final value and the last increment as the
-    error bar, never as a fitted limit.  Raises InvalidParameterError for
-    fewer than _FIT_POINTS points, or parameters that are not finite or do
-    not strictly increase.
+    Fits v = L + c p^(-alpha) over the tail (up to the last 5 points) by
+    _fit_exponent.  The error bar is the larger of the fit's rms residual
+    and the standard error of L, from the covariance inv(J^T J) RSS/(m - 3)
+    of the m tail points with the Jacobian J at the optimum; three points
+    fix the model exactly, and then the last increment stands in for the
+    standard error.  A tail whose increments alternate in sign above the
+    noise floor, or a schedule with a value that is not finite, is
+    reported as non-convergent with the final value and the last
+    increment as the error bar, never as a fitted limit, and so is a fit
+    that comes out not finite.  Raises InvalidParameterError for fewer
+    than _FIT_POINTS points, or parameters that are not finite or do not
+    strictly increase.
     """
     pts = [(float(p), float(v)) for p, v in values]
     if len(pts) < _FIT_POINTS:
@@ -124,34 +192,25 @@ def estimate_limit(values) -> LimitEstimate:
     g = params[-1] / params[-2]
     if g > 1.0 and d1 * d2 > 0 and abs(d2) > 0:
         alpha0 = float(np.clip(np.log(abs(d1 / d2)) / np.log(g), 0.1, 10.0))
-    denom = params[-2] ** (-alpha0) - params[-1] ** (-alpha0)
-    c0 = d2 / denom if denom != 0 else 0.0
-    L0 = vals[-1] - c0 * params[-1] ** (-alpha0)
 
-    try:
-        with warnings.catch_warnings():
-            # a 3-point fit has no degrees of freedom: pcov comes back inf
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, pcov = curve_fit(
-                _power_model, p_t, v_t,
-                p0=[L0, c0, alpha0],
-                bounds=([-np.inf, -np.inf, 0.05], [np.inf, np.inf, 20.0]),
-                maxfev=20000,
-            )
-    except (RuntimeError, ValueError) as exc:
-        return LimitEstimate(
-            vals[-1], float(np.abs(incs[-1])), False, f"fit failure: {exc}"
-        )
-    resid = _power_model(p_t, *popt) - v_t
+    with np.errstate(all="ignore"):
+        alpha = _fit_exponent(p_t, v_t, alpha0)
+        L, c, resid, q = _projected_fit(p_t, v_t, alpha)
+        jac = np.column_stack([np.ones(m), q, -c * q * np.log(p_t)])
+    if not (np.isfinite(L) and np.all(np.isfinite(jac))):
+        return LimitEstimate(vals[-1], float(np.abs(incs[-1])), False,
+                             "fit failure: the power fit is not finite")
     rms = float(np.sqrt(np.mean(resid**2)))
-    note = f"power fit alpha={popt[2]:.3g}"
-    if np.isfinite(pcov[0, 0]):
-        perr = float(np.sqrt(pcov[0, 0]))
+    note = f"power fit alpha={alpha:.3g}"
+    if m > _FIT_POINTS:
+        # row 0 of the pseudo-inverse of J: inv(J^T J)[0, 0] is its norm squared
+        row = np.linalg.pinv(jac, rcond=np.finfo(float).eps * m)[0]
+        perr = float(np.sqrt(row @ row * (resid @ resid) / (m - _FIT_POINTS)))
     else:
         # an exact fit's rms says nothing about the limit's error
         perr = float(np.abs(incs[-1]))
         note += ", covariance not estimated"
-    return LimitEstimate(float(popt[0]), max(rms, perr), True, note)
+    return LimitEstimate(L, max(rms, perr), True, note)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +235,8 @@ def verify_identity(f: WavePacketSum, w: RadialWeight, T_schedule,
     """
     Ts = _points("identity", T_schedule)
     floor = hs_norm_sq(f, 0.5)
-    lhs = np.array([morawetz_lhs(f, w, T) for T in Ts])
-    rhs = np.array([boundary_term(f, w, T) for T in Ts])
+    lhs = morawetz_lhs(f, w, Ts)
+    rhs = boundary_term(f, w, Ts)
     rel = relative_residual(lhs, rhs, floor)
     return VerificationReport(
         experiment="identity", n=f.n, weight_id=w.label,
@@ -194,7 +253,7 @@ def verify_theorem_main(f: WavePacketSum, w: RadialWeight, T_schedule,
     Ts = _points("theorem-limit", T_schedule)
     floor = hs_norm_sq(f, 0.5)
     target = TWO_PI * w.slope_inf * floor
-    lhs = np.array([morawetz_lhs(f, w, T) for T in Ts])
+    lhs = morawetz_lhs(f, w, Ts)
     est, passed = _limit_verdict(Ts, lhs, target, floor, tolerance)
     return VerificationReport(
         experiment="theorem-limit", n=f.n, weight_id=w.label,
@@ -216,13 +275,10 @@ def verify_corollary(f: WavePacketSum, R_schedule,
     Rs = _points("corollary-limit", R_schedule)
     floor = hs_norm_sq(f, 0.5)
     target = TWO_PI * floor
-    lhs = np.array([radial_profile(f, R) for R in Rs])
-    if f.n == 1:
-        # no tangential directions on the line: skip a whole-line integral
-        # per radius that would repeat lhs
-        smoothing = lhs.copy()
-    else:
-        smoothing = np.array([smoothing_profile(f, R) for R in Rs])
+    lhs = radial_profile(f, Rs)
+    # no tangential directions on the line: skip a whole-line integral that
+    # would repeat lhs
+    smoothing = lhs.copy() if f.n == 1 else smoothing_profile(f, Rs)
     est, limit_ok = _limit_verdict(Rs, lhs, target, floor, tolerance)
     sup_ok = bool(smoothing.max() >= (1.0 - tolerance) * target)
     return VerificationReport(
@@ -247,12 +303,11 @@ def verify_flux(f: WavePacketSum, w: RadialWeight, t_schedule,
         raise InvalidParameterError("flux schedule must list positive times")
     floor = hs_norm_sq(f, 0.5)
     target = TWO_PI * w.slope_inf * floor
-    plus = np.array([flux(f, w, t) for t in ts])
-    minus = np.array([flux(f, w, -t) for t in ts])
+    params = np.concatenate([[-t for t in ts[::-1]], ts])
+    lhs = flux(f, w, params)  # every time in one batch
+    plus, minus = lhs[len(ts):], lhs[:len(ts)][::-1]
     est_p, ok_p = _limit_verdict(ts, plus, target, floor, tolerance)
     est_m, ok_m = _limit_verdict(ts, minus, -target, floor, tolerance)
-    params = np.concatenate([[-t for t in ts[::-1]], ts])
-    lhs = np.concatenate([minus[::-1], plus])
     rhs = np.concatenate([np.full(len(ts), -target), np.full(len(ts), target)])
     return VerificationReport(
         experiment="flux-limit", n=f.n, weight_id=w.label,
@@ -281,16 +336,12 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
     outer = (k + 1.0) / k
     floor = hs_norm_sq(f, 0.5)
 
-    profile_cache: dict = {}
-
-    def prof(R: float) -> float:
-        if R not in profile_cache:
-            profile_cache[R] = radial_profile(f, R)
-        return profile_cache[R]
-
-    low = np.array([prof(R) for R in Rs])
+    # the profile at every R and (k+1)R/k as one schedule
+    radii = np.unique(np.concatenate([Rs, outer * np.array(Rs)]))
+    profile = radial_profile(f, radii)
+    low = profile[np.searchsorted(radii, Rs)]
     mid = np.array([weighted_radial_energy(f, rescale(w, R)) for R in Rs])
-    high = np.array([outer * prof(outer * R) for R in Rs])
+    high = outer * profile[np.searchsorted(radii, outer * np.array(Rs))]
 
     mag = max(float(np.max(np.abs(high))), floor)
     slack = 10.0 * REL_TOL * mag
@@ -333,7 +384,7 @@ def verify_asymptotics(f: WavePacketSum, t_schedule,
     """
     ts = _points("asymptotics", t_schedule)
     floor = hs_norm_sq(f, 0.5)
-    errs = np.array([dispersive_l2_error(f, t) for t in ts])
+    errs = dispersive_l2_error(f, ts)
     passed = bool(errs[0] == 0.0
                   or (np.all(np.diff(errs) < 0) and errs[-1] <= final_ratio * errs[0]))
     return VerificationReport(
@@ -358,7 +409,7 @@ def verify_smoothing_bound(f: WavePacketSum, R_schedule,
     Rs = _points("smoothing-bound", R_schedule)
     floor = hs_norm_sq(f, 0.5)
     target = TWO_PI * floor
-    vals = np.array([smoothing_profile(f, R) for R in Rs])
+    vals = smoothing_profile(f, Rs)
     sup_ok = bool(vals.max() >= (1.0 - tolerance) * target)
     threshold_R = float("nan")
     for i in range(len(Rs)):
@@ -388,9 +439,7 @@ def verify_remainder_decay(f: WavePacketSum, w_base: RadialWeight, R_schedule,
     """
     Rs = _points("remainder-decay", R_schedule)
     floor = hs_norm_sq(f, 0.5)
-    pairs = [remainder_terms(f, w_base, R) for R in Rs]
-    tans = np.array([p[0] for p in pairs])
-    bils = np.array([p[1] for p in pairs])
+    tans, bils = remainder_terms(f, w_base, Rs)
     # a series that starts at roundoff level (the tangential term of a
     # radially symmetric datum) is absent, not a failure to decay
     absent = REL_TOL * floor

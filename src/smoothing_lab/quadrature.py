@@ -40,26 +40,33 @@ reference the tests hold the closed forms against.
 
 One refinement loop serves both layers: each panel belongs to one
 component of the result, a state of the radial layer or the one time
-integral of the time layer, and the loop refines in rounds until every
-component meets its own target.  Each round splits, in every component
-over its target, the fewest of its worst panels that leave at most half
-of that target on the others, as scipy.integrate.quad_vec does, and
-hands its panel rule the sweep of all their halves.
+integral of the time layer, and carries one value and one error per
+column of that component.  A column is one point of a schedule that
+shares the component's panels: a ball radius R_j, whose column sums the
+panels inside R_j, or a horizon T_j, whose column is the integrand times
+the indicator of [-T_j, T_j].  The panels are cut at every R_j or +-T_j,
+so no panel straddles one and each column is exactly its own integral.
+The loop refines in rounds until every column meets its own target.
+Each round splits, in every column over its target, the fewest of its
+worst panels that leave at most half of that target on the others, as
+scipy.integrate.quad_vec does, and hands its panel rule the sweep of the
+halves of all the panels any column picked.
 One sweep routine, _kronrod_sweep, serves both layers: it calls the
 integrand once on the nodes of every panel of the sweep and takes the
 distance of a Gauss-Kronrod rule to its embedded Gauss value as the
 error estimate (Kronrod 1965): K33 over G16 on a radial panel, whose 33
 radii include the 16 Gauss radii (Laurie, Math. Comp. 66, 1997), and
 K21 over G10 on a time panel (QUADPACK qk21).  The time integrals take
-a vectorised integrand, which maps an array of times to an array of
-values, as scipy.integrate.fixed_quad calls its function, and is called
-once per refinement round on the 21 nodes of each panel of that round's
-sweep.  Infinite horizons run through the substitution t = s/(1 - s^2).
+a vectorised integrand, which maps an array of k times to an array of
+values, (k,) or (k, J) for J columns, as scipy.integrate.fixed_quad
+calls its function, and is called once per refinement round on the 21
+nodes of each panel of that round's sweep.  Their initial panels are cut
+at the breakpoints the caller gives, as scipy.integrate.quad takes its
+points.  Infinite horizons run through the substitution t = s/(1 - s^2).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -477,16 +484,19 @@ def _moment_values(geom: _StateGeometry, r: np.ndarray,
 
 def _kronrod_sweep(rule, a, b, integrand):
     """(Kronrod value, |Kronrod - Gauss value|) on each panel [a_p, b_p] of
-    a sweep, a and b being edge arrays of shape (P,): both of shape (P,).
+    a sweep, a and b being edge arrays of shape (P,): both of shape (P,),
+    or (P, J) for an integrand of J columns.
 
     rule is a (nodes, Kronrod weights, Gauss weights) triple of
     _gauss_kronrod, Gauss nodes first.  integrand is called once, on the
-    (P, K) nodes of every panel, and returns their values as (P, K).
+    (P, K) nodes of every panel, and returns their values as (P, K), or
+    as (P, J, K) for J columns.
     """
     nodes, wk, wg = rule
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     values = integrand(mid[:, None] + half[:, None] * nodes)
-    coarse = half * (values[:, :len(wg)] * wg).sum(axis=-1)
+    half = half.reshape(half.shape + (1,) * (values.ndim - 2))
+    coarse = half * (values[..., :len(wg)] * wg).sum(axis=-1)
     fine = half * (values * wk).sum(axis=-1)
     return fine, np.abs(fine - coarse)
 
@@ -509,54 +519,75 @@ def _panel_value(geom, rows, a, b, coeffs):
 
 
 def _adaptive(panel, rows, a, b, rel_tol, floor):
-    """Refinement of C integrals in rounds of batched splits.
+    """Refinement of C integrals of J columns each in rounds of batched splits.
 
     The panels [a_p, b_p] are kept as flat arrays (P,), and panel p
     belongs to component rows[p] < C.  panel(rows, a, b) evaluates a sweep
-    of panels and returns their (values, errors), both of shape (P,).
-    Component c meets its target when the sum of its errors is at most
-    rel_tol * max(|value_c|, floor_c), floor_c being |floor[c]| if nonzero,
-    else the component's first total.  All initial panels go to one call.
-    Each round splits, in every component over its target, the fewest of
-    its worst panels that leave at most _KEEP of that target on the rest,
-    and sends the halves of all of them to one more call, as
-    scipy.integrate.quad_vec does.  Returns (values, errors, panels) with
-    values and errors of shape (C,); raises ToleranceNotMetError for the
-    worst component when a round would take a component past _MAX_PANELS
-    or split a panel under 2^-40 of its component's interval.
+    of panels and returns their (values, errors), both of shape (P,) for
+    one column, or (P, J): one value and one error per column.  Column j
+    of component c meets its target when the sum of its errors is at most
+    rel_tol * max(|value_cj|, floor_cj); floor is (C,) or (C, J), and
+    floor_cj is its magnitude if nonzero, else the column's first total.
+    All initial panels go to one call.  Each round splits, in every column
+    over its target, the fewest of its component's worst panels, by that
+    column's errors, that leave at most _KEEP of the target on the rest,
+    and sends the halves of every panel some column picked to one more
+    call, as scipy.integrate.quad_vec does.  Returns (values, errors,
+    panels) with values and errors of shape (C,), or (C, J) as panel
+    gives them; raises ToleranceNotMetError for the worst column when a
+    round would take a component past _MAX_PANELS or split a panel under
+    2^-40 of its component's interval.
     """
     count = len(floor)
     values, errors = panel(rows, a, b)
+    shape = (count,) + values.shape[1:]
+    width = values.size // len(a)  # the columns J
+    values, errors = values.reshape(-1, width), errors.reshape(-1, width)
     length = np.bincount(rows, b - a, count)
-    floor = np.abs(np.where(floor, floor, np.bincount(rows, values, count)))
+
+    def columns():  # the flat index c * J + j of each value's column
+        return (rows[:, None] * width + np.arange(width)).ravel()
+
+    def totals(x):  # (P, J) panel values -> (C, J) column sums
+        return np.bincount(col, x.ravel(), count * width).reshape(count, width)
+
+    col = columns()
+    floor = np.asarray(floor, dtype=float).reshape(count, -1)
+    floor = np.abs(np.where(floor, floor, totals(values)))
     while True:
-        value, err = np.bincount(rows, values, count), np.bincount(rows, errors, count)
+        value, err = totals(values), totals(errors)
         target = np.maximum(rel_tol * np.maximum(np.abs(value), floor), 1e-300)
         if np.all(err <= target):
-            return value, err, len(a)
-        # each component's panels, worst first, and the rank of each there
-        order = np.lexsort((-errors, rows))
-        owner = rows[order]
+            return value.reshape(shape), err.reshape(shape), len(a)
+        # each column's panels, worst first, and the rank of each there
+        flat = errors.ravel()
+        order = np.lexsort((-flat, col))
+        owner = col[order]
         rank = np.arange(len(order)) - np.searchsorted(owner, owner)
-        # left[c, k]: the error left on c's panels after its k worst
-        left = np.zeros((count, rank.max() + 2))
-        left[owner, rank] = errors[order]
+        # left[k, i]: the error left on column k's panels after its i worst
+        left = np.zeros((count * width, rank.max() + 2))
+        left[owner, rank] = flat[order]
         left = np.cumsum(left[:, ::-1], axis=1)[:, ::-1]
-        take = np.where(err > target, 1 + np.count_nonzero(
-            left[:, 1:] > _KEEP * target[:, None], axis=1), 0)
+        goal = target.ravel()
+        take = np.where(err.ravel() > goal, 1 + np.count_nonzero(
+            left[:, 1:] > _KEEP * goal[:, None], axis=1), 0)
         split = np.zeros(len(a), dtype=bool)
-        split[order[rank < take[owner]]] = True
-        if np.any(np.bincount(rows, minlength=count) + take > _MAX_PANELS) \
+        split[order[rank < take[owner]] // width] = True
+        if np.any(np.bincount(rows, minlength=count)
+                  + np.bincount(rows[split], minlength=count) > _MAX_PANELS) \
                 or np.any((b - a)[split] < 2.0**-40 * length[rows[split]]):
-            c = int(np.argmax(err / target))
+            c = np.unravel_index(np.argmax(err / target), err.shape)
             raise ToleranceNotMetError(float(value[c]), float(err[c]),
                                        float(target[c]))
         mid = 0.5 * (a[split] + b[split])
         halves = (np.tile(rows[split], 2), np.concatenate([a[split], mid]),
                   np.concatenate([mid, b[split]]))
+        new_values, new_errors = panel(*halves)
         rows, a, b, values, errors = (
             np.concatenate([old[~split], new]) for old, new in
-            zip((rows, a, b, values, errors), halves + panel(*halves)))
+            zip((rows, a, b, values, errors),
+                halves + (new_values.reshape(-1, width), new_errors.reshape(-1, width))))
+        col = columns()
 
 
 def _initial_panels(geom, knots, reach):
@@ -585,41 +616,67 @@ def _initial_panels(geom, knots, reach):
     return rows, a, b
 
 
-def shell_integrals(batch, coeffs: ShellCoefficients,
-                    r_max: float | None = None, scales=None,
+def shell_integrals(batch, coeffs: ShellCoefficients, radii=None, scales=None,
                     rel_tol: float = REL_TOL):
     """Integrate the shell integrand of each of a batch of states.
 
     batch is the tuple (B, alpha, c, v, t) of the states' packet arrays,
     stacked one row per state, as _StateGeometry takes them.  Each state's
-    integral runs over r in [0, r_max] (r_max > 0) or its own envelope, the
-    radius past which the relative tail mass is below _TAU_SPACE, whichever
-    is shorter, and is refined until it meets its own target
-    rel_tol * max(|value|, scale); a missing scale is the state's first
-    total.  Every state has its own radial panel set, from _initial_panels,
-    and all the sets refine in the same rounds of _adaptive, one kernel
-    call per round.  Returns (values, info), one value per state, where
-    info carries the error estimates and the number of panels of all the
-    sets.  Raises InvalidParameterError unless r_max > 0 (inf means no
-    cut-off), and ToleranceNotMetError when a state's panel set runs out
-    of its _MAX_PANELS budget.
+    integral runs over r in [0, its own envelope], the radius past which
+    the relative tail mass is below _TAU_SPACE, and is refined until it
+    meets its own target rel_tol * max(|value|, scale); a missing scale is
+    the state's first total.  Every state has its own radial panel set,
+    from _initial_panels, and all the sets refine in the same rounds of
+    _adaptive, one kernel call per round.  Returns (values, info), one
+    value per state, where info carries the error estimates and the
+    number of panels of all the sets.
+
+    radii, a strictly increasing array (J,) of ball radii R_j > 0 (inf is
+    no cut-off), gives each state J columns: column j integrates over
+    [0, R_j], or the envelope if that is shorter.  The state's panel set
+    then runs to min(envelope, R_J) and is cut at every R_j, column j
+    sums the panels inside R_j, and each column meets its own target, with
+    scales (T,) or (T, J).  Values and errors are then (T, J).  Raises
+    InvalidParameterError for other radii, and ToleranceNotMetError when a
+    state's panel set runs out of its _MAX_PANELS budget.
     """
-    if r_max is not None and not r_max > 0.0:
-        raise InvalidParameterError(f"r_max must be positive, got {r_max}")
+    if radii is not None:
+        radii = np.asarray(radii, dtype=float)
+        if radii.ndim != 1 or not radii.size or not np.all(radii > 0.0) \
+                or np.any(np.diff(radii) <= 0.0):
+            raise InvalidParameterError(
+                f"radii must be positive and strictly increase, got {radii}")
     geom = _StateGeometry(*batch)
     if geom.n > 3:
         raise InvalidParameterError("shell quadrature supports n <= 3")
     count = len(geom.t)
+    shape = (count,) if radii is None else (count, len(radii))
     if not (geom.m and geom.peak_max.any()):
-        return np.zeros(count), {"abs_error": np.zeros(count), "panels": 0}
-    reach = geom.support_radii(_TAU_SPACE)
-    if r_max is not None:
-        reach = np.minimum(reach, r_max)
+        return np.zeros(shape), {"abs_error": np.zeros(shape), "panels": 0}
+    reach, knots = geom.support_radii(_TAU_SPACE), coeffs.knots
+    if radii is not None:
+        reach = np.minimum(reach, radii[-1])
+        knots = (*knots, *radii)
+
+    def panel(rows, a, b):
+        value_error = _panel_value(geom, rows, a, b, coeffs)
+        if radii is None:
+            return value_error
+        inside = b[:, None] <= radii  # no panel straddles an R_j
+        return tuple(np.where(inside, x[:, None], 0.0) for x in value_error)
+
     values, errors, panels = _adaptive(
-        lambda rows, a, b: _panel_value(geom, rows, a, b, coeffs),
-        *_initial_panels(geom, coeffs.knots, reach), rel_tol,
+        panel, *_initial_panels(geom, knots, reach), rel_tol,
         np.zeros(count) if scales is None else np.asarray(scales, dtype=float))
     return values, {"abs_error": errors, "panels": panels}
+
+
+def _states_batch(states):
+    """The batch (B, alpha, c, v, t) of states with equal packet counts,
+    their packet arrays stacked one row per state, for shell_integrals."""
+    return tuple(np.stack([getattr(st, name) for st in states])
+                 for name in ("B", "alpha", "c", "v")) + (
+        np.array([st.t for st in states]),)
 
 
 def shell_integral(state, coeffs: ShellCoefficients,
@@ -631,9 +688,7 @@ def shell_integral(state, coeffs: ShellCoefficients,
     info carries the error estimate and panel count.  Raises
     ToleranceNotMetError when the panel budget runs out.
     """
-    batch = (state.B[None], state.alpha[None], state.c[None], state.v[None],
-             np.array([state.t]))
-    values, info = shell_integrals(batch, coeffs,
+    values, info = shell_integrals(_states_batch([state]), coeffs,
                                    scales=None if scale is None else [scale])
     return float(values[0]), {"abs_error": float(info["abs_error"][0]),
                               "panels": info["panels"]}
@@ -644,39 +699,56 @@ def shell_integral(state, coeffs: ShellCoefficients,
 # ---------------------------------------------------------------------------
 
 def adaptive_time_integral(fn, a: float, b: float, rel_tol: float,
-                           scale: float, panels: int = 2):
+                           scale, points=()):
     """(int_a^b fn(t) dt, error estimate) by K21 panels, each with
     |K21 - G10| as its error, through _kronrod_sweep.
 
-    fn maps a 1-D array of k times to its values there, shape (k,), and is
-    called once per refinement round on the 21 nodes of each panel of that
-    round's sweep: 21 * panels nodes first, then 42 per panel split.  The
-    absolute target is rel_tol * max(|total|, |scale|): the scale floor
-    keeps near-cancelling integrals from demanding impossible relative
-    accuracy.  Raises InvalidParameterError before any call unless a and b
-    are finite, and when fn returns another shape; ToleranceNotMetError
-    when the _MAX_PANELS budget runs out.
+    fn maps a 1-D array of k times to its values there, shape (k,), or
+    (k, J) for J columns, each integrated on its own, and is called once
+    per refinement round on the 21 nodes of each panel of that round's
+    sweep: 21 per initial panel first, then 42 per panel split.  The
+    initial panels are [a, b] cut at points, breakpoints that strictly
+    increase inside (a, b), as scipy.integrate.quad takes its points.
+    Each column's absolute target is rel_tol * max(|total|, |scale|),
+    scale being a float or one per column: the scale floor keeps
+    near-cancelling integrals from demanding impossible relative accuracy.
+    Returns floats for an fn of shape (k,), arrays (J,) for (k, J).
+    Raises InvalidParameterError before any call unless a, b and the
+    points are finite and increase, and when fn returns another shape;
+    ToleranceNotMetError when the _MAX_PANELS budget runs out.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InvalidParameterError(f"time bounds must be finite, got [{a}, {b}]")
+    edges = np.array([a, *points, b], dtype=float)
+    if not np.all(np.isfinite(edges)):
+        raise InvalidParameterError(f"time bounds must be finite, got [{a}, {b}] "
+                                    f"with breakpoints {list(points)}")
+    if np.any(np.diff(edges) <= 0.0):
+        raise InvalidParameterError(f"breakpoints {list(points)} must strictly "
+                                    f"increase inside [{a}, {b}]")
 
-    def integrand(t):  # (P, 21) nodes -> (P, 21)
-        return _time_values(fn, t.ravel()).reshape(t.shape)
+    def integrand(t):  # (P, 21) nodes -> (P, 21), or (P, J, 21)
+        values = _time_values(fn, t.ravel())
+        if values.ndim == 1:
+            return values.reshape(t.shape)
+        return np.ascontiguousarray(
+            values.reshape(t.shape + values.shape[1:]).transpose(0, 2, 1))
 
-    edges = np.linspace(a, b, panels + 1)
     value, err, _ = _adaptive(
         lambda _, lo, hi: _kronrod_sweep(_GK21, lo, hi, integrand),
-        np.zeros(panels, dtype=int), edges[:-1], edges[1:], rel_tol,
-        np.array([scale], dtype=float))
-    return float(value[0]), float(err[0])
+        np.zeros(len(edges) - 1, dtype=int), edges[:-1], edges[1:], rel_tol,
+        np.asarray(scale, dtype=float).reshape(1, -1))
+    if value.ndim == 1:
+        return float(value[0]), float(err[0])
+    return value[0], err[0]
 
 
 def _time_values(fn, t):
-    """fn at the 1-D times t; InvalidParameterError unless of their shape."""
+    """fn at the 1-D times t; InvalidParameterError unless of shape (k,) or
+    (k, J) for the k times."""
     values = np.asarray(fn(t), dtype=float)
-    if values.shape != t.shape:
-        raise InvalidParameterError(f"the time integrand fn must return shape (k,) "
-                                    f"for k times, got {values.shape} for {t.size}")
+    if values.ndim not in (1, 2) or values.shape[0] != t.size:
+        raise InvalidParameterError(
+            f"the time integrand fn must return shape (k,) or (k, J) for k "
+            f"times, got {values.shape} for {t.size}")
     return values
 
 
@@ -693,8 +765,10 @@ def _on_compact_line(fn):
         om = (1.0 - s) * (1.0 + s)
         inside = om > 0.0
         si, omi = s[inside], om[inside]
-        out = np.zeros_like(s)
-        out[inside] = _time_values(fn, si / omi) * ((1.0 + si * si) / omi**2)
+        values = _time_values(fn, si / omi)
+        jac = (1.0 + si * si) / omi**2
+        out = np.zeros(s.shape + values.shape[1:])
+        out[inside] = values * jac.reshape(jac.shape + (1,) * (values.ndim - 1))
         return out
 
     return g
@@ -714,10 +788,12 @@ def _compact_line_rate(t):
 def real_line_time_integral(fn, rel_tol: float, scale: float):
     """int_{-inf}^{inf} fn(t) dt via t = s/(1 - s^2), s in (-1, 1).
 
-    fn is vectorised as for adaptive_time_integral.  The substitution maps
-    polynomial dispersive decay to a bounded smooth integrand;
-    Gauss-Kronrod nodes are interior so the endpoints are never evaluated.
-    The panel budget is _MAX_PANELS, as for adaptive_time_integral.
+    fn is vectorised as for adaptive_time_integral, of shape (k,) or
+    (k, J), and scale and the result are as there.  The substitution maps
+    polynomial dispersive decay to a bounded smooth integrand, integrated
+    on four initial panels cut at s = -1/2, 0 and 1/2; Gauss-Kronrod nodes
+    are interior so the endpoints are never evaluated.  The panel budget
+    is _MAX_PANELS, as for adaptive_time_integral.
     """
     return adaptive_time_integral(_on_compact_line(fn), -1.0, 1.0, rel_tol,
-                                  scale, panels=4)
+                                  scale, points=(-0.5, 0.0, 0.5))

@@ -32,7 +32,7 @@ from smoothing_lab.functionals import (
     smoothing_profile,
     weighted_radial_energy,
 )
-from smoothing_lab.model import (RadialWeight, gaussian_inner, packet,
+from smoothing_lab.model import (RadialWeight, gaussian_inner, l2_norm_sq, packet,
                                  packet_sum, random_packet_suite)
 from smoothing_lab.propagator import (difference_state, dispersive_approx,
                                       evolve_analytic)
@@ -383,7 +383,7 @@ def remainder_knots(monkeypatch, f, w, R):
     """The knots of every whole-line integral remainder_terms runs."""
     seen = []
 
-    def spy(f, coeffs, horizon, scale, r_max=None):
+    def spy(f, coeffs, scale, horizons=None, radii=None):
         seen.append(coeffs.knots)
         return 0.0
 
@@ -445,6 +445,111 @@ def test_empty_datum_short_circuits():
     assert morawetz_remainder_split(empty, w) == (0.0, 0.0)
     assert weighted_radial_energy(empty, w) == 0.0
     assert dispersive_l2_error(empty, 1.0) == 0.0
+    # and over schedules, one zero per point
+    schedule = [1.0, 2.0]
+    for values in (smoothing_profile(empty, schedule), radial_profile(empty, schedule),
+                   morawetz_lhs(empty, w, schedule), boundary_term(empty, w, schedule),
+                   flux(empty, w, schedule), dispersive_l2_error(empty, schedule),
+                   *remainder_terms(empty, w, schedule)):
+        np.testing.assert_array_equal(values, [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# schedules: one integral per schedule, one column per point
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fixed_time_schedule_is_bit_identical_to_per_point_calls(n):
+    # every state of a batch has its own panel set, refined only while it
+    # is over its own target, so batching the times changes no bit
+    f = random_packet_suite(n, 2, seed=5)[0]
+    w = make_psi_eps(1.0)
+    times = np.array([-16.0, -8.0, 8.0, 16.0])
+    np.testing.assert_array_equal(flux(f, w, times), [flux(f, w, t) for t in times])
+    later = np.array([1.0, 2.0, 4.0])
+    np.testing.assert_array_equal(dispersive_l2_error(f, later),
+                                  [dispersive_l2_error(f, t) for t in later])
+    horizons = np.array([0.5, 1.0])
+    np.testing.assert_array_equal(boundary_term(f, w, horizons),
+                                  [boundary_term(f, w, T) for T in horizons])
+
+
+@pytest.mark.parametrize("w", [make_psi_eps(1.0), make_psi_k(2)], ids=["eps", "bump"])
+def test_horizon_schedule_agrees_with_per_point_calls(w):
+    # one integral over the widest window, cut at every +-T_j, against one
+    # integral per horizon: each column within its horizon's own target
+    Ts = np.array([1.0, 2.0, 4.0, 8.0])
+    together = morawetz_lhs(F_1D, w, Ts)
+    alone = np.array([morawetz_lhs(F_1D, w, T) for T in Ts])
+    scale = l2_norm_sq(F_1D) * (1.0 + abs(w.slope_inf))
+    assert together.shape == (4,)
+    assert np.all(np.abs(together - alone) <= REL_TOL * np.maximum(np.abs(alone), scale))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_radius_schedule_agrees_with_per_point_calls(n):
+    # one whole-line integral whose radial panels are cut at every R_j,
+    # against one integral per radius: each ball within its own target,
+    # REL_TOL max(|profile|, mass) after the division by R
+    f = random_packet_suite(n, 2, seed=5)[0]
+    Rs = np.array([0.5, 2.0, 8.0])
+    for profile in (radial_profile, smoothing_profile):
+        together = profile(f, Rs)
+        alone = np.array([profile(f, R) for R in Rs])
+        bound = REL_TOL * np.maximum(np.abs(alone), l2_norm_sq(f))
+        assert np.all(np.abs(together - alone) <= bound), profile.__name__
+
+
+def test_one_point_schedule_is_the_scalar_call():
+    # a scalar runs the one-column path and returns a float; a schedule of
+    # one point returns that same value in an array
+    w = make_psi_eps(1.0)
+    for fn, point in ((lambda p: morawetz_lhs(F_1D, w, p), 0.5),
+                      (lambda p: boundary_term(F_1D, w, p), 0.5),
+                      (lambda p: flux(F_1D, w, p), -0.8),
+                      (lambda p: dispersive_l2_error(F_1D, p), 2.0),
+                      (lambda p: radial_profile(F_1D, p), 2.0),
+                      (lambda p: smoothing_profile(F_1D, p), 2.0)):
+        value = fn(point)
+        assert type(value) is float
+        np.testing.assert_array_equal(fn([point]), [value])
+    tangential, bilaplacian = remainder_terms(ODD_1D, w, 4.0)
+    assert type(tangential) is float and type(bilaplacian) is float
+    np.testing.assert_array_equal(np.array(remainder_terms(ODD_1D, w, [4.0])),
+                                  [[tangential], [bilaplacian]])
+
+
+@pytest.mark.parametrize("schedule", [[2.0, 1.0], [1.0, 1.0], [-1.0, 1.0],
+                                      [0.0], [[1.0, 2.0]], []],
+                         ids=["decreasing", "repeated", "negative", "zero",
+                              "two-axis", "empty"])
+def test_schedule_that_is_not_increasing_and_positive_is_rejected(schedule):
+    w = make_psi_eps(1.0)
+    for fn in (lambda s: morawetz_lhs(F_1D, w, s), lambda s: boundary_term(F_1D, w, s),
+               lambda s: radial_profile(F_1D, s), lambda s: smoothing_profile(F_1D, s),
+               lambda s: remainder_terms(ODD_1D, w, s)):
+        with pytest.raises(InvalidParameterError):
+            fn(schedule)
+
+
+def test_remainder_schedule_checks_and_finds_kinks_once(monkeypatch):
+    # one hypothesis check and one sign-change search on the base weight
+    # per call, and the per-R values of per-R calls
+    w = make_psi_eps(1.0)
+    Rs = [2.0, 8.0]
+    alone = np.array([remainder_terms(KINK_1D, w, R) for R in Rs]).T
+    counts = {"check_remainder_hypotheses": 0, "_sign_changes": 0}
+    for name in counts:
+        inner = getattr(functionals, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            counts[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(functionals, name, counted)
+    together = remainder_terms(KINK_1D, w, Rs)
+    assert counts == {"check_remainder_hypotheses": 1, "_sign_changes": 1}
+    np.testing.assert_array_equal(np.array(together), alone)
 
 
 # ---------------------------------------------------------------------------

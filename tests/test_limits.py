@@ -10,11 +10,12 @@ import warnings
 import numpy as np
 import pytest
 
-from smoothing_lab import limits
+from smoothing_lab import functionals, limits
 from smoothing_lab.errors import InvalidParameterError
 from smoothing_lab.limits import (
     estimate_limit,
     verify_asymptotics,
+    verify_corollary,
     verify_flux,
     verify_identity,
     verify_remainder_decay,
@@ -110,6 +111,50 @@ def test_non_finite_value_is_not_a_converged_limit(bad):
 def test_schedule_points_must_be_finite(bad):
     with pytest.raises(InvalidParameterError, match="must be finite"):
         limits._points("identity", [1.0, bad])
+
+
+def test_limit_moves_at_roundoff_when_an_input_moves_one_ulp():
+    # the exponent is solved to roundoff, not to a fit tolerance, so the
+    # limit is a smooth function of the schedule: moving any one parameter
+    # or value by 1 ulp either way moves it by roundoff only
+    for count in (3, 4, 5):
+        ps = 4.0 * 2.0 ** np.arange(count)
+        vals = 1.3 + 0.7 * ps**-1.7 + 1e-7 * np.cos(np.arange(count))
+        base = estimate_limit(zip(ps, vals)).value
+        for which in (ps, vals):
+            for i in range(count):
+                for toward in (-np.inf, np.inf):
+                    moved = which.copy()
+                    moved[i] = np.nextafter(moved[i], toward)
+                    pair = (moved, vals) if which is ps else (ps, moved)
+                    value = estimate_limit(zip(*pair)).value
+                    assert abs(value - base) <= 1e-12 * abs(base), (count, i)
+
+
+def test_limit_is_the_least_squares_optimum():
+    # the exponent where d(RSS)/d(alpha) = 0, found at 40 digits from the
+    # closed-form L and c at each alpha, gives the limit to roundoff
+    mp = pytest.importorskip("mpmath").mp
+    ps = 8.0 * 2.0 ** np.arange(4)
+    vals = 1.3 - 0.9 * ps**-1.6 + 2e-6 * np.array([1.0, -0.5, 0.3, 0.1])
+    est = estimate_limit(zip(ps, vals))
+    with mp.workdps(40):
+        P, V = [mp.mpf(float(p)) for p in ps], [mp.mpf(float(v)) for v in vals]
+
+        def fit(alpha):
+            q = [p**-alpha for p in P]
+            qm, vm = sum(q) / len(q), sum(V) / len(V)
+            c = (sum((a - qm) * (b - vm) for a, b in zip(q, V))
+                 / sum((a - qm) ** 2 for a in q))
+            return vm - c * qm, c, [b - vm - c * (a - qm) for a, b in zip(q, V)], q
+
+        def slope(alpha):
+            _, c, r, q = fit(alpha)
+            return c * sum(ri * qi * mp.log(p) for ri, qi, p in zip(r, q, P))
+
+        exact = fit(mp.findroot(slope, mp.mpf(1.6)))[0]
+    assert est.converged
+    assert abs(est.value - float(exact)) <= 1e-14 * abs(float(exact))
 
 
 # ---------------------------------------------------------------------------
@@ -208,3 +253,43 @@ def test_remainder_decay_ignores_roundoff_tangential_series():
     assert np.all(report.lhs < 1e-12)
     assert report.rhs[1] <= 0.25 * report.rhs[0]
     assert report.passed
+
+
+@pytest.mark.parametrize("driver", ["theorem", "corollary", "flux", "asymptotics"])
+def test_driver_makes_one_quadrature_call_per_schedule(monkeypatch, driver):
+    # the functionals hand each schedule to the quadrature layer whole:
+    # one time integral for the horizons or the radii, one batch for the
+    # times; hs_norm_sq's own call goes through the spectral module and is
+    # not counted here
+    calls = []
+    inside = []
+
+    def spy(name):
+        inner = getattr(functionals, name)
+
+        def counted(*args, **kwargs):
+            if not inside:
+                calls.append(name)
+            inside.append(name)
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(functionals, name, counted)
+
+    for name in ("shell_integrals", "adaptive_time_integral", "real_line_time_integral"):
+        spy(name)
+    w = make_psi_eps(1.0)
+    if driver == "theorem":
+        verify_theorem_main(F_1D, w, [1.0, 2.0, 4.0, 8.0], tolerance=0.02)
+        assert calls == ["adaptive_time_integral"]
+    elif driver == "corollary":
+        verify_corollary(F_1D, [4.0, 8.0, 16.0], tolerance=0.02)
+        assert calls == ["real_line_time_integral"]
+    elif driver == "flux":
+        verify_flux(F_1D, w, [8.0, 16.0, 32.0], tolerance=0.02)
+        assert calls == ["shell_integrals"]
+    else:
+        verify_asymptotics(F_1D, [1.0, 2.0, 4.0], final_ratio=0.5)
+        assert calls == ["shell_integrals"]

@@ -118,9 +118,10 @@ def test_ball_truncated_mass_matches_erf():
     a, R = 0.9, 1.7
     batch = _evolve_times(single(1, a=a), [0.0])
     vals, _ = shell_integrals(batch, ShellCoefficients(w_mass=np.ones_like),
-                              r_max=R)
+                              radii=[R])
     expect = np.sqrt(np.pi / (2 * a)) * erf(np.sqrt(2 * a) * R)
-    assert vals[0] == pytest.approx(expect, rel=1e-10)
+    assert vals.shape == (1, 1)
+    assert vals[0, 0] == pytest.approx(expect, rel=1e-10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -160,14 +161,16 @@ def test_shell_weight_knots_are_honored():
     assert val == pytest.approx(expect, rel=1e-10)
 
 
-@pytest.mark.parametrize("r_max", [-1.0, 0.0, np.nan])
-def test_shell_integrals_reject_radius_that_is_not_positive(r_max):
+@pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan])
+def test_shell_integrals_reject_radius_that_is_not_positive(radius):
     batch = _evolve_times(single(1), [0.0])
     coeffs = ShellCoefficients(w_mass=np.ones_like)
-    with pytest.raises(InvalidParameterError, match="r_max"):
-        shell_integrals(batch, coeffs, r_max=r_max)
+    with pytest.raises(InvalidParameterError, match="radii"):
+        shell_integrals(batch, coeffs, radii=[radius])
+    with pytest.raises(InvalidParameterError, match="radii"):
+        shell_integrals(batch, coeffs, radii=[1.0, 2.0, radius])
     # inf is no cut-off at all
-    np.testing.assert_array_equal(shell_integrals(batch, coeffs, r_max=np.inf)[0],
+    np.testing.assert_array_equal(shell_integrals(batch, coeffs, radii=[np.inf])[0][:, 0],
                                   shell_integrals(batch, coeffs)[0])
 
 
@@ -557,6 +560,56 @@ def test_vector_refinement_meets_every_component_target():
         assert_bounded(value, error, exact)
 
 
+def test_column_refinement_meets_every_column_target():
+    # one component whose panels over [0, 1] carry two columns, a smooth
+    # one and an oscillatory one: a round splits the union of what each
+    # column over its target picks, and every column meets its own target
+    x5, w5 = np.polynomial.legendre.leggauss(5)
+    x10, w10 = np.polynomial.legendre.leggauss(10)
+    swept = []
+
+    def panel(rows, a, b):
+        swept.append(len(a))
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+
+        def rule(x, w):
+            nodes = mid[:, None] + half[:, None] * x
+            return np.stack([half * (np.exp(nodes) @ w),
+                             half * (np.cos(40.0 * nodes) @ w)], axis=1)
+
+        coarse, fine = rule(x5, w5), rule(x10, w10)
+        return fine, np.abs(fine - coarse)
+
+    floors = np.array([[1.0, 1e-3]])
+    values, errors, panels = _adaptive(panel, np.zeros(1, dtype=int), np.zeros(1),
+                                       np.ones(1), 1e-10, floors)
+    assert values.shape == errors.shape == (1, 2)
+    assert np.all(errors <= 1e-10 * np.maximum(np.abs(values), floors))
+    assert len(swept) > 2 and panels > 1
+    expected = (np.e - 1.0, np.sin(40.0) / 40.0)
+    for value, error, exact in zip(values[0], errors[0], expected):
+        assert_bounded(value, error, exact)
+
+
+def test_ball_columns_match_erf_and_one_radius_calls():
+    # each column of a radius schedule is the ball mass of its own radius,
+    # and agrees with a call on that radius alone within its target
+    a, radii = 0.9, np.array([0.5, 1.7, 3.0])
+    batch = _evolve_times(single(1, a=a), [0.0, 0.4])
+    coeffs = ShellCoefficients(w_mass=np.ones_like)
+    vals, info = shell_integrals(batch, coeffs, radii=radii)
+    assert vals.shape == info["abs_error"].shape == (2, 3)
+    expect = np.sqrt(np.pi / (2 * a)) * erf(np.sqrt(2 * a) * radii)
+    for j, R in enumerate(radii):
+        assert_bounded(vals[0, j], info["abs_error"][0, j], expect[j])
+        alone, _ = shell_integrals(batch, coeffs, radii=[R])
+        assert np.all(np.abs(vals[:, j] - alone[:, 0]) <= 1e-8 * np.abs(alone[:, 0]))
+    # the empty datum returns zero columns
+    empty = _evolve_times(packet_sum([], n=1), [0.0])
+    np.testing.assert_array_equal(shell_integrals(empty, coeffs, radii=radii)[0],
+                                  np.zeros((1, 3)))
+
+
 def test_refinement_splits_the_fewest_worst_panels():
     # two components, each of eight unit panels on [0, 8] with known
     # errors; a half panel reports none, so one round of splits converges.
@@ -674,15 +727,16 @@ def test_divergent_real_line_integral_is_reported():
 
 def test_time_integrand_is_called_once_per_round():
     # one call evaluates the 21 nodes of every panel of a sweep: the two
-    # initial panels of a window, then, once per refinement round, the two
-    # halves of each panel that round splits, here more than one in a round
+    # initial panels of a window cut at its midpoint, then, once per
+    # refinement round, the two halves of each panel that round splits,
+    # here more than one in a round
     sizes = []
 
     def fn(t):
         sizes.append(t.size)
         return 1.0 / (1.0 + 25.0 * t * t)
 
-    adaptive_time_integral(fn, -1.0, 1.0, rel_tol=1e-10, scale=1.0)
+    adaptive_time_integral(fn, -1.0, 1.0, rel_tol=1e-10, scale=1.0, points=[0.0])
     assert sizes[0] == 42 and len(sizes) > 1
     assert all(size > 0 and size % 42 == 0 for size in sizes[1:])
     assert max(sizes[1:]) > 42
@@ -698,11 +752,40 @@ def test_time_integrand_is_called_once_per_round():
     lambda fn: real_line_time_integral(fn, 1e-8, 1.0),
 ], ids=["window", "whole-line"])
 @pytest.mark.parametrize("fn", [lambda t: 2.0, lambda t: np.exp(-t * t)[1:],
-                                lambda t: np.exp(-t * t)[:, None]],
-                         ids=["scalar", "short", "column"])
+                                lambda t: np.exp(-t * t)[None, :],
+                                lambda t: np.exp(-t * t)[:, None, None]],
+                         ids=["scalar", "short", "row", "three-axis"])
 def test_time_integrand_of_wrong_shape_is_rejected(integrate, fn):
     with pytest.raises(InvalidParameterError, match=r"fn must return shape \(k,\)"):
         integrate(fn)
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda fn, scale: adaptive_time_integral(fn, -6.0, 6.0, 1e-10, scale, points=[0.0]),
+    lambda fn, scale: real_line_time_integral(fn, 1e-10, scale),
+], ids=["window", "whole-line"])
+def test_time_integrand_columns_meet_their_own_targets(integrate):
+    # an integrand of shape (k, J) is J integrals on shared panels; each
+    # column agrees with its own one-column call within its own target
+    easy = lambda t: np.exp(-t * t)
+    hard = lambda t: 1.0 / (1.0 + 25.0 * t * t)
+    scales = np.array([1.0, 1e-3])
+    values, errors = integrate(lambda t: np.stack([easy(t), hard(t)], axis=1), scales)
+    assert values.shape == errors.shape == (2,)
+    for j, fn in enumerate((easy, hard)):
+        alone, _ = integrate(fn, scales[j])
+        assert abs(values[j] - alone) <= 1e-10 * max(abs(alone), scales[j])
+        assert errors[j] <= 1e-10 * max(abs(values[j]), scales[j])
+
+
+@pytest.mark.parametrize("points", [[1.0, 0.5], [-6.0], [7.0], [np.nan]],
+                         ids=["decreasing", "at-a", "past-b", "nan"])
+def test_time_integral_rejects_breakpoints_outside_or_unordered(points):
+    def fn(t):
+        raise AssertionError("the integrand ran before the breakpoints were checked")
+
+    with pytest.raises(InvalidParameterError):
+        adaptive_time_integral(fn, -6.0, 6.0, rel_tol=1e-8, scale=1.0, points=points)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf),
@@ -722,7 +805,7 @@ def test_time_panel_estimate_is_k21_minus_g10():
     # panels to the 10-point Gauss value
     a, b = 0.2, 3.0
     value, err = adaptive_time_integral(lambda t: t**31, a, b, rel_tol=1.0,
-                                        scale=1e30)
+                                        scale=1e30, points=[1.6])
     exact = lambda lo, hi: (hi**32 - lo**32) / 32.0
     np.testing.assert_allclose(value, exact(a, b), rtol=1e-13)
     x10, w10 = _gl(10)
@@ -800,8 +883,8 @@ def test_mass_error_bar_bounds_gram_sum(n, t):
 def test_ball_mass_error_bar_bounds_erf():
     a, R = 0.9, 1.7
     vals, info = shell_integrals(_evolve_times(single(1, a=a), [0.0]),
-                                 ShellCoefficients(w_mass=np.ones_like), r_max=R)
-    assert_bounded(vals[0], info["abs_error"][0],
+                                 ShellCoefficients(w_mass=np.ones_like), radii=[R])
+    assert_bounded(vals[0, 0], info["abs_error"][0, 0],
                    np.sqrt(np.pi / (2 * a)) * erf(np.sqrt(2 * a) * R))
 
 

@@ -33,12 +33,22 @@ module's `fft` for a counting proxy:
     grid_transforms          n-D transforms of the grid path: calls of
                              fftn and ifftn through the spectral module
     grid_transform_points    grid points over those transforms
-    per_task                 kernel_calls and kernel_state_radii again,
-                             split by the task of the pass (a verify_*
-                             call, or an experiment section of cli-mix)
-                             that the pass's Timer was timing when the
-                             kernel ran, so that a change of the totals
-                             can be traced to the tasks it sits in
+    shell_integrals_calls    calls of the radial engine shell_integrals:
+                             hs_norm_sq's, each fixed-time batch, and one
+                             per refinement round of a time integral
+    adaptive_time_integral_calls
+                             calls of adaptive_time_integral, the
+                             whole-line ones included, since
+                             real_line_time_integral runs through it
+    real_line_time_integral_calls
+                             calls of real_line_time_integral
+    per_task                 kernel_calls, kernel_state_radii and the three
+                             call counts above again, split by the task of
+                             the pass (a verify_* call, or an experiment
+                             section of cli-mix) that the pass's Timer was
+                             timing when they ran, so that a change of the
+                             totals can be traced to the tasks it sits in,
+                             and one call per schedule shows there
 
 Every state has its own radial panel set, so the panel counts are per
 state; a checkout whose states share panel sets in groups counts them per
@@ -130,7 +140,8 @@ def count_work(workload: str, seed: int) -> dict:
     counts = Counter(dict.fromkeys((
         "kernel_calls", "kernel_state_radii", "radial_panel_sweeps",
         "radial_panels_evaluated", "radial_panels_accepted",
-        "grid_transforms", "grid_transform_points"), 0))
+        "grid_transforms", "grid_transform_points", "shell_integrals_calls",
+        "adaptive_time_integral_calls", "real_line_time_integral_calls"), 0))
     tasks = []  # the task the timer is timing, innermost last
     per_task = {}
 
@@ -159,13 +170,16 @@ def count_work(workload: str, seed: int) -> dict:
             if getattr(mod, name, None) is inner:
                 setattr(mod, name, wrapper)
 
+    def tally(key, amount=1):
+        """Add to the pass's count and to the current task's."""
+        counts[key] += amount
+        if tasks:
+            per_task.setdefault(tasks[-1], Counter())[key] += amount
+
     def kernel(args, result):
         geom, r = args[0], np.asarray(args[1])
-        radii = r.size if r.ndim == 2 else len(geom.B) * r.size
-        tallies = [counts] + ([per_task.setdefault(tasks[-1], Counter())] if tasks else [])
-        for tally in tallies:
-            tally["kernel_calls"] += 1
-            tally["kernel_state_radii"] += radii
+        tally("kernel_calls")
+        tally("kernel_state_radii", r.size if r.ndim == 2 else len(geom.B) * r.size)
 
     def sweep(args, result):
         # args[1], the panel edges a or the panels' states rows, is (P,)
@@ -174,6 +188,7 @@ def count_work(workload: str, seed: int) -> dict:
 
     def panel_sets(args, result):
         counts["radial_panels_accepted"] += int(result[1]["panels"])
+        tally("shell_integrals_calls")
 
     class CountingFFT:
         """The spectral module's fft, counting the n-D transforms."""
@@ -197,6 +212,8 @@ def count_work(workload: str, seed: int) -> dict:
     wrap("_moment_values", kernel)
     wrap("_panel_value", sweep)
     wrap("shell_integrals", panel_sets)
+    for name in ("adaptive_time_integral", "real_line_time_integral"):
+        wrap(name, lambda args, result, key=f"{name}_calls": tally(key))
     wl = run.build(lab, workload, seed)
     try:
         wall, cpu = time.perf_counter(), time.process_time()
@@ -250,7 +267,8 @@ def main(argv=None) -> int:
                                            "machine block")),
         "work_counts": "kernel_calls, kernel_state_radii, radial_panel_sweeps, "
                        "radial_panels_evaluated, radial_panels_accepted, "
-                       "grid_transforms and grid_transform_points are this "
+                       "grid_transforms, grid_transform_points and the *_calls "
+                       "counts are this "
                        "tool's counts, not the tracer's (see tools/bench_pairs.py); "
                        "the quadrature.*, propagator.* and spectral.* counts are "
                        "the tracer's, from a --trace 1 run, per pass",
