@@ -33,10 +33,7 @@ long windows.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, InvalidWeightError
 from .model import RadialWeight, WavePacketSum, l2_norm_sq
@@ -222,8 +219,7 @@ def check_remainder_hypotheses(w: RadialWeight, n: int) -> None:
     """
     r = _HYPOTHESIS_LATTICE
     slope = np.abs(w.d1(r))
-    _, bilap = radial_laplacians(w, r, n)
-    decay = np.abs(bilap) * (1.0 + r) ** 3
+    decay = np.abs(_bilaplacian(w, r, n)) * (1.0 + r) ** 3
     if not np.all(np.isfinite(slope)) or slope.max() > _HYPOTHESIS_CAP:
         raise InvalidWeightError(
             f"weight {w.label!r}: |psi'| exceeds {_HYPOTHESIS_CAP:g} on the check lattice"
@@ -237,13 +233,14 @@ def check_remainder_hypotheses(w: RadialWeight, n: int) -> None:
 
 # _sign_changes samples a lattice that spans a weight's knots by
 # _KINK_DECADES either way, at _KINK_PER_DECADE radii a decade and as many
-# equal steps between neighbouring knots, then each bracket of a sign
-# change at _KINK_STEPS equal steps; brentq locates the root of the local
-# cubic to _KINK_XTOL of a step, well under an ulp of the radius
+# equal steps between neighbouring knots, then narrows each bracket of a
+# sign change _KINK_ROUNDS times at _KINK_STEPS equal steps: the last
+# bracket is about 2e-9 of the radius wide, so the linear interpolation
+# across it is off by about 1e-18 of the radius, well under an ulp
 _KINK_DECADES = 3
 _KINK_PER_DECADE = 64
 _KINK_STEPS = 256
-_KINK_XTOL = 1e-13
+_KINK_ROUNDS = 3
 
 
 def _flips(values):
@@ -255,46 +252,40 @@ def _flips(values):
 
 
 def _sign_changes(g, knots) -> tuple:
-    """The radii where g changes sign, each to a few ulp, in two calls of g.
+    """The radii where g changes sign, each within an ulp, in at most
+    1 + _KINK_ROUNDS calls of g.
 
     |g| changes analytic piece at a sign change of g, so these radii are
     knots of the coefficient |g|.  g is sampled on a lattice: a geometric
     one from 10^-_KINK_DECADES of the least positive knot to
-    10^_KINK_DECADES times the largest (about 1 if there are none), plus _KINK_PER_DECADE equal
-    steps between neighbouring knots.  Neighbouring nonzero samples of
-    opposite sign bracket a zero.  Each bracket is sampled again at
-    _KINK_STEPS equal steps, all brackets in one call, and its zero is the
-    root of the cubic through the four samples around the first change,
-    which a step h leaves off by order h^4.
+    10^_KINK_DECADES times the largest (about 1 if there are none), plus
+    _KINK_PER_DECADE equal steps between neighbouring knots.  Neighbouring
+    nonzero samples of opposite sign bracket a zero.  Each round samples
+    the inside of every bracket at _KINK_STEPS equal steps, all brackets in
+    one call, and keeps the step of its first sign change: the first
+    sample whose sign differs from the left end's, which is 0 or of the
+    other sign, and the one before it.  The zero is the linear
+    interpolation across the last bracket.
     """
     edges = sorted(k for k in knots if k > 0.0) or [1.0]  # g is read on r > 0
-    lo, hi = edges[0] * 10.0**-_KINK_DECADES, edges[-1] * 10.0**_KINK_DECADES
+    first, last = edges[0] * 10.0**-_KINK_DECADES, edges[-1] * 10.0**_KINK_DECADES
     r = np.unique(np.concatenate(
-        [np.geomspace(lo, hi, int(_KINK_PER_DECADE * np.log10(hi / lo)) + 1)]
+        [np.geomspace(first, last, int(_KINK_PER_DECADE * np.log10(last / first)) + 1)]
         + [np.linspace(a, b, _KINK_PER_DECADE + 1) for a, b in zip(edges, edges[1:])]))
-    a, b = _flips(g(r))
+    y = g(r)
+    a, b = _flips(y)
     if not a.size:
         return ()
-    grid = np.linspace(r[a], r[b], _KINK_STEPS + 1, axis=1)
-    values = g(grid.ravel()).reshape(grid.shape)
-    zeros = []
-    for x, y in zip(grid, values):
-        i = _flips(y)[0][0]  # y[i + 1] is 0 or of the other sign
-        # the cubic through the four samples around i in Lagrange form, in
-        # steps from x[i]: it takes each sample's sign exactly at its node,
-        # so it changes sign on [0, 1] as the samples do
-        start = min(max(i - 1, 0), len(x) - 4)
-        nodes = [float(k) for k in range(start - i, start - i + 4)]
-        scaled = [float(yk) / math.prod(sk - sm for sm in nodes if sm != sk)
-                  for sk, yk in zip(nodes, y[start:start + 4])]
-
-        def cubic(s):
-            return sum(wk * math.prod(s - sm for sm in nodes if sm != sk)
-                       for sk, wk in zip(nodes, scaled))
-
-        t = brentq(cubic, 0.0, 1.0, xtol=_KINK_XTOL)
-        zeros.append(float(x[i] + t * (x[i + 1] - x[i])))
-    return tuple(zeros)
+    lo, hi, ylo, yhi = r[a], r[b], y[a], y[b]
+    rows = np.arange(a.size)
+    for _ in range(_KINK_ROUNDS):
+        x = np.linspace(lo, hi, _KINK_STEPS + 1, axis=1)
+        # the ends keep their values, so each row still changes sign
+        inner = g(x[:, 1:-1].ravel()).reshape(a.size, -1)
+        y = np.column_stack([ylo, inner, yhi])
+        i = np.argmax(np.sign(y) != np.sign(ylo)[:, None], axis=1)
+        lo, hi, ylo, yhi = x[rows, i - 1], x[rows, i], y[rows, i - 1], y[rows, i]
+    return tuple((lo + (hi - lo) * (ylo / (ylo - yhi))).tolist())
 
 
 def _remainder_pair(f: WavePacketSum, w: RadialWeight, kinks=None):

@@ -328,8 +328,9 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
     At every R:  profile(R) <= int int psi_k,R''|du/dr|^2
                             <= (k+1)/k * profile((k+1)R/k),
     and the spread of the profile tail must stay within the factor
-    (k+1)/k + tolerance.  A schedule too short to fit reports its last
-    profile value as the limit, with a NaN error.  make_psi_k judges k.
+    (k+1)/k + tolerance; a 0 in the tail of a nonzero datum fails.  A
+    schedule too short to fit reports its last profile value as the
+    limit, with a NaN error.  make_psi_k judges k.
     """
     Rs = _points("sandwich", R_schedule)
     w = make_psi_k(k)
@@ -349,8 +350,13 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
 
     tail = low[-max(2, len(low) // 2):]
     lim_sup, lim_inf = float(tail.max()), float(tail.min())
-    # a zero profile (the zero datum) has no spread
-    ratio = 1.0 if lim_sup == 0.0 else lim_sup / lim_inf if lim_inf > 0 else np.inf
+    missed = ""
+    if floor == 0.0:  # the zero datum's profile is 0 and has no spread
+        ratio = 1.0
+    elif lim_inf > 0.0:
+        ratio = lim_sup / lim_inf
+    else:  # any other datum's profile is positive: a 0 is a miss
+        ratio, missed = np.inf, "profile is 0 for a nonzero datum; "
     ratio_ok = bool(ratio <= outer + tolerance)
 
     est = estimate_limit(zip(Rs, low)) if len(Rs) >= _FIT_POINTS else \
@@ -362,7 +368,7 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
         tolerance=tolerance, floor=floor,
         extrapolated_limit=est.value, limit_error=est.error,
         passed=bool(bracket_ok and ratio_ok),
-        notes=f"tail spread ratio {ratio:.6f} vs bound {outer + tolerance:.6f}",
+        notes=f"{missed}tail spread ratio {ratio:.6f} vs bound {outer + tolerance:.6f}",
         extra={
             "mid": mid.tolist(),
             "ratio": ratio,

@@ -17,7 +17,8 @@ each of 32 panels of [0, 1], and each series is integrated twice exactly,
 once at import (Trefethen, Approximation Theory and Approximation
 Practice).  The trailing coefficients below eps/8 of each table's largest
 are then dropped, which leaves Q of degree 12 and Q2 of degree 9 on every
-panel, within 2 ulp of the untrimmed series.
+panel, within 2 ulp of the untrimmed series.  The tables serve the band
+alone; the core and the tail take their exact closed forms.
 """
 
 from __future__ import annotations
@@ -93,11 +94,10 @@ class BumpAntiderivatives:
     """Q(s) = int_0^s q and Q2(s) = int_0^s Q as piecewise Chebyshev series.
 
     Column p of Q_coef and Q2_coef holds the series on panel
-    [p, p+1]/_PANELS in the local variable x = 2(_PANELS s - p) - 1.  Both
-    extend naturally outside [0, 1]: q = 1 to the left and 0 to the right,
-    so Q(s) = s for s <= 0, Q(s) = Q(1) for s >= 1, and Q2 follows.  With
-    that extension the band formulas for the weight are valid on all of
-    [0, inf) and match the exact core/tail closed forms.
+    [p, p+1]/_PANELS in the local variable x = 2(_PANELS s - p) - 1.  Q and
+    Q2 read the band alone, 0 < s < 1: make_psi_k takes the core and the
+    tail from their exact closed forms.  An s outside [0, 1] reads the
+    nearer end of the table, and a NaN s gives NaN.
     """
 
     Q_coef: np.ndarray
@@ -141,17 +141,12 @@ class BumpAntiderivatives:
         return chebyshev.chebval(2.0 * (t - p) - 1.0, coef[:, p], tensor=False)
 
     def Q(self, s):
-        """int_0^s q with the natural extension outside [0, 1]."""
-        s = np.asarray(s, dtype=float)
-        return np.where(s <= 0.0, s, np.where(s >= 1.0, self.q_total,
-                                              self._eval(self.Q_coef, s)))
+        """int_0^s q on [0, 1]."""
+        return self._eval(self.Q_coef, s)
 
     def Q2(self, s):
-        """int_0^s Q with the natural extension outside [0, 1]."""
-        s = np.asarray(s, dtype=float)
-        return np.where(s <= 0.0, 0.5 * s**2,
-                        np.where(s >= 1.0, self.Q2_total + self.q_total * (s - 1.0),
-                                 self._eval(self.Q2_coef, s)))
+        """int_0^s Q on [0, 1]."""
+        return self._eval(self.Q2_coef, s)
 
 
 _BUMP_TABLES = BumpAntiderivatives.build()

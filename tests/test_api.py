@@ -1,8 +1,13 @@
 """The package's exports are the README's API list, every name imports,
-and no module imports a name it never uses."""
+no module imports a name it never uses, and importing the package leaves
+scipy.optimize out."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import smoothing_lab
@@ -59,3 +64,15 @@ def test_no_unused_imports():
     paths = sorted((ROOT / "src" / "smoothing_lab").glob("*.py")) \
         + sorted((ROOT / "tests").glob("*.py"))
     assert [hit for path in paths for hit in unused_imports(path)] == []
+
+
+def test_fresh_import_leaves_scipy_optimize_out():
+    # in a fresh interpreter: pytest's warning filter and the tests'
+    # oracles import scipy.optimize into this one
+    probe = "import json, sys, smoothing_lab; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                         capture_output=True, text=True).stdout
+    loaded = json.loads(out)
+    assert "smoothing_lab.functionals" in loaded
+    assert [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]] == []

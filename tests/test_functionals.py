@@ -171,11 +171,16 @@ def test_flux_matches_trapezoid_oracle():
     assert abs(val) > 1e-3                # the check is not vacuous
 
 
-def grid_gradient(g):
-    """(coordinates, radius, gradient) of a sampled field: the coordinates
-    and the gradient one array per axis, the gradient taken spectrally."""
+def grid_coordinates(g):
+    """(coordinates, radius) of a sampled field's grid, the coordinates one
+    array per axis."""
     xs = np.meshgrid(*([g.axis()] * g.n), indexing="ij")
-    r = np.sqrt(sum(x * x for x in xs))
+    return xs, np.sqrt(sum(x * x for x in xs))
+
+
+def grid_gradient(g):
+    """The gradient of a sampled field, one array per axis, taken
+    spectrally."""
     xi = np.fft.fftfreq(g.N, d=g.dx)
     xi[g.N // 2] = 0.0  # the Nyquist mode has no odd derivative
     uhat = np.fft.fftn(g.samples)
@@ -184,7 +189,7 @@ def grid_gradient(g):
         shape = [1] * g.n
         shape[d] = g.N
         grads.append(np.fft.ifftn(2j * np.pi * xi.reshape(shape) * uhat))
-    return xs, r, grads
+    return grads
 
 
 def grid_flux(f, w, t, L, N):
@@ -192,7 +197,7 @@ def grid_flux(f, w, t, L, N):
     the gradient taken spectrally; the second value is the field's
     boundary mass fraction."""
     g = sample_datum(f, L, N, t)
-    xs, r, grads = grid_gradient(g)
+    (xs, r), grads = grid_coordinates(g), grid_gradient(g)
     radial = sum(x * grad for x, grad in zip(xs, grads))
     rate = np.divide(w.d1(r), r, out=np.zeros_like(r), where=r > 0.0)
     value = float(np.sum(np.conj(g.samples) * rate * radial).imag) * g.dx**f.n
@@ -217,7 +222,7 @@ def grid_shell_term(f, w, t, L, N, term):
     With x.grad u = r du/dr and r^2 |grad_tau u|^2 = r^2 |grad u|^2 -
     |x.grad u|^2 every density is smooth at the origin."""
     g = sample_datum(f, L, N, t)
-    xs, r, grads = grid_gradient(g)
+    (xs, r), grads = grid_coordinates(g), grid_gradient(g)
     xgrad = np.abs(sum(x * grad for x, grad in zip(xs, grads))) ** 2
     if term == "w_rr":  # r^2 psi'' |du/dr|^2
         density = w.d2(r) * xgrad
@@ -250,15 +255,16 @@ def test_shell_term_matches_grid_route(n, L, N, term):
             assert value == pytest.approx(grid, rel=1e-8), (n, t)
 
 
-def grid_morawetz_density(f, w, t, L, N):
+def grid_morawetz_sums(f, w, times, L, N):
     """sum [psi''|du/dr|^2 + (psi'/r)|grad_tau u|^2 - (1/4) Lap^2 psi |u|^2]
-    dx^n on the field sampled at time t, and the field's boundary mass
-    fraction.  Lap^2 psi is expanded here from the derivatives d1 to d4;
-    the origin sample takes the limits psi'/r -> psi''(0) and
+    dx^n on the field sampled at each of the times, and the largest of the
+    fields' boundary mass fractions.  The samples share one grid, so the
+    coefficients are evaluated once, outside the loop over times.  Lap^2
+    psi is expanded here from the derivatives d1 to d4; the origin sample
+    takes the limits psi'/r -> psi''(0) and
     Lap^2 psi(0) = psi''''(0) n (n + 2)/3."""
     n = f.n
-    g = sample_datum(f, L, N, t)
-    xs, r, grads = grid_gradient(g)
+    xs, r = grid_coordinates(sample_datum(f, L, N, times[0]))
     origin = r == 0.0
     rs = np.where(origin, 1.0, r)
     d1, d2, d3, d4 = w.d1(r), w.d2(r), w.d3(r), w.d4(r)
@@ -266,12 +272,19 @@ def grid_morawetz_density(f, w, t, L, N):
     bilap = np.where(origin, d4 * n * (n + 2) / 3.0,
                      d4 + 2.0 * (n - 1) * d3 / rs
                      + (n - 1) * (n - 3) * (d2 / rs**2 - d1 / rs**3))
-    # x = 0 at the origin, so du/dr is 0 there and psi''(0)|grad u|^2 remains
-    ursq = np.abs(sum(x * grad for x, grad in zip(xs, grads)) / rs) ** 2
-    gsq = sum(np.abs(grad) ** 2 for grad in grads)
-    density = (d2 * ursq + rate * (gsq - ursq)
-               - 0.25 * bilap * np.abs(g.samples) ** 2)
-    return float(density.sum()) * g.dx**n, boundary_mass_fraction(g)
+    # psi''|du/dr|^2 + (psi'/r)(|grad u|^2 - |du/dr|^2); x = 0 at the
+    # origin, so du/dr is 0 there and psi''(0)|grad u|^2 remains
+    radial, units = d2 - rate, [x / rs for x in xs]
+    sums, edges = [], []
+    for t in times:
+        g = sample_datum(f, L, N, t)
+        grads = grid_gradient(g)
+        ursq = np.abs(sum(e * grad for e, grad in zip(units, grads))) ** 2
+        gsq = sum(np.abs(grad) ** 2 for grad in grads)
+        density = radial * ursq + rate * gsq - 0.25 * bilap * np.abs(g.samples) ** 2
+        sums.append(float(density.sum()) * g.dx**n)
+        edges.append(boundary_mass_fraction(g))
+    return np.array(sums), max(edges)
 
 
 @pytest.mark.parametrize("n,L,N", [(1, 40.0, 2048), (2, 32.0, 512)])
@@ -281,9 +294,8 @@ def test_morawetz_lhs_matches_grid_route(n, L, N):
     w, T = make_psi_eps(1.0), 0.5
     nodes, weights = np.polynomial.legendre.leggauss(48)
     for f in random_packet_suite(n, count=2, seed=5):
-        sums, edges = zip(*(grid_morawetz_density(f, w, T * s, L, N)
-                            for s in nodes))
-        assert max(edges) <= 1e-8
+        sums, edge = grid_morawetz_sums(f, w, T * nodes, L, N)
+        assert edge <= 1e-8
         grid = T * float(np.dot(weights, sums))
         assert morawetz_lhs(f, w, T) == pytest.approx(grid, rel=1e-8), n
 
@@ -405,6 +417,58 @@ def test_absolute_bilaplacian_is_cut_at_its_kink(monkeypatch, eps, R):
     assert abs(knots[2] - 0.5 * R * eps) <= 4 * np.spacing(0.5 * R * eps)
     f3 = packet_sum([packet(1.0, 1.0, [0.3, 0.0, 0.0])])
     assert remainder_knots(monkeypatch, f3, w, R) == [base, base]
+
+
+def mp_bilaplacian(mp, family, p, n):
+    """Lap^2 psi in dimension n at an mpf radius: psi_eps's derivatives as
+    make_psi_eps writes them, or, for psi_k in n = 1 or 3 (where the
+    grouped term's factor (n-1)(n-3) is 0), the band's k^2 q'' +
+    2(n-1) k q'/r with q' and q'' in the closed form of bump_transition."""
+    def lap2(d1, d2, d3, d4, r):
+        return d4 + 2 * (n - 1) * d3 / r + (n - 1) * (n - 3) * (d2 - d1 / r) / r**2
+
+    if family == "eps":
+        e2 = mp.mpf(p) ** 2
+        return lambda r: lap2(r / mp.sqrt(e2 + r * r), e2 / (e2 + r * r) ** 1.5,
+                              -3 * e2 * r / (e2 + r * r) ** 2.5,
+                              3 * e2 * (4 * r * r - e2) / (e2 + r * r) ** 3.5, r)
+
+    def B(t, order=0):
+        # B(t) = e^{-1/t}, B' = B/t^2, B'' = B(1 - 2t)/t^4
+        return mp.exp(-1 / t) * (1, 1 / t**2, (1 - 2 * t) / t**4)[order]
+
+    def g(r):
+        s = p * (r - 1)
+        u = 1 - s
+        D = B(s) + B(u)
+        P = B(u, 1) * B(s) + B(u) * B(s, 1)
+        q1 = -P / D**2
+        q2 = ((B(u, 2) * B(s) - B(u) * B(s, 2)) / D**2
+              + 2 * P * (B(s, 1) - B(u, 1)) / D**3)
+        return lap2(0, 0, p * q1, p**2 * q2, r)
+
+    return g
+
+
+@pytest.mark.parametrize("family,p,n", [
+    *(("eps", eps, n) for eps in (0.3, 1.0, 2.5) for n in (1, 2, 3)),
+    *(("k", k, n) for k in (1, 2, 5) for n in (1, 3))])
+def test_kinks_match_mpmath_roots(family, p, n):
+    # every zero of Lap^2 psi that the kink finder returns lies within an
+    # ulp of the 50-digit root next to it; Lap^2 psi_eps < 0 in n = 3, and
+    # every other case changes sign once
+    mp = pytest.importorskip("mpmath").mp
+    w = make_psi_eps(p) if family == "eps" else make_psi_k(p)
+    zeros = functionals._sign_changes(
+        lambda r: functionals._bilaplacian(w, r, n), w.knots)
+    assert len(zeros) == (0 if (family, n) == ("eps", 3) else 1)
+    with mp.workdps(50):
+        g = mp_bilaplacian(mp, family, p, n)
+        for z in zeros:
+            near = (mp.mpf(z) * (1 - mp.mpf("1e-6")), mp.mpf(z) * (1 + mp.mpf("1e-6")))
+            root = mp.findroot(g, near, solver="anderson")
+            assert near[0] < root < near[1]
+            assert abs(mp.mpf(z) - root) <= np.spacing(float(root)), (z, root)
 
 
 @pytest.mark.parametrize("R", [2.0, 8.0])

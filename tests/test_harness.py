@@ -106,6 +106,26 @@ def test_failing_experiment_names_rows(workdir, capsys):
     assert row.split(",")[-1] == "0"
 
 
+def test_fast_packet_sandwich_fails(workdir, capsys):
+    # every profile integral misses the fast packet and reads 0 (see
+    # FAST_1D in test_limits): the run must fail, not pass on zeros
+    cfg = write_config(workdir, """\
+[fast-sandwich]
+kind = sandwich
+n = 1
+packet1 = 1.0 0.0 1.0 -500.0 300.0
+k = 2
+schedule_start = 1.0
+schedule_factor = 2
+schedule_count = 3
+output = fast_sandwich.csv
+""")
+    assert main(["run", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL [fast-sandwich]" in out
+    assert "profile is 0 for a nonzero datum" in out
+
+
 def test_runtime_error_yields_empty_csv(workdir, capsys):
     # even 1d datum: the absolute bilaplacian remainder diverges, so the
     # experiment errors at run time while its sibling still completes

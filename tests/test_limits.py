@@ -236,6 +236,30 @@ def test_sandwich_rejects_fractional_plateau_index(monkeypatch):
         verify_sandwich(F_1D, 2.5, [4.0, 8.0], tolerance=1e-3)
 
 
+# a fast packet, packet(amplitude, width, centre, momentum), that crosses
+# the balls R <= 4 in a time window far shorter than an initial time panel:
+# no time node falls inside it, so every profile integral misses it and
+# reads 0 (ROADMAP, "No silent misses").  Once time knots come from the
+# packet's kinematics the profile is positive and these tests change.
+FAST_1D = packet_sum([packet(1.0, 1.0, [-500.0], [300.0])])
+
+
+def test_sandwich_fails_zero_profile_of_nonzero_datum():
+    # a nonzero datum's profile is positive, so zeros are a miss, not a
+    # profile without spread
+    report = verify_sandwich(FAST_1D, 2, [1.0, 2.0, 4.0], tolerance=1e-3)
+    assert report.floor > 0.0
+    assert not report.passed
+    assert report.extra["ratio"] == np.inf
+    assert report.notes.startswith("profile is 0 for a nonzero datum")
+
+
+def test_zero_datum_sandwich_passes():
+    report = verify_sandwich(packet_sum([], n=1), 2, [1.0, 2.0, 4.0], tolerance=1e-3)
+    assert report.passed
+    assert report.floor == 0.0 and report.extra["ratio"] == 1.0
+
+
 def test_zero_datum_smoothing_bound_passes():
     empty = packet_sum([], n=1)
     report = verify_smoothing_bound(empty, [1.0, 2.0, 4.0], tolerance=0.02)

@@ -73,6 +73,17 @@ from doing less work or from doing the same work faster.
 BENCH_<name>.json, at the change checkout's root, holds the machine block
 of perfbench/machine.py, the end-to-end metrics of every pair with their
 medians, and the work counts.
+
+    python3 tools/bench_pairs.py --parent PARENT --name import_cost --import-cost
+
+measures instead what importing the package costs, in fresh processes
+that run each checkout's src/ and none of perfbench: pair i of PAIRS runs
+`import smoothing_lab`, then a CLI run of configs/quickcheck.cfg, once in
+each checkout, the parent first in even pairs.  A run's cost is the CPU
+time (user and system) of its process.  BENCH_<name>.json holds every
+pair, each side's median and least CPU time for both commands, and the
+scipy subpackages, scipy.<name>, that `import smoothing_lab` leaves in
+sys.modules on each side.
 """
 
 from __future__ import annotations
@@ -80,9 +91,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -233,6 +247,61 @@ def work(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {**counted, **{name: traced[name] for name in TRACED}}
 
 
+# the commands --import-cost times, each run as `python -c` with
+# PYTHONPATH at the checkout's src/
+IMPORT_COST = {
+    "import": "import smoothing_lab",
+    "quickcheck": "import sys; from smoothing_lab.harness import main; "
+                  "sys.exit(main(['run', sys.argv[1]]))",
+}
+SCIPY_PROBE = ("import sys, smoothing_lab; print(' '.join(sorted({'.'.join(m.split('.')[:2]) "
+               "for m in sys.modules if m.startswith('scipy.') "
+               "and not m.split('.')[1].startswith('_')})))")
+
+
+def run_src(checkout: Path, code: str, workdir: str) -> str:
+    """Standard output of a fresh Python process that runs code against
+    checkout's src/ in workdir, with the checkout's quickcheck config as
+    its argument."""
+    return subprocess.run(
+        [sys.executable, "-c", code, str(checkout / "configs" / "quickcheck.cfg")],
+        cwd=workdir, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+        check=True, capture_output=True, text=True, timeout=RUN_TIMEOUT_S).stdout
+
+
+def child_cpu(checkout: Path, code: str, workdir: str) -> float:
+    """CPU seconds, user and system, of one run_src process."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    run_src(checkout, code, workdir)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+
+
+def import_cost(checkouts: dict) -> dict:
+    """Alternating pairs of both IMPORT_COST commands, and the scipy
+    subpackages each side's import loads."""
+    out = {"scipy_modules": {}, "commands": {}}
+    with tempfile.TemporaryDirectory() as workdir:  # the CLI run writes its CSV here
+        for side, path in checkouts.items():
+            out["scipy_modules"][side] = run_src(path, SCIPY_PROBE, workdir).split()
+        for name, code in IMPORT_COST.items():
+            pairs = []
+            for i in range(PAIRS):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {side: child_cpu(checkouts[side], code, workdir) for side in order}
+                pairs.append({side: pair[side] for side in checkouts})
+                print(f"{name} pair {i + 1}: cpu_s parent {pair['parent']:.3f}, "
+                      f"change {pair['change']:.3f}", file=sys.stderr)
+            out["commands"][name] = {
+                "code": code, "pairs": pairs,
+                **{f"{side}_cpu_s": {"median": statistics.median(p[side] for p in pairs),
+                                     "least": min(p[side] for p in pairs)}
+                   for side in checkouts},
+                "pairs_change_lower": sum(p["change"] < p["parent"] for p in pairs),
+            }
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path)
@@ -243,6 +312,9 @@ def main(argv=None) -> int:
                         help="print the tool's work counts of one pass in this checkout")
     parser.add_argument("--seed", type=int, default=1,
                         help="the benchmark seed of every run (default 1)")
+    parser.add_argument("--import-cost", action="store_true",
+                        help="time the package's import and a quickcheck CLI run "
+                             "instead of the benchmark")
     args = parser.parse_args(argv)
     if args.count_work:
         print(json.dumps(count_work(args.count_work, args.seed)))
@@ -251,6 +323,23 @@ def main(argv=None) -> int:
         parser.error("--parent and --name are required")
 
     checkouts = {"parent": args.parent.resolve(), "change": CHANGE}
+    head = {
+        "checkouts": {side: subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=path, check=True,
+            capture_output=True, text=True).stdout.strip()
+            for side, path in checkouts.items()},
+        "machine": json.loads(run_checkout(CHANGE, ["perfbench/machine.py"],
+                                           "machine block")),
+    }
+    path = CHANGE / f"BENCH_{args.name}.json"
+    if args.import_cost:
+        out = {"command": "python3 -c CODE CONFIG with PYTHONPATH=<checkout>/src, "
+                          "CONFIG being the checkout's configs/quickcheck.cfg",
+               **head, **import_cost(checkouts)}
+        path.write_text(json.dumps(out, indent=2) + "\n")
+        print(f"wrote {path}", file=sys.stderr)
+        return 0
+
     spec = json.loads((CHANGE / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -259,12 +348,7 @@ def main(argv=None) -> int:
     out = {
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
                    f"--seconds {seconds:g} --trace 0",
-        "checkouts": {side: subprocess.run(
-            ["git", "describe", "--always", "--dirty"], cwd=path, check=True,
-            capture_output=True, text=True).stdout.strip()
-            for side, path in checkouts.items()},
-        "machine": json.loads(run_checkout(CHANGE, ["perfbench/machine.py"],
-                                           "machine block")),
+        **head,
         "work_counts": "kernel_calls, kernel_state_radii, radial_panel_sweeps, "
                        "radial_panels_evaluated, radial_panels_accepted, "
                        "grid_transforms, grid_transform_points and the *_calls "
@@ -293,7 +377,6 @@ def main(argv=None) -> int:
             "work": {side: work(path, workload, args.seed, seconds)
                      for side, path in checkouts.items()},
         }
-    path = CHANGE / f"BENCH_{args.name}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0
