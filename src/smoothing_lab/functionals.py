@@ -77,18 +77,17 @@ def _per_point(values, scalar: bool):
 
 
 def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients, scale,
-                     horizons=None, radii=None):
-    """Integrate a shell functional of u(t) over time.
+                     horizons=None, radii=(np.inf,)):
+    """Integrate a shell functional of u(t) over time: the columns (J,).
 
     horizons, an increasing array (J,) of T_j, integrates over [-T_J, T_J]
     with initial panels cut at 0 and at every +-T_j, and column j is the
     density times the indicator of [-T_j, T_j]: no panel straddles a cut,
     so column j is the integral over [-T_j, T_j].  Without horizons the
     integral runs over the whole line through the s-substitution, and
-    radii (J,) makes column j the integral over the ball of radius R_j.
-    scale is the magnitude floor for both layers, a float or one per
-    column.  Returns the columns (J,), or a float for a whole line
-    without radii.
+    column j is the integral over the ball of radius R_j of radii (J,),
+    whose default (inf,) is the whole space.  scale is the magnitude floor
+    for both layers, a float or one per column.
     """
     space_tol = _SPACE_FACTOR * REL_TOL
     if horizons is None:
@@ -112,7 +111,7 @@ def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients, scale,
         values, _ = shell_integrals(_evolve_times(f, ts), coeffs,
                                     scales=np.full(len(ts), space_scale),
                                     rel_tol=space_tol)
-        return np.where(np.abs(ts)[:, None] <= horizons, values[:, None], 0.0)
+        return np.where(np.abs(ts)[:, None] <= horizons, values, 0.0)
 
     points = np.concatenate([-horizons[-2::-1], [0.0], horizons[:-1]])
     return adaptive_time_integral(fn, -widest, widest, REL_TOL, scale, points)[0]
@@ -185,7 +184,7 @@ def flux(f: WavePacketSum, w: RadialWeight, t):
     states = [evolve_analytic(f, ti) for ti in ts]
     values, _ = shell_integrals(_states_batch(states), coeffs,
                                 scales=np.full(len(ts), scale))
-    return _per_point(values, scalar)
+    return _per_point(values[:, 0], scalar)
 
 
 def boundary_term(f: WavePacketSum, w: RadialWeight, T):
@@ -303,7 +302,7 @@ def _remainder_pair(f: WavePacketSum, w: RadialWeight, kinks=None):
     knots = w.knots if kinks is None else w.knots + kinks[0]
     bilaplacian = _time_integrated(
         f, ShellCoefficients(w_mass=w_mass, knots=knots), scale
-    )
+    )[0]
     if f.n == 1:
         # the line has no tangential directions: skip a whole-line integral of 0
         return 0.0, bilaplacian
@@ -314,7 +313,7 @@ def _remainder_pair(f: WavePacketSum, w: RadialWeight, kinks=None):
     knots = w.knots if kinks is None else w.knots + kinks[1]
     tangential = _time_integrated(
         f, ShellCoefficients(w_tau=w_tau, knots=knots), scale
-    )
+    )[0]
     return tangential, bilaplacian
 
 
@@ -371,7 +370,7 @@ def weighted_radial_energy(f: WavePacketSum, w: RadialWeight) -> float:
     """Whole-line integral int_t int psi''(r) |du/dr|^2 dx dt."""
     coeffs = ShellCoefficients(w_rr=w.d2, knots=w.knots)
     scale = l2_norm_sq(f) * _weight_scale(w)
-    return _time_integrated(f, coeffs, scale)
+    return float(_time_integrated(f, coeffs, scale)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -391,4 +390,4 @@ def dispersive_l2_error(f: WavePacketSum, t):
              for ti in ts]
     coeffs = ShellCoefficients(w_mass=lambda r: np.ones_like(r))
     values, _ = shell_integrals(_states_batch(diffs), coeffs)
-    return _per_point(np.sqrt(np.maximum(values, 0.0)), scalar)
+    return _per_point(np.sqrt(np.maximum(values[:, 0], 0.0)), scalar)

@@ -226,6 +226,15 @@ def _limit_verdict(params, values, target: float, floor: float,
     return est, bool(est.converged and within)
 
 
+def _missed(floor: float, *profiles) -> str:
+    """The note that opens a failed report when a ball profile of a nonzero
+    datum (floor > 0) reads exactly 0, else "": u is real-analytic in x for
+    t != 0, so such a profile is positive at every R > 0."""
+    if floor > 0.0 and not all(np.all(p) for p in profiles):
+        return "profile is 0 for a nonzero datum; "
+    return ""
+
+
 def verify_identity(f: WavePacketSum, w: RadialWeight, T_schedule,
                     tolerance: float) -> VerificationReport:
     """Exact finite-horizon check: bulk integral vs endpoint flux difference.
@@ -270,7 +279,8 @@ def verify_corollary(f: WavePacketSum, R_schedule,
     """Radius limit of the ball profile vs 2 pi ||f||^2_{H^1/2}.
 
     Also checks the one-sided bound: the full-gradient profile must reach
-    (1 - tolerance) of the target somewhere on the schedule.
+    (1 - tolerance) of the target somewhere on the schedule.  A value of 0
+    in either profile of a nonzero datum fails.
     """
     Rs = _points("corollary-limit", R_schedule)
     floor = hs_norm_sq(f, 0.5)
@@ -281,13 +291,14 @@ def verify_corollary(f: WavePacketSum, R_schedule,
     smoothing = lhs.copy() if f.n == 1 else smoothing_profile(f, Rs)
     est, limit_ok = _limit_verdict(Rs, lhs, target, floor, tolerance)
     sup_ok = bool(smoothing.max() >= (1.0 - tolerance) * target)
+    missed = _missed(floor, lhs, smoothing)
     return VerificationReport(
         experiment="corollary-limit", n=f.n, weight_id="none",
         params=np.array(Rs), lhs=lhs, rhs=np.full(len(Rs), target),
         tolerance=tolerance, floor=floor,
         extrapolated_limit=est.value, limit_error=est.error,
-        passed=limit_ok and sup_ok,
-        notes=est.note,
+        passed=limit_ok and sup_ok and not missed,
+        notes=missed + est.note,
         extra={
             "smoothing_profile": smoothing.tolist(),
             "smoothing_sup_ok": sup_ok,
@@ -328,7 +339,7 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
     At every R:  profile(R) <= int int psi_k,R''|du/dr|^2
                             <= (k+1)/k * profile((k+1)R/k),
     and the spread of the profile tail must stay within the factor
-    (k+1)/k + tolerance; a 0 in the tail of a nonzero datum fails.  A
+    (k+1)/k + tolerance; a profile value of 0 for a nonzero datum fails.  A
     schedule too short to fit reports its last profile value as the
     limit, with a NaN error.  make_psi_k judges k.
     """
@@ -350,13 +361,11 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
 
     tail = low[-max(2, len(low) // 2):]
     lim_sup, lim_inf = float(tail.max()), float(tail.min())
-    missed = ""
+    missed = _missed(floor, profile)
     if floor == 0.0:  # the zero datum's profile is 0 and has no spread
         ratio = 1.0
-    elif lim_inf > 0.0:
-        ratio = lim_sup / lim_inf
-    else:  # any other datum's profile is positive: a 0 is a miss
-        ratio, missed = np.inf, "profile is 0 for a nonzero datum; "
+    else:
+        ratio = lim_sup / lim_inf if lim_inf > 0.0 else np.inf
     ratio_ok = bool(ratio <= outer + tolerance)
 
     est = estimate_limit(zip(Rs, low)) if len(Rs) >= _FIT_POINTS else \
@@ -367,7 +376,7 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
         params=np.array(Rs), lhs=low, rhs=high,
         tolerance=tolerance, floor=floor,
         extrapolated_limit=est.value, limit_error=est.error,
-        passed=bool(bracket_ok and ratio_ok),
+        passed=bool(bracket_ok and ratio_ok and not missed),
         notes=f"{missed}tail spread ratio {ratio:.6f} vs bound {outer + tolerance:.6f}",
         extra={
             "mid": mid.tolist(),
@@ -409,8 +418,9 @@ def verify_smoothing_bound(f: WavePacketSum, R_schedule,
     Records the observed sup of profile/||f||^2_{H^1/2}; requires the
     profile to reach (1 - tolerance) of 2 pi ||f||^2 somewhere, and to stay
     above _LIMINF_FRACTION of that level from some schedule radius
-    onward (the contrapositive of 'profile vanishing forces f = 0').  An
-    empty schedule raises InvalidParameterError.
+    onward (the contrapositive of 'profile vanishing forces f = 0'); a
+    profile value of 0 for a nonzero datum fails.  An empty schedule
+    raises InvalidParameterError.
     """
     Rs = _points("smoothing-bound", R_schedule)
     floor = hs_norm_sq(f, 0.5)
@@ -423,12 +433,13 @@ def verify_smoothing_bound(f: WavePacketSum, R_schedule,
             threshold_R = Rs[i]
             break
     observed = float(vals.max() / floor) if floor > 0 else 0.0
+    missed = _missed(floor, vals)
     return VerificationReport(
         experiment="smoothing-bound", n=f.n, weight_id="none",
         params=np.array(Rs), lhs=vals, rhs=np.full(len(Rs), target),
         tolerance=tolerance, floor=floor,
-        passed=bool(sup_ok and np.isfinite(threshold_R)),
-        notes=f"observed sup/norm ratio {observed:.6f}",
+        passed=bool(sup_ok and np.isfinite(threshold_R) and not missed),
+        notes=f"{missed}observed sup/norm ratio {observed:.6f}",
         extra={"threshold_radius": threshold_R,
                "observed_constant": observed},
     )

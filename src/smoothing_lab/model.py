@@ -167,15 +167,18 @@ def gaussian_inner(B1, alpha1, c1, v1, B2, alpha2, c2, v2) -> complex:
     """<p, q> = int conj(p) q dx for two families of Gaussian packets.
 
     Each family is sum_i B_i exp(-alpha_i |x-c_i|^2 + 2 pi i v_i.x) with
-    Re alpha_i > 0, real centers and momenta.  Completing the square in the
-    pair product gives, with S = conj(alpha1_i) + alpha2_j,
-    b = conj(alpha1_i) c1_i + alpha2_j c2_j and w = v2_j - v1_i,
+    Re alpha_i > 0, real centers and momenta.  Each pair product is a
+    Gaussian centred between its two packets (the Gaussian product
+    theorem), so with S = conj(alpha1_i) + alpha2_j, the separation
+    d = c2_j - c1_i and w = v2_j - v1_i its integral is
 
-        (pi/S)^(n/2) exp[ (b.b + 2 pi i w.b - pi^2 w.w)/S
-                          - conj(alpha1_i)|c1_i|^2 - alpha2_j|c2_j|^2 ].
+        (pi/S)^(n/2) exp[ 2 pi i w.c1_i
+                          + (2 pi i alpha2_j w.d - conj(alpha1_i) alpha2_j |d|^2
+                             - pi^2 w.w)/S ],
 
-    The half-integer power uses the principal branch, which is safe because
-    Re S > 0 keeps S off the cut.
+    with no terms of size alpha |c|^2 to cancel, as completing the square
+    about the origin has.  The half-integer power uses the principal
+    branch, which is safe because Re S > 0 keeps S off the cut.
     """
     B1 = np.asarray(B1, dtype=complex)
     B2 = np.asarray(B2, dtype=complex)
@@ -189,18 +192,14 @@ def gaussian_inner(B1, alpha1, c1, v1, B2, alpha2, c2, v2) -> complex:
         return 0.0 + 0.0j
     n = c1.shape[1]
 
-    a1c = np.conj(alpha1)
-    S = a1c[:, None] + alpha2[None, :]
-    b = a1c[:, None, None] * c1[:, None, :] + alpha2[None, :, None] * c2[None, :, :]
+    a1c = np.conj(alpha1)[:, None]
+    a2 = alpha2[None, :]
+    S = a1c + a2
+    d = c2[None, :, :] - c1[:, None, :]
     w = v2[None, :, :] - v1[:, None, :]
-    bb = (b * b).sum(axis=-1)
-    wb = (w * b).sum(axis=-1)
-    ww = (w * w).sum(axis=-1)
-    expo = (
-        (bb + 2j * np.pi * wb - np.pi**2 * ww) / S
-        - a1c[:, None] * (c1 * c1).sum(axis=-1)[:, None]
-        - alpha2[None, :] * (c2 * c2).sum(axis=-1)[None, :]
-    )
+    expo = 2j * np.pi * (w * c1[:, None, :]).sum(axis=-1) + (
+        2j * np.pi * a2 * (w * d).sum(axis=-1) - a1c * a2 * (d * d).sum(axis=-1)
+        - np.pi**2 * (w * w).sum(axis=-1)) / S
     pref = np.conj(B1)[:, None] * B2[None, :] * np.exp(
         0.5 * n * (np.log(np.pi) - np.log(S))
     )

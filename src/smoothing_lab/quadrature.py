@@ -616,58 +616,46 @@ def _initial_panels(geom, knots, reach):
     return rows, a, b
 
 
-def shell_integrals(batch, coeffs: ShellCoefficients, radii=None, scales=None,
-                    rel_tol: float = REL_TOL):
-    """Integrate the shell integrand of each of a batch of states.
+def shell_integrals(batch, coeffs: ShellCoefficients, radii=(np.inf,),
+                    scales=None, rel_tol: float = REL_TOL):
+    """Integrate the shell integrand of each state of a batch over the
+    balls of radii R_j: (values, info), values of shape (T, J).
 
     batch is the tuple (B, alpha, c, v, t) of the states' packet arrays,
-    stacked one row per state, as _StateGeometry takes them.  Each state's
-    integral runs over r in [0, its own envelope], the radius past which
-    the relative tail mass is below _TAU_SPACE, and is refined until it
-    meets its own target rel_tol * max(|value|, scale); a missing scale is
-    the state's first total.  Every state has its own radial panel set,
-    from _initial_panels, and all the sets refine in the same rounds of
-    _adaptive, one kernel call per round.  Returns (values, info), one
-    value per state, where info carries the error estimates and the
-    number of panels of all the sets.
-
-    radii, a strictly increasing array (J,) of ball radii R_j > 0 (inf is
-    no cut-off), gives each state J columns: column j integrates over
-    [0, R_j], or the envelope if that is shorter.  The state's panel set
-    then runs to min(envelope, R_J) and is cut at every R_j, column j
-    sums the panels inside R_j, and each column meets its own target, with
-    scales (T,) or (T, J).  Values and errors are then (T, J).  Raises
-    InvalidParameterError for other radii, and ToleranceNotMetError when a
-    state's panel set runs out of its _MAX_PANELS budget.
+    stacked one row per state, as _StateGeometry takes them.  radii (J,)
+    strictly increase from R_1 > 0, and column j integrates over [0, R_j],
+    or over the state's envelope, past which the relative tail mass is
+    below _TAU_SPACE, if that is shorter: R_j = inf is no cut-off, so the
+    default (inf,) is the one column of the whole space.  Each state's
+    panel set runs to min(envelope, R_J), cut at every R_j, column j
+    summing the panels inside R_j, and all the sets refine in the same
+    rounds of _adaptive until each column meets rel_tol * max(|value|,
+    scale), scales being (T,) or (T, J); a missing scale is the column's
+    first total.  info carries the (T, J) errors and the panel count.
+    Raises InvalidParameterError for other radii, and ToleranceNotMetError
+    when a state's panel set runs out of its _MAX_PANELS budget.
     """
-    if radii is not None:
-        radii = np.asarray(radii, dtype=float)
-        if radii.ndim != 1 or not radii.size or not np.all(radii > 0.0) \
-                or np.any(np.diff(radii) <= 0.0):
-            raise InvalidParameterError(
-                f"radii must be positive and strictly increase, got {radii}")
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or not radii.size or not np.all(radii > 0.0) \
+            or np.any(np.diff(radii) <= 0.0):
+        raise InvalidParameterError(
+            f"radii must be positive and strictly increase, got {radii}")
     geom = _StateGeometry(*batch)
     if geom.n > 3:
         raise InvalidParameterError("shell quadrature supports n <= 3")
-    count = len(geom.t)
-    shape = (count,) if radii is None else (count, len(radii))
+    shape = (len(geom.t), len(radii))
     if not (geom.m and geom.peak_max.any()):
         return np.zeros(shape), {"abs_error": np.zeros(shape), "panels": 0}
-    reach, knots = geom.support_radii(_TAU_SPACE), coeffs.knots
-    if radii is not None:
-        reach = np.minimum(reach, radii[-1])
-        knots = (*knots, *radii)
 
     def panel(rows, a, b):
-        value_error = _panel_value(geom, rows, a, b, coeffs)
-        if radii is None:
-            return value_error
         inside = b[:, None] <= radii  # no panel straddles an R_j
-        return tuple(np.where(inside, x[:, None], 0.0) for x in value_error)
+        return tuple(np.where(inside, x[:, None], 0.0)
+                     for x in _panel_value(geom, rows, a, b, coeffs))
 
+    reach = np.minimum(geom.support_radii(_TAU_SPACE), radii[-1])
     values, errors, panels = _adaptive(
-        panel, *_initial_panels(geom, knots, reach), rel_tol,
-        np.zeros(count) if scales is None else np.asarray(scales, dtype=float))
+        panel, *_initial_panels(geom, (*coeffs.knots, *radii), reach), rel_tol,
+        np.zeros(shape[0]) if scales is None else np.asarray(scales, dtype=float))
     return values, {"abs_error": errors, "panels": panels}
 
 
@@ -690,8 +678,8 @@ def shell_integral(state, coeffs: ShellCoefficients,
     """
     values, info = shell_integrals(_states_batch([state]), coeffs,
                                    scales=None if scale is None else [scale])
-    return float(values[0]), {"abs_error": float(info["abs_error"][0]),
-                              "panels": info["panels"]}
+    return float(values[0, 0]), {"abs_error": float(info["abs_error"][0, 0]),
+                                 "panels": info["panels"]}
 
 
 # ---------------------------------------------------------------------------

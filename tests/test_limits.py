@@ -254,6 +254,24 @@ def test_sandwich_fails_zero_profile_of_nonzero_datum():
     assert report.notes.startswith("profile is 0 for a nonzero datum")
 
 
+@pytest.mark.parametrize("verify", [verify_corollary, verify_smoothing_bound])
+def test_ball_verifiers_fail_zero_profile_of_nonzero_datum(verify):
+    # the same miss as the sandwich's: FAIL, and the note says why
+    report = verify(FAST_1D, [1.0, 2.0, 4.0], tolerance=0.02)
+    assert report.floor > 0.0 and np.all(report.lhs == 0.0)
+    assert not report.passed
+    assert report.notes.startswith("profile is 0 for a nonzero datum; ")
+
+
+@pytest.mark.parametrize("verify", [verify_corollary, verify_smoothing_bound])
+def test_ball_verifiers_pass_zero_datum(verify):
+    # the zero datum's profile is 0 without a miss
+    report = verify(packet_sum([], n=1), [1.0, 2.0, 4.0], tolerance=0.02)
+    assert report.floor == 0.0 and np.all(report.lhs == 0.0)
+    assert report.passed
+    assert not report.notes.startswith("profile is 0")
+
+
 def test_zero_datum_sandwich_passes():
     report = verify_sandwich(packet_sum([], n=1), 2, [1.0, 2.0, 4.0], tolerance=1e-3)
     assert report.passed

@@ -91,6 +91,54 @@ def test_l2_norm_single_packet_closed_form():
             assert l2_norm_sq(f) == pytest.approx(expect, rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_l2_norm_of_narrow_far_packet_keeps_full_accuracy(n):
+    # completing the square about the origin cancels two terms of size
+    # alpha |c|^2, which cost up to 7.6e-6 here; the separation form has none
+    worst = 0.0
+    for a in (1.0, 1e2, 1e3, 1e4, 1e5, 1e6):
+        for c in (0.0, 2.0, 20.0, 100.0, 500.0, 5000.0):
+            centre = np.zeros(n)
+            centre[0] = c
+            f = packet_sum([WavePacket(1.0, a, centre, np.zeros(n))])
+            expect = (np.pi / (2 * a)) ** (n / 2)
+            worst = max(worst, abs(l2_norm_sq(f) - expect) / expect)
+    assert worst <= 1e-13
+
+
+def mp_pair_inner(mp, B1, a1, c1, v1, B2, a2, c2, v2):
+    """<p1, p2> of two packets at mpmath's precision, with the square
+    completed about the origin: the cancelling terms, alpha |c|^2 <= 2.5e11
+    here, cost at most 12 of its 30 digits, which leaves the test 18."""
+    a1c, a2 = mp.conj(mp.mpc(a1)), mp.mpc(a2)
+    S = a1c + a2
+    b = [a1c * mp.mpf(x) + a2 * mp.mpf(y) for x, y in zip(c1, c2)]
+    w = [mp.mpf(y) - mp.mpf(x) for x, y in zip(v1, v2)]
+    expo = (sum(x * x for x in b) + 2j * mp.pi * sum(x * y for x, y in zip(w, b))
+            - mp.pi**2 * sum(x * x for x in w)) / S \
+        - a1c * sum(mp.mpf(x) ** 2 for x in c1) - a2 * sum(mp.mpf(y) ** 2 for y in c2)
+    return mp.conj(mp.mpc(B1)) * mp.mpc(B2) * mp.power(mp.pi / S, mp.mpf(len(c1)) / 2) \
+        * mp.exp(expo)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gaussian_inner_of_far_narrow_pair_matches_mpmath(n):
+    # |c| sqrt(alpha) >= 1e3 and |c| <= 500, the second packet within a
+    # width 1/sqrt(alpha) of the first; real and complex widths
+    mp = pytest.importorskip("mpmath")
+    u = np.ones(n) / np.sqrt(n)
+    step = np.roll(u * np.arange(1, n + 1), 1) / np.sqrt(n)
+    for a, c in ((4.0, 500.0), (1e2, 100.0), (1e3, 500.0), (1e4, 20.0),
+                 (1e5, 500.0), (1e6, 1.0), (1e6, 500.0)):
+        for a1, a2 in ((a, a), (a * (1 + 0.5j), a * (0.8 - 0.3j))):
+            args = (0.8 + 0.6j, a1, c * u, 0.3 * u,
+                    1.1, a2, c * u + 0.7 / np.sqrt(a) * step, -0.2 * u[::-1])
+            got = gaussian_inner(*([x] for x in args))
+            with mp.workdps(30):
+                ref = mp_pair_inner(mp, *args)
+                assert abs(mp.mpc(got) - ref) <= 1e-12 * abs(ref), (a, c, a1, a2)
+
+
 def test_l2_norm_interference():
     p1 = WavePacket(1.0, 1.0, [0.0], [0.0])
     p2 = WavePacket(1.0, 1.0, [0.0], [0.5])

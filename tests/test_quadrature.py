@@ -169,9 +169,10 @@ def test_shell_integrals_reject_radius_that_is_not_positive(radius):
         shell_integrals(batch, coeffs, radii=[radius])
     with pytest.raises(InvalidParameterError, match="radii"):
         shell_integrals(batch, coeffs, radii=[1.0, 2.0, radius])
-    # inf is no cut-off at all
-    np.testing.assert_array_equal(shell_integrals(batch, coeffs, radii=[np.inf])[0][:, 0],
-                                  shell_integrals(batch, coeffs)[0])
+    # inf is no cut-off at all, and the default: one column per state
+    whole = shell_integrals(batch, coeffs)[0]
+    assert whole.shape == (1, 1)
+    np.testing.assert_array_equal(shell_integrals(batch, coeffs, radii=[np.inf])[0], whole)
 
 
 def test_shell_integral_reports_nonconvergence():

@@ -10,11 +10,17 @@ same file for both.  Every config runs in a fresh directory per side,
 `python -m smoothing_lab.harness run` with PYTHONPATH set to that side's
 src/.
 
-Every CSV field that differs is printed with its relative size
-|change - parent| / max(|change|, |parent|).  The exit status is 1 when a
-`pass` column, a summary verdict (PASS, FAIL or ERROR per section, and the
-closing count), a run's exit code or a CSV's shape differs, and 0
-otherwise: fields that move at roundoff are reported, not judged.
+No CSV shows the residuals near 1e-14 on which finite-identity's
+margin_digits rests, so each side also runs `verify_identity` on the
+seed-1 finite-identity tasks of its own perfbench, in a child process that
+imports that side's src/, and prints `float.hex` of each task's lhs and rhs.
+
+Every CSV field and every finite-identity value that differs is printed
+with its relative size |change - parent| / max(|change|, |parent|).  The
+exit status is 1 when a `pass` column, a summary verdict (PASS, FAIL or
+ERROR per section, and the closing count), a run's exit code, a CSV's
+shape or the finite-identity tasks that return differ, and 0 otherwise:
+values that move at roundoff are reported, not judged.
 """
 
 from __future__ import annotations
@@ -31,6 +37,22 @@ from pathlib import Path
 CHANGE = Path(__file__).resolve().parents[1]
 SEED = 1
 RUN_TIMEOUT_S = 600
+# run in a child with a checkout's src/: verify_identity on the seed-1
+# finite-identity tasks of that checkout's perfbench, one line per task
+IDENTITY_VALUES = """
+import sys
+sys.path.insert(0, sys.argv[1] + "/perfbench")
+import run  # Lab() imports the package from this checkout's src/
+
+wl = run.build(run.Lab(), "finite-identity", int(sys.argv[2]))
+for name, f, w, T in wl.tasks:
+    try:
+        rep = wl.lab.limits.verify_identity(f, w, [T], tolerance=wl.tolerance)
+    except wl.lab.errors.SmoothingLabError as exc:
+        print(name, "raised", type(exc).__name__)
+    else:
+        print(name, float(rep.lhs[0]).hex(), float(rep.rhs[0]).hex())
+"""
 
 
 def cli_mix_config() -> str:
@@ -52,6 +74,38 @@ def harness(checkout: Path, cwd: Path, *args) -> subprocess.CompletedProcess:
                           timeout=RUN_TIMEOUT_S)
 
 
+def identity_values(checkout: Path) -> dict:
+    """Task name -> (lhs, rhs) as float.hex, or ("raised", error name)."""
+    proc = subprocess.run([sys.executable, "-c", IDENTITY_VALUES, str(checkout), str(SEED)],
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    proc.check_returncode()
+    return {name: tuple(values) for name, *values in map(str.split, proc.stdout.splitlines())}
+
+
+def compare_identity(checkouts: dict) -> bool:
+    """Print the finite-identity values that differ; True when the tasks or
+    which of them raise do."""
+    values = {side: identity_values(path) for side, path in checkouts.items()}
+    parent, change = values["parent"], values["change"]
+    if parent.keys() != change.keys():
+        print(f"finite-identity: tasks {sorted(parent)} -> {sorted(change)}")
+        return True
+    judged = False
+    for name in parent:
+        if "raised" in (parent[name][0], change[name][0]):
+            if parent[name] != change[name]:
+                print(f"finite-identity {name}: {' '.join(parent[name])} -> "
+                      f"{' '.join(change[name])}")
+                judged = True
+            continue
+        for side, a, b in zip(("lhs", "rhs"), parent[name], change[name]):
+            if a != b:
+                size = rel_size(float.fromhex(a), float.fromhex(b))
+                print(f"finite-identity {name} {side}: {a} -> {b} (relative {size:.2g})")
+    print(f"finite-identity: {len(change)} tasks compared")
+    return judged
+
+
 def run_config(checkout: Path, cwd: Path, text: str | None) -> int:
     """Exit code of one harness run of a config in cwd; text None means the
     checkout's own starter."""
@@ -70,7 +124,7 @@ def verdicts(summary: Path) -> list:
             if line.startswith(("PASS ", "FAIL ", "ERROR "))] + lines[-1:]
 
 
-def rel_size(a: str, b: str) -> float:
+def rel_size(a, b) -> float:
     x, y = float(a), float(b)
     return abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
 
@@ -138,6 +192,7 @@ def main(argv=None) -> int:
             print(f"{name}: exit code {codes['change']}, {len(csvs['change'])} CSVs compared")
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    differs |= compare_identity(checkouts)
     return 1 if differs else 0
 
 
