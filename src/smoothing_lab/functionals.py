@@ -2,9 +2,9 @@
 
 Everything here reduces to one pattern: a radial-shell spatial integral of
 quadratic expressions in (u, du/dr, grad_tau u) with radial coefficients
-drawn from a weight's derivative stack, integrated in time either over a
-finite window [-T, T] or over the whole line through the compactifying
-substitution t = s/(1 - s^2).
+drawn from a weight's derivative stack, integrated in time over a window
+[-T, T]: a finite one, or the window of horizon inf, the whole line,
+through the compactifying substitution t = s/(1 - s^2).
 
 Schedules: the public functions take one time, horizon or radius and
 return a float, or a 1-D schedule of them and return one value per
@@ -77,42 +77,38 @@ def _per_point(values, scalar: bool):
 
 
 def _time_integrated(f: WavePacketSum, coeffs: ShellCoefficients, scale,
-                     horizons=None, radii=(np.inf,)):
+                     horizons=(np.inf,), radii=(np.inf,)):
     """Integrate a shell functional of u(t) over time: the columns (J,).
 
-    horizons, an increasing array (J,) of T_j, integrates over [-T_J, T_J]
-    with initial panels cut at 0 and at every +-T_j, and column j is the
-    density times the indicator of [-T_j, T_j]: no panel straddles a cut,
-    so column j is the integral over [-T_j, T_j].  Without horizons the
-    integral runs over the whole line through the s-substitution, and
-    column j is the integral over the ball of radius R_j of radii (J,),
-    whose default (inf,) is the whole space.  scale is the magnitude floor
-    for both layers, a float or one per column.
+    Column j is the integral over the window [-T_j, T_j] of horizons, an
+    increasing array (J,), of the integral over the ball of radius R_j of
+    radii (J,); the other schedule stays at its default (inf,).  A finite
+    widest window [-T_J, T_J] has initial panels cut at 0 and at every
+    +-T_j, and column j is the density times the indicator of [-T_j, T_j]:
+    no panel straddles a cut, so column j is the integral over [-T_j, T_j].
+    The window of horizon inf is the whole line, through the
+    s-substitution.  scale is the magnitude floor for both layers, a float
+    or one per column.
     """
     space_tol = _SPACE_FACTOR * REL_TOL
-    if horizons is None:
-        space_scale = np.asarray(scale, dtype=float) / 2.0  # s runs over (-1, 1)
-
-        def fn(ts):
-            # the nodes of a whole time sweep in one batch, each column to
-            # its own floor, shrunk by ds/dt so that the jacobian-multiplied
-            # values carry uniform error per unit s: the accepted spatial
-            # error stays <= space_tol * scale in total
-            floors = np.multiply.outer(_compact_line_rate(ts), space_scale)
-            values, _ = shell_integrals(_evolve_times(f, ts), coeffs, radii=radii,
-                                        scales=floors, rel_tol=space_tol)
-            return values
-
-        return real_line_time_integral(fn, REL_TOL, scale)[0]
     widest = horizons[-1]
-    space_scale = scale / max(2.0 * widest, 1.0)
+    whole = np.isinf(widest)
+    # s runs over (-1, 1) on the whole line, and s = t on a window
+    space_scale = np.asarray(scale, dtype=float) / (2.0 if whole else max(2.0 * widest, 1.0))
 
     def fn(ts):
-        values, _ = shell_integrals(_evolve_times(f, ts), coeffs,
-                                    scales=np.full(len(ts), space_scale),
+        # the nodes of a whole time sweep in one batch, each column to its
+        # own floor, shrunk by ds/dt so that the values, which the whole
+        # line multiplies by dt/ds, carry uniform error per unit s: the
+        # accepted spatial error stays <= space_tol * scale in total
+        rate = _compact_line_rate(ts) if whole else np.ones(len(ts))
+        values, _ = shell_integrals(_evolve_times(f, ts), coeffs, radii=radii,
+                                    scales=np.multiply.outer(rate, space_scale),
                                     rel_tol=space_tol)
         return np.where(np.abs(ts)[:, None] <= horizons, values, 0.0)
 
+    if whole:
+        return real_line_time_integral(fn, REL_TOL, scale)[0]
     points = np.concatenate([-horizons[-2::-1], [0.0], horizons[:-1]])
     return adaptive_time_integral(fn, -widest, widest, REL_TOL, scale, points)[0]
 
@@ -232,7 +228,7 @@ def check_remainder_hypotheses(w: RadialWeight, n: int) -> None:
 
 # _sign_changes samples a lattice that spans a weight's knots by
 # _KINK_DECADES either way, at _KINK_PER_DECADE radii a decade and as many
-# equal steps between neighbouring knots, then narrows each bracket of a
+# equal steps between neighbouring knots; _zeros narrows each bracket of a
 # sign change _KINK_ROUNDS times at _KINK_STEPS equal steps: the last
 # bracket is about 2e-9 of the radius wide, so the linear interpolation
 # across it is off by about 1e-18 of the radius, well under an ulp
@@ -250,27 +246,17 @@ def _flips(values):
     return nonzero[k], nonzero[k + 1]
 
 
-def _sign_changes(g, knots) -> tuple:
-    """The radii where g changes sign, each within an ulp, in at most
-    1 + _KINK_ROUNDS calls of g.
+def _zeros(g, r) -> tuple:
+    """The zeros of g bracketed on the 1-D lattice r, in lattice order, in
+    at most 1 + _KINK_ROUNDS calls of g on 1-D arrays.
 
-    |g| changes analytic piece at a sign change of g, so these radii are
-    knots of the coefficient |g|.  g is sampled on a lattice: a geometric
-    one from 10^-_KINK_DECADES of the least positive knot to
-    10^_KINK_DECADES times the largest (about 1 if there are none), plus
-    _KINK_PER_DECADE equal steps between neighbouring knots.  Neighbouring
-    nonzero samples of opposite sign bracket a zero.  Each round samples
-    the inside of every bracket at _KINK_STEPS equal steps, all brackets in
-    one call, and keeps the step of its first sign change: the first
-    sample whose sign differs from the left end's, which is 0 or of the
-    other sign, and the one before it.  The zero is the linear
-    interpolation across the last bracket.
+    Neighbouring nonzero samples of opposite sign bracket a zero; r may
+    rise or fall.  Each round samples the inside of every bracket at
+    _KINK_STEPS equal steps, all brackets in one call, and keeps the step
+    of its first sign change: the first sample whose sign differs from the
+    left end's, which is 0 or of the other sign, and the one before it.
+    The zero is the linear interpolation across the last bracket.
     """
-    edges = sorted(k for k in knots if k > 0.0) or [1.0]  # g is read on r > 0
-    first, last = edges[0] * 10.0**-_KINK_DECADES, edges[-1] * 10.0**_KINK_DECADES
-    r = np.unique(np.concatenate(
-        [np.geomspace(first, last, int(_KINK_PER_DECADE * np.log10(last / first)) + 1)]
-        + [np.linspace(a, b, _KINK_PER_DECADE + 1) for a, b in zip(edges, edges[1:])]))
     y = g(r)
     a, b = _flips(y)
     if not a.size:
@@ -285,6 +271,22 @@ def _sign_changes(g, knots) -> tuple:
         i = np.argmax(np.sign(y) != np.sign(ylo)[:, None], axis=1)
         lo, hi, ylo, yhi = x[rows, i - 1], x[rows, i], y[rows, i - 1], y[rows, i]
     return tuple((lo + (hi - lo) * (ylo / (ylo - yhi))).tolist())
+
+
+def _sign_changes(g, knots) -> tuple:
+    """The radii where g changes sign, each within an ulp, by _zeros.
+
+    |g| changes analytic piece at a sign change of g, so these radii are
+    knots of the coefficient |g|.  g is sampled on a lattice: a geometric
+    one from 10^-_KINK_DECADES of the least positive knot to
+    10^_KINK_DECADES times the largest (about 1 if there are none), plus
+    _KINK_PER_DECADE equal steps between neighbouring knots.
+    """
+    edges = sorted(k for k in knots if k > 0.0) or [1.0]  # g is read on r > 0
+    first, last = edges[0] * 10.0**-_KINK_DECADES, edges[-1] * 10.0**_KINK_DECADES
+    return _zeros(g, np.unique(np.concatenate(
+        [np.geomspace(first, last, int(_KINK_PER_DECADE * np.log10(last / first)) + 1)]
+        + [np.linspace(a, b, _KINK_PER_DECADE + 1) for a, b in zip(edges, edges[1:])])))
 
 
 def _remainder_pair(f: WavePacketSum, w: RadialWeight, kinks=None):

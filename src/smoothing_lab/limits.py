@@ -7,7 +7,8 @@ the increment ratio of the last three points.  The fit is a variable
 projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 1973): at fixed
 alpha, L and c are linear and have a closed-form least-squares solution,
 so the fit searches the one variable log alpha, and solves it to
-roundoff.  A non-monotone tail is flagged as non-convergent rather than
+roundoff with the kink finder's root search, functionals._zeros.  A
+non-monotone tail is flagged as non-convergent rather than
 extrapolated, and reported by its final value with the last increment as
 the error bar.
 
@@ -20,15 +21,15 @@ harness.REGISTRY.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .functionals import (boundary_term, dispersive_l2_error, flux,
-                          morawetz_lhs, radial_profile, remainder_terms,
-                          smoothing_profile, weighted_radial_energy)
+from .functionals import (_KINK_STEPS, _zeros, boundary_term,
+                          dispersive_l2_error, flux, morawetz_lhs,
+                          radial_profile, remainder_terms, smoothing_profile,
+                          weighted_radial_energy)
 from .model import (RadialWeight, VerificationReport, WavePacketSum,
                     relative_residual)
 from .quadrature import REL_TOL
@@ -77,16 +78,18 @@ class LimitEstimate:
     note: str = ""
 
 
-def _projected_fit(p, v, alpha: float):
+def _projected_fit(p, v, alpha):
     """(L, c, residuals v - L - c q, q) of the least-squares fit of
-    L + c q to v with q = p^(-alpha) at a fixed alpha, in closed form; the
-    sums run on values centred at their means, which keeps the residuals
-    clear of the cancellation of v against L."""
-    q = np.power(p, -alpha)
-    q_mean, v_mean = q.sum() / len(q), v.sum() / len(v)
-    dq, dv = q - q_mean, v - v_mean
-    c = float((dq @ dv) / (dq @ dq))
-    return float(v_mean - c * q_mean), c, dv - c * dq, q
+    L + c q to v with q = p^(-alpha) at a fixed alpha, in closed form, or
+    for an array (A,) of exponents one fit per row: L and c (A,), the
+    residuals and q (A, m).  The sums run on values centred at their
+    means, which keeps the residuals clear of the cancellation of v
+    against L."""
+    q = np.power(p, -np.asarray(alpha)[..., None])
+    q_mean, v_mean = q.sum(axis=-1) / len(v), v.sum() / len(v)
+    dq, dv = q - q_mean[..., None], v - v_mean
+    c = (dq @ dv) / (dq * dq).sum(axis=-1)
+    return v_mean - c * q_mean, c, dv - c[..., None] * dq, q
 
 
 def _fit_exponent(p, v, alpha0: float) -> float:
@@ -95,48 +98,26 @@ def _fit_exponent(p, v, alpha0: float) -> float:
     that lies downhill of alpha0.
 
     With L and c at their optimum for each alpha, d(RSS)/d(alpha) is
-    2 c sum_i r_i q_i log p_i (the variable projection).  From alpha0 the
-    search steps downhill in x = log alpha, doubling its step, until that
-    slope changes sign or a bound is reached, and then closes the bracket
-    by false position until it is 2 eps wide in x, so to roundoff in
-    alpha.
+    2 c sum_i r_i q_i log p_i (the variable projection).  Its sign at
+    alpha0 says which bound lies downhill.  The root search is the kink
+    finder's, functionals._zeros, on _KINK_STEPS equal steps in
+    x = log alpha from alpha0 to that bound, and its first zero is the
+    exponent, to roundoff in alpha.  Without a zero the residual falls all
+    the way to the bound, and the bound is the exponent.
     """
     logp = np.log(p)
 
     def slope(x):
-        _, c, r, q = _projected_fit(p, v, math.exp(x))
-        return c * float(r @ (q * logp))
+        _, c, r, q = _projected_fit(p, v, np.exp(x))
+        return c * ((r * q) @ logp)
 
-    lo, hi = (math.log(b) for b in _ALPHA_BOUNDS)
-    a = math.log(alpha0)
-    ga = slope(a)
-    if ga == 0.0:
+    x0 = np.log(alpha0)
+    g0 = slope(x0)
+    if g0 == 0.0:
         return alpha0
-    step = 0.125 if ga < 0.0 else -0.125
-    while True:
-        b = min(max(a + step, lo), hi)
-        gb = slope(b)
-        if gb == 0.0 or (gb > 0.0) != (ga > 0.0):
-            break
-        if b in (lo, hi):
-            return math.exp(b)  # the residual falls all the way to the bound
-        a, ga, step = b, gb, 2.0 * step
-    # a and b bracket the sign change, ga and gb of opposite signs: false
-    # position with the Illinois rule, which halves the slope of an end
-    # kept twice running, and bisection where a step would leave (a, b)
-    kept = 0
-    while gb != 0.0 and abs(b - a) > 2.0 * np.finfo(float).eps:
-        x = (a * gb - b * ga) / (gb - ga)
-        if not min(a, b) < x < max(a, b):
-            x = 0.5 * (a + b)
-        gx = slope(x)
-        if gx != 0.0 and (gx > 0.0) == (ga > 0.0):
-            a, ga = x, gx
-            gb, kept = (0.5 * gb if kept == 1 else gb), 1
-        else:
-            b, gb = x, gx
-            ga, kept = (0.5 * ga if kept == -1 else ga), -1
-    return math.exp(b)
+    bound = _ALPHA_BOUNDS[1] if g0 < 0.0 else _ALPHA_BOUNDS[0]
+    zeros = _zeros(slope, np.linspace(x0, np.log(bound), _KINK_STEPS + 1))
+    return float(np.exp(zeros[0])) if zeros else bound
 
 
 def estimate_limit(values) -> LimitEstimate:
@@ -210,7 +191,7 @@ def estimate_limit(values) -> LimitEstimate:
         # an exact fit's rms says nothing about the limit's error
         perr = float(np.abs(incs[-1]))
         note += ", covariance not estimated"
-    return LimitEstimate(L, max(rms, perr), True, note)
+    return LimitEstimate(float(L), max(rms, perr), True, note)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,9 @@ def test_power_law_limit_recovered():
 
 
 def test_three_point_fit_reports_raw_last_error_bar():
-    # three points fix the three model parameters exactly, so curve_fit
-    # cannot estimate a covariance; the error bar must still cover the
-    # 1e-9 ripple's effect on the limit
+    # three points fix the three model parameters exactly, so the fit has
+    # no spare point to estimate a covariance from; the error bar must
+    # still cover the 1e-9 ripple's effect on the limit
     ps = np.array([4.0, 8.0, 16.0])
     vals = 1.0 + 2.0 * ps**-1.3 + 1e-9 * np.array([1.0, -1.0, 1.0])
     with warnings.catch_warnings():
@@ -155,6 +155,56 @@ def test_limit_is_the_least_squares_optimum():
         exact = fit(mp.findroot(slope, mp.mpf(1.6)))[0]
     assert est.converged
     assert abs(est.value - float(exact)) <= 1e-14 * abs(float(exact))
+
+
+def mp_optimum(mp, ps, vals, alpha):
+    """The limit L of the least-squares fit at 40 digits: the closed-form
+    L and c at each alpha, and the zero of d(RSS)/d(alpha) near alpha."""
+    with mp.workdps(40):
+        P, V = [mp.mpf(float(p)) for p in ps], [mp.mpf(float(v)) for v in vals]
+
+        def fit(alpha):
+            q = [p**-alpha for p in P]
+            qm, vm = sum(q) / len(q), sum(V) / len(V)
+            c = (sum((a - qm) * (b - vm) for a, b in zip(q, V))
+                 / sum((a - qm) ** 2 for a in q))
+            return vm - c * qm, c, [b - vm - c * (a - qm) for a, b in zip(q, V)], q
+
+        def slope(alpha):
+            _, c, r, q = fit(alpha)
+            return c * sum(ri * qi * mp.log(p) for ri, qi, p in zip(r, q, P))
+
+        return float(fit(mp.findroot(slope, mp.mpf(alpha)))[0])
+
+
+def test_limit_is_the_optimum_far_from_the_seed():
+    # two power laws: the increment-ratio seed is 1.44, and the search
+    # runs 0.55 in log alpha to the least-squares exponent near 2.5
+    mp = pytest.importorskip("mpmath").mp
+    ps = 2.0 ** np.arange(5)
+    vals = 1.0 + ps**-1.0 + 5.0 * ps**-3.0
+    est = estimate_limit(zip(ps, vals))
+    exact = mp_optimum(mp, ps, vals, 2.5)
+    assert est.converged and "alpha=2.5" in est.note
+    assert abs(est.value - exact) <= 1e-14 * abs(exact)
+
+
+def test_fit_without_a_minimum_stops_at_the_bound():
+    # the residual falls all the way to alpha = 20, where the fit stops
+    ps = 2.0 ** np.arange(5)
+    est = estimate_limit(zip(ps, [2.0, 1.0, 1.0, 1.0, 1.0 + 1e-6]))
+    assert est.converged
+    assert est.note == "power fit alpha=20"
+
+
+def test_root_search_returns_zeros_in_lattice_order():
+    # the kink finder's routine, on a falling lattice, as the fit runs it
+    # toward the lower bound
+    zeros = functionals._zeros(np.sin, np.linspace(10.0, 0.5, 40))
+    expected = (3.0 * np.pi, 2.0 * np.pi, np.pi)
+    assert len(zeros) == 3
+    for z, root in zip(zeros, expected):
+        assert abs(z - root) <= np.spacing(root)
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,21 @@ module's `fft` for a counting proxy:
                              real_line_time_integral runs through it
     real_line_time_integral_calls
                              calls of real_line_time_integral
-    per_task                 kernel_calls, kernel_state_radii and the three
-                             call counts above again, split by the task of
-                             the pass (a verify_* call, or an experiment
-                             section of cli-mix) that the pass's Timer was
-                             timing when they ran, so that a change of the
-                             totals can be traced to the tasks it sits in,
-                             and one call per schedule shows there
+    time_nodes               times handed to the time integrand fn of
+                             adaptive_time_integral, summed over every
+                             call: t on a finite window, and s, the
+                             compactified time, on the whole line
+    limit_fits               calls of limits.estimate_limit
+    per_task                 kernel_calls, kernel_state_radii, the three
+                             call counts above, time_nodes and limit_fits
+                             again, split by the task of the pass (a
+                             verify_* call, or an experiment section of
+                             cli-mix) that the pass's Timer was timing
+                             when they ran, so that a change of the
+                             totals can be traced to the tasks it sits
+                             in, and one call per schedule shows there;
+                             the fits of cli-mix's judge, which reads the
+                             CSVs after the run, fall outside every task
 
 Every state has its own radial panel set, so the panel counts are per
 state; a checkout whose states share panel sets in groups counts them per
@@ -62,7 +70,8 @@ forward_transform, inverse_transform and evolve_spectral, not transforms.
 Beside them, cpu_over_wall is the CPU time of the whole child process
 over the wall time of that pass: well above 1, a second BLAS thread is
 running.  The time sweeps, quadrature.time_nodes (calls of the time
-integrand, one per refinement round), come from the record of a
+integrand, one per refinement round, where time_nodes counts the nodes
+of those calls), come from the record of a
 `perfbench/run.py --trace 1` run at the same seed, under the tracer's own
 name, with its quadrature.panels_accepted, spectral.fft_calls and
 propagator.calls, the calls of the propagator's traced functions: each
@@ -155,7 +164,8 @@ def count_work(workload: str, seed: int) -> dict:
         "kernel_calls", "kernel_state_radii", "radial_panel_sweeps",
         "radial_panels_evaluated", "radial_panels_accepted",
         "grid_transforms", "grid_transform_points", "shell_integrals_calls",
-        "adaptive_time_integral_calls", "real_line_time_integral_calls"), 0))
+        "adaptive_time_integral_calls", "real_line_time_integral_calls",
+        "time_nodes", "limit_fits"), 0))
     tasks = []  # the task the timer is timing, innermost last
     per_task = {}
 
@@ -171,18 +181,33 @@ def count_work(workload: str, seed: int) -> dict:
             finally:
                 tasks.pop()
 
-    def wrap(name, note):
-        """Rebind quadrature.<name> in every module that imported it."""
-        inner = getattr(q, name)
-
-        def wrapper(*args, **kwargs):
-            result = inner(*args, **kwargs)
-            note(args, result)
-            return result
-
+    def rebind(name, wrapper, module=q):
+        """Rebind module.<name> to wrapper(it) in every module that imported it."""
+        inner = getattr(module, name)
+        outer = wrapper(inner)
         for mod in lab.modules().values():
             if getattr(mod, name, None) is inner:
-                setattr(mod, name, wrapper)
+                setattr(mod, name, outer)
+
+    def wrap(name, note, module=q):
+        """Rebind module.<name> to a function that calls note(args, result)
+        after each call."""
+        def wrapper(inner):
+            def call(*args, **kwargs):
+                result = inner(*args, **kwargs)
+                note(args, result)
+                return result
+            return call
+        rebind(name, wrapper, module)
+
+    def time_nodes(inner):
+        """adaptive_time_integral, counting the times it hands its fn."""
+        def call(fn, *args, **kwargs):
+            def counted(t):
+                tally("time_nodes", np.size(t))
+                return fn(t)
+            return inner(counted, *args, **kwargs)
+        return call
 
     def tally(key, amount=1):
         """Add to the pass's count and to the current task's."""
@@ -228,6 +253,8 @@ def count_work(workload: str, seed: int) -> dict:
     wrap("shell_integrals", panel_sets)
     for name in ("adaptive_time_integral", "real_line_time_integral"):
         wrap(name, lambda args, result, key=f"{name}_calls": tally(key))
+    rebind("adaptive_time_integral", time_nodes)
+    wrap("estimate_limit", lambda args, result: tally("limit_fits"), lab.limits)
     wl = run.build(lab, workload, seed)
     try:
         wall, cpu = time.perf_counter(), time.process_time()
@@ -351,8 +378,8 @@ def main(argv=None) -> int:
         **head,
         "work_counts": "kernel_calls, kernel_state_radii, radial_panel_sweeps, "
                        "radial_panels_evaluated, radial_panels_accepted, "
-                       "grid_transforms, grid_transform_points and the *_calls "
-                       "counts are this "
+                       "grid_transforms, grid_transform_points, time_nodes, "
+                       "limit_fits and the *_calls counts are this "
                        "tool's counts, not the tracer's (see tools/bench_pairs.py); "
                        "the quadrature.*, propagator.* and spectral.* counts are "
                        "the tracer's, from a --trace 1 run, per pass",
