@@ -51,23 +51,29 @@ def _weight_scale(w: RadialWeight) -> float:
     return 1.0 + abs(w.slope_inf)
 
 
-def _schedule(points, what: str, ordered: bool = True):
-    """(points as a 1-D float array, whether one scalar was given).
+def _schedule(points, what: str, ordered: bool = True, least: int = 1):
+    """(points as a new 1-D float array, whether one scalar was given).
 
-    InvalidParameterError unless points is a scalar or a non-empty 1-D
-    schedule of finite values; an ordered schedule (horizons, radii) must
-    also be positive and strictly increase.
+    The one check of a schedule: a functional's points, a driver's
+    schedule and the limit fit's parameters.  InvalidParameterError unless
+    points is a scalar or a 1-D array of at least least values, all
+    finite; an ordered schedule must also be positive and strictly
+    increase.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.array(points, dtype=float)
     scalar = pts.ndim == 0
     pts = pts.reshape(1) if scalar else pts
-    if pts.ndim != 1 or not pts.size:
-        raise InvalidParameterError(f"a {what} schedule must be a non-empty 1-D "
-                                    f"array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)) or ordered and not (
-            np.all(pts > 0.0) and np.all(np.diff(pts) > 0.0)):
-        rule = " and positive, and strictly increase" if ordered else ""
-        raise InvalidParameterError(f"{what} must be finite{rule}, got {pts.tolist()}")
+    if pts.ndim != 1:
+        raise InvalidParameterError(f"a {what} schedule must be 1-D, got shape {pts.shape}")
+    if pts.size < least:
+        raise InvalidParameterError(
+            f"{what} needs at least {least} schedule points, got {pts.size}")
+    for rule, ok in (("be finite", np.all(np.isfinite(pts))),
+                     ("be positive", not ordered or np.all(pts > 0.0)),
+                     ("strictly increase", not ordered or np.all(np.diff(pts) > 0.0))):
+        if not ok:
+            raise InvalidParameterError(
+                f"{what} schedule points must {rule}, got {pts.tolist()}")
     return pts, scalar
 
 

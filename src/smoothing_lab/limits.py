@@ -7,14 +7,16 @@ the increment ratio of the last three points.  The fit is a variable
 projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 1973): at fixed
 alpha, L and c are linear and have a closed-form least-squares solution,
 so the fit searches the one variable log alpha, and solves it to
-roundoff with the kink finder's root search, functionals._zeros.  A
-non-monotone tail is flagged as non-convergent rather than
-extrapolated, and reported by its final value with the last increment as
-the error bar.
+roundoff with the kink finder's root search, functionals._zeros.  The
+parameters follow the ordered schedule rule, so they are positive, and
+the fit runs on the tail scaled by its first parameter.  A non-monotone
+tail is flagged as non-convergent rather than extrapolated, and reported
+by its final value with the last increment as the error bar.
 
 The verify_* drivers run one experiment each and return a
 VerificationReport; they are the layer the harness schedules.  Each
-checks its schedule's length and order with _points before computing
+checks its schedule with _points, the one schedule rule of
+functionals._schedule at the kind's MIN_POINTS, before computing
 anything, and takes its tolerance explicitly: the defaults live in
 harness.REGISTRY.
 """
@@ -25,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .functionals import (_KINK_STEPS, _zeros, boundary_term,
+from .functionals import (_KINK_STEPS, _schedule, _zeros, boundary_term,
                           dispersive_l2_error, flux, morawetz_lhs,
                           radial_profile, remainder_terms, smoothing_profile,
                           weighted_radial_energy)
@@ -53,21 +54,10 @@ MIN_POINTS = {"identity": 1, "sandwich": 1, "smoothing-bound": 1,
               "flux-limit": _FIT_POINTS}
 
 
-def _points(kind: str, schedule) -> list:
-    """The schedule as floats; InvalidParameterError below MIN_POINTS[kind]
-    points, at a point that is not finite, or where the points do not
-    strictly increase."""
-    pts = [float(p) for p in schedule]
-    if not all(np.isfinite(pts)):
-        raise InvalidParameterError(f"{kind} schedule points must be finite, got {pts}")
-    if len(pts) < MIN_POINTS[kind]:
-        raise InvalidParameterError(
-            f"{kind} needs at least {MIN_POINTS[kind]} schedule points, "
-            f"got {len(pts)}")
-    if any(b <= a for a, b in zip(pts, pts[1:])):
-        raise InvalidParameterError(
-            f"{kind} schedule points must strictly increase, got {pts}")
-    return pts
+def _points(kind: str, schedule) -> np.ndarray:
+    """The schedule as a new 1-D float array, by functionals._schedule with
+    at least MIN_POINTS[kind] points."""
+    return _schedule(schedule, kind, least=MIN_POINTS[kind])[0]
 
 
 @dataclass(frozen=True)
@@ -101,9 +91,12 @@ def _fit_exponent(p, v, alpha0: float) -> float:
     2 c sum_i r_i q_i log p_i (the variable projection).  Its sign at
     alpha0 says which bound lies downhill.  The root search is the kink
     finder's, functionals._zeros, on _KINK_STEPS equal steps in
-    x = log alpha from alpha0 to that bound, and its first zero is the
-    exponent, to roundoff in alpha.  Without a zero the residual falls all
-    the way to the bound, and the bound is the exponent.
+    x = log alpha from alpha0 to that bound, and one step behind alpha0:
+    when alpha0 is the root, the sign at alpha0 is roundoff and the
+    lattice may read it otherwise, but the step behind still brackets it.
+    The first zero is the exponent, to roundoff in alpha.  Without a zero
+    the residual falls all the way to the bound, and the bound is the
+    exponent.
     """
     logp = np.log(p)
 
@@ -116,7 +109,8 @@ def _fit_exponent(p, v, alpha0: float) -> float:
     if g0 == 0.0:
         return alpha0
     bound = _ALPHA_BOUNDS[1] if g0 < 0.0 else _ALPHA_BOUNDS[0]
-    zeros = _zeros(slope, np.linspace(x0, np.log(bound), _KINK_STEPS + 1))
+    step = (np.log(bound) - x0) / _KINK_STEPS
+    zeros = _zeros(slope, x0 + step * np.arange(-1, _KINK_STEPS + 1))
     return float(np.exp(zeros[0])) if zeros else bound
 
 
@@ -124,28 +118,25 @@ def estimate_limit(values) -> LimitEstimate:
     """Extrapolate an ordered (parameter, value) schedule to its limit.
 
     Fits v = L + c p^(-alpha) over the tail (up to the last 5 points) by
-    _fit_exponent.  The error bar is the larger of the fit's rms residual
-    and the standard error of L, from the covariance inv(J^T J) RSS/(m - 3)
-    of the m tail points with the Jacobian J at the optimum; three points
-    fix the model exactly, and then the last increment stands in for the
-    standard error.  A tail whose increments alternate in sign above the
-    noise floor, or a schedule with a value that is not finite, is
-    reported as non-convergent with the final value and the last
-    increment as the error bar, never as a fitted limit, and so is a fit
-    that comes out not finite.  Raises InvalidParameterError for fewer
-    than _FIT_POINTS points, or parameters that are not finite or do not
-    strictly increase.
+    _fit_exponent, on the tail's parameters divided by its first, p_0: the
+    model is the same with c scaled by p_0^(-alpha), and neither the fit's
+    sums nor L and its error bar depend on the parameters' scale.  The
+    error bar is the larger of the fit's rms residual and the standard
+    error of L, from the covariance inv(J^T J) RSS/(m - 3) of the m tail
+    points with the Jacobian J at the optimum; three points fix the model
+    exactly, and then the last increment stands in for the standard error.
+    A tail whose increments alternate in sign above the noise floor, or a
+    schedule with a value that is not finite, is reported as
+    non-convergent with the final value and the last increment as the
+    error bar, never as a fitted limit, and so is a fit that comes out not
+    finite.  The parameters follow the ordered schedule rule of
+    functionals._schedule with at least _FIT_POINTS points:
+    InvalidParameterError unless they are finite, positive and strictly
+    increase.
     """
     pts = [(float(p), float(v)) for p, v in values]
-    if len(pts) < _FIT_POINTS:
-        raise InvalidParameterError(
-            f"limit estimation needs at least {_FIT_POINTS} points")
-    params = np.array([p for p, _ in pts])
+    params = _schedule([p for p, _ in pts], "limit estimation", least=_FIT_POINTS)[0]
     vals = np.array([v for _, v in pts])
-    if not np.all(np.isfinite(params)):
-        raise InvalidParameterError(f"schedule parameters must be finite, got {params}")
-    if np.any(np.diff(params) <= 0):
-        raise InvalidParameterError("schedule parameters must strictly increase")
 
     incs = np.diff(vals)
     if not np.all(np.isfinite(vals)):
@@ -165,7 +156,7 @@ def estimate_limit(values) -> LimitEstimate:
         )
 
     m = min(len(pts), 5)
-    p_t, v_t = params[-m:], vals[-m:]
+    p_t, v_t = params[-m:] / params[-m], vals[-m:]
 
     # increment-ratio seed for the exponent, assuming geometric spacing
     alpha0 = 1.0
@@ -230,7 +221,7 @@ def verify_identity(f: WavePacketSum, w: RadialWeight, T_schedule,
     rel = relative_residual(lhs, rhs, floor)
     return VerificationReport(
         experiment="identity", n=f.n, weight_id=w.label,
-        params=np.array(Ts), lhs=lhs, rhs=rhs,
+        params=Ts, lhs=lhs, rhs=rhs,
         tolerance=tolerance, floor=floor,
         passed=bool(np.all(rel <= tolerance)),
         notes=f"max relative residual {rel.max():.3e}",
@@ -247,7 +238,7 @@ def verify_theorem_main(f: WavePacketSum, w: RadialWeight, T_schedule,
     est, passed = _limit_verdict(Ts, lhs, target, floor, tolerance)
     return VerificationReport(
         experiment="theorem-limit", n=f.n, weight_id=w.label,
-        params=np.array(Ts), lhs=lhs, rhs=np.full(len(Ts), target),
+        params=Ts, lhs=lhs, rhs=np.full(len(Ts), target),
         tolerance=tolerance, floor=floor,
         extrapolated_limit=est.value, limit_error=est.error,
         passed=passed,
@@ -275,7 +266,7 @@ def verify_corollary(f: WavePacketSum, R_schedule,
     missed = _missed(floor, lhs, smoothing)
     return VerificationReport(
         experiment="corollary-limit", n=f.n, weight_id="none",
-        params=np.array(Rs), lhs=lhs, rhs=np.full(len(Rs), target),
+        params=Rs, lhs=lhs, rhs=np.full(len(Rs), target),
         tolerance=tolerance, floor=floor,
         extrapolated_limit=est.value, limit_error=est.error,
         passed=limit_ok and sup_ok and not missed,
@@ -291,11 +282,9 @@ def verify_flux(f: WavePacketSum, w: RadialWeight, t_schedule,
                 tolerance: float) -> VerificationReport:
     """Radiation flux at +-t vs the signed limits +-2 pi psi'(inf) ||f||^2."""
     ts = _points("flux-limit", t_schedule)
-    if any(t <= 0 for t in ts):
-        raise InvalidParameterError("flux schedule must list positive times")
     floor = hs_norm_sq(f, 0.5)
     target = TWO_PI * w.slope_inf * floor
-    params = np.concatenate([[-t for t in ts[::-1]], ts])
+    params = np.concatenate([-ts[::-1], ts])
     lhs = flux(f, w, params)  # every time in one batch
     plus, minus = lhs[len(ts):], lhs[:len(ts)][::-1]
     est_p, ok_p = _limit_verdict(ts, plus, target, floor, tolerance)
@@ -330,11 +319,11 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
     floor = hs_norm_sq(f, 0.5)
 
     # the profile at every R and (k+1)R/k as one schedule
-    radii = np.unique(np.concatenate([Rs, outer * np.array(Rs)]))
+    radii = np.unique(np.concatenate([Rs, outer * Rs]))
     profile = radial_profile(f, radii)
     low = profile[np.searchsorted(radii, Rs)]
     mid = np.array([weighted_radial_energy(f, rescale(w, R)) for R in Rs])
-    high = outer * profile[np.searchsorted(radii, outer * np.array(Rs))]
+    high = outer * profile[np.searchsorted(radii, outer * Rs)]
 
     mag = max(float(np.max(np.abs(high))), floor)
     slack = 10.0 * REL_TOL * mag
@@ -354,7 +343,7 @@ def verify_sandwich(f: WavePacketSum, k: int, R_schedule,
 
     return VerificationReport(
         experiment="sandwich", n=f.n, weight_id=w.label,
-        params=np.array(Rs), lhs=low, rhs=high,
+        params=Rs, lhs=low, rhs=high,
         tolerance=tolerance, floor=floor,
         extrapolated_limit=est.value, limit_error=est.error,
         passed=bool(bracket_ok and ratio_ok and not missed),
@@ -385,7 +374,7 @@ def verify_asymptotics(f: WavePacketSum, t_schedule,
                   or (np.all(np.diff(errs) < 0) and errs[-1] <= final_ratio * errs[0]))
     return VerificationReport(
         experiment="asymptotics", n=f.n, weight_id="none",
-        params=np.array(ts), lhs=errs, rhs=np.zeros(len(ts)),
+        params=ts, lhs=errs, rhs=np.zeros(len(ts)),
         tolerance=final_ratio, floor=floor,
         passed=passed,
         notes=f"error fell by {errs[-1] / errs[0]:.3e}" if errs[0] > 0 else "",
@@ -411,13 +400,13 @@ def verify_smoothing_bound(f: WavePacketSum, R_schedule,
     threshold_R = float("nan")
     for i in range(len(Rs)):
         if np.all(vals[i:] >= _LIMINF_FRACTION * target):
-            threshold_R = Rs[i]
+            threshold_R = float(Rs[i])
             break
     observed = float(vals.max() / floor) if floor > 0 else 0.0
     missed = _missed(floor, vals)
     return VerificationReport(
         experiment="smoothing-bound", n=f.n, weight_id="none",
-        params=np.array(Rs), lhs=vals, rhs=np.full(len(Rs), target),
+        params=Rs, lhs=vals, rhs=np.full(len(Rs), target),
         tolerance=tolerance, floor=floor,
         passed=bool(sup_ok and np.isfinite(threshold_R) and not missed),
         notes=f"{missed}observed sup/norm ratio {observed:.6f}",
@@ -445,7 +434,7 @@ def verify_remainder_decay(f: WavePacketSum, w_base: RadialWeight, R_schedule,
     bil_ok = bils[0] <= absent or bils[-1] <= decay_ratio * bils[0]
     return VerificationReport(
         experiment="remainder-decay", n=f.n, weight_id=w_base.label,
-        params=np.array(Rs), lhs=tans, rhs=bils,
+        params=Rs, lhs=tans, rhs=bils,
         tolerance=decay_ratio, floor=floor,
         passed=bool(tan_ok and bil_ok),
         notes="series are (tangential, bilaplacian), not two identity sides",

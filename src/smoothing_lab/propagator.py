@@ -31,7 +31,8 @@ _QUARTER_TURN = np.pi / 4.0
 class GaussianState:
     """Superposition sum_i B_i exp(-alpha_i|x-c_i|^2 + 2 pi i v_i.x).
 
-    Complex widths alpha with Re alpha > 0; real centers and momenta.
+    Complex widths alpha with Re alpha > 0; real centers and momenta; a
+    finite time t and finite arrays.
     Acts as the pointwise evaluator for u(t, .).
     """
 
@@ -53,11 +54,14 @@ class GaussianState:
             raise InvalidParameterError(
                 f"packet arrays disagree with B's {B.size} packets: " + ", ".join(wrong))
         c, v = c.reshape(B.size, self.n), v.reshape(B.size, self.n)
+        t = float(self.t)
+        if not (math.isfinite(t) and all(np.all(np.isfinite(a)) for a in (B, alpha, c, v))):
+            raise InvalidParameterError("state time and packet arrays must be finite")
         if B.size and not np.all(alpha.real > 0):
             raise InvalidParameterError("packet widths must have positive real part")
         for name, arr in (("B", B), ("alpha", alpha), ("c", c), ("v", v)):
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", t)
 
     def __len__(self):
         return self.B.size

@@ -315,6 +315,19 @@ def test_driver_rejects_decreasing_schedule_before_computing(monkeypatch, kind):
         run_experiment(spec)
 
 
+@pytest.mark.parametrize("kind", sorted(REGISTRY))
+@pytest.mark.parametrize("schedule,rule", [
+    ([-1.0, 1.0, 2.0], "must be positive"), ([0.0, 1.0, 2.0], "must be positive"),
+    ([1.0, 2.0, float("inf")], "must be finite"), ([1.0, float("nan"), 2.0], "must be finite"),
+], ids=["negative", "zero", "infinite", "nan"])
+def test_driver_rejects_bad_point_before_computing(monkeypatch, kind, schedule, rule):
+    # every driver reads the one schedule rule: a time, horizon or radius
+    # is finite and positive, so asymptotics rejects negative times too
+    spec = uncomputed_spec(monkeypatch, kind, schedule)
+    with pytest.raises(InvalidParameterError, match=rule):
+        run_experiment(spec)
+
+
 def test_overlong_schedule_rejected(workdir, capsys):
     # a million-point schedule would load and then run for days; the load
     # alone is checked first, so a parser without the cap fails here quickly

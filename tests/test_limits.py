@@ -86,6 +86,10 @@ def test_schedule_guards():
         estimate_limit([(1, 1.0), (2, 1.1)])
     with pytest.raises(InvalidParameterError):
         estimate_limit([(2, 1.0), (1, 1.1), (4, 1.2)])
+    # the power model reads p^-alpha
+    for params in ((0.0, 1.0, 2.0), (-1.0, 1.0, 2.0)):
+        with pytest.raises(InvalidParameterError, match="must be positive"):
+            estimate_limit(zip(params, (1.0, 1.1, 1.15)))
 
 
 @pytest.mark.parametrize("params", [(1.0, np.nan, 3.0), (1.0, 2.0, np.inf),
@@ -129,6 +133,67 @@ def test_limit_moves_at_roundoff_when_an_input_moves_one_ulp():
                     pair = (moved, vals) if which is ps else (ps, moved)
                     value = estimate_limit(zip(*pair)).value
                     assert abs(value - base) <= 1e-12 * abs(base), (count, i)
+
+
+def test_fit_brackets_a_seed_that_is_the_root():
+    # an exact power law (L = 1.45248, alpha = 2.7003): the increment-ratio
+    # seed is the root, so d(RSS)/d(alpha) there is roundoff, and its sign
+    # in the one-exponent call and in the lattice call disagreed; with no
+    # bracket ahead of the seed the fit returned the bound alpha = 0.05
+    ps = [0.84444639918897, 2.53333919756691, 7.6000175927007305]
+    vals = [-1.3487629167129, 1.3082790582251573, 1.4450576329352784]
+    est = estimate_limit(zip(ps, vals))
+    assert est.converged
+    assert est.value == pytest.approx(1.45248, rel=1e-5)
+    assert est.note.startswith("power fit alpha=2.7")
+
+
+def test_exact_power_laws_give_their_limit():
+    rng = np.random.default_rng(20061)
+    for case in range(400):
+        count = 3 + case % 4
+        p0, ratio = 10.0 ** rng.uniform(-1.0, 2.0), rng.choice([1.5, 2.0, 3.0, 4.0])
+        L, alpha = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 5.0)
+        c = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)
+        ps = p0 * ratio ** np.arange(count)
+        est = estimate_limit(zip(ps, L + c * ps**-alpha))
+        assert abs(est.value - L) <= 1e-8 * max(1.0, abs(L)), (case, est)
+
+
+def test_steep_tail_at_large_parameters_is_fitted():
+    # p^-9 at p = 1e20 underflowed the centred sums of the unscaled fit
+    k = np.arange(4)
+    ps = 1e20 * 2.0**k
+    est = estimate_limit(zip(ps, 1.0 + (ps / 1e20) ** -9 + 1e-9 * np.cos(k)))
+    assert est.converged
+    assert est.note.startswith("power fit alpha=9")
+    assert est.value == pytest.approx(1.0, abs=1e-8)
+
+
+def test_limit_does_not_depend_on_the_parameter_scale():
+    # L + c p^-alpha = L + c' (p/s)^-alpha: scaling the parameters moves
+    # neither the limit nor its error bar
+    base = 2.0 ** np.arange(5)
+    ests = [estimate_limit(zip(s * base, 1.0 + base**-1.5))
+            for s in (1e-20, 1.0, 1e20, 1e100)]
+    for est in ests:
+        assert est.converged
+        assert est.value == pytest.approx(1.0, abs=1e-14)
+        assert est.error == ests[0].error
+
+
+def test_scalar_schedule_is_one_point():
+    w = make_psi_eps(1.0)
+    Ts = np.array([0.5])
+    report = verify_identity(F_1D, w, 0.5, tolerance=1e-6)
+    listed = verify_identity(F_1D, w, Ts, tolerance=1e-6)
+    np.testing.assert_array_equal(report.params, [0.5])
+    np.testing.assert_array_equal(report.lhs, listed.lhs)
+    assert not np.shares_memory(listed.params, Ts)
+    # MIN_POINTS still applies to the one point
+    with pytest.raises(InvalidParameterError,
+                       match="theorem-limit needs at least 3 schedule points, got 1"):
+        verify_theorem_main(F_1D, w, 2.0, tolerance=0.02)
 
 
 def test_limit_is_the_least_squares_optimum():
@@ -249,8 +314,8 @@ def test_decay_drivers_reject_one_point_schedules():
 
 def test_flux_rejects_nonpositive_times():
     # three points pass the schedule-length check, so the positivity
-    # guard is what raises
-    with pytest.raises(InvalidParameterError, match="positive times"):
+    # rule is what raises
+    with pytest.raises(InvalidParameterError, match="must be positive"):
         verify_flux(F_1D, make_psi_eps(1.0), [-1.0, 1.0, 2.0], tolerance=0.02)
 
 

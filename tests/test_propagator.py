@@ -170,6 +170,15 @@ def test_gaussian_state_rejects_packet_arrays_that_disagree(n, alpha, c):
         GaussianState(n, [1.0, 2.0], alpha, c, v)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["t", "B", "alpha", "c", "v"])
+def test_gaussian_state_rejects_values_that_are_not_finite(name, bad):
+    fields = {"B": [1.0], "alpha": [1.0], "c": [0.0], "v": [0.0], "t": 0.0}
+    fields[name] = bad if name == "t" else [bad + (1.0 if name == "alpha" else 0.0)]
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        GaussianState(1, **fields)
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 

@@ -20,13 +20,15 @@ with its relative size |change - parent| / max(|change|, |parent|).  The
 exit status is 1 when a `pass` column, a summary verdict (PASS, FAIL or
 ERROR per section, and the closing count), a run's exit code, a CSV's
 shape or the finite-identity tasks that return differ, and 0 otherwise:
-values that move at roundoff are reported, not judged.
+values that move at roundoff are reported, not judged.  So is every
+summary line whose text differs, such as a fit note.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import shutil
 import subprocess
@@ -117,9 +119,12 @@ def run_config(checkout: Path, cwd: Path, text: str | None) -> int:
     return harness(checkout, cwd, "run", "run.cfg").returncode
 
 
-def verdicts(summary: Path) -> list:
+def summary_lines(summary: Path) -> list:
+    return summary.read_text().splitlines() if summary.exists() else []
+
+
+def verdicts(lines: list) -> list:
     """The verdict of each summary line that has one, and the closing count."""
-    lines = summary.read_text().splitlines() if summary.exists() else []
     return [" ".join(line.split()[:2]) for line in lines
             if line.startswith(("PASS ", "FAIL ", "ERROR "))] + lines[-1:]
 
@@ -177,10 +182,14 @@ def main(argv=None) -> int:
             if codes["parent"] != codes["change"]:
                 print(f"{name}: exit code {codes['parent']} -> {codes['change']}")
                 differs = True
-            if verdicts(dirs["parent"] / "summary.txt") != \
-                    verdicts(dirs["change"] / "summary.txt"):
+            lines = {side: summary_lines(d / "summary.txt") for side, d in dirs.items()}
+            if verdicts(lines["parent"]) != verdicts(lines["change"]):
                 print(f"{name}: the summary verdicts differ")
                 differs = True
+            for i, (a, b) in enumerate(itertools.zip_longest(
+                    lines["parent"], lines["change"], fillvalue=""), start=1):
+                if a != b:
+                    print(f"{name}/summary.txt line {i}: {a!r} -> {b!r}")
             csvs = {side: sorted(p.name for p in d.glob("*.csv"))
                     for side, d in dirs.items()}
             if csvs["parent"] != csvs["change"]:
