@@ -2,12 +2,13 @@
 
 Convergence rates in the horizon T and the radius R are not known a
 priori, so the extrapolator fits a constant-plus-power model
-v(p) = L + c p^(-alpha) with the exponent a free parameter, seeded from
-the increment ratio of the last three points.  The fit is a variable
-projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 1973): at fixed
-alpha, L and c are linear and have a closed-form least-squares solution,
-so the fit searches the one variable log alpha, and solves it to
-roundoff with the kink finder's root search, functionals._zeros.  The
+v(p) = L + c p^(-alpha) with the exponent a free parameter.  The fit is a
+variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 1973):
+at fixed alpha, L and c are linear and have a closed-form least-squares
+solution, so the fit searches the one variable log alpha: the kink
+finder's root search, functionals._zeros, solves every stationary point
+it brackets on one lattice across the whole range to roundoff, and the
+least residual among them and the two bounds decides.  The
 parameters follow the ordered schedule rule, so they are positive, and
 the fit runs on the tail scaled by its first parameter.  A non-monotone
 tail is flagged as non-convergent rather than extrapolated, and reported
@@ -82,21 +83,19 @@ def _projected_fit(p, v, alpha):
     return v_mean - c * q_mean, c, dv - c[..., None] * dq, q
 
 
-def _fit_exponent(p, v, alpha0: float) -> float:
-    """The exponent alpha in _ALPHA_BOUNDS of the least-squares fit of
-    v = L + c p^(-alpha), the local minimum of the residual sum of squares
-    that lies downhill of alpha0.
+def _fit_exponent(p, v):
+    """(alpha, L, c, residuals, q) of the least-squares fit of
+    v = L + c p^(-alpha) with alpha in _ALPHA_BOUNDS, as _projected_fit
+    gives them at that alpha.
 
     With L and c at their optimum for each alpha, d(RSS)/d(alpha) is
-    2 c sum_i r_i q_i log p_i (the variable projection).  Its sign at
-    alpha0 says which bound lies downhill.  The root search is the kink
-    finder's, functionals._zeros, on _KINK_STEPS equal steps in
-    x = log alpha from alpha0 to that bound, and one step behind alpha0:
-    when alpha0 is the root, the sign at alpha0 is roundoff and the
-    lattice may read it otherwise, but the step behind still brackets it.
-    The first zero is the exponent, to roundoff in alpha.  Without a zero
-    the residual falls all the way to the bound, and the bound is the
-    exponent.
+    2 c sum_i r_i q_i log p_i (the variable projection).  The root search
+    is the kink finder's, functionals._zeros, on _KINK_STEPS equal steps in
+    x = log alpha across _ALPHA_BOUNDS, which finds every sign change of
+    the derivative on that lattice, each to roundoff in alpha.  The
+    residual's least value on the range is at one of those zeros or at a
+    bound, so alpha is whichever of them, the bounds exactly, has the
+    least residual sum of squares.
     """
     logp = np.log(p)
 
@@ -104,21 +103,20 @@ def _fit_exponent(p, v, alpha0: float) -> float:
         _, c, r, q = _projected_fit(p, v, np.exp(x))
         return c * ((r * q) @ logp)
 
-    x0 = np.log(alpha0)
-    g0 = slope(x0)
-    if g0 == 0.0:
-        return alpha0
-    bound = _ALPHA_BOUNDS[1] if g0 < 0.0 else _ALPHA_BOUNDS[0]
-    step = (np.log(bound) - x0) / _KINK_STEPS
-    zeros = _zeros(slope, x0 + step * np.arange(-1, _KINK_STEPS + 1))
-    return float(np.exp(zeros[0])) if zeros else bound
+    lo, hi = _ALPHA_BOUNDS
+    zeros = _zeros(slope, np.linspace(np.log(lo), np.log(hi), _KINK_STEPS + 1))
+    alphas = np.array([lo, *np.exp(zeros), hi])
+    L, c, resid, q = _projected_fit(p, v, alphas)
+    best = np.argmin(np.sum(resid * resid, axis=1))
+    return alphas[best], L[best], c[best], resid[best], q[best]
 
 
 def estimate_limit(values) -> LimitEstimate:
     """Extrapolate an ordered (parameter, value) schedule to its limit.
 
     Fits v = L + c p^(-alpha) over the tail (up to the last 5 points) by
-    _fit_exponent, on the tail's parameters divided by its first, p_0: the
+    _fit_exponent, the least residual sum of squares over every alpha in
+    _ALPHA_BOUNDS, on the tail's parameters divided by its first, p_0: the
     model is the same with c scaled by p_0^(-alpha), and neither the fit's
     sums nor L and its error bar depend on the parameters' scale.  The
     error bar is the larger of the fit's rms residual and the standard
@@ -158,16 +156,8 @@ def estimate_limit(values) -> LimitEstimate:
     m = min(len(pts), 5)
     p_t, v_t = params[-m:] / params[-m], vals[-m:]
 
-    # increment-ratio seed for the exponent, assuming geometric spacing
-    alpha0 = 1.0
-    d1, d2 = vals[-2] - vals[-3], vals[-1] - vals[-2]
-    g = params[-1] / params[-2]
-    if g > 1.0 and d1 * d2 > 0 and abs(d2) > 0:
-        alpha0 = float(np.clip(np.log(abs(d1 / d2)) / np.log(g), 0.1, 10.0))
-
     with np.errstate(all="ignore"):
-        alpha = _fit_exponent(p_t, v_t, alpha0)
-        L, c, resid, q = _projected_fit(p_t, v_t, alpha)
+        alpha, L, c, resid, q = _fit_exponent(p_t, v_t)
         jac = np.column_stack([np.ones(m), q, -c * q * np.log(p_t)])
     if not (np.isfinite(L) and np.all(np.isfinite(jac))):
         return LimitEstimate(vals[-1], float(np.abs(incs[-1])), False,

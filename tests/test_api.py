@@ -62,7 +62,8 @@ def unused_imports(path):
 
 def test_no_unused_imports():
     paths = sorted((ROOT / "src" / "smoothing_lab").glob("*.py")) \
-        + sorted((ROOT / "tests").glob("*.py"))
+        + sorted((ROOT / "tests").glob("*.py")) \
+        + sorted((ROOT / "tools").glob("*.py"))
     assert [hit for path in paths for hit in unused_imports(path)] == []
 
 

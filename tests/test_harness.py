@@ -8,15 +8,17 @@ stays in the seconds range.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from smoothing_lab import limits
 from smoothing_lab.errors import ConfigError, InvalidParameterError
 from smoothing_lab.harness import (CSV_COLUMNS, REGISTRY, ExperimentSpec,
                                    list_experiments, load_config, main,
-                                   parse_experiment, run_experiment)
+                                   parse_experiment, run_experiment,
+                                   write_report_csv)
 from smoothing_lab.limits import MIN_POINTS
-from smoothing_lab.model import packet, packet_sum
+from smoothing_lab.model import VerificationReport, packet, packet_sum
 from smoothing_lab.weights import make_psi_eps
 
 QUICK_IDENTITY = """\
@@ -94,16 +96,41 @@ def test_summary_file_honors_lab_section(workdir):
 
 
 def test_failing_experiment_names_rows(workdir, capsys):
-    cfg = write_config(workdir,
-                       QUICK_IDENTITY.replace("tolerance = 1e-6",
-                                              "tolerance = 1e-30"))
+    # the far-field error of a moving packet halves from t = 1 to 2, far
+    # above a final ratio of 1e-30: the run fails for that, not for a
+    # roundoff residual, and names every row
+    cfg = write_config(workdir, """\
+[slow-decay]
+kind = asymptotics
+n = 1
+packet1 = 1.0 0.0 1.0 0.0 0.5
+schedule_start = 1.0
+schedule_factor = 2
+schedule_count = 2
+tolerance = 1e-30
+output = slow_decay.csv
+""")
     assert main(["run", cfg]) == 1
     out = capsys.readouterr().out
-    assert "FAIL [quick-identity]" in out
-    assert "failing row: quick-identity param=0.5" in out
+    assert "FAIL [slow-decay]" in out
+    assert "error fell by 5.021e-01" in out
+    assert "failing row: slow-decay param=1 " in out
+    assert "failing row: slow-decay param=2 " in out
     assert "rel_residual=" in out
-    row = (workdir / "quick_identity.csv").read_text().splitlines()[1]
-    assert row.split(",")[-1] == "0"
+    rows = (workdir / "slow_decay.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["0", "0"]
+
+
+def test_identity_rows_pass_one_by_one(workdir):
+    # an identity row passes on its own relative residual, not on the
+    # report's verdict
+    report = VerificationReport(
+        experiment="identity", n=1, weight_id="w", params=[1.0, 2.0],
+        lhs=[1.0, 1.0 - 1e-3], rhs=[1.0, 1.0], tolerance=1e-6, floor=1.0)
+    np.testing.assert_allclose(report.rel_residual, [0.0, 1e-3], rtol=1e-12)
+    write_report_csv(report, str(workdir / "rows.csv"))
+    rows = (workdir / "rows.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["1", "0"]
 
 
 def test_fast_packet_sandwich_fails(workdir, capsys):

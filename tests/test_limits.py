@@ -5,6 +5,7 @@ exactly; the drivers get one cheap real run each plus their argument
 guards.  The heavy multi-datum sweeps live in the acceptance suite.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -136,10 +137,9 @@ def test_limit_moves_at_roundoff_when_an_input_moves_one_ulp():
 
 
 def test_fit_brackets_a_seed_that_is_the_root():
-    # an exact power law (L = 1.45248, alpha = 2.7003): the increment-ratio
-    # seed is the root, so d(RSS)/d(alpha) there is roundoff, and its sign
-    # in the one-exponent call and in the lattice call disagreed; with no
-    # bracket ahead of the seed the fit returned the bound alpha = 0.05
+    # an exact power law (L = 1.45248, alpha = 2.7003) whose increment
+    # ratio gives alpha exactly, where d(RSS)/d(alpha) reads roundoff: a
+    # search that starts there must still bracket the root
     ps = [0.84444639918897, 2.53333919756691, 7.6000175927007305]
     vals = [-1.3487629167129, 1.3082790582251573, 1.4450576329352784]
     est = estimate_limit(zip(ps, vals))
@@ -243,8 +243,8 @@ def mp_optimum(mp, ps, vals, alpha):
 
 
 def test_limit_is_the_optimum_far_from_the_seed():
-    # two power laws: the increment-ratio seed is 1.44, and the search
-    # runs 0.55 in log alpha to the least-squares exponent near 2.5
+    # two power laws: the increment ratio reads 1.44, 0.55 in log alpha
+    # from the least-squares exponent near 2.5
     mp = pytest.importorskip("mpmath").mp
     ps = 2.0 ** np.arange(5)
     vals = 1.0 + ps**-1.0 + 5.0 * ps**-3.0
@@ -262,9 +262,84 @@ def test_fit_without_a_minimum_stops_at_the_bound():
     assert est.note == "power fit alpha=20"
 
 
+def test_fit_takes_the_bound_over_a_residual_maximum():
+    # d(RSS)/d(alpha) has one zero on [0.05, 20], at alpha = 1.03685, and
+    # it is the residual's maximum: 0.146705 there, against 0.133373 at
+    # alpha = 0.05 and 0.119615 at alpha = 20
+    ps = [1.0509371955332547, 2.1018743910665094, 4.203748782133019,
+          8.407497564266038, 16.814995128532075]
+    vals = [1.1375082719836616, 0.6852238369311117, 0.9239691350532178,
+            1.06749154707989, 1.137284762003074]
+    est = estimate_limit(zip(ps, vals))
+    assert est.converged and est.note == "power fit alpha=20"
+    assert est.value == pytest.approx(0.95349, rel=1e-5)
+
+
+def test_fit_takes_the_better_bound():
+    # the residual falls from a maximum at alpha = 0.762 to both bounds,
+    # to 0.52397 at alpha = 0.05 and 0.54420 at alpha = 20; the large error
+    # bar reports an ill-posed fit
+    ps = [0.5992556934183696, 2.3970227736734784, 9.588091094693914,
+          38.352364378775654, 153.40945751510262]
+    vals = [0.44579508748705177, -0.44281848305658184, 0.19997820793701224,
+            0.420384897403183, 0.4941535113417654]
+    est = estimate_limit(zip(ps, vals))
+    assert est.converged and est.note == "power fit alpha=0.05"
+    assert est.error > 10.0
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_basis(ratio, count):
+    """Orthonormal bases, by Householder QR, of the design matrices
+    [1, ratio^(-alpha k)], k < count, at each alpha of a 4,001-point log
+    lattice over the fit's range: one stack per geometric schedule shape."""
+    alphas = np.geomspace(*limits._ALPHA_BOUNDS, 4001)
+    q = float(ratio) ** -(alphas[:, None] * np.arange(count))
+    return np.linalg.qr(np.stack([np.ones_like(q), q], axis=-1))[0]
+
+
+def sweep_schedules():
+    """(ratio, ps, vals) of 200 noisy power laws and 200 sums of two, 3 to
+    5 points each: p_0 = 10^U(-1, 2), ratio 1.5, 2, 3 or 4."""
+    for seed in (99, 100):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            count = int(rng.integers(3, 6))
+            p0, ratio = 10.0 ** rng.uniform(-1.0, 2.0), float(rng.choice([1.5, 2.0, 3.0, 4.0]))
+            ps = p0 * ratio ** np.arange(count)
+            if seed == 99:
+                L, c, alpha = rng.uniform(-2.0, 2.0, 2).tolist() + [rng.uniform(0.3, 5.0)]
+                noise = 10.0 ** rng.uniform(-8.0, -1.0) * rng.standard_normal(count)
+                yield ratio, ps, L + c * ps**-alpha + noise
+            else:
+                L, c1, c2 = rng.uniform(-2.0, 2.0, 3)
+                a1, a2 = rng.uniform(0.3, 2.0), rng.uniform(2.0, 6.0)
+                yield ratio, ps, L + c1 * ps**-a1 + c2 * ps**-a2
+
+
+def test_fit_has_the_least_residual_on_the_whole_range():
+    # every power fit's residual sum of squares, by lstsq at its exponent,
+    # is at most that of the best exponent of the lattice, each the
+    # residual of the values off the span of the lattice's QR basis
+    fits = 0
+    for ratio, ps, vals in sweep_schedules():
+        est = estimate_limit(zip(ps, vals))
+        if not est.note.startswith("power fit"):
+            continue
+        alpha, L = limits._fit_exponent(ps / ps[0], vals)[:2]
+        assert est.value == L
+        design = np.column_stack([np.ones_like(ps), (ps / ps[0]) ** -alpha])
+        resid = vals - design @ np.linalg.lstsq(design, vals, rcond=None)[0]
+        basis = lattice_basis(ratio, len(ps))
+        off = vals - np.matmul(basis, np.matmul(vals, basis)[..., None])[..., 0]
+        assert resid @ resid <= (1.0 + 1e-9) * np.min(np.sum(off * off, axis=1)), (ps, vals)
+        fits += 1
+    assert fits >= 300
+
+
 def test_root_search_returns_zeros_in_lattice_order():
-    # the kink finder's routine, on a falling lattice, as the fit runs it
-    # toward the lower bound
+    # the kink finder's routine, which the fit runs on a rising lattice,
+    # on a falling one: the zeros come in the lattice's order
     zeros = functionals._zeros(np.sin, np.linspace(10.0, 0.5, 40))
     expected = (3.0 * np.pi, 2.0 * np.pi, np.pi)
     assert len(zeros) == 3
