@@ -281,34 +281,104 @@ def _frozen(values, dtype) -> np.ndarray:
     return a
 
 
-def _set_layout(fld, array: str) -> None:
-    """Check and normalise a grid field's layout in its __post_init__.
+_FACTOR_BLOCK = 2**15  # elements per chunk of a blocked grid pass
 
-    The dimension n must be 1, 2 or 3, the half-width L finite and
-    positive, the points per axis N positive and even, the time t finite,
-    and the attribute named by array of shape (N,)*n; it is stored frozen,
-    with t a float.
+
+def _outer_sum(B: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """sum_i B_i factors[i, 0] x ... x factors[i, n-1], frozen.
+
+    Each term's outer product over the axes after the first, N^(n-1)
+    values, is built once; the grid is then filled a chunk of first-axis
+    rows at a time, about _FACTOR_BLOCK elements, every term's rows
+    multiplied and added while the chunk is in cache.  No matrix product:
+    OpenBLAS would hand one of grid size to a second thread, which then
+    spins.
     """
-    n, L, N = int(fld.n), float(fld.L), int(fld.N)
-    if n not in (1, 2, 3):
-        raise InvalidParameterError(f"grid dimension must be 1, 2 or 3, got {n}")
-    if not 0.0 < L < np.inf:  # False for NaN too
-        raise InvalidParameterError(f"half-width must be finite and positive, got {L}")
-    if N <= 0 or N % 2:
-        raise InvalidParameterError(f"points per axis must be positive even, got {N}")
-    values = _frozen(getattr(fld, array), complex)
-    if values.shape != (N,) * n:
-        raise InvalidParameterError(
-            f"{array} shape {values.shape} does not match {(N,) * n}")
-    t = float(fld.t)
-    if not np.isfinite(t):
-        raise InvalidParameterError(f"time must be finite, got {t}")
-    for name, value in (("n", n), ("L", L), ("N", N), (array, values), ("t", t)):
-        object.__setattr__(fld, name, value)
+    m, n, N = factors.shape
+    lead = B[:, None] * factors[:, 0]
+    rest = np.ones((m, 1), dtype=complex)
+    for d in range(1, n):
+        rest = (rest[:, :, None] * factors[:, d, None, :]).reshape(m, N**d)
+    out = np.zeros((N,) * n, dtype=complex)  # no terms leave it zero
+    flat = out.reshape(N, -1)
+    rows = max(1, _FACTOR_BLOCK // flat.shape[1])
+    buf = np.empty((min(rows, N), flat.shape[1]), dtype=complex)
+    for i in range(0, N, rows):
+        chunk = flat[i:i + rows]
+        if m:
+            np.multiply(lead[0, i:i + rows, None], rest[0], out=chunk)
+        for p in range(1, m):
+            chunk += np.multiply(lead[p, i:i + rows, None], rest[p], out=buf[:len(chunk)])
+    out.setflags(write=False)
+    return out
+
+
+class _GridLayout:
+    """The layout both grid field types share, and their factored form.
+
+    A field holds its array (GridField.samples, SpectrumField.values)
+    itself, or factored: amplitudes B (m,) and per-axis factors
+    (m, n, N), the array being sum_i B_i factors[i, 0] x ... x
+    factors[i, n-1].  A factored field builds its array on first read,
+    once, frozen, and keeps it.
+
+    __post_init__ checks and normalises the layout: the dimension n must
+    be 1, 2 or 3, the half-width L finite and positive, the points per
+    axis N positive and even, the time t finite, and the array of shape
+    (N,)*n, or the factors of shape (m, n, N) for m amplitudes; arrays
+    are stored frozen, with t a float.
+    """
+
+    _array = "samples"  # the name of the field's array
+    _factors = None  # (B, factors) of a factored field
+
+    @classmethod
+    def _from_factors(cls, n, L, N, B, factors, t=0.0):
+        """The factored field of amplitudes B and per-axis factors."""
+        fld = object.__new__(cls)
+        for name, value in (("n", n), ("L", L), ("N", N), ("t", t),
+                            ("_factors", (B, factors))):
+            object.__setattr__(fld, name, value)
+        fld.__post_init__()
+        return fld
+
+    def __post_init__(self):
+        n, L, N = int(self.n), float(self.L), int(self.N)
+        if n not in (1, 2, 3):
+            raise InvalidParameterError(f"grid dimension must be 1, 2 or 3, got {n}")
+        if not 0.0 < L < np.inf:  # False for NaN too
+            raise InvalidParameterError(f"half-width must be finite and positive, got {L}")
+        if N <= 0 or N % 2:
+            raise InvalidParameterError(f"points per axis must be positive even, got {N}")
+        if self._factors is None:
+            array = _frozen(getattr(self, self._array), complex)
+            if array.shape != (N,) * n:
+                raise InvalidParameterError(
+                    f"{self._array} shape {array.shape} does not match {(N,) * n}")
+            stored = (self._array, array)
+        else:
+            B, factors = (_frozen(a, complex) for a in self._factors)
+            if B.ndim != 1 or factors.shape != (B.size, n, N):
+                raise InvalidParameterError(
+                    f"factors shape {factors.shape} does not match {(B.size, n, N)}")
+            stored = ("_factors", (B, factors))
+        t = float(self.t)
+        if not np.isfinite(t):
+            raise InvalidParameterError(f"time must be finite, got {t}")
+        for name, value in (("n", n), ("L", L), ("N", N), stored, ("t", t)):
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):
+        # reached only for a missing attribute: a factored field's array
+        # before its first read
+        if name != self._array or self._factors is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # setdefault: of two threads reading at once, both get one array
+        return self.__dict__.setdefault(name, _outer_sum(*self._factors))
 
 
 @dataclass(frozen=True, eq=False)
-class GridField:
+class GridField(_GridLayout):
     """Uniform tensor-grid samples of a complex field on [-L, L)^n."""
 
     n: int
@@ -316,9 +386,6 @@ class GridField:
     N: int
     samples: np.ndarray
     t: float = 0.0
-
-    def __post_init__(self):
-        _set_layout(self, "samples")
 
     @property
     def dx(self) -> float:

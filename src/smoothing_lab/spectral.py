@@ -20,10 +20,34 @@ while it is in cache.  A field keeps its phased spectrum while it lives
 evolve_spectral of one field share one forward transform.  scipy.fft
 runs at its default of one worker and may overwrite (overwrite_x) only a
 temporary the path made itself; the caller's read-only arrays are only
-read.  Packet states are sampled the same way, one factor per axis.  Each
-result array is frozen in place, so its field wraps it uncopied.  Sums of
-|samples|^2 take no square roots: dot products over fixed blocks of the
-float view, the blocks' sums added exactly by math.fsum.
+read.  Each result array is frozen in place, so its field wraps it
+uncopied.  Sums of |samples|^2 take no square roots: dot products over
+fixed blocks of the float view, the blocks' sums added exactly by
+math.fsum.
+
+Factored fields.  A sampled packet state is a sum of m outer products of
+per-axis factors, and sample_state (so sample_datum) returns it that
+way: amplitudes B (m,) and sampled factors (m, n, N), no grid.  The
+phases, the scale and the symbol are products over axes too, so the
+transforms and the evolution of a factored field are one batched 1-D
+scipy.fft over its m n factors, and their results stay factored: still
+a DFT of grid samples, m n N of them in place of N^n, and nothing of the
+closed-form packet algebra.  A field built from an array, and every
+operation a general field enters, takes the n-D path.  .samples and
+.values materialise on first read, once, frozen, by a per-packet
+multiply-add of outer products a chunk of rows at a time (no BLAS call
+to wake a second thread).  The boundary-mass check, and rel_l2_diff of
+two factored fields of as many packets, run as grid Gram sums
+sum_ij conj(B_i) B_j prod_d <f_id, f_jd> over each slab's index set per
+axis.  rel_l2_diff first telescopes the difference per packet, after a
+gauge step that takes each axis's scalar mismatch out of the difference
+(_difference): the flow leaves (1 + 4 i alpha t)^(-1/2) on each evolved
+factor where the sampled exact state carries the n-th power on its
+amplitude, and without that step the sum read 0 or 1e-7 where the
+materialised samples read 5e-16.  grid_l2_sq alone materialises: it is
+the mass of the samples themselves, so that the Plancherel check weighs
+the spectrum the field materialises against those samples; in Gram form
+the benchmark boxes' masses moved by up to 2.9e-16.
 
 Periodic wrap-around is the one failure mode of the grid path, so every
 operation that can push mass to the box edge checks the boundary-mass
@@ -41,13 +65,12 @@ import numpy as np
 from scipy import fft
 
 from .errors import AliasingError, InvalidParameterError
-from .model import GridField, WavePacketSum, _set_layout, grid_axis
+from .model import _FACTOR_BLOCK, GridField, WavePacketSum, _GridLayout, grid_axis
 from .propagator import GaussianState, evolve_analytic, fourier_state
 from .quadrature import ShellCoefficients, shell_integral
 
 _ALIASING_THRESHOLD = 1e-8  # boundary-mass fraction tolerated on grids
 _SUM_BLOCK = 2**13  # floats per summed block; OpenBLAS threads ddot from 2**14
-_FACTOR_BLOCK = 2**15  # elements per chunk of a factor multiply
 
 # the spectrum of each transformed field, keyed by the field: a field is
 # frozen and hashes by identity, so an entry never goes stale, and it
@@ -56,17 +79,16 @@ _SPECTRA = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
-class SpectrumField:
+class SpectrumField(_GridLayout):
     """Transform samples indexed by shifted frequencies k/(2L)."""
+
+    _array = "values"
 
     n: int
     L: float
     N: int
     values: np.ndarray
     t: float = 0.0
-
-    def __post_init__(self):
-        _set_layout(self, "values")
 
     @property
     def dxi(self) -> float:
@@ -87,19 +109,33 @@ def boundary_mass_fraction(g: GridField) -> float:
     where the periodic wrap-around is about to matter.  A grid whose total
     mass is not finite raises InvalidParameterError.
     """
-    inside = np.flatnonzero(np.abs(g.axis()) < g.L / 2.0)
-    lo, hi = int(inside[0]), int(inside[-1]) + 1
-    # the edge region is the two end slabs of the first axis, then those
-    # of the second axis within the first axis's core, and so on
-    edge = []
-    core = g.samples
-    for ax in range(g.n):
-        head = (slice(None),) * ax
-        edge += [_sum_sq(core[head + (slice(None, lo),)]),
-                 _sum_sq(core[head + (slice(hi, None),)])]
-        core = core[head + (slice(lo, hi),)]
+    inside = np.abs(g.axis()) < g.L / 2.0
+    # the edge region is the end slabs of the first axis, then those of
+    # the second axis within the first axis's core, and so on
+    if g._factors is None:
+        idx = np.flatnonzero(inside)
+        lo, hi = int(idx[0]), int(idx[-1]) + 1
+        edge = []
+        core = g.samples
+        for ax in range(g.n):
+            head = (slice(None),) * ax
+            edge += [_sum_sq(core[head + (slice(None, lo),)]),
+                     _sum_sq(core[head + (slice(hi, None),)])]
+            core = core[head + (slice(lo, hi),)]
+        core = _sum_sq(core)
+    else:
+        # a slab's mass is a grid Gram sum over its index set per axis; a
+        # non-finite factor passes silently, as through a dot, to the
+        # check below
+        B, f = g._factors
+        with np.errstate(invalid="ignore", over="ignore"):
+            gin, gout = _gram(f[..., inside]), _gram(f[..., ~inside])
+            edge = [max(_gram_sum(B, np.concatenate(
+                        [gin[:ax], gout[ax:ax + 1], gin[ax + 1:] + gout[ax + 1:]])), 0.0)
+                    for ax in range(g.n)]
+            core = _gram_sum(B, gin)
     edge = math.fsum(edge)
-    total = edge + _sum_sq(core)
+    total = edge + core
     if not math.isfinite(total):
         raise InvalidParameterError(f"grid mass {total} is not finite")
     if total == 0.0:
@@ -149,7 +185,8 @@ def _times_axis_factors(x: np.ndarray, factors, out=None) -> np.ndarray:
 
 
 def _centring_phases(N: int, n: int, scale: float):
-    """(pre, post) per-axis factors of the phased transform.
+    """(pre, post) per-axis factors of the phased transform, one (n, N)
+    array each, a row per axis.
 
     Premultiplying the samples by (-1)^j moves frequency k to index
     k + N/2 of the DFT, which is the fftshift; the output index k' then
@@ -157,8 +194,27 @@ def _centring_phases(N: int, n: int, scale: float):
     the first post factor.
     """
     pre = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
-    post = pre if (N // 2) % 2 == 0 else -pre
-    return [pre] * n, [post * scale] + [post] * (n - 1)
+    post = np.tile(pre if (N // 2) % 2 == 0 else -pre, (n, 1))
+    post[0] *= scale
+    return np.tile(pre, (n, 1)), post
+
+
+def _phased(fld: _GridLayout, cls, before, after, inverse: bool, t: float):
+    """The cls field at time t of the DFT (inverse DFT if inverse) of
+    fld's array times before on every axis, times after on every axis.
+
+    A factored field stays factored: each axis's factors meet that axis's
+    rows of before and after, and one batched 1-D transform runs over
+    the factors' last axis, m n transforms of N points in all.
+    """
+    if fld._factors is None:
+        x = _times_axis_factors(getattr(fld, fld._array), before)
+        x = (fft.ifftn if inverse else fft.fftn)(x, overwrite_x=True)
+        return cls(fld.n, fld.L, fld.N, _sealed(_times_axis_factors(x, after, out=x)), t=t)
+    B, factors = fld._factors
+    x = (fft.ifft if inverse else fft.fft)(factors * before, overwrite_x=True)
+    x *= after
+    return cls._from_factors(fld.n, fld.L, fld.N, B, _sealed(x), t=t)
 
 
 def _spectrum(g: GridField) -> SpectrumField:
@@ -167,9 +223,7 @@ def _spectrum(g: GridField) -> SpectrumField:
     sf = _SPECTRA.get(g)
     if sf is None:
         pre, post = _centring_phases(g.N, g.n, g.dx**g.n)
-        F = fft.fftn(_times_axis_factors(g.samples, pre), overwrite_x=True)
-        _times_axis_factors(F, post, out=F)
-        sf = _SPECTRA[g] = SpectrumField(g.n, g.L, g.N, _sealed(F), t=g.t)
+        sf = _SPECTRA[g] = _phased(g, SpectrumField, pre, post, False, g.t)
     return sf
 
 
@@ -181,18 +235,18 @@ def forward_transform(g: GridField) -> SpectrumField:
     return _spectrum(g)
 
 
-def _samples(sf: SpectrumField, symbol=None) -> np.ndarray:
-    """The inverse transform of sf's values times symbol on every axis."""
+def _inverse(sf: SpectrumField, t: float, symbol=None) -> GridField:
+    """The inverse transform at time t of sf's values times symbol on
+    every axis."""
     pre, post = _centring_phases(sf.N, sf.n, sf.dx**-sf.n)
     if symbol is not None:
-        post = [p * symbol for p in post]
-    samples = fft.ifftn(_times_axis_factors(sf.values, post), overwrite_x=True)
-    return _sealed(_times_axis_factors(samples, pre, out=samples))
+        post = post * symbol
+    return _phased(sf, GridField, post, pre, True, t)
 
 
 def inverse_transform(sf: SpectrumField) -> GridField:
     """Exact inverse of forward_transform (both phases are involutions)."""
-    return GridField(sf.n, sf.L, sf.N, _samples(sf), t=sf.t)
+    return _inverse(sf, sf.t)
 
 
 def evolve_spectral(g: GridField, t: float) -> GridField:
@@ -210,8 +264,7 @@ def evolve_spectral(g: GridField, t: float) -> GridField:
     if not math.isfinite(t):
         raise InvalidParameterError(f"evolution time t must be finite, got {t}")
     sf = _spectrum(g)
-    symbol = np.exp(-4j * np.pi**2 * sf.axis()**2 * t)
-    out = GridField(g.n, g.L, g.N, _samples(sf, symbol), t=g.t + t)
+    out = _inverse(sf, g.t + t, np.exp(-4j * np.pi**2 * sf.axis()**2 * t))
     frac = boundary_mass_fraction(out)
     if frac > _ALIASING_THRESHOLD:
         raise AliasingError(frac, _ALIASING_THRESHOLD)
@@ -269,22 +322,15 @@ def sample_state(state: GaussianState, L: float, N: int) -> GridField:
 
     A packet B exp(-alpha|x-c|^2 + 2 pi i v.x) is the product of one factor
     exp(-alpha (x_d - c_d)^2 + 2 pi i v_d x_d) per axis, so m packets need
-    m n N complex exponentials, not m N^n.  The grid is one matrix product:
-    the (N, m) lead-axis factors, amplitudes included, times the
-    (m, N^(n-1)) outer products of the other axes' factors.
+    m n N complex exponentials, not m N^n.  The field is returned factored:
+    the amplitudes B and those sampled factors.
     """
-    n, m = state.n, len(state)
     ax = grid_axis(L, N)
     # factors[i, d, j]: packet i's factor along axis d at coordinate ax[j]
     diff = ax - state.c[:, :, None]
     factors = np.exp(-state.alpha[:, None, None] * diff**2
                      + 2j * np.pi * state.v[:, :, None] * ax)
-    lead = (state.B[:, None] * factors[:, 0]).T
-    rest = np.ones((m, 1), dtype=complex)
-    for d in range(1, n):
-        rest = (rest[:, :, None] * factors[:, d, None, :]).reshape(m, N**d)
-    out = (lead @ rest).reshape((N,) * n)
-    return GridField(n, L, N, _sealed(out), t=state.t)
+    return GridField._from_factors(state.n, L, N, state.B, _sealed(factors), t=state.t)
 
 
 def sample_datum(f: WavePacketSum, L: float, N: int, t: float = 0.0) -> GridField:
@@ -323,6 +369,58 @@ def _sum_sq(z: np.ndarray) -> float:
         np.vecdot(r, r).ravel().tolist() for r in rows))
 
 
+def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_k conj(u[..., k]) v[..., k], broadcast over the leading axes.
+
+    Products then numpy's pairwise sum, not a BLAS dot: a dot of 2**14
+    floats or more runs on a second thread.
+    """
+    return (np.conj(u) * v).sum(axis=-1)
+
+
+def _gram(u: np.ndarray) -> np.ndarray:
+    """Per-axis Gram matrices of a factor set (P, n, K):
+    G[d, p, q] = <u[p, d], u[q, d]>, shape (n, P, P)."""
+    return np.moveaxis(_inner(u[:, None], u[None]), -1, 0)
+
+
+def _gram_sum(B: np.ndarray, G: np.ndarray) -> float:
+    """Re sum_pq conj(B_p) B_q prod_d G[d, p, q]: with G = _gram(u), the
+    grid sum of |sum_p B_p u_p0 x ... x u_p(n-1)|^2 without the grid."""
+    return float((np.conj(B)[:, None] * np.prod(G, axis=0) * B).sum().real)
+
+
+def _difference(A, a, B, b):
+    """sum_i A_i prod_d a_id - sum_i B_i prod_d b_id as m (n + 1) factored
+    terms (coefficients, factors) that are each small where a and b agree.
+
+    Packet i's two products differ by scalars per axis (the flow's
+    (1 + 4 i alpha t)^(-1/2) rides on each evolved factor, the sampled
+    state's on its amplitude), so each axis's mismatch is taken first:
+    mu_d = <b_d, a_d - b_d>/<b_d, b_d>, from the difference itself, and
+    r_d = a_d - (1 + mu_d) b_d.  With s_d = 1 + mu_d the packet's
+    difference telescopes into
+
+        (A prod_d s_d - B) prod_d b_d
+        + sum_k A (prod_{d<k} s_d b_d) r_k (prod_{d>k} a_d),
+
+    so its squared norm sums small terms, where ||a||^2 + ||b||^2
+    - 2 Re <a, b> would lose everything below about 1e-8.
+    """
+    n = a.shape[1]
+    d = a - b
+    bb = _inner(b, b).real
+    mu = np.divide(_inner(b, d), bb, out=np.zeros(bb.shape, complex), where=bb > 0.0)
+    r = d - mu[..., None] * b
+    s = 1.0 + mu
+    coeffs = [A * np.prod(s, axis=1) - B]
+    terms = [b]
+    for k in range(n):
+        coeffs.append(A * np.prod(s[:, :k], axis=1))
+        terms.append(np.concatenate([b[:, :k], r[:, k:k + 1], a[:, k + 1:]], axis=1))
+    return np.concatenate(coeffs), np.concatenate(terms)
+
+
 def grid_l2_sq(g: GridField) -> float:
     """Discrete mass sum |samples|^2 dx^n."""
     return _sum_sq(g.samples) * g.dx**g.n
@@ -331,21 +429,29 @@ def grid_l2_sq(g: GridField) -> float:
 def rel_l2_diff(a: GridField, b: GridField) -> float:
     """Relative L2 discrepancy between two same-layout snapshots.
 
-    One pass over both float views, a block of _SUM_BLOCK floats at a
-    time: the block's difference goes into one small buffer, and the
-    block's three sums of squares are added up like _sum_sq's.
+    Two factored snapshots of as many packets are compared as grid Gram
+    sums of their factors, the difference telescoped per packet
+    (_difference).  Any other pair takes one pass over both float views,
+    a block of _SUM_BLOCK floats at a time: the block's difference goes
+    into one small buffer, and the block's three sums of squares are
+    added up like _sum_sq's.
     """
     if (a.n, a.L, a.N) != (b.n, b.L, b.N):
         raise InvalidParameterError("snapshots live on different grids")
-    va, vb = _floats(a.samples).reshape(-1), _floats(b.samples).reshape(-1)
-    buf = np.empty(min(_SUM_BLOCK, va.size))
-    sums = []  # per block: sum a^2, sum b^2, sum (a - b)^2
-    for i in range(0, va.size, _SUM_BLOCK):
-        ra, rb = va[i:i + _SUM_BLOCK], vb[i:i + _SUM_BLOCK]
-        d = np.subtract(ra, rb, out=buf[:ra.size])
-        sums.append((np.dot(ra, ra), np.dot(rb, rb), np.dot(d, d)))
-    sq_a, sq_b, sq_d = (math.fsum(col) for col in zip(*sums))
+    if (a._factors is not None and b._factors is not None
+            and len(a._factors[0]) == len(b._factors[0])):
+        terms = (a._factors, b._factors, _difference(*a._factors, *b._factors))
+        sq_a, sq_b, sq_d = (_gram_sum(c, _gram(u)) for c, u in terms)
+    else:
+        va, vb = _floats(a.samples).reshape(-1), _floats(b.samples).reshape(-1)
+        buf = np.empty(min(_SUM_BLOCK, va.size))
+        sums = []  # per block: sum a^2, sum b^2, sum (a - b)^2
+        for i in range(0, va.size, _SUM_BLOCK):
+            ra, rb = va[i:i + _SUM_BLOCK], vb[i:i + _SUM_BLOCK]
+            d = np.subtract(ra, rb, out=buf[:ra.size])
+            sums.append((np.dot(ra, ra), np.dot(rb, rb), np.dot(d, d)))
+        sq_a, sq_b, sq_d = (math.fsum(col) for col in zip(*sums))
     den_sq = max(sq_a, sq_b)
     if den_sq == 0.0:
         return 0.0
-    return math.sqrt(sq_d / den_sq)
+    return math.sqrt(max(sq_d, 0.0) / den_sq)

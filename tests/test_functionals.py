@@ -32,8 +32,8 @@ from smoothing_lab.functionals import (
     smoothing_profile,
     weighted_radial_energy,
 )
-from smoothing_lab.model import (RadialWeight, gaussian_inner, l2_norm_sq, packet,
-                                 packet_sum, random_packet_suite)
+from smoothing_lab.model import (GridField, RadialWeight, gaussian_inner, l2_norm_sq,
+                                 packet, packet_sum, random_packet_suite)
 from smoothing_lab.propagator import (difference_state, dispersive_approx,
                                       evolve_analytic, fourier_state)
 from smoothing_lab.quadrature import REL_TOL, ShellCoefficients, shell_integral
@@ -215,15 +215,19 @@ def grid_coordinates(g):
 
 def grid_gradient(g):
     """The gradient of a sampled field, one array per axis, taken
-    spectrally."""
+    spectrally.  The field is factored, as sample_datum returns it, so
+    each axis's factors are differentiated by 1-D transforms, and the
+    derivative along axis d is the field with its axis-d factors swapped
+    for theirs; only those fields are materialised."""
+    B, factors = g._factors
     xi = np.fft.fftfreq(g.N, d=g.dx)
     xi[g.N // 2] = 0.0  # the Nyquist mode has no odd derivative
-    uhat = np.fft.fftn(g.samples)
+    derived = np.fft.ifft(2j * np.pi * xi * np.fft.fft(factors))
     grads = []
     for d in range(g.n):
-        shape = [1] * g.n
-        shape[d] = g.N
-        grads.append(np.fft.ifftn(2j * np.pi * xi.reshape(shape) * uhat))
+        swapped = factors.copy()
+        swapped[:, d] = derived[:, d]
+        grads.append(GridField._from_factors(g.n, g.L, g.N, B, swapped).samples)
     return grads
 
 

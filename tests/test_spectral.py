@@ -338,7 +338,8 @@ def test_rel_l2_diff_layout_guard():
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counts of the grid path's fftn and ifftn calls."""
+    """Counts of the grid path's transform calls: fftn and ifftn of
+    general fields, fft and ifft batched over factored fields' factors."""
     calls = Counter()
     real = spectral.fft
 
@@ -349,7 +350,7 @@ def fft_calls(monkeypatch):
         return call
 
     monkeypatch.setattr(spectral, "fft", SimpleNamespace(
-        fftn=counted("fftn"), ifftn=counted("ifftn")))
+        **{name: counted(name) for name in ("fftn", "ifftn", "fft", "ifft")}))
     return calls
 
 
@@ -360,15 +361,17 @@ def two_packets(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_one_field_is_transformed_once(fft_calls, n):
+    # a sampled datum is factored: one batched 1-D transform per call
     g = sample_datum(two_packets(n), L=12.0, N=64)
     for t in (0.1, 0.2, 0.3):
         evolve_spectral(g, t)
-    assert fft_calls == {"fftn": 1, "ifftn": 3}
-    # forward_transform serves the same spectrum; a new field transforms anew
+    assert fft_calls == {"fft": 1, "ifft": 3}
+    # forward_transform serves the same spectrum; a new field transforms
+    # anew, its general twin by an n-D transform
     assert forward_transform(g) is forward_transform(g)
-    assert fft_calls["fftn"] == 1
+    assert fft_calls["fft"] == 1
     evolve_spectral(GridField(g.n, g.L, g.N, g.samples), 0.1)
-    assert fft_calls["fftn"] == 2
+    assert fft_calls == {"fft": 1, "ifft": 3, "fftn": 1, "ifftn": 1}
 
 
 def test_spectrum_cache_entry_goes_with_its_field():
@@ -444,3 +447,74 @@ def test_blocked_sums_match_fsum(make):
     exact = math.sqrt(fsum_sq(va - vb) / max(fsum_sq(va), fsum_sq(vb)))
     assert rel_l2_diff(a, b) == pytest.approx(exact, rel=4 * eps, abs=0.0)
     assert rel_l2_diff(a, a) == 0.0
+
+
+# (n, L, N, times): the grid-oracle benchmark's boxes, then the n = 1 grid
+# of the grid-route tests in test_functionals (their n = 2 grid is "n2")
+FACTORED_BOXES = {
+    "n1": (1, 80.0, 8192, (0.1, 0.7, 2.0)), "n2": (2, 32.0, 512, (0.1, 0.7)),
+    "n2w": (2, 84.0, 1024, (2.0,)), "n3": (3, 18.0, 128, (0.1, 0.5)),
+    "line": (1, 40.0, 2048, (0.7,)),
+}
+
+
+def box_datum(n):
+    """Two interfering packets of the kind the grid benchmark draws."""
+    rng = np.random.default_rng(0)
+    return packet_sum([packet(complex(*rng.uniform(-1.0, 1.0, 2)), rng.uniform(0.6, 1.0),
+                              rng.uniform(-0.5, 0.5, n), rng.uniform(-0.2, 0.2, n))
+                       for _ in range(2)], n=n)
+
+
+def general_twin(g):
+    """g's samples as a general field, which takes the n-D path."""
+    return GridField(g.n, g.L, g.N, g.samples, t=g.t)
+
+
+def rel_l2(x, y):
+    return np.linalg.norm((x - y).ravel()) / np.linalg.norm(y.ravel())
+
+
+@pytest.mark.parametrize("box", FACTORED_BOXES)
+def test_factored_fields_match_their_general_twins(box):
+    n, L, N, times = FACTORED_BOXES[box]
+    f = box_datum(n)
+    g = sample_datum(f, L, N)
+    twin = general_twin(g)
+    assert g._factors is not None and twin._factors is None
+    sf, sf_twin = forward_transform(g), forward_transform(twin)
+    assert sf._factors is not None
+    assert rel_l2(sf.values, sf_twin.values) <= 1e-14
+    back = inverse_transform(sf)
+    assert rel_l2(back.samples, inverse_transform(sf_twin).samples) <= 1e-14
+    for t in times:
+        moved = evolve_spectral(g, t)
+        assert moved._factors is not None
+        assert rel_l2(moved.samples, evolve_spectral(twin, t).samples) <= 1e-14
+        assert grid_l2_sq(moved) == grid_l2_sq(general_twin(moved))
+        # the slab sums in grid Gram form against the sums of the samples
+        frac = boundary_mass_fraction(moved)
+        assert frac == pytest.approx(boundary_mass_fraction(general_twin(moved)),
+                                     rel=1e-14, abs=0.0)
+        far = rel_l2_diff(moved, g)
+        assert far == pytest.approx(rel_l2_diff(general_twin(moved), twin), rel=1e-14)
+        assert far > 1e-3  # a difference that does not cancel
+    # where the difference cancels to roundoff, the telescoped sum reads
+    # what the blocked sum of the materialised samples reads
+    pairs = [(back, g)] + [(evolve_spectral(g, t), sample_datum(f, L, N, t)) for t in times]
+    for a, b in pairs:
+        factored, blocked = rel_l2_diff(a, b), rel_l2_diff(general_twin(a), general_twin(b))
+        assert 0.5 * blocked <= factored <= 2.0 * blocked
+        assert factored < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_factored_field_leaving_the_box_raises(n):
+    g = sample_datum(packet_sum([packet(1.0, 2.0, [0.0] * n, [0.5] * n)]), L=8.0, N=64)
+    for field in (g, general_twin(g)):
+        with pytest.raises(AliasingError) as exc:
+            evolve_spectral(field, 1.0)
+        assert exc.value.fraction > exc.value.threshold
+    bad = GridField._from_factors(n, 8.0, 64, [1.0], np.full((1, n, 64), np.inf))
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        forward_transform(bad)

@@ -30,9 +30,13 @@ module's `fft` for a counting proxy:
     radial_panels_evaluated  radial panels those calls evaluate
     radial_panels_accepted   panels at convergence, summed over the
                              info["panels"] of every shell_integrals call
-    grid_transforms          n-D transforms of the grid path: calls of
-                             fftn and ifftn through the spectral module
-    grid_transform_points    grid points over those transforms
+    grid_transforms          transforms of the grid path: calls of fftn,
+                             ifftn, fft and ifft through the spectral
+                             module, one call of a batched 1-D
+                             transform of factored fields counting once
+    grid_transform_points    points over those calls: N^n per n-D
+                             transform, m n N per batched 1-D transform
+                             of m packets' factors
     shell_integrals_calls    calls of the radial engine shell_integrals:
                              hs_norm_sq's, each fixed-time batch, and one
                              per refinement round of a time integral
@@ -230,14 +234,14 @@ def count_work(workload: str, seed: int) -> dict:
         tally("shell_integrals_calls")
 
     class CountingFFT:
-        """The spectral module's fft, counting the n-D transforms."""
+        """The spectral module's fft, counting its transforms."""
 
         def __init__(self, fft):
-            self.fft = fft
+            self.module = fft  # not self.fft, which would hide fft.fft
 
         def __getattr__(self, name):
-            inner = getattr(self.fft, name)
-            if name not in ("fftn", "ifftn"):
+            inner = getattr(self.module, name)
+            if name not in ("fftn", "ifftn", "fft", "ifft"):
                 return inner
 
             def transform(x, *args, **kwargs):
