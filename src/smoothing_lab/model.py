@@ -292,23 +292,25 @@ def _outer_sum(B: np.ndarray, factors: np.ndarray) -> np.ndarray:
     rows at a time, about _FACTOR_BLOCK elements, every term's rows
     multiplied and added while the chunk is in cache.  No matrix product:
     OpenBLAS would hand one of grid size to a second thread, which then
-    spins.
+    spins.  A non-finite factor gives non-finite samples silently; the
+    grid path's mass checks reject them.
     """
     m, n, N = factors.shape
-    lead = B[:, None] * factors[:, 0]
-    rest = np.ones((m, 1), dtype=complex)
-    for d in range(1, n):
-        rest = (rest[:, :, None] * factors[:, d, None, :]).reshape(m, N**d)
     out = np.zeros((N,) * n, dtype=complex)  # no terms leave it zero
     flat = out.reshape(N, -1)
     rows = max(1, _FACTOR_BLOCK // flat.shape[1])
     buf = np.empty((min(rows, N), flat.shape[1]), dtype=complex)
-    for i in range(0, N, rows):
-        chunk = flat[i:i + rows]
-        if m:
-            np.multiply(lead[0, i:i + rows, None], rest[0], out=chunk)
-        for p in range(1, m):
-            chunk += np.multiply(lead[p, i:i + rows, None], rest[p], out=buf[:len(chunk)])
+    with np.errstate(invalid="ignore", over="ignore"):
+        lead = B[:, None] * factors[:, 0]
+        rest = np.ones((m, 1), dtype=complex)
+        for d in range(1, n):
+            rest = (rest[:, :, None] * factors[:, d, None, :]).reshape(m, N**d)
+        for i in range(0, N, rows):
+            chunk = flat[i:i + rows]
+            if m:
+                np.multiply(lead[0, i:i + rows, None], rest[0], out=chunk)
+            for p in range(1, m):
+                chunk += np.multiply(lead[p, i:i + rows, None], rest[p], out=buf[:len(chunk)])
     out.setflags(write=False)
     return out
 

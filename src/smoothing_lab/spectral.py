@@ -36,22 +36,28 @@ closed-form packet algebra.  A field built from an array, and every
 operation a general field enters, takes the n-D path.  .samples and
 .values materialise on first read, once, frozen, by a per-packet
 multiply-add of outer products a chunk of rows at a time (no BLAS call
-to wake a second thread).  The boundary-mass check, and rel_l2_diff of
-two factored fields of as many packets, run as grid Gram sums
-sum_ij conj(B_i) B_j prod_d <f_id, f_jd> over each slab's index set per
-axis.  rel_l2_diff first telescopes the difference per packet, after a
-gauge step that takes each axis's scalar mismatch out of the difference
-(_difference): the flow leaves (1 + 4 i alpha t)^(-1/2) on each evolved
-factor where the sampled exact state carries the n-th power on its
-amplitude, and without that step the sum read 0 or 1e-7 where the
-materialised samples read 5e-16.  grid_l2_sq alone materialises: it is
-the mass of the samples themselves, so that the Plancherel check weighs
-the spectrum the field materialises against those samples; in Gram form
-the benchmark boxes' masses moved by up to 2.9e-16.
+to wake a second thread); of the grid operations only rel_l2_diff of a
+factored field and a general one, or one of another packet count, and
+grid_l2_sq of packets that cancel, read them.  grid_l2_sq, the
+boundary-mass check, and rel_l2_diff of two factored fields of as many
+packets, run as grid Gram sums sum_ij conj(B_i) B_j prod_d <f_id, f_jd>
+over each slab's index set per axis.  A Gram mass carries about eps
+times the packets' own masses, its i = j terms, so grid_l2_sq sums the
+samples of a field whose mass falls below a quarter of those; on the
+grid benchmark's boxes at seeds 1-10 the Gram mass is within 3.6 eps of
+the exactly rounded sum of the materialised samples.  rel_l2_diff
+first telescopes the difference per packet, after a gauge step that
+takes each axis's scalar mismatch out of the difference (_difference):
+the flow leaves (1 + 4 i alpha t)^(-1/2) on each evolved factor where
+the sampled exact state carries the n-th power on its amplitude, and
+without that step the sum read 0 or 1e-7 where the materialised samples
+read 5e-16.
 
 Periodic wrap-around is the one failure mode of the grid path, so every
 operation that can push mass to the box edge checks the boundary-mass
-fraction against a fixed aliasing threshold and fails loudly.
+fraction against a fixed aliasing threshold and fails loudly.  A grid
+mass that is not finite fails too: boundary_mass_fraction, grid_l2_sq
+and rel_l2_diff raise InvalidParameterError for it, never return NaN.
 """
 
 from __future__ import annotations
@@ -71,6 +77,10 @@ from .quadrature import ShellCoefficients, shell_integral
 
 _ALIASING_THRESHOLD = 1e-8  # boundary-mass fraction tolerated on grids
 _SUM_BLOCK = 2**13  # floats per summed block; OpenBLAS threads ddot from 2**14
+# least share of its packets' own masses that a factored field's mass keeps
+# for grid_l2_sq to take the Gram sum; the grid benchmark's boxes keep 0.29
+# or more at seeds 1-10
+_GRAM_MIN_SHARE = 0.25
 
 # the spectrum of each transformed field, keyed by the field: a field is
 # frozen and hashes by identity, so an entry never goes stale, and it
@@ -102,6 +112,21 @@ class SpectrumField(_GridLayout):
         return (np.arange(self.N) - self.N // 2) * self.dxi
 
 
+def _fsum(parts) -> float:
+    """math.fsum of parts, or inf where their exact sum overflows."""
+    try:
+        return math.fsum(parts)
+    except OverflowError:
+        return math.inf
+
+
+def _finite(mass: float) -> float:
+    """mass, or InvalidParameterError if it is not finite."""
+    if not math.isfinite(mass):
+        raise InvalidParameterError(f"grid mass {mass} is not finite")
+    return mass
+
+
 def boundary_mass_fraction(g: GridField) -> float:
     """Fraction of |samples|^2 within L/2 of the box boundary.
 
@@ -124,20 +149,14 @@ def boundary_mass_fraction(g: GridField) -> float:
             core = core[head + (slice(lo, hi),)]
         core = _sum_sq(core)
     else:
-        # a slab's mass is a grid Gram sum over its index set per axis; a
-        # non-finite factor passes silently, as through a dot, to the
-        # check below
+        # a slab's mass is a grid Gram sum over its index set per axis
         B, f = g._factors
-        with np.errstate(invalid="ignore", over="ignore"):
-            gin, gout = _gram(f[..., inside]), _gram(f[..., ~inside])
-            edge = [max(_gram_sum(B, np.concatenate(
-                        [gin[:ax], gout[ax:ax + 1], gin[ax + 1:] + gout[ax + 1:]])), 0.0)
-                    for ax in range(g.n)]
-            core = _gram_sum(B, gin)
-    edge = math.fsum(edge)
-    total = edge + core
-    if not math.isfinite(total):
-        raise InvalidParameterError(f"grid mass {total} is not finite")
+        gin, gout, gall = _gram(f[..., inside]), _gram(f[..., ~inside]), _gram(f)
+        edge = [max(_gram_sum(B, np.concatenate([gin[:ax], gout[ax:ax + 1], gall[ax + 1:]])), 0.0)
+                for ax in range(g.n)]
+        core = _gram_sum(B, gin)
+    edge = _fsum(edge)
+    total = _finite(edge + core)
     if total == 0.0:
         return 0.0
     return edge / total
@@ -276,8 +295,9 @@ def hs_norm_sq(f, s: float) -> float:
 
     Packet sums go through their closed-form transform and the adaptive
     shell quadrature, at the lab's fixed accuracy; spectrum fields through
-    the weighted discrete sum with the xi = 0 bin contributing zero (the
-    origin carries no measure in the continuous integral).  s must be
+    the weighted discrete sum.  The xi = 0 bin has weight 0 for s != 0
+    (the origin carries no measure in the continuous integral) and 1 for
+    s = 0, where the sum is the discrete Parseval mass.  s must be
     finite with 2s > -n, where |xi|^(2s) is locally integrable; any other
     s raises InvalidParameterError.
 
@@ -365,7 +385,7 @@ def _sum_sq(z: np.ndarray) -> float:
         rows = [v[:whole].reshape(-1, _SUM_BLOCK), v[whole:]]
     else:
         rows = [v]
-    return math.fsum(itertools.chain.from_iterable(
+    return _fsum(itertools.chain.from_iterable(
         np.vecdot(r, r).ravel().tolist() for r in rows))
 
 
@@ -378,18 +398,34 @@ def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (np.conj(u) * v).sum(axis=-1)
 
 
+# The Gram helpers pass a non-finite factor silently, as a dot would, to
+# the caller's _finite check.
+_QUIET = {"invalid": "ignore", "over": "ignore"}
+
+
+@np.errstate(**_QUIET)
 def _gram(u: np.ndarray) -> np.ndarray:
     """Per-axis Gram matrices of a factor set (P, n, K):
     G[d, p, q] = <u[p, d], u[q, d]>, shape (n, P, P)."""
     return np.moveaxis(_inner(u[:, None], u[None]), -1, 0)
 
 
+@np.errstate(**_QUIET)
 def _gram_sum(B: np.ndarray, G: np.ndarray) -> float:
     """Re sum_pq conj(B_p) B_q prod_d G[d, p, q]: with G = _gram(u), the
     grid sum of |sum_p B_p u_p0 x ... x u_p(n-1)|^2 without the grid."""
     return float((np.conj(B)[:, None] * np.prod(G, axis=0) * B).sum().real)
 
 
+@np.errstate(**_QUIET)
+def _gram_diagonal(B: np.ndarray, G: np.ndarray) -> float:
+    """The p = q terms of _gram_sum: the packets' own masses, without
+    their interference."""
+    own = np.prod(np.diagonal(G, axis1=1, axis2=2), axis=0)
+    return float((np.conj(B) * own * B).sum().real)
+
+
+@np.errstate(**_QUIET)
 def _difference(A, a, B, b):
     """sum_i A_i prod_d a_id - sum_i B_i prod_d b_id as m (n + 1) factored
     terms (coefficients, factors) that are each small where a and b agree.
@@ -422,8 +458,22 @@ def _difference(A, a, B, b):
 
 
 def grid_l2_sq(g: GridField) -> float:
-    """Discrete mass sum |samples|^2 dx^n."""
-    return _sum_sq(g.samples) * g.dx**g.n
+    """Discrete mass sum |samples|^2 dx^n.
+
+    A factored field's mass is the grid Gram sum of its factors, and its
+    samples are not built.  That sum carries about eps times its diagonal,
+    the packets' own masses, so a field whose packets cancel to less than
+    _GRAM_MIN_SHARE of the diagonal, and a general field, take the blocked
+    _sum_sq of the samples.  A mass that is not finite raises
+    InvalidParameterError.
+    """
+    if g._factors is not None:
+        B, f = g._factors
+        G = _gram(f)
+        mass = _finite(_gram_sum(B, G))
+        if mass >= _GRAM_MIN_SHARE * _gram_diagonal(B, G):
+            return mass * g.dx**g.n
+    return _finite(_sum_sq(g.samples)) * g.dx**g.n
 
 
 def rel_l2_diff(a: GridField, b: GridField) -> float:
@@ -446,11 +496,13 @@ def rel_l2_diff(a: GridField, b: GridField) -> float:
         va, vb = _floats(a.samples).reshape(-1), _floats(b.samples).reshape(-1)
         buf = np.empty(min(_SUM_BLOCK, va.size))
         sums = []  # per block: sum a^2, sum b^2, sum (a - b)^2
-        for i in range(0, va.size, _SUM_BLOCK):
-            ra, rb = va[i:i + _SUM_BLOCK], vb[i:i + _SUM_BLOCK]
-            d = np.subtract(ra, rb, out=buf[:ra.size])
-            sums.append((np.dot(ra, ra), np.dot(rb, rb), np.dot(d, d)))
-        sq_a, sq_b, sq_d = (math.fsum(col) for col in zip(*sums))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for i in range(0, va.size, _SUM_BLOCK):
+                ra, rb = va[i:i + _SUM_BLOCK], vb[i:i + _SUM_BLOCK]
+                d = np.subtract(ra, rb, out=buf[:ra.size])
+                sums.append((np.dot(ra, ra), np.dot(rb, rb), np.dot(d, d)))
+        sq_a, sq_b, sq_d = (_fsum(col) for col in zip(*sums))
+    sq_a, sq_b, sq_d = map(_finite, (sq_a, sq_b, sq_d))
     den_sq = max(sq_a, sq_b)
     if den_sq == 0.0:
         return 0.0

@@ -39,6 +39,7 @@ from smoothing_lab import (
     sample_datum,
     sample_state,
 )
+from smoothing_lab.model import _outer_sum
 from smoothing_lab.spectral import boundary_mass_fraction
 
 F_1D = packet_sum([
@@ -307,15 +308,37 @@ def test_spectral_evolution_rejects_non_finite_time(t):
         evolve_spectral(g, t)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_grid_fails_closed(bad):
-    samples = np.array(sample_datum(F_1D, L=16.0, N=512).samples)
-    samples[7] = bad
-    g = GridField(1, 16.0, 512, samples)
-    with pytest.raises(InvalidParameterError, match="not finite"):
-        boundary_mass_fraction(g)
-    with pytest.raises(InvalidParameterError, match="not finite"):
-        forward_transform(g)
+    # one bad sample of a general field, one bad factor of a factored one
+    good = sample_datum(two_packets(2), L=12.0, N=64)
+    samples = np.array(materialised(good))
+    samples[7, 9] = bad
+    B, factors = good._factors
+    factors = np.array(factors)
+    factors[1, 1, 9] = bad
+    for g in (GridField(2, 12.0, 64, samples),
+              GridField._from_factors(2, 12.0, 64, B, factors)):
+        checks = [boundary_mass_fraction, forward_transform, grid_l2_sq]
+        # against itself, and against a field of either kind
+        checks += [lambda g, h=h: rel_l2_diff(g, h) for h in (good, general_twin(good))]
+        checks += [lambda g: rel_l2_diff(good, g), lambda g: rel_l2_diff(g, g)]
+        for check in checks:
+            with pytest.raises(InvalidParameterError, match="not finite"):
+                check(g)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_grid_mass_fails_closed():
+    # finite samples of 2e152 on 128^2 points: the squares add up past the
+    # largest float
+    samples = np.full((128, 128), 2e152 + 0j)
+    for g in (GridField(2, 4.0, 128, samples),
+              GridField._from_factors(2, 4.0, 128, [2e152], np.ones((1, 2, 128)))):
+        for check in (boundary_mass_fraction, grid_l2_sq, lambda g: rel_l2_diff(g, g)):
+            with pytest.raises(InvalidParameterError, match="not finite"):
+                check(g)
 
 
 def test_boundary_mass_fraction_counts_every_edge_slab():
@@ -414,7 +437,17 @@ def test_evolution_matches_direct_numpy_fft(n, N):
 
 
 def fsum_sq(v):
-    """math.fsum of the squares of the float array v, a slice at a time."""
+    """The sum of the squares of the float array v, rounded once.
+
+    Squared and summed in x87 extended precision (64-bit mantissa): each
+    square carries 5e-20 relative error, and the pairwise sum of millions
+    of them stays far below a float's eps, in a fraction of math.fsum's
+    time.  Where long double is no wider than a float, math.fsum a slice
+    at a time.
+    """
+    if np.finfo(np.longdouble).eps < 1e-18:
+        w = v.astype(np.longdouble).ravel()
+        return float(np.square(w, out=w).sum())
     return math.fsum(itertools.chain.from_iterable(
         (c * c).tolist() for c in np.array_split(v.ravel(), max(1, v.size // 2**16))))
 
@@ -466,9 +499,14 @@ def box_datum(n):
                        for _ in range(2)], n=n)
 
 
+def materialised(fld):
+    """A factored field's array, built apart: fld itself stays factored."""
+    return _outer_sum(*fld._factors)
+
+
 def general_twin(g):
     """g's samples as a general field, which takes the n-D path."""
-    return GridField(g.n, g.L, g.N, g.samples, t=g.t)
+    return GridField(g.n, g.L, g.N, materialised(g), t=g.t)
 
 
 def rel_l2(x, y):
@@ -484,14 +522,15 @@ def test_factored_fields_match_their_general_twins(box):
     assert g._factors is not None and twin._factors is None
     sf, sf_twin = forward_transform(g), forward_transform(twin)
     assert sf._factors is not None
-    assert rel_l2(sf.values, sf_twin.values) <= 1e-14
+    assert rel_l2(materialised(sf), sf_twin.values) <= 1e-14
     back = inverse_transform(sf)
-    assert rel_l2(back.samples, inverse_transform(sf_twin).samples) <= 1e-14
+    assert rel_l2(materialised(back), inverse_transform(sf_twin).samples) <= 1e-14
+    fields = [g, back]
     for t in times:
         moved = evolve_spectral(g, t)
+        fields.append(moved)
         assert moved._factors is not None
-        assert rel_l2(moved.samples, evolve_spectral(twin, t).samples) <= 1e-14
-        assert grid_l2_sq(moved) == grid_l2_sq(general_twin(moved))
+        assert rel_l2(materialised(moved), evolve_spectral(twin, t).samples) <= 1e-14
         # the slab sums in grid Gram form against the sums of the samples
         frac = boundary_mass_fraction(moved)
         assert frac == pytest.approx(boundary_mass_fraction(general_twin(moved)),
@@ -506,6 +545,26 @@ def test_factored_fields_match_their_general_twins(box):
         factored, blocked = rel_l2_diff(a, b), rel_l2_diff(general_twin(a), general_twin(b))
         assert 0.5 * blocked <= factored <= 2.0 * blocked
         assert factored < 1e-14
+    # the mass in grid Gram form against the sum of the samples, and no
+    # grid operation above built a field's samples
+    eps = np.finfo(float).eps
+    for fld in fields + [fld for pair in pairs[1:] for fld in pair]:
+        exact = fsum_sq(materialised(fld).view(np.float64)) * fld.dx**n
+        assert grid_l2_sq(fld) == pytest.approx(exact, rel=4 * eps, abs=0.0)
+        forward_transform(fld)
+        assert fld._factors is not None and "samples" not in fld.__dict__
+
+
+@pytest.mark.parametrize("delta", [0.5, 1e-3, 1e-8])
+def test_cancelling_packets_keep_their_mass(delta):
+    # one packet twice, with amplitudes 1 and -(1 - delta): the samples
+    # cancel to delta, where a Gram sum would lose digits as 1/delta^2
+    f = packet_sum([packet(a, 0.8, [0.1, -0.2], [0.05, 0.0]) for a in (1.0, delta - 1.0)],
+                   n=2)
+    g = sample_datum(f, L=16.0, N=256)
+    exact = fsum_sq(materialised(g).view(np.float64)) * g.dx**2
+    mass = grid_l2_sq(g)
+    assert mass == pytest.approx(exact, rel=4 * np.finfo(float).eps, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

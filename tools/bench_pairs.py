@@ -37,6 +37,12 @@ module's `fft` for a counting proxy:
     grid_transform_points    points over those calls: N^n per n-D
                              transform, m n N per batched 1-D transform
                              of m packets' factors
+    grid_materialised_points grid points of the arrays that factored
+                             fields build from their factors: N^n per
+                             call of model._outer_sum
+    grid_summed_points       grid points that spectral._sum_sq reads:
+                             the masses and edge slabs summed from
+                             samples, not in grid Gram form
     shell_integrals_calls    calls of the radial engine shell_integrals:
                              hs_norm_sq's, each fixed-time batch, and one
                              per refinement round of a time integral
@@ -51,9 +57,11 @@ module's `fft` for a counting proxy:
                              call: t on a finite window, and s, the
                              compactified time, on the whole line
     limit_fits               calls of limits.estimate_limit
-    per_task                 kernel_calls, kernel_state_radii, the three
-                             call counts above, time_nodes and limit_fits
-                             again, split by the task of the pass (a
+    per_task                 kernel_calls, kernel_state_radii, the
+                             grid_materialised_points and
+                             grid_summed_points, the three call counts
+                             above, time_nodes and limit_fits again,
+                             split by the task of the pass (a
                              verify_* call, or an experiment section of
                              cli-mix) that the pass's Timer was timing
                              when they ran, so that a change of the
@@ -167,7 +175,8 @@ def count_work(workload: str, seed: int) -> dict:
     counts = Counter(dict.fromkeys((
         "kernel_calls", "kernel_state_radii", "radial_panel_sweeps",
         "radial_panels_evaluated", "radial_panels_accepted",
-        "grid_transforms", "grid_transform_points", "shell_integrals_calls",
+        "grid_transforms", "grid_transform_points", "grid_materialised_points",
+        "grid_summed_points", "shell_integrals_calls",
         "adaptive_time_integral_calls", "real_line_time_integral_calls",
         "time_nodes", "limit_fits"), 0))
     tasks = []  # the task the timer is timing, innermost last
@@ -259,6 +268,10 @@ def count_work(workload: str, seed: int) -> dict:
         wrap(name, lambda args, result, key=f"{name}_calls": tally(key))
     rebind("adaptive_time_integral", time_nodes)
     wrap("estimate_limit", lambda args, result: tally("limit_fits"), lab.limits)
+    wrap("_outer_sum", lambda args, result: tally("grid_materialised_points", result.size),
+         lab.model)
+    wrap("_sum_sq", lambda args, result: tally("grid_summed_points", np.size(args[0])),
+         lab.spectral)
     wl = run.build(lab, workload, seed)
     try:
         wall, cpu = time.perf_counter(), time.process_time()
@@ -382,7 +395,8 @@ def main(argv=None) -> int:
         **head,
         "work_counts": "kernel_calls, kernel_state_radii, radial_panel_sweeps, "
                        "radial_panels_evaluated, radial_panels_accepted, "
-                       "grid_transforms, grid_transform_points, time_nodes, "
+                       "grid_transforms, grid_transform_points, "
+                       "grid_materialised_points, grid_summed_points, time_nodes, "
                        "limit_fits and the *_calls counts are this "
                        "tool's counts, not the tracer's (see tools/bench_pairs.py); "
                        "the quadrature.*, propagator.* and spectral.* counts are "
